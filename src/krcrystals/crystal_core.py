@@ -85,16 +85,7 @@ class CrystalGraph:
 
     def raise_path(self, x, colors):
         """Greedy raising to a highest vertex; returns (color path, vertex)."""
-        path = []
-        while True:
-            for i in colors:
-                y = self.e[i].get(x)
-                if y is not None:
-                    path.append(i)
-                    x = y
-                    break
-            else:
-                return path, x
+        return greedy_raise(x, colors, lambda i, y: self.e[i].get(y))
 
     def decomposition(self, colors=None):
         """Sorted weights of the unique highest vertex of each component."""
@@ -189,6 +180,24 @@ class CrystalGraph:
         if len(mapping) != len(self.elements):
             return None
         return mapping
+
+
+def greedy_raise(x, colors, up):
+    """Raise by the first color that applies until none does.
+
+    ``up(i, x)`` returns the raised element or None.  Returns the color path
+    and the top; applying f along the reversed path from the top gives x back.
+    """
+    path = []
+    while True:
+        for i in colors:
+            y = up(i, x)
+            if y is not None:
+                path.append(i)
+                x = y
+                break
+        else:
+            return path, x
 
 
 def generate_closure(seeds, colors, apply_fn, weight_fn, bound=VERTEX_BOUND):

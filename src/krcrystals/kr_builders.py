@@ -16,16 +16,15 @@ from types import SimpleNamespace
 from . import pm_diagrams as pm
 from . import tableaux
 from .cartan import AffineSpec, Shape, kr_decomposition, kr_dimension
-from .crystal_core import CrystalGraph, generate_closure
+from .crystal_core import CrystalGraph, generate_closure, greedy_raise
 from .pm_diagrams import SignTriple
 
 
 @dataclass
 class AmbientLink:
-    """Embedding of a build into a host crystal (one multiplier per color)."""
+    """Embedding of a build into a closed host crystal."""
 
     build: "KRBuild"
-    m: tuple[int, ...]
     vertex_map: dict
 
 
@@ -37,7 +36,8 @@ class KRBuild:
     graph: CrystalGraph
     kind: str  # promotion | dba | virtual | stepped | triples | spin
     render: object
-    ambient: AmbientLink | None = None
+    ambient: AmbientLink | None = None  # virtual: the closed A2odd host
+    stepped: "SteppedHost | None" = None  # stepped: the host, element-local
     sigma_table: dict | None = None
     partner: "KRBuild | None" = None
     _model: dict | None = field(default=None, repr=False)
@@ -116,19 +116,6 @@ class _TableauArrow:
         return tableaux.tableau_apply(self.ctype, self.n, elem, self.i, "f")
 
 
-def _tableau_raise(ctype, n, elem, colors):
-    path = []
-    while True:
-        for i in colors:
-            up = tableaux.tableau_apply(ctype, n, elem, i, "e")
-            if up is not None:
-                path.append(i)
-                elem = up
-                break
-        else:
-            return path, elem
-
-
 def _locate_top(build, top):
     """Vertex of the build carrying a given classical highest tableau."""
     ctype, n = build.spec.classical_type, build.spec.n
@@ -139,23 +126,6 @@ def _locate_top(build, top):
     if len(hits) != 1:
         raise RuntimeError(f"classical top of weight {wt} is not unique")
     return hits[0]
-
-
-def _classical_vertex(build, elem):
-    """Vertex whose classical-model tableau equals elem."""
-    g = build.graph
-    x = g.index.get(elem)
-    if x is not None:
-        return x
-    ctype, n = build.spec.classical_type, build.spec.n
-    colors = build.spec.classical_colors
-    path, top = _tableau_raise(ctype, n, elem, colors)
-    v = _locate_top(build, top)
-    for i in reversed(path):
-        v = g.f[i].get(v)
-        if v is None:
-            raise RuntimeError("classical transport died while descending")
-    return v
 
 
 # -- type A: promotion --------------------------------------------------------
@@ -336,7 +306,7 @@ def _build_virtual(n, r, s):
     if len(graph.elements) != len(fixed):
         raise RuntimeError("virtual closure left the fixed-point set")
     vmap = {k: hg.index[el] for k, el in enumerate(graph.elements)}
-    link = AmbientLink(host, (1,) * (n + 1), vmap)
+    link = AmbientLink(host, vmap)
     return KRBuild(
         AffineSpec("C1", n, r, s), graph, "virtual", tableaux.format_element,
         ambient=link,
@@ -348,19 +318,6 @@ def build_virtual_C(n, r, s):
     if not 1 <= r < n:
         raise ValueError("fixed-point route needs 1 <= r < n")
     return build_kr(AffineSpec("C1", n, r, s))
-
-
-_AUX_VIRTUAL = {}
-
-
-def _virtual_host_c(n, r, s):
-    """The fixed-point crystal used as a host; at r = n it exceeds B^{n,s}."""
-    if r < n:
-        return build_kr(AffineSpec("C1", n, r, s))
-    key = (n, s)
-    if key not in _AUX_VIRTUAL:
-        _AUX_VIRTUAL[key] = _build_virtual(n, n, s)
-    return _AUX_VIRTUAL[key]
 
 
 # -- doubling embeddings ------------------------------------------------------
@@ -375,54 +332,196 @@ def _seed_diagram(ctype, n, sh):
         return pm.enumerate_pm(ctype, n, sh)[0]
 
 
-def build_stepped_image(spec, host, seed_vertices, m):
-    """Closure of seeds under the m_i-th powers of the host operators."""
-    hg = host.graph
+class SteppedHost:
+    """The host of a stepped build, evaluated one element at a time.
 
-    def apply_fn(elem, i, op):
-        maps = hg.f if op == "f" else hg.e
-        y = hg.index[elem]
-        for _ in range(m[i]):
-            y = maps[i].get(y)
+    The host is the A2odd crystal B^{r,s} of rank N: itself for B1 at r = n
+    (N = n), or, for A2even and D2 below the top node (N = n + 1), its
+    sigma-fixed locus read as a C1 crystal of rank n whose colors 0 and i
+    are the host operators f_0 f_1 and f_{i+1}.  The stepped build takes the
+    m_i-th powers of the colors.  No host crystal is closed: sigma raises an
+    element to its {2..N}-highest element, applies the diagram involution
+    there and descends the same path, so every arrow comes from the element
+    alone.  sigma and the host arrows are memoized on this object, which
+    lives as long as its build.  Broken invariants raise RuntimeError.
+    """
+
+    def __init__(self, n, r, s, virtual, m):
+        self.n, self.r, self.s, self.virtual, self.m = n, r, s, virtual, m
+        self.rank = n + 1 if virtual else n
+        self.shapes = kr_decomposition(AffineSpec("A2odd", self.rank, r, s))
+        # shapes of the host's classical (C_n) decomposition
+        self.model_shapes = _c_virtual_shapes(n, r, s) if virtual else self.shapes
+        self._sigma = {}
+        self._arrows = {}
+        self._fixed_tops = None
+
+    # -- the A2odd crystal ----------------------------------------------------
+
+    def sigma(self, elem):
+        """The tail involution, memoized on both elements of each pair."""
+        out = self._sigma.get(elem)
+        if out is None:
+            out = self._reflect(elem)
+            # a fixed point is its own check; any other pair is checked once
+            if out != elem and self._reflect(out) != elem:
+                raise RuntimeError(
+                    f"sigma is not an involution at {tableaux.format_element(elem)}"
+                )
+            self._sigma[elem] = out
+            self._sigma[out] = elem
+        return out
+
+    def _reflect(self, elem):
+        """sigma(elem), carried down from its {2..N}-highest element.
+
+        The raise stops early at an element whose image is already known.
+        """
+        N = self.rank
+        memo = self._sigma
+
+        def up(i, x):
+            return None if x in memo else tableaux.tableau_apply("C", N, x, i, "e")
+
+        path, top = greedy_raise(elem, range(2, N + 1), up)
+        y = memo.get(top)
+        if y is None:
+            P = pm.phi_inverse("C", N, top, self.shapes)
+            y = pm.phi(pm.involution_S(P, self.r, self.s))
+        for i in reversed(path):
+            y = tableaux.tableau_apply("C", N, y, i, "f")
             if y is None:
-                return None
-        return hg.elements[y]
+                raise RuntimeError(f"sigma died descending an f_{i} arrow")
+        return y
 
-    def weight_fn(elem):
-        w = hg.weights[hg.index[elem]]
+    def _tail_apply(self, elem, i, op):
+        if i:
+            return tableaux.tableau_apply("C", self.rank, elem, i, op)
+        y = self._tail_apply(self.sigma(elem), 1, op)
+        return None if y is None else self.sigma(y)
+
+    # -- the host seen by the stepped build -----------------------------------
+
+    def host_apply(self, elem, i, op):
+        """e_i/f_i of the host crystal (colors 0..n); None if it vanishes."""
+        key = (elem, i, op)
+        if key not in self._arrows:
+            self._arrows[key] = self._host_arrow(elem, i, op)
+        return self._arrows[key]
+
+    def _host_arrow(self, elem, i, op):
+        if not self.virtual:
+            return self._tail_apply(elem, i, op)
+        if i:
+            y = self._tail_apply(elem, i + 1, op)
+        else:
+            y = self._chain(elem, (0, 1), op)
+            if y != self._chain(elem, (1, 0), op):
+                raise RuntimeError("host 0- and 1-operators failed to commute")
+        if y is not None and self.sigma(y) != y:
+            raise RuntimeError("virtual operator escaped the fixed locus")
+        return y
+
+    def _chain(self, elem, colors, op):
+        for c in colors:
+            elem = self._tail_apply(elem, c, op)
+            if elem is None:
+                return None
+        return elem
+
+    def host_weight(self, elem):
+        w = tableaux.tableau_weight("C", self.rank, elem[0], elem[1])
+        return w[1:] if self.virtual else w
+
+    def lift(self, tab):
+        """Host element whose classical-model C_n tableau is tab."""
+        if not self.virtual:
+            return tab  # the A2odd host is its own classical model
+        n = self.n
+
+        def up(i, x):
+            return tableaux.tableau_apply("C", n, x, i, "e")
+
+        path, top = greedy_raise(tab, range(1, n + 1), up)
+        y = self._fixed_top(tableaux.tableau_weight("C", n, top[0], top[1]))
+        for i in reversed(path):
+            y = self.host_apply(y, i, "f")
+            if y is None:
+                raise RuntimeError("classical transport died while descending")
+        return y
+
+    def _fixed_top(self, wt):
+        """The sigma-fixed {2..N}-highest host element of a given host weight."""
+        if self._fixed_tops is None:
+            tops = {}
+            for sh in self.shapes:
+                for P in pm.enumerate_pm("C", self.rank, sh):
+                    if pm.involution_S(P, self.r, self.s) == P:
+                        top = pm.phi(P)
+                        tops.setdefault(self.host_weight(top), []).append(top)
+            self._fixed_tops = tops
+        hits = self._fixed_tops.get(wt, [])
+        if len(hits) != 1:
+            raise RuntimeError(f"classical top of weight {wt} is not unique")
+        return hits[0]
+
+    def _is_host_element(self, tab):
+        cols, spin = tab
+        heights = tuple(len(col) for col in cols)
+        return (
+            spin is None
+            and heights in {sh.columns() for sh in self.shapes}
+            and tableaux.tableau_ok("C", self.rank, cols)
+            and (not self.virtual or self.sigma(tab) == tab)
+        )
+
+    def seed(self, tab):
+        """Host element seeding the image component of a doubled C_n tableau."""
+        # A tableau that is itself a (sigma-fixed) host element is used as
+        # is, although the classical isomorphism may carry it elsewhere: for
+        # A2even 2,1,1 the doubled seed 2|2 is such an element, whose
+        # classical model is 1|1 (the lift of 2|2 is 3|3).  Either seeds the
+        # same crystal, but the seeds fix the breadth-first vertex order, so
+        # this rule is what keeps the A2even and D2 exports byte-stable.
+        if self._is_host_element(tab):
+            return tab
+        if not self.virtual:
+            raise RuntimeError("doubled seed is not an element of the host")
+        return self.lift(tab)
+
+    # -- the stepped build ----------------------------------------------------
+
+    def apply(self, elem, i, op):
+        """The stepped operator: the m_i-th power of the host operator."""
+        for _ in range(self.m[i]):
+            elem = self.host_apply(elem, i, op)
+            if elem is None:
+                return None
+        return elem
+
+    def weight(self, elem):
+        w = self.host_weight(elem)
         if any(c % 2 for c in w):
             raise RuntimeError("host weight of an image vertex is not even")
         return tuple(c // 2 for c in w)
-
-    graph = generate_closure(
-        [hg.elements[v] for v in seed_vertices],
-        tuple(range(spec.n + 1)),
-        apply_fn,
-        weight_fn,
-    )
-    vmap = {k: hg.index[el] for k, el in enumerate(graph.elements)}
-    return KRBuild(
-        spec, graph, "stepped", host.render, ambient=AmbientLink(host, m, vmap)
-    )
 
 
 def _build_stepped(spec):
     fam, n, r, s = spec.family, spec.n, spec.r, spec.s
     if fam == "B1":  # r == n
-        host = build_kr(AffineSpec("A2odd", n, n, s))
-        m = (2,) * n + (1,)
+        host = SteppedHost(n, n, s, virtual=False, m=(2,) * n + (1,))
     else:  # A2even any r, D2 r < n
-        host = _virtual_host_c(n, r, 2 * s)
         m = (1,) + (2,) * (n - 1) + ((2,) if fam == "A2even" else (1,))
+        host = SteppedHost(n, r, 2 * s, virtual=True, m=m)
     ctype = spec.classical_type
-    seeds = []
-    for sh in kr_decomposition(spec):
-        image = pm.phi(pm.double_pm(_seed_diagram(ctype, n, sh)))
-        seeds.append(_classical_vertex(host, image))
-    build = build_stepped_image(spec, host, seeds, m)
-    if len(build.graph.elements) != kr_dimension(spec):
+    seeds = [
+        host.seed(pm.phi(pm.double_pm(_seed_diagram(ctype, n, sh))))
+        for sh in kr_decomposition(spec)
+    ]
+    graph = generate_closure(seeds, tuple(range(n + 1)), host.apply, host.weight)
+    if len(graph.elements) != kr_dimension(spec):
         raise RuntimeError("stepped image closure has the wrong size")
-    return build
+    return KRBuild(spec, graph, "stepped", tableaux.format_element, stepped=host)
 
 
 # -- exceptional node for C and twisted D: sign triples -----------------------

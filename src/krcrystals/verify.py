@@ -359,24 +359,24 @@ def check_phi0(build: KRBuild) -> CheckReport:
 _DOUBLING_TARGET = {"B1": "B", "A2even": "C", "D2": "B"}
 
 
-def _host_diagram(host, v):
-    model = classical_model(host)
-    spec = host.spec
-    return pm.phi_inverse(
-        spec.classical_type, spec.n, model[v], _model_shapes(host)
-    )
+def _host_string(host, elem, i, op):
+    """Elements of the host i-string beyond elem, nearest first."""
+    out = []
+    while (elem := host.host_apply(elem, i, op)) is not None:
+        out.append(elem)
+    return out
 
 
 def _check_stepped_similarity(build):
     g = build.graph
     spec = build.spec
     n = spec.n
-    amb = build.ambient
-    host, m, vmap = amb.build, amb.m, amb.vertex_map
-    hg = host.graph
-    for x, v in vmap.items():
+    host = build.stepped
+    m = host.m
+    for x, v in enumerate(g.elements):
         for i in range(n + 1):
-            he, hp = hg.eps(i, v), hg.phi(i, v)
+            down = _host_string(host, v, i, "f")
+            he, hp = len(_host_string(host, v, i, "e")), len(down)
             if he % m[i] or hp % m[i]:
                 return False, "host string not divisible by the multiplier", _w(
                     build, x, i
@@ -385,26 +385,24 @@ def _check_stepped_similarity(build):
                 return False, "image string is not the scaled host string", _w(
                     build, x, i
                 )
-            w = v
-            for _ in range(m[i]):
-                w = hg.f[i].get(w)
+            w = down[m[i] - 1] if hp else None
             y = g.f[i].get(x)
-            if (None if y is None else vmap[y]) != w:
+            if (None if y is None else g.elements[y]) != w:
                 return False, "edge is not the powered host edge", _w(build, x, i)
-    image = set(vmap.values())
     target = _DOUBLING_TARGET[spec.family]
-    jcolors = tuple(range(2, n + 1))
     doubled = 0
-    for v in hg.highest_vertices(jcolors):
-        P = _host_diagram(host, v)
-        # phantom zero-height columns double too, so their count stays even
-        is_double = pm.is_doubled(P, target) and (host.spec.s - P.width()) % 2 == 0
-        if (v in image) != is_double:
-            return False, "image tops are not the doubled diagrams", {
-                "element": host.render(hg.elements[v]),
-                "in_image": str(v in image),
-            }
-        doubled += v in image
+    for sh in host.model_shapes:
+        for P in pm.enumerate_pm("C", n, sh):
+            v = host.lift(pm.phi(P))
+            in_image = v in g.index
+            # phantom zero-height columns double too, so their count stays even
+            is_double = pm.is_doubled(P, target) and (host.s - P.width()) % 2 == 0
+            if in_image != is_double:
+                return False, "image tops are not the doubled diagrams", {
+                    "element": build.render(v),
+                    "in_image": str(in_image),
+                }
+            doubled += in_image
     return True, f"{doubled} doubled diagram tops", None
 
 
@@ -445,10 +443,10 @@ def check_similarity(build: KRBuild) -> CheckReport:
     """The build sits inside its host exactly as the index scaling dictates."""
 
     def body():
+        if build.stepped is not None:
+            return _check_stepped_similarity(build)
         if build.ambient is None:
             return True, "no ambient crystal for this construction", None
-        if build.kind == "stepped":
-            return _check_stepped_similarity(build)
         return _check_virtual_similarity(build)
 
     return _report("similarity", build, body)
@@ -530,10 +528,18 @@ _CHECKS = {
 
 
 def run_suite(specs, suites=SUITES) -> list[CheckReport]:
-    """All requested suites over all specs, in a deterministic order."""
+    """All requested suites over all specs, in a deterministic order.
+
+    A spec whose build raises yields one failing ``build`` report in place
+    of its suites, and the run goes on.
+    """
     reports = []
     for spec in specs:
-        build = build_kr(spec)
+        try:
+            build = build_kr(spec)
+        except Exception as exc:  # a broken build should fail, not crash the run
+            reports.append(CheckReport("build", spec, False, f"error: {exc}"))
+            continue
         for name in suites:
             reports.append(_CHECKS[name](build))
     return reports
@@ -567,6 +573,7 @@ def with_dropped_edge(build: KRBuild, color: int, k: int = 0) -> KRBuild:
         build.kind,
         build.render,
         ambient=build.ambient,
+        stepped=build.stepped,
         sigma_table=build.sigma_table,
         partner=build.partner,
     )

@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from krcrystals import kr_builders
 from krcrystals import pm_diagrams as pm
 from krcrystals import tableaux
 from krcrystals.cartan import AffineSpec, Shape, kr_decomposition, kr_dimension
+from krcrystals.crystal_core import generate_closure
 from krcrystals.kr_builders import (
     SignTriple,
     affine_dba,
@@ -21,7 +23,7 @@ from krcrystals.kr_builders import (
     sigma_dba,
     sigma_spin_D,
     triple_rules,
-    _virtual_host_c,
+    _build_virtual,
 )
 
 
@@ -157,31 +159,43 @@ def test_stepped_sizes(fam, n, r, s, size):
     assert b.kind == "stepped"
 
 
-def test_stepped_hosts():
-    b = build_kr(AffineSpec("B1", 2, 2, 1))
-    assert b.ambient.build.spec == AffineSpec("A2odd", 2, 2, 1)
-    assert b.ambient.m == (2, 2, 1)
-    b = build_kr(AffineSpec("D2", 2, 1, 1))
-    assert b.ambient.build.spec == AffineSpec("C1", 2, 1, 2)
-    assert b.ambient.m == (1, 2, 1)
-    b = build_kr(AffineSpec("A2even", 2, 2, 1))
-    assert b.ambient.build.kind == "virtual"
-    assert len(b.ambient.build.graph.elements) == 25
-    assert b.ambient.m == (1, 2, 2)
+STEPPED_MULTIPLIERS = {"B1": (2, 2, 1), "A2even": (1, 2, 2), "D2": (1, 2, 1)}
 
 
-def test_stepped_edges_are_powered_host_edges():
-    b = build_kr(AffineSpec("A2even", 2, 1, 1))
-    host = b.ambient.build.graph
-    m = b.ambient.m
-    vmap = b.ambient.vertex_map
-    for x in range(len(b.graph.elements)):
+@pytest.mark.parametrize(
+    "fam,n,r,s,host_size",
+    [
+        ("B1", 2, 2, 1, 6),
+        ("B1", 2, 2, 2, 20),
+        ("A2even", 2, 1, 1, 11),
+        ("A2even", 2, 2, 1, 25),
+        ("D2", 2, 1, 1, 11),
+    ],
+)
+def test_stepped_route_matches_materialized_host(fam, n, r, s, host_size):
+    # The host closed in full, with sigma tabled by transport along its
+    # arrows, against the element-local operators of the stepped route:
+    # B1 sits in A2odd B^{n,s}, A2even and D2 in the fixed locus of
+    # A2odd B^{r,2s} of rank n+1.
+    b = build_kr(AffineSpec(fam, n, r, s))
+    m = STEPPED_MULTIPLIERS[fam]
+    assert b.ambient is None and b.stepped.m == m
+    if fam == "B1":
+        host = build_kr(AffineSpec("A2odd", n, n, s))
+    else:
+        host = _build_virtual(n, r, 2 * s)
+    hg = host.graph
+    assert len(hg) == host_size
+    for x, elem in enumerate(b.graph.elements):
+        v = hg.index[elem]
+        assert all(w % 2 == 0 for w in hg.weights[v])
+        assert b.graph.weights[x] == tuple(w // 2 for w in hg.weights[v])
         for i in b.graph.colors:
-            y = vmap[x]
+            y = v
             for _ in range(m[i]):
-                y = None if y is None else host.f[i].get(y)
+                y = None if y is None else hg.f[i].get(y)
             edge = b.graph.f[i].get(x)
-            assert (edge is None and y is None) or vmap.get(edge) == y
+            assert (None if edge is None else hg.index[b.graph.elements[edge]]) == y
 
 
 def test_classical_model_of_stepped_build():
@@ -235,12 +249,12 @@ def test_triples_match_fixed_point_route_at_odd_s():
     # two independent constructions of the same crystal must be isomorphic
     for n in (2, 3):
         tri = build_kr(AffineSpec("C1", n, n, 1))
-        aux = _virtual_host_c(n, n, 1)
+        aux = _build_virtual(n, n, 1)
         assert tri.graph.isomorphism(aux.graph) is not None
 
 
 def test_fixed_point_object_exceeds_kr_crystal_at_even_s():
-    aux = _virtual_host_c(2, 2, 2)
+    aux = _build_virtual(2, 2, 2)
     assert len(aux.graph.elements) == 25
     assert aux.graph.decomposition((1, 2)) == [(0, 0), (4, 0), (4, 4)]
 
@@ -298,6 +312,21 @@ def test_dispatch_kinds():
     assert build_kr(AffineSpec("D2", 2, 2, 1)).kind == "triples"
     assert build_kr(AffineSpec("B1", 2, 2, 1)).kind == "stepped"
     assert build_kr(AffineSpec("D1", 4, 4, 1)).kind == "spin"
+
+
+def test_stepped_build_closes_no_host(monkeypatch):
+    closed = []
+
+    def counting_closure(*args, **kwargs):
+        graph = generate_closure(*args, **kwargs)
+        closed.append(len(graph))
+        return graph
+
+    monkeypatch.setattr(kr_builders, "_BUILD_CACHE", {})
+    monkeypatch.setattr(kr_builders, "generate_closure", counting_closure)
+    spec = AffineSpec("A2even", 3, 2, 2)
+    build_kr(spec)
+    assert closed == [196] == [kr_dimension(spec)]
 
 
 def test_build_cache_returns_same_object():

@@ -123,6 +123,36 @@ def test_failed_check_exits_one(capsys, monkeypatch):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_failed_build_becomes_a_report(capsys, monkeypatch):
+    from krcrystals import kr_builders, verify
+
+    def broken(spec):
+        raise RuntimeError("stepped image closure has the wrong size")
+
+    monkeypatch.setattr(kr_builders, "_BUILD_CACHE", {})
+    monkeypatch.setattr(kr_builders, "_build_stepped", broken)
+    args = ["check", "--family", "B1", "--n", "2", "--r", "2", "--s", "1"]
+    assert main(args) == 1
+    assert capsys.readouterr().out == (
+        "build      B1     n=2 r=2 s=1  FAIL"
+        "  [error: stepped image closure has the wrong size]\n"
+    )
+    specs = [AffineSpec("A2even", 2, 1, 1), AffineSpec("A1", 2, 1, 1)]
+    reports = verify.run_suite(specs)
+    assert [(r.suite, r.spec, r.passed) for r in reports[:1]] == [
+        ("build", specs[0], False)
+    ]
+    assert [r.suite for r in reports[1:]] == list(verify.SUITES)
+    assert all(r.passed for r in reports[1:])
+
+
+def test_stepped_build_seeds_fix_the_node_order(capsys):
+    args = ["build", "--family", "A2even", "--n", "2", "--r", "1", "--s", "1"]
+    assert main(args) == 0
+    nodes = json.loads(capsys.readouterr().out)["nodes"]
+    assert [node["element"] for node in nodes[:2]] == ["1|-1", "2|2"]
+
+
 def test_invalid_spec_exits_two(capsys):
     args = ["check", "--family", "C1", "--n", "2", "--r", "9", "--s", "1"]
     assert main(args) == 2
