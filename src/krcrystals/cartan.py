@@ -181,8 +181,8 @@ def shape_dimension(ctype: str, n: int, shape: Shape) -> int:
     return weyl_dimension(ctype, n, shape.weight(ctype, n))
 
 
-def _conjugate(cols: tuple[int, ...]) -> tuple[int, ...]:
-    """Row lengths of the shape with the given column heights."""
+def conjugate(cols) -> tuple[int, ...]:
+    """Row lengths of the shape with the given column heights, in any order."""
     heights = sorted((h for h in cols if h > 0), reverse=True)
     if not heights:
         return ()
@@ -220,7 +220,7 @@ def kr_decomposition(spec: AffineSpec) -> tuple[Shape, ...]:
         for low in _column_multisets(low_heights, s // 2):
             k_n = s - 2 * len(low)
             full, sp = divmod(k_n, 2)
-            shapes.append(Shape(_conjugate(low + (n,) * full), spin=sp))
+            shapes.append(Shape(conjugate(low + (n,) * full), spin=sp))
         return tuple(sorted(shapes, key=lambda sh: (sh.size(), sh.rows, sh.spin)))
 
     if fam == "D2" and r == n:
@@ -235,7 +235,7 @@ def kr_decomposition(spec: AffineSpec) -> tuple[Shape, ...]:
         # columns may vanish only when r is even
         heights = list(range(r, 0, -2))
         shapes = [
-            Shape(_conjugate(cols))
+            Shape(conjugate(cols))
             for cols in _column_multisets(heights, s)
             if r % 2 == 0 or len(cols) == s
         ]
@@ -252,11 +252,10 @@ def kr_decomposition(spec: AffineSpec) -> tuple[Shape, ...]:
         return tuple(uniq)
 
     # A2even any r, D2 r < n: every shape inside the r x s box
-    shapes = []
-    for rows in itertools.product(range(s + 1), repeat=r):
-        if all(a >= b for a, b in zip(rows, rows[1:])):
-            shapes.append(Shape(tuple(v for v in rows if v > 0)))
-    return tuple(sorted(set(shapes), key=lambda sh: (sh.size(), sh.rows)))
+    shapes = [
+        Shape(conjugate(cols)) for cols in _column_multisets(list(range(r, 0, -1)), s)
+    ]
+    return tuple(sorted(shapes, key=lambda sh: (sh.size(), sh.rows)))
 
 
 def kr_dimension(spec: AffineSpec) -> int:

@@ -1,6 +1,7 @@
 """Command-line front end: build, export, decompose, dim, and check.
 
-Exit codes: 0 success, 1 at least one failed check, 2 invalid arguments.
+Exit codes: 0 success, 1 at least one failed check or a build that could not
+finish (a broken invariant or the closure bound), 2 invalid arguments.
 All output is deterministic; documents carry no timestamps.
 """
 
@@ -182,6 +183,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"kr: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"kr: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -24,12 +24,6 @@ class CrystalGraph:
     def __len__(self):
         return len(self.elements)
 
-    def f_op(self, i, x):
-        return self.f[i].get(x)
-
-    def e_op(self, i, x):
-        return self.e[i].get(x)
-
     def phi(self, i, x) -> int:
         k = 0
         while (x := self.f[i].get(x)) is not None:
@@ -41,12 +35,6 @@ class CrystalGraph:
         while (x := self.e[i].get(x)) is not None:
             k += 1
         return k
-
-    def eps_vector(self, x, colors=None):
-        return tuple(self.eps(i, x) for i in (colors or self.colors))
-
-    def phi_vector(self, x, colors=None):
-        return tuple(self.phi(i, x) for i in (colors or self.colors))
 
     def weight(self, x):
         return self.weights[x]
@@ -102,13 +90,6 @@ class CrystalGraph:
                 )
             out.append(self.weights[tops[0]])
         return sorted(out)
-
-    # -- canonical ids and serialization helpers -------------------------------
-
-    def canonical_ids(self, render):
-        """Index -> 0-based id, by lexicographic order of rendered elements."""
-        order = sorted(range(len(self.elements)), key=lambda x: render(self.elements[x]))
-        return {x: k for k, x in enumerate(order)}
 
     # -- isomorphism search -----------------------------------------------------
 

@@ -5,13 +5,13 @@ tensors).  The 0-arrows are produced by a route that depends on the family:
 promotion in type A, conjugation by the tail involution sigma for the three
 families whose 0-node hangs off node 1, fixed points of that involution for
 type C, sign-triple case rules at the exceptional C/D node, and a mirrored
-spin pair at the two tail nodes of type D.
+spin pair at the two tail nodes of type D.  The promotion, sigma and spin
+routes share one rule on the closed classical crystal: f_0 = tau^{-1} f_1 tau,
+with tau promotion, sigma, or the mirror into the partner spin crystal.
 """
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
-from types import SimpleNamespace
 
 from . import pm_diagrams as pm
 from . import tableaux
@@ -39,7 +39,7 @@ class KRBuild:
     ambient: AmbientLink | None = None  # virtual: the closed A2odd host
     stepped: "SteppedHost | None" = None  # stepped: the host, element-local
     sigma_table: dict | None = None
-    partner: "KRBuild | None" = None
+    partner: "KRBuild | None" = None  # spin: the crystal sigma lands in
     _model: dict | None = field(default=None, repr=False)
 
 
@@ -58,8 +58,11 @@ def classical_crystal(ctype, n, shapes, colors):
     return generate_closure(seeds, colors, apply_fn, weight_fn)
 
 
-def _transport(src, dst, anchors, colors):
-    """Extend a map defined on component tops along matching arrows."""
+def _transport(src, dst_f, anchors, colors):
+    """Extend a map defined on component tops along matching arrows.
+
+    ``dst_f(i, y)`` is f_i on the target side, None where it vanishes.
+    """
     out = dict(anchors)
     stack = list(anchors.items())
     while stack:
@@ -68,7 +71,7 @@ def _transport(src, dst, anchors, colors):
             a = src.f[i].get(x)
             if a is None or a in out:
                 continue
-            b = dst.f[i].get(y)
+            b = dst_f(i, y)
             if b is None:
                 raise RuntimeError(f"transport died on an f_{i} arrow")
             out[a] = b
@@ -76,6 +79,29 @@ def _transport(src, dst, anchors, colors):
     if len(out) != len(src.elements):
         raise RuntimeError("transport did not reach every vertex")
     return out
+
+
+def _conjugated_f1(tau, f1, back):
+    """f_0 = back . f_1 . tau on vertex ids; f1 is the arrow dict tau lands in."""
+    f0 = {}
+    for x in range(len(tau)):
+        y = f1.get(tau[x])
+        if y is not None:
+            f0[x] = back[y]
+    return f0
+
+
+def _with_f0(cls, f0):
+    """The closed classical crystal cls with the 0-arrows f0 attached."""
+    return CrystalGraph(cls.elements, (0,) + cls.colors, {0: f0, **cls.f}, cls.weights)
+
+
+def model_shapes(build):
+    """Classical shapes of the tableau model the build's vertices carry."""
+    spec = build.spec
+    if build.kind == "virtual":
+        return _c_virtual_shapes(spec.n, spec.r, spec.s)
+    return kr_decomposition(spec)
 
 
 def classical_model(build):
@@ -88,32 +114,17 @@ def classical_model(build):
         raise ValueError("spin builds have no single-tableau classical model")
     else:
         ctype, n = build.spec.classical_type, build.spec.n
-        colors = build.spec.classical_colors
-        g = build.graph
-        if build.kind == "virtual":
-            shapes = _c_virtual_shapes(n, build.spec.r, build.spec.s)
-        else:
-            shapes = kr_decomposition(build.spec)
         anchors = {}
-        for sh in shapes:
+        for sh in model_shapes(build):
             top = pm.highest_element(ctype, n, sh)
             anchors[_locate_top(build, top)] = top
-        tab_side = SimpleNamespace(
-            f={i: _TableauArrow(ctype, n, i) for i in colors}
-        )
-        model = _transport(g, tab_side, anchors, colors)
+
+        def tableau_f(i, tab):
+            return tableaux.tableau_apply(ctype, n, tab, i, "f")
+
+        model = _transport(build.graph, tableau_f, anchors, build.spec.classical_colors)
     build._model = model
     return model
-
-
-class _TableauArrow:
-    """Dict-like view of one f_i arrow on the full tableau crystal."""
-
-    def __init__(self, ctype, n, i):
-        self.ctype, self.n, self.i = ctype, n, i
-
-    def get(self, elem):
-        return tableaux.tableau_apply(self.ctype, self.n, elem, self.i, "f")
 
 
 def _locate_top(build, top):
@@ -164,42 +175,14 @@ def promotion(cols, n):
     return out
 
 
-@lru_cache(maxsize=None)
-def _promotion_inverse_table(n, rows, width):
-    table = {}
-    count = 0
-    for cols, _ in tableaux.enumerate_tableaux("A", n, Shape((width,) * rows)):
-        table[promotion(cols, n)] = cols
-        count += 1
-    if len(table) != count:
-        raise RuntimeError("promotion is not a bijection on the rectangle")
-    return table
-
-
-def inverse_promotion(cols, n):
-    """Inverse of promotion, by inverting its table over the rectangle."""
-    return _promotion_inverse_table(n, len(cols[0]), len(cols))[cols]
-
-
-def affine_typeA(elem, n, direction):
-    """The 0-arrow on a rectangular type A tableau: pr^{-1} . x_1 . pr."""
-    cols = promotion(elem[0], n)
-    moved = tableaux.tableau_apply("A", n, (cols, None), 1, direction)
-    if moved is None:
-        return None
-    return (inverse_promotion(moved[0], n), None)
-
-
 def _build_promotion(spec):
     n = spec.n
-    colors = spec.classical_colors
-    cls = classical_crystal("A", n, (Shape((spec.s,) * spec.r),), colors)
-    f0 = {}
-    for x, elem in enumerate(cls.elements):
-        down = affine_typeA(elem, n, "f")
-        if down is not None:
-            f0[x] = cls.index[down]
-    graph = CrystalGraph(cls.elements, (0,) + colors, {0: f0, **cls.f}, cls.weights)
+    cls = classical_crystal("A", n, (Shape((spec.s,) * spec.r),), spec.classical_colors)
+    pr = [cls.index[(promotion(cols, n), None)] for cols, _ in cls.elements]
+    back = {y: x for x, y in enumerate(pr)}
+    if len(back) != len(pr):
+        raise RuntimeError("promotion is not a bijection on the rectangle")
+    graph = _with_f0(cls, _conjugated_f1(pr, cls.f[1], back))
     return KRBuild(spec, graph, "promotion", tableaux.format_element)
 
 
@@ -212,29 +195,11 @@ def _sigma_dba_table(graph, ctype, n, r, s, shapes):
     for top in graph.highest_vertices(jcolors):
         P = pm.phi_inverse(ctype, n, graph.elements[top], shapes)
         anchors[top] = graph.index[pm.phi(pm.involution_S(P, r, s))]
-    sigma = _transport(graph, graph, anchors, jcolors)
+    sigma = _transport(graph, lambda i, y: graph.f[i].get(y), anchors, jcolors)
     bad = [x for x in sigma if sigma[sigma[x]] != x]
     if bad:
         raise RuntimeError(f"sigma is not an involution at vertex {bad[0]}")
     return sigma
-
-
-def sigma_dba(build, elem):
-    """The tail involution on a build that carries one."""
-    if build.sigma_table is None or build.partner is not build:
-        raise ValueError("sigma_dba needs a self-paired involution build")
-    g = build.graph
-    return g.elements[build.sigma_table[g.index[elem]]]
-
-
-def affine_dba(build, elem, direction):
-    """0-arrow by conjugating the 1-arrow with the tail involution."""
-    g = build.graph
-    x = build.sigma_table[g.index[elem]]
-    y = g.f[1].get(x) if direction == "f" else g.e[1].get(x)
-    if y is None:
-        return None
-    return g.elements[build.sigma_table[y]]
 
 
 def _build_dba(spec):
@@ -242,19 +207,8 @@ def _build_dba(spec):
     shapes = kr_decomposition(spec)
     cls = classical_crystal(ctype, n, shapes, spec.classical_colors)
     sigma = _sigma_dba_table(cls, ctype, n, spec.r, spec.s, shapes)
-    f0 = {}
-    for x in range(len(cls.elements)):
-        y = cls.f[1].get(sigma[x])
-        if y is not None:
-            f0[x] = sigma[y]
-    graph = CrystalGraph(
-        cls.elements, (0,) + spec.classical_colors, {0: f0, **cls.f}, cls.weights
-    )
-    build = KRBuild(
-        spec, graph, "dba", tableaux.format_element, sigma_table=sigma
-    )
-    build.partner = build
-    return build
+    graph = _with_f0(cls, _conjugated_f1(sigma, cls.f[1], sigma))
+    return KRBuild(spec, graph, "dba", tableaux.format_element, sigma_table=sigma)
 
 
 # -- type C below the top node: fixed points of sigma -------------------------
@@ -269,8 +223,9 @@ def _c_virtual_shapes(n, r, s):
     return tuple(sorted(shapes, key=lambda sh: (sh.size(), sh.rows)))
 
 
-def _build_virtual(n, r, s):
+def _build_virtual(spec):
     """Fixed points of the tail involution in the rank-(n+1) host."""
+    n, r, s = spec.n, spec.r, spec.s
     host = build_kr(AffineSpec("A2odd", n + 1, r, s))
     hg = host.graph
     fixed = [x for x in range(len(hg.elements)) if host.sigma_table[x] == x]
@@ -307,17 +262,7 @@ def _build_virtual(n, r, s):
         raise RuntimeError("virtual closure left the fixed-point set")
     vmap = {k: hg.index[el] for k, el in enumerate(graph.elements)}
     link = AmbientLink(host, vmap)
-    return KRBuild(
-        AffineSpec("C1", n, r, s), graph, "virtual", tableaux.format_element,
-        ambient=link,
-    )
-
-
-def build_virtual_C(n, r, s):
-    """Fixed-point construction; r = n takes the sign-triple route instead."""
-    if not 1 <= r < n:
-        raise ValueError("fixed-point route needs 1 <= r < n")
-    return build_kr(AffineSpec("C1", n, r, s))
+    return KRBuild(spec, graph, "virtual", tableaux.format_element, ambient=link)
 
 
 # -- doubling embeddings ------------------------------------------------------
@@ -599,10 +544,8 @@ def _triple_diagram(ctype, n, t):
     return pm.make_pm("B", n, cols, spin=spin)
 
 
-def build_exceptional_CD(family, n, s):
-    if family not in ("C1", "D2"):
-        raise ValueError(f"no exceptional-node route for family {family!r}")
-    spec = AffineSpec(family, n, n, s)
+def _build_triples(spec):
+    family, n, s = spec.family, spec.n, spec.s
     ctype = spec.classical_type
     shapes = kr_decomposition(spec)
     cls = classical_crystal(ctype, n, shapes, spec.classical_colors)
@@ -631,10 +574,7 @@ def build_exceptional_CD(family, n, s):
     inverse = sorted((b, a) for a, b in arrows["e"].items())
     if sorted(arrows["f"].items()) != inverse:
         raise RuntimeError("triple 0-arrows are not mutually inverse")
-    graph = CrystalGraph(
-        cls.elements, (0,) + spec.classical_colors, {0: arrows["f"], **cls.f},
-        cls.weights,
-    )
+    graph = _with_f0(cls, arrows["f"])
     return KRBuild(spec, graph, "triples", tableaux.format_element)
 
 
@@ -686,10 +626,12 @@ def _spin_branching(n, s, color, cls):
     return table
 
 
-def build_exceptional_D(n, s, r):
-    """The two spin-column crystals, tied together by the tail mirror."""
-    if r not in (n - 1, n):
-        raise ValueError("spin-pair route needs r in {n-1, n}")
+def _build_spin(spec):
+    """The two spin-column crystals, tied together by the tail mirror.
+
+    Returns the requested one; the other is its partner.
+    """
+    n, s = spec.n, spec.s
     jcolors = tuple(range(2, n + 1))
     colors = tuple(range(1, n + 1))
     cls = {}
@@ -709,30 +651,26 @@ def build_exceptional_D(n, s, r):
         anchors = {
             top: lookup[sigma_spin_D(P)] for top, P in tables[color].items()
         }
-        sigma[color] = _transport(cls[color], cls[3 - color], anchors, jcolors)
+        dst = cls[3 - color]
+        sigma[color] = _transport(
+            cls[color], lambda i, y: dst.f[i].get(y), anchors, jcolors
+        )
     bad = [x for x in sigma[1] if sigma[2][sigma[1][x]] != x]
     if bad or any(sigma[1][sigma[2][y]] != y for y in sigma[2]):
         raise RuntimeError("spin mirrors are not mutually inverse")
     builds = {}
     for color in (1, 2):
-        f0 = {}
-        for x in range(len(cls[color].elements)):
-            y = cls[3 - color].f[1].get(sigma[color][x])
-            if y is not None:
-                f0[x] = sigma[3 - color][y]
-        graph = CrystalGraph(
-            cls[color].elements, (0,) + colors, {0: f0, **cls[color].f},
-            cls[color].weights,
-        )
-        spec = AffineSpec("D1", n, n if color == 1 else n - 1, s)
+        f0 = _conjugated_f1(sigma[color], cls[3 - color].f[1], sigma[3 - color])
         builds[color] = KRBuild(
-            spec, graph, "spin", tableaux.format_spin_tensor,
+            AffineSpec("D1", n, n if color == 1 else n - 1, s),
+            _with_f0(cls[color], f0),
+            "spin",
+            tableaux.format_spin_tensor,
             sigma_table=sigma[color],
         )
     builds[1].partner = builds[2]
     builds[2].partner = builds[1]
-    want = builds[1] if r == n else builds[2]
-    return want, want.partner
+    return builds[1] if spec.r == n else builds[2]
 
 
 # -- dispatch ------------------------------------------------------------------
@@ -746,14 +684,13 @@ def build_kr(spec: AffineSpec) -> KRBuild:
     if build is None:
         build = _dispatch(spec)
         _BUILD_CACHE[spec] = build
-        partner = build.partner
-        if partner is not None and partner is not build:
-            _BUILD_CACHE[partner.spec] = partner
+        if build.partner is not None:
+            _BUILD_CACHE[build.partner.spec] = build.partner
     return build
 
 
 def _dispatch(spec):
-    fam, n, r, s = spec.family, spec.n, spec.r, spec.s
+    fam, n, r = spec.family, spec.n, spec.r
     if fam == "A1":
         return _build_promotion(spec)
     if fam == "A2odd" or (fam == "B1" and r < n) or (fam == "D1" and r <= n - 2):
@@ -761,7 +698,7 @@ def _dispatch(spec):
     if fam in ("B1", "A2even") or (fam == "D2" and r < n):
         return _build_stepped(spec)
     if fam == "C1" and r < n:
-        return _build_virtual(n, r, s)
+        return _build_virtual(spec)
     if fam in ("C1", "D2"):
-        return build_exceptional_CD(fam, n, s)
-    return build_exceptional_D(n, s, r)[0]
+        return _build_triples(spec)
+    return _build_spin(spec)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import tableaux
-from .cartan import Shape
+from .cartan import Shape, conjugate
 
 STATES = (".", "+", "0", "-", "+-")
 _RANK = {s: k for k, s in enumerate(STATES)}
@@ -56,7 +56,7 @@ class PmDiagram:
 
     def outer(self) -> Shape:
         heights = tuple(h for h, _ in self.cols)
-        rows = _conjugate(heights)
+        rows = conjugate(heights)
         return Shape(rows=rows, spin=1 if self.spin else 0, color=self.color)
 
     def inner_heights(self) -> tuple[int, ...]:
@@ -65,16 +65,8 @@ class PmDiagram:
     def inner_shape(self) -> Shape:
         if self.color:
             raise ValueError("colored diagrams have no plain inner shape")
-        rows = _conjugate(tuple(h for h in self.inner_heights() if h > 0))
+        rows = conjugate(tuple(h for h in self.inner_heights() if h > 0))
         return Shape(rows=rows, spin=1 if self.spin else 0)
-
-    def middle_shape(self) -> Shape:
-        if self.color:
-            raise ValueError("colored diagrams have no plain middle shape")
-        heights = tuple(
-            m for h, st in self.cols if (m := _middle_height(self.n, h, st)) > 0
-        )
-        return Shape(rows=_conjugate(heights), spin=1 if self.spin else 0)
 
     def signs(self, sign: str) -> tuple[int, ...]:
         """Column indices carrying the given sign; spin column excluded."""
@@ -84,25 +76,6 @@ class PmDiagram:
 
     def width(self) -> int:
         return len(self.cols)
-
-    def to_text(self) -> str:
-        if not self.cols and not self.spin:
-            return "(empty)"
-        top = max((h for h, _ in self.cols), default=0)
-        lines = []
-        for level in range(top, 0, -1):
-            row = []
-            for h, st in self.cols:
-                row.append(_cell_char(self.n, h, st, level) if h >= level else " ")
-            line = "".join(row).rstrip()
-            if line:
-                lines.append(line)
-        text = "\n".join(lines) if lines else "(flat)"
-        if self.spin:
-            text += f"\ns:{self.spin}"
-        if self.color:
-            text += f"\ncolor:{self.color}"
-        return text
 
 
 def _marks(state: str) -> str:
@@ -125,24 +98,6 @@ def _middle_height(n: int, h: int, state: str) -> int:
     if state == "0":
         return n - 1
     return h - 1  # "-", "+-"
-
-
-def _cell_char(n: int, h: int, state: str, level: int) -> str:
-    inner = _inner_height(n, h, state)
-    if level <= inner:
-        return "."
-    if state == "0":
-        return "0"
-    if state == "+-":
-        return "+" if level == h - 1 else "-"
-    return state
-
-
-def _conjugate(heights: tuple[int, ...]) -> tuple[int, ...]:
-    if not heights:
-        return ()
-    top = max(heights)
-    return tuple(sum(1 for h in heights if h >= i) for i in range(1, top + 1))
 
 
 def _canonical(cols) -> tuple[tuple[int, str], ...]:

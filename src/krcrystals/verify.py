@@ -17,6 +17,7 @@ from .cartan import (
     FAMILIES,
     AffineSpec,
     Shape,
+    conjugate,
     kr_decomposition,
     kr_dimension,
     pairing,
@@ -31,6 +32,7 @@ from .kr_builders import (
     _triple_of,
     build_kr,
     classical_model,
+    model_shapes,
     promotion,
 )
 
@@ -189,7 +191,7 @@ def check_decompositions(build: KRBuild) -> CheckReport:
 def _check_table_sigma(build):
     """sigma is an involution, commutes above color 1, and conjugates 0 to 1."""
     g = build.graph
-    partner = build.partner if build.kind == "spin" else build
+    partner = build.partner or build  # spin: sigma lands in the partner
     sigma, back = build.sigma_table, partner.sigma_table
     pg = partner.graph
     for x in range(len(g)):
@@ -265,13 +267,6 @@ def check_sigma(build: KRBuild) -> CheckReport:
 
 # -- the zero-string rule on sign diagrams -----------------------------------------
 
-def _model_shapes(build):
-    if build.kind == "virtual":
-        spec = build.spec
-        return _c_virtual_shapes(spec.n, spec.r, spec.s)
-    return kr_decomposition(build.spec)
-
-
 def _phi0_rule(P: pm.PmDiagram, r: int, s: int, m0: int):
     """Pair-deletion count for single-sign diagrams; None when inapplicable."""
     seen = set()
@@ -320,7 +315,7 @@ def check_phi0(build: KRBuild) -> CheckReport:
         g = build.graph
         m0 = 2 if fam == "C1" else 1
         model = classical_model(build)
-        shapes = _model_shapes(build)
+        shapes = model_shapes(build)
         ctype = spec.classical_type
         jcolors = tuple(range(2, n + 1))
         checked = 0
@@ -454,11 +449,6 @@ def check_similarity(build: KRBuild) -> CheckReport:
 
 # -- lowest elements of the classical layer ----------------------------------------
 
-def _conjugate(heights):
-    top = max(heights, default=0)
-    return tuple(sum(1 for h in heights if h >= i) for i in range(1, top + 1))
-
-
 def _jlowest_column_problem(col, n, ctype):
     plain = [c for c in col if c > 0]
     zeros = sum(1 for c in col if c == 0)
@@ -504,7 +494,7 @@ def check_jlowest(build: KRBuild) -> CheckReport:
                 continue  # inner shape would leave rank n-1; pattern still holds
             if sorted(heights, reverse=True) != heights:
                 return False, "inner heights are not a partition", _w(build, x, 1)
-            inner = Shape(_conjugate([h for h in heights if h]))
+            inner = Shape(conjugate([h for h in heights if h]))
             _, top = g.raise_path(x, jprime)
             if tuple(g.weights[top][1:]) != inner.weight(ctype, n - 1):
                 return False, "branch top misses the inner shape", _w(

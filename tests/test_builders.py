@@ -11,18 +11,12 @@ from krcrystals.cartan import AffineSpec, Shape, kr_decomposition, kr_dimension
 from krcrystals.crystal_core import generate_closure
 from krcrystals.kr_builders import (
     SignTriple,
-    affine_dba,
-    affine_typeA,
-    build_exceptional_CD,
-    build_exceptional_D,
     build_kr,
-    build_virtual_C,
     classical_model,
-    inverse_promotion,
     promotion,
-    sigma_dba,
     sigma_spin_D,
     triple_rules,
+    _build_spin,
     _build_virtual,
 )
 
@@ -49,11 +43,6 @@ def test_promotion_cycles_with_order_n():
             assert out == cols
 
 
-def test_inverse_promotion_inverts():
-    for cols, _ in tableaux.enumerate_tableaux("A", 3, Shape((2, 2))):
-        assert inverse_promotion(promotion(cols, 3), 3) == cols
-
-
 @given(st.integers(0, 19))
 def test_promotion_rotates_content(k):
     elems = list(tableaux.enumerate_tableaux("A", 3, Shape((2, 2))))
@@ -63,73 +52,76 @@ def test_promotion_rotates_content(k):
     assert after == (before[-1],) + before[:-1]
 
 
-def test_affine_typeA_matches_graph_edges():
-    b = build_kr(AffineSpec("A1", 3, 1, 1))
-    g = b.graph
-    one = g.index[(((1,),), None)]
-    three = g.index[(((3,),), None)]
-    assert g.e[0].get(one) == three
-    assert affine_typeA((((1,),), None), 3, "e") == (((3,),), None)
-    for x, elem in enumerate(g.elements):
-        down = affine_typeA(elem, 3, "f")
-        assert g.f[0].get(x) == (None if down is None else g.index[down])
+def test_promotion_zero_edges_conjugate_one_edges():
+    g = build_kr(AffineSpec("A1", 3, 1, 1)).graph
+    assert g.e[0].get(g.index[(((1,),), None)]) == g.index[(((3,),), None)]
+    # f_0 = pr^{-1} f_1 pr, with pr^{-1} taken as pr^{n-1}
+    for n, r, s in [(3, 1, 1), (3, 2, 2), (4, 2, 1)]:
+        g = build_kr(AffineSpec("A1", n, r, s)).graph
+        for x, (cols, _) in enumerate(g.elements):
+            moved = tableaux.tableau_apply("A", n, (promotion(cols, n), None), 1, "f")
+            if moved is None:
+                assert g.f[0].get(x) is None
+                continue
+            back = moved[0]
+            for _ in range(n - 1):
+                back = promotion(back, n)
+            assert g.f[0].get(x) == g.index[(back, None)]
 
 
 # -- tail-involution route (B1 r<n, A2odd, D1 r<=n-2) ---------------------------
 
 def test_sigma_is_involution_and_commutes():
     b = build_kr(AffineSpec("A2odd", 3, 1, 2))
-    g = b.graph
-    for x, elem in enumerate(g.elements):
-        assert sigma_dba(b, sigma_dba(b, elem)) == elem
+    g, sigma = b.graph, b.sigma_table
+    assert b.partner is None
+    for x in range(len(g)):
+        assert sigma[sigma[x]] == x
         for i in range(2, 4):
             y = g.f[i].get(x)
             if y is None:
                 continue
-            assert sigma_dba(b, g.elements[y]) == g.elements[
-                g.f[i][g.index[sigma_dba(b, elem)]]
-            ]
+            assert sigma[y] == g.f[i][sigma[x]]
 
 
 def test_sigma_on_highest_is_diagram_involution():
     spec = AffineSpec("A2odd", 3, 1, 2)
     b = build_kr(spec)
     shapes = kr_decomposition(spec)
-    for x in b.graph.highest_vertices((2, 3)):
-        elem = b.graph.elements[x]
-        P = pm.phi_inverse("C", 3, elem, shapes)
-        direct = pm.phi(pm.involution_S(P, spec.r, spec.s))
-        assert sigma_dba(b, elem) == direct
-
-
-def test_affine_dba_matches_graph_edges():
-    b = build_kr(AffineSpec("B1", 2, 1, 2))
     g = b.graph
-    for x, elem in enumerate(g.elements):
-        down = affine_dba(b, elem, "f")
-        assert g.f[0].get(x) == (None if down is None else g.index[down])
-        up = affine_dba(b, elem, "e")
-        assert g.e[0].get(x) == (None if up is None else g.index[up])
+    for x in g.highest_vertices((2, 3)):
+        P = pm.phi_inverse("C", 3, g.elements[x], shapes)
+        direct = pm.phi(pm.involution_S(P, spec.r, spec.s))
+        assert g.elements[b.sigma_table[x]] == direct
+
+
+def test_dba_zero_edges_conjugate_one_edges():
+    b = build_kr(AffineSpec("B1", 2, 1, 2))
+    g, sigma = b.graph, b.sigma_table
+    for x in range(len(g)):
+        for arrows in (g.f, g.e):
+            y = arrows[1].get(sigma[x])
+            assert arrows[0].get(x) == (None if y is None else sigma[y])
 
 
 # -- fixed-point route (C1 r<n) --------------------------------------------------
 
 def test_virtual_c_sizes_and_decomposition():
-    b = build_virtual_C(2, 1, 1)
+    b = build_kr(AffineSpec("C1", 2, 1, 1))
+    assert b.kind == "virtual"
     assert len(b.graph.elements) == 4
     assert b.graph.decomposition((1, 2)) == [(2, 0)]
-    b = build_virtual_C(2, 1, 2)
+    b = build_kr(AffineSpec("C1", 2, 1, 2))
     assert len(b.graph.elements) == 11
     assert b.graph.decomposition((1, 2)) == [(0, 0), (4, 0)]
 
 
 def test_virtual_c_rejects_top_node():
-    with pytest.raises(ValueError):
-        build_virtual_C(2, 2, 1)
+    assert build_kr(AffineSpec("C1", 2, 2, 1)).kind == "triples"
 
 
 def test_virtual_c_zero_side_matches_classical_sizes():
-    b = build_virtual_C(2, 1, 2)
+    b = build_kr(AffineSpec("C1", 2, 1, 2))
     classical = sorted(len(c) for c in b.graph.components((1, 2)))
     zero_side = sorted(len(c) for c in b.graph.components((0, 1)))
     assert classical == zero_side == [1, 10]
@@ -183,7 +175,7 @@ def test_stepped_route_matches_materialized_host(fam, n, r, s, host_size):
     if fam == "B1":
         host = build_kr(AffineSpec("A2odd", n, n, s))
     else:
-        host = _build_virtual(n, r, 2 * s)
+        host = _build_virtual(AffineSpec("C1", n, r, 2 * s))
     hg = host.graph
     assert len(hg) == host_size
     for x, elem in enumerate(b.graph.elements):
@@ -241,20 +233,18 @@ def test_exceptional_cd_sizes():
     assert len(build_kr(AffineSpec("C1", 2, 2, 2)).graph.elements) == 14
     assert len(build_kr(AffineSpec("D2", 2, 2, 1)).graph.elements) == 4
     assert len(build_kr(AffineSpec("D2", 2, 2, 3)).graph.elements) == 20
-    with pytest.raises(ValueError):
-        build_exceptional_CD("B1", 2, 1)
 
 
 def test_triples_match_fixed_point_route_at_odd_s():
     # two independent constructions of the same crystal must be isomorphic
     for n in (2, 3):
         tri = build_kr(AffineSpec("C1", n, n, 1))
-        aux = _build_virtual(n, n, 1)
+        aux = _build_virtual(AffineSpec("C1", n, n, 1))
         assert tri.graph.isomorphism(aux.graph) is not None
 
 
 def test_fixed_point_object_exceeds_kr_crystal_at_even_s():
-    aux = _build_virtual(2, 2, 2)
+    aux = _build_virtual(AffineSpec("C1", 2, 2, 2))
     assert len(aux.graph.elements) == 25
     assert aux.graph.decomposition((1, 2)) == [(0, 0), (4, 0), (4, 4)]
 
@@ -273,7 +263,8 @@ def test_sigma_spin_diagram_rule():
 
 
 def test_spin_pair_sizes_and_involution():
-    b, partner = build_exceptional_D(4, 1, 4)
+    b = _build_spin(AffineSpec("D1", 4, 4, 1))
+    partner = b.partner
     assert len(b.graph.elements) == 8 and len(partner.graph.elements) == 8
     assert b.spec.r == 4 and partner.spec.r == 3
     for x in range(8):
@@ -287,8 +278,6 @@ def test_spin_pair_via_dispatch():
     assert b.kind == "spin" and b.partner.spec.r == 4
     assert len(b.graph.elements) == 35
     assert build_kr(AffineSpec("D1", 4, 4, 2)) is b.partner
-    with pytest.raises(ValueError):
-        build_exceptional_D(4, 1, 2)
 
 
 def test_spin_zero_edges_conjugate_partner_one_edges():

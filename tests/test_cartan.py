@@ -1,5 +1,7 @@
 """Root data: decompositions, weights, Weyl dimensions."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -124,6 +126,10 @@ def test_decomposition_box_families():
     assert len(shapes) == 6 and Shape((2, 1)) in shapes
     shapes = kr_decomposition(AffineSpec("D2", 3, 2, 1))
     assert set(shapes) == {Shape(()), Shape((1,)), Shape((1, 1))}
+    # every partition in the 8 x 8 box, once: C(16, 8) of them
+    shapes = kr_decomposition(AffineSpec("A2even", 8, 8, 8))
+    assert len(shapes) == len(set(shapes)) == math.comb(16, 8) == 12870
+    assert all(len(sh.rows) <= 8 and sh.rows[:1] <= (8,) for sh in shapes)
 
 
 def test_decomposition_b_top_row():

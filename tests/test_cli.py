@@ -146,6 +146,21 @@ def test_failed_build_becomes_a_report(capsys, monkeypatch):
     assert all(r.passed for r in reports[1:])
 
 
+@pytest.mark.parametrize("command", ["build", "decompose"])
+def test_build_that_raises_exits_one(capsys, monkeypatch, command):
+    import krcrystals.cli as cli
+
+    def broken(spec):
+        raise RuntimeError("crystal closure exceeded 1000000 vertices")
+
+    monkeypatch.setattr(cli, "build_kr", broken)
+    args = [command, "--family", "A1", "--n", "2", "--r", "1", "--s", "1"]
+    assert cli.main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "kr: crystal closure exceeded 1000000 vertices\n"
+
+
 def test_stepped_build_seeds_fix_the_node_order(capsys):
     args = ["build", "--family", "A2even", "--n", "2", "--r", "1", "--s", "1"]
     assert main(args) == 0

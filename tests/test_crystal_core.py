@@ -44,9 +44,9 @@ def test_closure_of_letter_chain():
     # string walk: 1 ->1 2 ->2 bar2 ->1 bar1
     x = one
     for i in (1, 2, 1):
-        x = g.f_op(i, x)
+        x = g.f[i].get(x)
     assert g.elements[x] == -1
-    assert g.f_op(1, x) is None
+    assert g.f[1].get(x) is None
 
 
 def test_closure_bound_and_conflicts():
@@ -82,7 +82,7 @@ def test_raise_path_returns_to_highest():
     hi = g.highest_vertices()[0]
     x, steps = hi, 0
     for i in (2, 2, 1, 1):
-        y = g.f_op(i, x)
+        y = g.f[i].get(x)
         if y is not None:
             x, steps = y, steps + 1
     assert steps == 4
@@ -104,14 +104,6 @@ def test_decomposition_rejects_multiple_tops():
     )
     with pytest.raises(ValueError):
         joined.decomposition()
-
-
-def test_canonical_ids_are_render_sorted():
-    g = letter_graph("C", 2, (1, 2))
-    ids = g.canonical_ids(str)
-    rendered = sorted(str(el) for el in g.elements)
-    for x, el in enumerate(g.elements):
-        assert rendered[ids[x]] == str(el)
 
 
 def test_isomorphism_identity_and_relabel():

@@ -183,6 +183,10 @@ def _first_red(check, build, colors):
         ("phi0", AffineSpec("C1", 2, 1, 2), (0,)),
         ("similarity", AffineSpec("A2even", 2, 1, 1), (1,)),
         ("jlowest", AffineSpec("B1", 2, 1, 2), (1,)),
+        ("similarity", AffineSpec("C1", 2, 1, 2), (0,)),
+        ("sigma", AffineSpec("D1", 4, 4, 1), (0,)),
+        ("sigma", AffineSpec("A1", 3, 1, 1), (0,)),
+        ("sigma", AffineSpec("C1", 2, 2, 2), (0,)),
     ],
 )
 def test_each_suite_flags_a_dropped_edge(suite, spec, colors):
