@@ -25,15 +25,18 @@ class CrystalGraph:
         return len(self.elements)
 
     def phi(self, i, x) -> int:
-        k = 0
-        while (x := self.f[i].get(x)) is not None:
-            k += 1
-        return k
+        return self._string_length(self.f[i], x, "f", i)
 
     def eps(self, i, x) -> int:
-        k = 0
-        while (x := self.e[i].get(x)) is not None:
+        return self._string_length(self.e[i], x, "e", i)
+
+    def _string_length(self, arrows, x, op, i) -> int:
+        """Arrows followed from x; a walk longer than the graph is a cycle."""
+        start, k = x, 0
+        while (x := arrows.get(x)) is not None:
             k += 1
+            if k >= len(self.elements):
+                raise RuntimeError(f"{op}_{i} string does not end at vertex {start}")
         return k
 
     def weight(self, x):

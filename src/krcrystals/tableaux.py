@@ -84,9 +84,33 @@ def letter_f(ctype: str, n: int, i: int, x: int):
 
 
 def letter_e(ctype: str, n: int, i: int, x: int):
-    for y in all_letters(ctype, n):
-        if letter_f(ctype, n, i, y) == x:
-            return y
+    """e_i on the letter crystal, the mirror of letter_f; None if undefined."""
+    if ctype == "A":
+        return i if x == i + 1 else None
+    if i < n - 1 or (i < n and ctype != "D"):
+        if x == i + 1:
+            return i
+        if x == -i:
+            return -(i + 1)
+        return None
+    if ctype == "B":
+        if x == 0:
+            return n
+        if x == -n:
+            return 0
+        return None
+    if ctype == "C":
+        return n if x == -n else None
+    if i == n - 1:  # D
+        if x == n:
+            return n - 1
+        if x == -(n - 1):
+            return -n
+        return None
+    if x == -n:  # D, i == n
+        return n - 1
+    if x == -(n - 1):
+        return n
     return None
 
 
@@ -116,40 +140,42 @@ def spin_elements(ctype: str, n: int, color: int = 1):
         yield signs
 
 
-def spin_f(ctype: str, n: int, i: int, sv):
-    if i < n:
-        if sv[i - 1] == 1 and sv[i] == -1:
-            return sv[: i - 1] + (-1, 1) + sv[i + 1 :]
-        return None
-    if ctype == "B":
-        if sv[n - 1] == 1:
-            return sv[: n - 1] + (-1,)
-        return None
-    if sv[n - 2] == 1 and sv[n - 1] == 1:
-        return sv[: n - 2] + (-1, -1)
-    return None
-
-
-def spin_e(ctype: str, n: int, i: int, sv):
-    if i < n:
-        if sv[i - 1] == -1 and sv[i] == 1:
-            return sv[: i - 1] + (1, -1) + sv[i + 1 :]
-        return None
-    if ctype == "B":
-        if sv[n - 1] == -1:
-            return sv[: n - 1] + (1,)
-        return None
-    if sv[n - 2] == -1 and sv[n - 1] == -1:
-        return sv[: n - 2] + (1, 1)
-    return None
-
-
 def spin_phi(ctype: str, n: int, i: int, sv) -> int:
-    return 1 if spin_f(ctype, n, i, sv) is not None else 0
+    """1 if f_i acts on the spin vector, else 0 (spin crystals are minuscule)."""
+    if i < n:
+        return 1 if sv[i - 1] == 1 and sv[i] == -1 else 0
+    if ctype == "B":
+        return 1 if sv[n - 1] == 1 else 0
+    return 1 if sv[n - 2] == 1 and sv[n - 1] == 1 else 0
 
 
 def spin_eps(ctype: str, n: int, i: int, sv) -> int:
-    return 1 if spin_e(ctype, n, i, sv) is not None else 0
+    """1 if e_i acts on the spin vector, else 0."""
+    if i < n:
+        return 1 if sv[i - 1] == -1 and sv[i] == 1 else 0
+    if ctype == "B":
+        return 1 if sv[n - 1] == -1 else 0
+    return 1 if sv[n - 2] == -1 and sv[n - 1] == -1 else 0
+
+
+def spin_f(ctype: str, n: int, i: int, sv):
+    if not spin_phi(ctype, n, i, sv):
+        return None
+    if i < n:
+        return sv[: i - 1] + (-1, 1) + sv[i + 1 :]
+    if ctype == "B":
+        return sv[: n - 1] + (-1,)
+    return sv[: n - 2] + (-1, -1)
+
+
+def spin_e(ctype: str, n: int, i: int, sv):
+    if not spin_eps(ctype, n, i, sv):
+        return None
+    if i < n:
+        return sv[: i - 1] + (1, -1) + sv[i + 1 :]
+    if ctype == "B":
+        return sv[: n - 1] + (1,)
+    return sv[: n - 2] + (1, 1)
 
 
 def spin_to_column(sv) -> tuple[int, ...]:
@@ -272,15 +298,6 @@ def reading_word(cols):
         yield from col
 
 
-def cell_order(cols):
-    """(column, row) addresses in reading order."""
-    out = []
-    for c in range(len(cols) - 1, -1, -1):
-        for r in range(len(cols[c])):
-            out.append((c, r))
-    return out
-
-
 def tableau_weight(ctype: str, n: int, cols, spin=None) -> tuple[int, ...]:
     w = [0] * n
     for x in reading_word(cols):
@@ -306,9 +323,12 @@ def tableau_apply(ctype: str, n: int, elem, i: int, op: str):
     if spin is not None and j == len(word):
         act = spin_e if op == "e" else spin_f
         return (cols, act(ctype, n, i, spin))
-    c, r = cell_order(cols)[j]
+    c = len(cols) - 1
+    while j >= len(cols[c]):  # walk the reading word back to (column, row)
+        j -= len(cols[c])
+        c -= 1
     act = letter_e if op == "e" else letter_f
-    new_col = cols[c][:r] + (act(ctype, n, i, cols[c][r]),) + cols[c][r + 1 :]
+    new_col = cols[c][:j] + (act(ctype, n, i, cols[c][j]),) + cols[c][j + 1 :]
     return (cols[:c] + (new_col,) + cols[c + 1 :], spin)
 
 
@@ -338,24 +358,26 @@ def reduce_signature(pairs) -> tuple[int, int]:
 
 
 def signature_index(pairs, op: str):
-    """Factor index acted on by e_i (rightmost -) or f_i (leftmost +)."""
-    stack = []  # unmatched (symbol, factor index), '-' only below '+'
-    for k, (e, p) in enumerate(pairs):
-        for _ in range(e):
-            if stack and stack[-1][0] == "+":
-                stack.pop()
-            else:
-                stack.append(("-", k))
-        stack.extend(("+", k) for _ in range(p))
+    """Factor index acted on by e_i (rightmost -) or f_i (leftmost +).
+
+    Each factor reads -^eps +^phi, and a + cancels the nearest free - to its
+    right.  f scans right to left counting the pending -'s; a factor whose phi
+    exceeds them keeps a free +, and the last such factor is the leftmost.  e
+    mirrors this left to right with the pending +'s.
+    """
     if op == "e":
-        for sym, k in reversed(stack):
-            if sym == "-":
-                return k
-        return None
-    for sym, k in stack:
-        if sym == "+":
-            return k
-    return None
+        order, take, give = range(len(pairs)), 0, 1
+    else:
+        order, take, give = range(len(pairs) - 1, -1, -1), 1, 0
+    pending, hit = 0, None
+    for k in order:
+        pair = pairs[k]
+        if pair[take] > pending:
+            hit, pending = k, 0
+        else:
+            pending -= pair[take]
+        pending += pair[give]
+    return hit
 
 
 # -- enumeration (independent oracle for classical crystals) ------------------

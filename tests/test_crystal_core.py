@@ -106,6 +106,15 @@ def test_decomposition_rejects_multiple_tops():
         joined.decomposition()
 
 
+def test_cyclic_string_raises_instead_of_hanging(time_limit):
+    cycle = CrystalGraph(["a", "b", "c"], (1,), {1: {0: 1, 1: 2, 2: 0}}, [(0,)] * 3)
+    for walk, op in ((cycle.phi, "f"), (cycle.eps, "e")):
+        with pytest.raises(RuntimeError, match=f"{op}_1 string does not end at vertex 0"):
+            walk(1, 0)
+    chain = CrystalGraph(["a", "b", "c"], (1,), {1: {0: 1, 1: 2}}, [(0,)] * 3)
+    assert chain.phi(1, 0) == 2 and chain.eps(1, 2) == 2  # longest string is fine
+
+
 def test_isomorphism_identity_and_relabel():
     g = letter_graph("C", 2, (1, 2))
     h = letter_graph("C", 2, (1, 2))

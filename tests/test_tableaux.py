@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from krcrystals.cartan import Shape, weyl_dimension
+from krcrystals.cartan import Shape, pairing, weyl_dimension
 from krcrystals.tableaux import (
     adjacent_ok,
     all_letters,
@@ -26,7 +26,9 @@ from krcrystals.tableaux import (
     signature_index,
     spin_e,
     spin_elements,
+    spin_eps,
     spin_f,
+    spin_phi,
     spin_to_column,
     tableau_apply,
     tableau_eps_phi,
@@ -66,14 +68,22 @@ def test_letter_chain_crystals():
     assert letter_f("D", 3, 3, -3) is None
 
 
+def scan_letter_e(ctype, n, i, x):
+    """e_i by definition: the preimage of x under f_i, found by scanning."""
+    for y in all_letters(ctype, n):
+        if letter_f(ctype, n, i, y) == x:
+            return y
+    return None
+
+
 def test_letter_e_inverts_f():
-    for ctype, n in [("A", 4), ("B", 3), ("C", 3), ("D", 4)]:
-        top = n - 1 if ctype == "A" else n
-        for x in all_letters(ctype, n):
+    # every letter, None exactly where x has no preimage
+    for ctype in "ABCD":
+        for n in range({"A": 2, "D": 3}.get(ctype, 1), 8):
+            top = n - 1 if ctype == "A" else n
             for i in range(1, top + 1):
-                y = letter_f(ctype, n, i, x)
-                if y is not None:
-                    assert letter_e(ctype, n, i, y) == x
+                for x in all_letters(ctype, n):
+                    assert letter_e(ctype, n, i, x) == scan_letter_e(ctype, n, i, x)
 
 
 def test_signature_rule_worked_example():
@@ -83,6 +93,77 @@ def test_signature_rule_worked_example():
     assert signature_index(pairs, "f") == 2
     assert signature_index([(0, 0)], "e") is None
     assert signature_index([(0, 0)], "f") is None
+
+
+def stack_signature_index(pairs, op):
+    """The signature rule with an explicit stack of unmatched signs."""
+    stack = []  # unmatched (symbol, factor index), '-' only below '+'
+    for k, (e, p) in enumerate(pairs):
+        for _ in range(e):
+            if stack and stack[-1][0] == "+":
+                stack.pop()
+            else:
+                stack.append(("-", k))
+        stack.extend(("+", k) for _ in range(p))
+    if op == "e":
+        for sym, k in reversed(stack):
+            if sym == "-":
+                return k
+        return None
+    for sym, k in stack:
+        if sym == "+":
+            return k
+    return None
+
+
+@given(
+    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=10),
+    st.sampled_from("ef"),
+)
+@settings(max_examples=300)
+def test_counting_signature_matches_stack(pairs, op):
+    assert signature_index(pairs, op) == stack_signature_index(pairs, op)
+
+
+def reference_apply(ctype, n, elem, i, op):
+    """tableau_apply from the stack rule, the preimage scan and a cell list."""
+    cols, spin = elem
+    cells = [(c, r) for c in reversed(range(len(cols))) for r in range(len(cols[c]))]
+
+    def length(step, x):
+        k = 0
+        while (x := step(ctype, n, i, x)) is not None:
+            k += 1
+        return k
+
+    pairs = [
+        (length(scan_letter_e, cols[c][r]), length(letter_f, cols[c][r]))
+        for c, r in cells
+    ]
+    if spin is not None:
+        pairs.append((spin_eps(ctype, n, i, spin), spin_phi(ctype, n, i, spin)))
+    j = stack_signature_index(pairs, op)
+    if j is None:
+        return None
+    if j == len(cells):
+        return (cols, (spin_e if op == "e" else spin_f)(ctype, n, i, spin))
+    c, r = cells[j]
+    letter = (scan_letter_e if op == "e" else letter_f)(ctype, n, i, cols[c][r])
+    col = cols[c][:r] + (letter,) + cols[c][r + 1 :]
+    return (cols[:c] + (col,) + cols[c + 1 :], spin)
+
+
+@pytest.mark.parametrize(
+    "ctype,n,shape",
+    [(t, 4, Shape((2, 1))) for t in "ABCD"] + [("B", 3, Shape((2, 1), spin=1))],
+)
+def test_tableau_apply_matches_stack_reference(ctype, n, shape):
+    top = n - 1 if ctype == "A" else n
+    for elem in enumerate_tableaux(ctype, n, shape):
+        for i in range(1, top + 1):
+            for op in "ef":
+                want = reference_apply(ctype, n, elem, i, op)
+                assert tableau_apply(ctype, n, elem, i, op) == want
 
 
 def test_column_conditions():
@@ -126,6 +207,21 @@ def test_spin_columns():
     odds = list(spin_elements("D", 4, color=2))
     assert len(evens) == len(odds) == 8
     assert all(sv.count(-1) % 2 == 0 for sv in evens)
+
+
+def test_spin_strings_match_weight_pairing():
+    # minuscule: phi and eps are the positive and negative parts of the
+    # coroot pairing of the (doubled) weight, and e_i undoes f_i
+    for ctype, n in [("B", k) for k in range(1, 6)] + [("D", k) for k in range(3, 6)]:
+        colors = (1, 2) if ctype == "D" else (1,)
+        for sv in (v for c in colors for v in spin_elements(ctype, n, c)):
+            for i in range(1, n + 1):
+                p = pairing(ctype, n, sv, i)
+                assert spin_phi(ctype, n, i, sv) == max(p, 0)
+                assert spin_eps(ctype, n, i, sv) == max(-p, 0)
+                down = spin_f(ctype, n, i, sv)
+                assert (down is None) == (p <= 0)
+                assert down is None or spin_e(ctype, n, i, down) == sv
 
 
 def test_reading_word_order():

@@ -1,9 +1,12 @@
 """Checks for the verification suites, anchored on hand-derived zero strings."""
 
+import dataclasses
+
 import pytest
 
 from krcrystals import pm_diagrams as pm
 from krcrystals.cartan import AffineSpec
+from krcrystals.crystal_core import CrystalGraph
 from krcrystals.kr_builders import build_kr
 from krcrystals.verify import (
     SUITES,
@@ -160,6 +163,26 @@ def test_failing_report_carries_witness():
     report = check_regularity(with_dropped_edge(build, 1))
     assert not report.passed
     assert report.witness is not None and "element" in report.witness
+
+
+def test_cyclic_zero_string_fails_regularity(time_limit):
+    build = build_kr(AffineSpec("B1", 2, 2, 2))
+    g = build.graph
+    f0 = g.f[0]
+    # close the first 0-string whose smallest vertex is not its end into a
+    # cycle; the regularity scan reaches that vertex before the bad arrow
+    for x in range(len(g)):
+        string = [x]
+        while string[-1] in f0:
+            string.append(f0[string[-1]])
+        if x not in g.e[0] and min(string) != string[-1]:
+            break
+    edges = {i: dict(g.f[i]) for i in g.colors}
+    edges[0][string[-1]] = x
+    cyclic = CrystalGraph(g.elements, g.colors, edges, g.weights)
+    report = check_regularity(dataclasses.replace(build, graph=cyclic))
+    assert not report.passed
+    assert "f_0 string does not end" in report.detail
 
 
 def _first_red(check, build, colors):
