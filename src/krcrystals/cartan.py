@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 FAMILIES = ("A1", "B1", "C1", "D1", "A2even", "A2odd", "D2")
 
@@ -151,16 +150,19 @@ def zero_root_projection(family: str, n: int) -> Weight:
 
 
 def weyl_dimension(ctype: str, n: int, wt: Weight) -> int:
-    """Dimension of the classical irreducible with doubled highest weight wt."""
-    lam = [Fraction(w, 2) for w in wt]
+    """Dimension of the classical irreducible with doubled highest weight wt.
+
+    Both products use doubled coordinates (a = wt + 2 rho over 2 rho) and have
+    the same number of factors, so the doublings cancel in exact integers.
+    """
     if ctype == "B":
-        rho = [Fraction(2 * (n - i) + 1, 2) for i in range(1, n + 1)]
+        rho = [2 * (n - i) - 1 for i in range(n)]
     elif ctype == "C":
-        rho = [Fraction(n - i) for i in range(n)]
+        rho = [2 * (n - i) for i in range(n)]
     else:  # A uses staircase, D uses n-1..0
-        rho = [Fraction(n - 1 - i) for i in range(n)]
-    a = [x + y for x, y in zip(lam, rho)]
-    num = den = Fraction(1)
+        rho = [2 * (n - 1 - i) for i in range(n)]
+    a = [x + y for x, y in zip(wt, rho)]
+    num = den = 1
     for i in range(n):
         for j in range(i + 1, n):
             num *= a[i] - a[j]
@@ -171,10 +173,10 @@ def weyl_dimension(ctype: str, n: int, wt: Weight) -> int:
         if ctype in ("B", "C"):
             num *= a[i]
             den *= rho[i]
-    dim = num / den
-    if dim.denominator != 1 or dim <= 0:
+    dim, rem = divmod(num, den)
+    if rem or dim <= 0:
         raise ValueError(f"weight {wt} is not dominant for {ctype}_{n}")
-    return int(dim)
+    return dim
 
 
 def shape_dimension(ctype: str, n: int, shape: Shape) -> int:
@@ -243,13 +245,11 @@ def kr_decomposition(spec: AffineSpec) -> tuple[Shape, ...]:
 
     if fam == "C1":
         # horizontal strips: rows congruent to s mod 2
-        row_vals = [v for v in range(s % 2, s + 1, 2)]
-        shapes = []
-        for rows in itertools.combinations_with_replacement(sorted(row_vals, reverse=True), r):
-            trimmed = tuple(v for v in rows if v > 0)
-            shapes.append(Shape(trimmed))
-        uniq = sorted(set(shapes), key=lambda sh: (sh.size(), sh.rows))
-        return tuple(uniq)
+        shapes = [
+            Shape(tuple(v for v in rows if v > 0))
+            for rows in itertools.combinations_with_replacement(range(s, -1, -2), r)
+        ]
+        return tuple(sorted(shapes, key=lambda sh: (sh.size(), sh.rows)))
 
     # A2even any r, D2 r < n: every shape inside the r x s box
     shapes = [

@@ -1,7 +1,8 @@
 """Command-line front end: build, export, decompose, dim, and check.
 
-Exit codes: 0 success, 1 at least one failed check or a build that could not
-finish (a broken invariant or the closure bound), 2 invalid arguments.
+Exit codes: 0 success, 1 at least one failed check or a build that was refused
+or could not finish (a predicted size over the vertex bound, refused before any
+work, a broken invariant or the closure bound), 2 invalid arguments.
 All output is deterministic; documents carry no timestamps.
 """
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from . import pm_diagrams as pm
 from . import tableaux
 from .cartan import AffineSpec, Shape, kr_decomposition, kr_dimension
-from .crystal_core import CrystalGraph, generate_closure, greedy_raise
+from .crystal_core import VERTEX_BOUND, CrystalGraph, generate_closure, greedy_raise
 from .pm_diagrams import SignTriple
 
 
@@ -679,9 +679,12 @@ _BUILD_CACHE = {}
 
 
 def build_kr(spec: AffineSpec) -> KRBuild:
-    """Build (and cache) the affine crystal B^{r,s} described by spec."""
+    """Build (and cache) B^{r,s}; a spec predicted over VERTEX_BOUND is refused up front."""
     build = _BUILD_CACHE.get(spec)
     if build is None:
+        if (size := kr_dimension(spec)) > VERTEX_BOUND:
+            name = f"{spec.family} n={spec.n} r={spec.r} s={spec.s}"
+            raise RuntimeError(f"{name} would have {size} vertices, over the bound {VERTEX_BOUND}")
         build = _dispatch(spec)
         _BUILD_CACHE[spec] = build
         if build.partner is not None:

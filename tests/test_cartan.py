@@ -1,6 +1,8 @@
 """Root data: decompositions, weights, Weyl dimensions."""
 
+import itertools
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,6 +19,7 @@ from krcrystals.cartan import (
     weyl_dimension,
     zero_root_projection,
 )
+from krcrystals.tableaux import enumerate_tableaux
 
 
 def test_affine_spec_validation():
@@ -87,9 +90,141 @@ def test_weyl_dimension_oracle(ctype, n, wt, dim):
     assert weyl_dimension(ctype, n, wt) == dim
 
 
+NONDOMINANT = [
+    ("C", 2, (0, 2)),
+    ("A", 3, (0, 2, 0)),  # a zero factor
+    ("A", 3, (0, 4, 0)),  # a negative product
+    ("B", 2, (0, 2)),
+    ("D", 4, (0, 0, 0, 2)),  # |lambda_n| > lambda_{n-1}
+    ("D", 4, (2, 2, 2, -4)),
+    # odd doubled coordinates that are no spin weight of the type
+    ("A", 3, (1, 0, 0)),
+    ("C", 2, (1, 1)),
+    ("B", 2, (2, 1)),
+    ("D", 4, (1, 1, 0, 0)),
+]
+
+
 def test_weyl_dimension_rejects_nondominant():
-    with pytest.raises(ValueError):
-        weyl_dimension("C", 2, (0, 2))
+    for ctype, n, wt in NONDOMINANT:
+        with pytest.raises(ValueError):
+            weyl_dimension(ctype, n, wt)
+
+
+def partitions(cells, largest=None):
+    """Partitions of `cells`, as weakly decreasing tuples."""
+    if cells == 0:
+        yield ()
+        return
+    for part in range(min(cells, largest or cells), 0, -1):
+        for rest in partitions(cells - part, part):
+            yield (part,) + rest
+
+
+def hook_content_dimension(n, rows):
+    """GL_n dimension as the product of (n + content) / hook over the cells."""
+    cols = Shape(rows).columns()
+    num = den = 1
+    for i, row in enumerate(rows):
+        for j in range(row):
+            num *= n + j - i
+            den *= (row - j) + (cols[j] - i) - 1
+    return num // den
+
+
+def test_weyl_dimension_matches_hook_content_formula():
+    checked = 0
+    for n in range(2, 7):
+        for cells in range(9):
+            for rows in partitions(cells):
+                if len(rows) > n:
+                    continue
+                wt = Shape(rows).weight("A", n)
+                assert weyl_dimension("A", n, wt) == hook_content_dimension(n, rows)
+                checked += 1
+    assert checked == 243
+
+
+def test_weyl_dimension_counts_enumerated_tableaux():
+    """B/C shapes of <= 5 cells at n <= 3 (spin column too in type B), and
+    type D shapes whose columns stay below height n - 1, where the filling
+    enumeration models the representation directly."""
+    cases = [
+        (ctype, n, Shape(rows, spin=spin))
+        for ctype, n in [("B", 2), ("B", 3), ("C", 2), ("C", 3)]
+        for cells in range(6)
+        for rows in partitions(cells)
+        if len(rows) <= n
+        for spin in ((0, 1) if ctype == "B" else (0,))
+    ]
+    cases += [
+        ("D", n, Shape(rows))
+        for n, cells in [(3, 5), (4, 4)]
+        for k in range(cells + 1)
+        for rows in partitions(k)
+        if len(rows) <= n - 2
+    ]
+    assert len(cases) == 99
+    for ctype, n, sh in cases:
+        count = len(list(enumerate_tableaux(ctype, n, sh)))
+        assert shape_dimension(ctype, n, sh) == count, (ctype, n, sh)
+
+
+def fraction_weyl_dimension(ctype, n, wt):
+    """The Weyl product over rational half-integer coordinates (reference)."""
+    lam = [Fraction(w, 2) for w in wt]
+    if ctype == "B":
+        rho = [Fraction(2 * (n - i) + 1, 2) for i in range(1, n + 1)]
+    elif ctype == "C":
+        rho = [Fraction(n - i) for i in range(n)]
+    else:
+        rho = [Fraction(n - 1 - i) for i in range(n)]
+    a = [x + y for x, y in zip(lam, rho)]
+    num = den = Fraction(1)
+    for i in range(n):
+        for j in range(i + 1, n):
+            num *= a[i] - a[j]
+            den *= rho[i] - rho[j]
+            if ctype != "A":
+                num *= a[i] + a[j]
+                den *= rho[i] + rho[j]
+        if ctype in ("B", "C"):
+            num *= a[i]
+            den *= rho[i]
+    return num / den
+
+
+def test_weyl_dimension_matches_fraction_formula():
+    checked = 0
+    for family, n, r, s in itertools.product(FAMILIES, range(2, 6), range(1, 6), range(1, 4)):
+        try:
+            spec = AffineSpec(family, n, r, s)
+        except ValueError:
+            continue
+        for sh in kr_decomposition(spec):
+            wt = sh.weight(spec.classical_type, n)
+            exact = fraction_weyl_dimension(spec.classical_type, n, wt)
+            assert weyl_dimension(spec.classical_type, n, wt) == exact, (spec, sh)
+            checked += 1
+    assert checked > 1000
+
+
+def test_weyl_dimension_agrees_with_fraction_formula_on_rejections():
+    """Every weight of a small box is rejected exactly when the rational
+    product is not a positive integer."""
+    for ctype, n in [("A", 3), ("B", 2), ("C", 2), ("D", 3)]:
+        for wt in itertools.product(range(-3, 6), repeat=n):
+            exact = fraction_weyl_dimension(ctype, n, wt)
+            if exact.denominator == 1 and exact > 0:
+                assert weyl_dimension(ctype, n, wt) == exact
+            else:
+                with pytest.raises(ValueError):
+                    weyl_dimension(ctype, n, wt)
+
+
+def test_large_box_dimension_is_fast(time_limit):
+    # 12,870 type C_8 summands; the Fraction product took about 8 s over them
+    assert kr_dimension(AffineSpec("A2even", 8, 8, 8)) == 288882990167192721013376
 
 
 def test_decomposition_single_component_families():

@@ -161,6 +161,22 @@ def test_build_that_raises_exits_one(capsys, monkeypatch, command):
     assert captured.err == "kr: crystal closure exceeded 1000000 vertices\n"
 
 
+def test_over_bound_build_is_refused_before_work(capsys, time_limit):
+    message = "A1 n=12 r=6 s=3 would have 24293412 vertices, over the bound 1000000"
+    with pytest.raises(RuntimeError) as caught:
+        build_kr(AffineSpec("A1", 12, 6, 3))
+    assert str(caught.value) == message
+    for command in ("build", "decompose"):
+        args = [command, "--family", "A1", "--n", "12", "--r", "6", "--s", "3"]
+        assert main(args) == 1
+        assert capsys.readouterr().err == f"kr: {message}\n"
+    args = ["check", "--family", "A1", "--n", "12", "--r", "6", "--s", "3"]
+    assert main(args) == 1
+    assert capsys.readouterr().out == (
+        f"build      A1     n=12 r=6 s=3  FAIL  [error: {message}]\n"
+    )
+
+
 def test_stepped_build_seeds_fix_the_node_order(capsys):
     args = ["build", "--family", "A2even", "--n", "2", "--r", "1", "--s", "1"]
     assert main(args) == 0
