@@ -114,20 +114,19 @@ def letter_e(ctype: str, n: int, i: int, x: int):
     return None
 
 
-def letter_phi(ctype: str, n: int, i: int, x: int) -> int:
-    k = 0
-    while x is not None:
-        x = letter_f(ctype, n, i, x)
-        k += x is not None
-    return k
-
-
-def letter_eps(ctype: str, n: int, i: int, x: int) -> int:
-    k = 0
-    while x is not None:
-        x = letter_e(ctype, n, i, x)
-        k += x is not None
-    return k
+def letter_signs(ctype: str, n: int, i: int) -> dict[int, tuple[int, int]]:
+    """{letter: (eps_i, phi_i)} for the letters where either is non-zero."""
+    if ctype == "A":
+        return {i: (0, 1), i + 1: (1, 0)}
+    if i < n - 1 or (i < n and ctype != "D"):
+        return {i: (0, 1), -(i + 1): (0, 1), i + 1: (1, 0), -i: (1, 0)}
+    if ctype == "B":
+        return {n: (0, 2), 0: (1, 1), -n: (2, 0)}
+    if ctype == "C":
+        return {n: (0, 1), -n: (1, 0)}
+    if i == n - 1:  # D
+        return {n - 1: (0, 1), -n: (0, 1), n: (1, 0), -(n - 1): (1, 0)}
+    return {n - 1: (0, 1), n: (0, 1), -n: (1, 0), -(n - 1): (1, 0)}  # D, i == n
 
 
 # -- spin factors (types B and D), stored as sign tuples ---------------------
@@ -199,7 +198,9 @@ def column_ok(ctype: str, n: int, col: tuple[int, ...]) -> bool:
             continue
         elif not precedes(ctype, n, a, b):
             return False
-    for p in range(1, n + 1):
+    # the bound covers every p < n, and p = n outside type D, where n and -n
+    # are incomparable and may alternate
+    for p in range(1, n if ctype == "D" else n + 1):
         ks = [k + 1 for k, x in enumerate(col) if x == p]
         ls = [l + 1 for l, x in enumerate(col) if x == -p]
         for k in ks:
@@ -309,53 +310,36 @@ def tableau_weight(ctype: str, n: int, cols, spin=None) -> tuple[int, ...]:
 
 
 def tableau_apply(ctype: str, n: int, elem, i: int, op: str):
-    """Apply e_i/f_i ('e'/'f') via the signature rule; None if it vanishes."""
+    """Apply e_i/f_i ('e'/'f') via the signature rule; None if it vanishes.
+
+    One pass over the reading word keeps only the letters that carry a sign,
+    with their (column, row); a (0, 0) factor never moves the signature's
+    pending count, so the acted-on factor is the same as over the whole word.
+    """
     cols, spin = elem
-    word = list(reading_word(cols))
-    pairs = [
-        (letter_eps(ctype, n, i, x), letter_phi(ctype, n, i, x)) for x in word
-    ]
+    signs = letter_signs(ctype, n, i)
+    cells, pairs = [], []
+    for c in range(len(cols) - 1, -1, -1):
+        for r, x in enumerate(cols[c]):
+            pair = signs.get(x)
+            if pair is not None:
+                cells.append((c, r))
+                pairs.append(pair)
     if spin is not None:
         pairs.append((spin_eps(ctype, n, i, spin), spin_phi(ctype, n, i, spin)))
     j = signature_index(pairs, op)
     if j is None:
         return None
-    if spin is not None and j == len(word):
+    if j == len(cells):
         act = spin_e if op == "e" else spin_f
         return (cols, act(ctype, n, i, spin))
-    c = len(cols) - 1
-    while j >= len(cols[c]):  # walk the reading word back to (column, row)
-        j -= len(cols[c])
-        c -= 1
+    c, r = cells[j]
     act = letter_e if op == "e" else letter_f
-    new_col = cols[c][:j] + (act(ctype, n, i, cols[c][j]),) + cols[c][j + 1 :]
+    new_col = cols[c][:r] + (act(ctype, n, i, cols[c][r]),) + cols[c][r + 1 :]
     return (cols[:c] + (new_col,) + cols[c + 1 :], spin)
 
 
-def tableau_eps_phi(ctype: str, n: int, elem, i: int) -> tuple[int, int]:
-    cols, spin = elem
-    pairs = [
-        (letter_eps(ctype, n, i, x), letter_phi(ctype, n, i, x))
-        for x in reading_word(cols)
-    ]
-    if spin is not None:
-        pairs.append((spin_eps(ctype, n, i, spin), spin_phi(ctype, n, i, spin)))
-    return reduce_signature(pairs)
-
-
 # -- the signature rule -------------------------------------------------------
-
-def reduce_signature(pairs) -> tuple[int, int]:
-    """(eps, phi) of b_1 x ... x b_m from per-factor (eps, phi)."""
-    minus = plus = 0
-    for e, p in pairs:
-        cancel = min(plus, e)
-        plus -= cancel
-        e -= cancel
-        minus += e
-        plus += p
-    return minus, plus
-
 
 def signature_index(pairs, op: str):
     """Factor index acted on by e_i (rightmost -) or f_i (leftmost +).
@@ -383,17 +367,24 @@ def signature_index(pairs, op: str):
 # -- enumeration (independent oracle for classical crystals) ------------------
 
 def enumerate_columns(ctype: str, n: int, height: int):
+    """Every valid column, in the lexicographic order of the alphabet.
+
+    Columns grow along weakly increasing letter keys, so type B may repeat 0
+    and type D may alternate n and -n, which share a key; `column_ok` decides.
+    """
     letters = all_letters(ctype, n)
-    if ctype == "B":
-        # repeated 0s allowed, so build by weakly increasing key chains
-        pool = sorted(letters, key=lambda x: order_key(ctype, n, x))
-        for col in itertools.combinations_with_replacement(pool, height):
+
+    def grow(col):
+        if len(col) == height:
             if column_ok(ctype, n, col):
                 yield col
-    else:
-        for col in itertools.permutations(letters, height):
-            if column_ok(ctype, n, col):
-                yield col
+            return
+        floor = order_key(ctype, n, col[-1]) if col else 0
+        for x in letters:
+            if order_key(ctype, n, x) >= floor:
+                yield from grow(col + (x,))
+
+    yield from grow(())
 
 
 def enumerate_tableaux(ctype: str, n: int, shape):

@@ -146,9 +146,10 @@ def test_weyl_dimension_matches_hook_content_formula():
 
 
 def test_weyl_dimension_counts_enumerated_tableaux():
-    """B/C shapes of <= 5 cells at n <= 3 (spin column too in type B), and
-    type D shapes whose columns stay below height n - 1, where the filling
-    enumeration models the representation directly."""
+    """B/C shapes of <= 5 cells at n <= 3 (spin column too in type B), type D
+    shapes whose columns stay below height n - 1, and type D columns of
+    height n - 1, where n and -n may alternate and n carries no height
+    bound; the filling enumeration models the representation directly."""
     cases = [
         (ctype, n, Shape(rows, spin=spin))
         for ctype, n in [("B", 2), ("B", 3), ("C", 2), ("C", 3)]
@@ -164,7 +165,13 @@ def test_weyl_dimension_counts_enumerated_tableaux():
         for rows in partitions(k)
         if len(rows) <= n - 2
     ]
-    assert len(cases) == 99
+    cases += [
+        ("D", 3, Shape((1, 1))),
+        ("D", 4, Shape((1, 1, 1))),
+        ("D", 5, Shape((1, 1, 1))),
+        ("D", 4, Shape((2, 2, 2))),
+    ]
+    assert len(cases) == 103
     for ctype, n, sh in cases:
         count = len(list(enumerate_tableaux(ctype, n, sh)))
         assert shape_dimension(ctype, n, sh) == count, (ctype, n, sh)

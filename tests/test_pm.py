@@ -20,7 +20,9 @@ from krcrystals.pm_diagrams import (
     phi_direct,
     phi_inverse,
 )
-from krcrystals.tableaux import tableau_apply, tableau_eps_phi, tableau_weight
+from krcrystals.tableaux import tableau_apply, tableau_weight
+
+from oracles import tableau_eps_phi
 
 
 def apply_word(ctype, n, elem, word, op):

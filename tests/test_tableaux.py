@@ -13,16 +13,14 @@ from krcrystals.tableaux import (
     format_element,
     format_spin_tensor,
     letter_e,
-    letter_eps,
     letter_f,
-    letter_phi,
+    letter_signs,
     letter_weight,
     order_key,
     parse_element,
     parse_spin_tensor,
     precedes,
     reading_word,
-    reduce_signature,
     signature_index,
     spin_e,
     spin_elements,
@@ -31,10 +29,11 @@ from krcrystals.tableaux import (
     spin_phi,
     spin_to_column,
     tableau_apply,
-    tableau_eps_phi,
     tableau_ok,
     tableau_weight,
 )
+
+from oracles import letter_eps, letter_phi, reduce_signature, tableau_eps_phi
 
 
 def test_letter_orders():
@@ -84,6 +83,22 @@ def test_letter_e_inverts_f():
             for i in range(1, top + 1):
                 for x in all_letters(ctype, n):
                     assert letter_e(ctype, n, i, x) == scan_letter_e(ctype, n, i, x)
+
+
+def test_letter_signs_match_string_lengths():
+    # the closed-form table holds exactly the letters whose i-string lengths
+    # are not both 0, with those lengths
+    for ctype in "ABCD":
+        for n in range({"A": 2, "D": 3}.get(ctype, 1), 8):
+            top = n - 1 if ctype == "A" else n
+            letters = all_letters(ctype, n)
+            for i in range(1, top + 1):
+                signs = letter_signs(ctype, n, i)
+                assert set(signs) <= set(letters), (ctype, n, i)
+                for x in letters:
+                    pair = (letter_eps(ctype, n, i, x), letter_phi(ctype, n, i, x))
+                    assert (x in signs) == (pair != (0, 0)), (ctype, n, i, x)
+                    assert signs.get(x, (0, 0)) == pair, (ctype, n, i, x)
 
 
 def test_signature_rule_worked_example():
@@ -155,11 +170,22 @@ def reference_apply(ctype, n, elem, i, op):
 
 @pytest.mark.parametrize(
     "ctype,n,shape",
-    [(t, 4, Shape((2, 1))) for t in "ABCD"] + [("B", 3, Shape((2, 1), spin=1))],
+    [(t, 4, Shape((2, 1))) for t in "ABCD"]
+    + [("B", 3, Shape((2, 1), spin=1))]
+    # several columns of unequal height at higher rank, where a wrong
+    # (column, row) for the acted-on letter shows
+    + [
+        ("C", 5, Shape((3, 3, 2))),
+        ("D", 5, Shape((2, 2, 1))),
+        ("B", 4, Shape((2, 1), spin=1)),
+        ("A", 5, Shape((3, 2, 2))),
+    ],
 )
 def test_tableau_apply_matches_stack_reference(ctype, n, shape):
     top = n - 1 if ctype == "A" else n
-    for elem in enumerate_tableaux(ctype, n, shape):
+    elems = list(enumerate_tableaux(ctype, n, shape))
+    # shapes past 2,000 elements are sampled: every 73rd of the 73,710 in C5
+    for elem in elems[:: max(1, len(elems) // 1000)]:
         for i in range(1, top + 1):
             for op in "ef":
                 want = reference_apply(ctype, n, elem, i, op)
