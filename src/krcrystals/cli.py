@@ -13,11 +13,9 @@ import json
 import sys
 
 from .cartan import FAMILIES, AffineSpec, kr_dimension, pairing
-from .crystal_core import CrystalGraph
 from .kr_builders import build_kr
 from .verify import (
     SUITES,
-    affine_colors,
     default_grid,
     run_suite,
     second_subset,
@@ -44,18 +42,6 @@ def graph_document(build) -> dict:
         "nodes": nodes,
         "edges": [{"src": x, "dst": y, "color": i} for x, y, i in edges],
     }
-
-
-def load_graph_document(doc: dict) -> CrystalGraph:
-    """Rebuild a crystal graph from a document (elements become strings)."""
-    spec = AffineSpec(doc["family"], doc["n"], doc["r"], doc["s"])
-    elements = [node["element"] for node in sorted(doc["nodes"], key=lambda d: d["id"])]
-    weights = [tuple(node["weight"]) for node in sorted(doc["nodes"], key=lambda d: d["id"])]
-    colors = affine_colors(spec)
-    f_edges = {i: {} for i in colors}
-    for edge in doc["edges"]:
-        f_edges[edge["color"]][edge["src"]] = edge["dst"]
-    return CrystalGraph(elements, colors, f_edges, weights)
 
 
 def to_dot(build) -> str:

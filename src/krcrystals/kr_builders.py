@@ -191,9 +191,10 @@ def _build_promotion(spec):
 def _sigma_dba_table(graph, ctype, n, r, s, shapes):
     """sigma at every {2..n}-top via the diagram involution, transported."""
     jcolors = tuple(range(2, n + 1))
+    table = pm.phi_table(ctype, n, shapes)
     anchors = {}
     for top in graph.highest_vertices(jcolors):
-        P = pm.phi_inverse(ctype, n, graph.elements[top], shapes)
+        P = pm.phi_inverse(table, graph.elements[top])
         anchors[top] = graph.index[pm.phi(pm.involution_S(P, r, s))]
     sigma = _transport(graph, lambda i, y: graph.f[i].get(y), anchors, jcolors)
     bad = [x for x in sigma if sigma[sigma[x]] != x]
@@ -223,34 +224,44 @@ def _c_virtual_shapes(n, r, s):
     return tuple(sorted(shapes, key=lambda sh: (sh.size(), sh.rows)))
 
 
+def _virtual_arrow(step, x, i, op, fixed):
+    """e_i/f_i of the C1 crystal on the sigma-fixed locus of an A2odd host.
+
+    Color 0 is the host's f_0 f_1, checked against f_1 f_0, and color i is
+    the host's f_{i+1}; the result must satisfy fixed.  step(x, c, op) is
+    e_c/f_c of the host, None where it vanishes.
+    """
+
+    def then(a, b):
+        y = step(x, a, op)
+        return None if y is None else step(y, b, op)
+
+    if i:
+        y = step(x, i + 1, op)
+    else:
+        y = then(0, 1)
+        if y != then(1, 0):
+            raise RuntimeError("host 0- and 1-operators failed to commute")
+    if y is not None and not fixed(y):
+        raise RuntimeError("virtual operator escaped the fixed locus")
+    return y
+
+
 def _build_virtual(spec):
     """Fixed points of the tail involution in the rank-(n+1) host."""
     n, r, s = spec.n, spec.r, spec.s
-    host = build_kr(AffineSpec("A2odd", n + 1, r, s))
+    host_spec = AffineSpec("A2odd", n + 1, r, s)
+    _refuse_over_bound(host_spec)
+    host = _build_dba(host_spec)
     hg = host.graph
     fixed = [x for x in range(len(hg.elements)) if host.sigma_table[x] == x]
 
-    def chain(x, steps, maps):
-        for c in steps:
-            x = maps[c].get(x)
-            if x is None:
-                return None
-        return x
+    def step(x, c, op):
+        return (hg.f if op == "f" else hg.e)[c].get(x)
 
     def apply_fn(elem, i, op):
-        maps = hg.f if op == "f" else hg.e
-        x = hg.index[elem]
-        if i == 0:
-            y = chain(x, (0, 1), maps)
-            if y != chain(x, (1, 0), maps):
-                raise RuntimeError("host 0- and 1-operators failed to commute")
-        else:
-            y = maps[i + 1].get(x)
-        if y is None:
-            return None
-        if host.sigma_table[y] != y:
-            raise RuntimeError("virtual operator escaped the fixed locus")
-        return hg.elements[y]
+        y = _virtual_arrow(step, hg.index[elem], i, op, lambda y: host.sigma_table[y] == y)
+        return None if y is None else hg.elements[y]
 
     def weight_fn(elem):
         return tuple(hg.weights[hg.index[elem]][1:])
@@ -287,8 +298,8 @@ class SteppedHost:
     m_i-th powers of the colors.  No host crystal is closed: sigma raises an
     element to its {2..N}-highest element, applies the diagram involution
     there and descends the same path, so every arrow comes from the element
-    alone.  sigma and the host arrows are memoized on this object, which
-    lives as long as its build.  Broken invariants raise RuntimeError.
+    alone.  The diagram table sigma reads, sigma and the host arrows live on
+    this object, as long as its build.  Broken invariants raise RuntimeError.
     """
 
     def __init__(self, n, r, s, virtual, m):
@@ -297,6 +308,7 @@ class SteppedHost:
         self.shapes = kr_decomposition(AffineSpec("A2odd", self.rank, r, s))
         # shapes of the host's classical (C_n) decomposition
         self.model_shapes = _c_virtual_shapes(n, r, s) if virtual else self.shapes
+        self._phi = pm.phi_table("C", self.rank, self.shapes)
         self._sigma = {}
         self._arrows = {}
         self._fixed_tops = None
@@ -331,7 +343,7 @@ class SteppedHost:
         path, top = greedy_raise(elem, range(2, N + 1), up)
         y = memo.get(top)
         if y is None:
-            P = pm.phi_inverse("C", N, top, self.shapes)
+            P = pm.phi_inverse(self._phi, top)
             y = pm.phi(pm.involution_S(P, self.r, self.s))
         for i in reversed(path):
             y = tableaux.tableau_apply("C", N, y, i, "f")
@@ -357,22 +369,7 @@ class SteppedHost:
     def _host_arrow(self, elem, i, op):
         if not self.virtual:
             return self._tail_apply(elem, i, op)
-        if i:
-            y = self._tail_apply(elem, i + 1, op)
-        else:
-            y = self._chain(elem, (0, 1), op)
-            if y != self._chain(elem, (1, 0), op):
-                raise RuntimeError("host 0- and 1-operators failed to commute")
-        if y is not None and self.sigma(y) != y:
-            raise RuntimeError("virtual operator escaped the fixed locus")
-        return y
-
-    def _chain(self, elem, colors, op):
-        for c in colors:
-            elem = self._tail_apply(elem, c, op)
-            if elem is None:
-                return None
-        return elem
+        return _virtual_arrow(self._tail_apply, elem, i, op, lambda y: self.sigma(y) == y)
 
     def host_weight(self, elem):
         w = tableaux.tableau_weight("C", self.rank, elem[0], elem[1])
@@ -399,11 +396,9 @@ class SteppedHost:
         """The sigma-fixed {2..N}-highest host element of a given host weight."""
         if self._fixed_tops is None:
             tops = {}
-            for sh in self.shapes:
-                for P in pm.enumerate_pm("C", self.rank, sh):
-                    if pm.involution_S(P, self.r, self.s) == P:
-                        top = pm.phi(P)
-                        tops.setdefault(self.host_weight(top), []).append(top)
+            for top, P in self._phi.items():
+                if pm.involution_S(P, self.r, self.s) == P:
+                    tops.setdefault(self.host_weight(top), []).append(top)
             self._fixed_tops = tops
         hits = self._fixed_tops.get(wt, [])
         if len(hits) != 1:
@@ -550,6 +545,7 @@ def _build_triples(spec):
     shapes = kr_decomposition(spec)
     cls = classical_crystal(ctype, n, shapes, spec.classical_colors)
     jcolors = tuple(range(2, n + 1))
+    table = pm.phi_table(ctype, n, shapes)
     target = {}
 
     def top_vertex(t):
@@ -560,7 +556,7 @@ def _build_triples(spec):
     arrows = {"e": {}, "f": {}}
     for x in range(len(cls.elements)):
         path, top = cls.raise_path(x, jcolors)
-        t = _triple_of(pm.phi_inverse(ctype, n, cls.elements[top], shapes))
+        t = _triple_of(pm.phi_inverse(table, cls.elements[top]))
         for direction in ("e", "f"):
             out = triple_rules(family, s, t, direction)
             if out is None:
@@ -675,21 +671,16 @@ def _build_spin(spec):
 
 # -- dispatch ------------------------------------------------------------------
 
-_BUILD_CACHE = {}
-
-
 def build_kr(spec: AffineSpec) -> KRBuild:
-    """Build (and cache) B^{r,s}; a spec predicted over VERTEX_BOUND is refused up front."""
-    build = _BUILD_CACHE.get(spec)
-    if build is None:
-        if (size := kr_dimension(spec)) > VERTEX_BOUND:
-            name = f"{spec.family} n={spec.n} r={spec.r} s={spec.s}"
-            raise RuntimeError(f"{name} would have {size} vertices, over the bound {VERTEX_BOUND}")
-        build = _dispatch(spec)
-        _BUILD_CACHE[spec] = build
-        if build.partner is not None:
-            _BUILD_CACHE[build.partner.spec] = build.partner
-    return build
+    """Build B^{r,s} afresh; a spec predicted over VERTEX_BOUND is refused up front."""
+    _refuse_over_bound(spec)
+    return _dispatch(spec)
+
+
+def _refuse_over_bound(spec):
+    if (size := kr_dimension(spec)) > VERTEX_BOUND:
+        name = f"{spec.family} n={spec.n} r={spec.r} s={spec.s}"
+        raise RuntimeError(f"{name} would have {size} vertices, over the bound {VERTEX_BOUND}")
 
 
 def _dispatch(spec):

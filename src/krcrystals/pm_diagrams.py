@@ -4,8 +4,8 @@ A diagram decorates the columns of an outer shape with at most one ``+`` and
 one ``-`` per column (the ``+`` directly below the ``-`` when both occur);
 the undecorated cells form the inner shape.  Diagrams over Lambda index the
 components of B(Lambda) restricted to the subalgebra without color 1, and
-the maps in this module (the column-state involution, column doubling, the
-sign bracketing for e_1 on stacked pairs) are the combinatorial engines
+the maps in this module (the highest-element walk and its inverse table, the
+column-state involution, column doubling) are the combinatorial engines
 behind the affine crystal constructions in ``kr_builders``.
 
 Column states: ``.`` bare, ``+``, ``-``, ``+-`` (plus below minus), ``0``
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import tableaux
 from .cartan import Shape, conjugate
@@ -268,96 +267,26 @@ def phi(P: PmDiagram):
     return elem
 
 
-def phi_direct(P: PmDiagram):
-    """Direct column filling; independent cross-check for phi.
-
-    Covers types C and B, and type D diagrams without full-height columns.
-    Each + below full height is queued, then a single left-to-right pass
-    over the cells (top to bottom within a column) feeds the queue: a
-    queued + of height h is absorbed by the first bare bottom cell (its
-    column restarts at 1 and skips h+1), unassigned barred cell (which
-    becomes bar(h+1)), or untouched - spin column (which flips slot h+1).
-    """
-    n = P.n
-    if P.color:
-        raise ValueError("colored contexts are not supported")
-    cols = []
-    pending = []  # heights of queued + signs, leftmost first
-    full_plus = [k for k, col in enumerate(P.cols) if col == (n, "+")]
-    absorbed = full_plus[-1] if full_plus and P.spin == "-" else None
-    for k, (h, st) in enumerate(P.cols):
-        if h == n and st == "+":
-            if k != absorbed:
-                cols.append(list(range(1, n + 1)))
-                continue
-            cols.append(list(range(2, n + 1)) + [0])
-            pending.append(n)
-            continue
-        content = list(range(2, _middle_height(n, h, st) + 2))
-        if st in ("-", "+-"):
-            content.append(-1)
-        elif st == "0":
-            content.append(0)
-        cols.append(content)
-        if st == "+-":
-            pending.append(h - 1)
-        elif st == "+":
-            pending.append(h)
-    spin = None
-    if P.spin == "+":
-        spin = (1,) * n
-    elif P.spin == "-":
-        spin = (-1,) + (1,) * (n - 1)
-    positions = [
-        (k, r) for k, col in enumerate(cols) for r in range(len(col) - 1, -1, -1)
-    ]
-    if P.spin == "-":
-        positions.insert(0, (-1, 0))
-    cursor = 0
-    while pending:
-        h = pending.pop(0)
-        placed = False
-        while cursor < len(positions) and not placed:
-            k, r = positions[cursor]
-            cursor += 1
-            if k < 0:
-                spin = tuple(-1 if j == h else 1 for j in range(n))
-                placed = True
-                continue
-            col = cols[k]
-            if col[r] == -1:
-                col[r] = -(h + 1)
-                placed = True
-            elif r == 0 and col[0] == 2:
-                run = 0
-                while run < len(col) and col[run] == run + 2:
-                    run += 1
-                if run >= h:
-                    col[:run] = list(range(1, h + 1)) + list(range(h + 2, run + 2))
-                    placed = True
-        if not placed:
-            raise ValueError(f"unconsumed + signs in {P}")
-    return (tuple(tuple(c) for c in cols), spin)
+def phi_table(ctype: str, n: int, shapes) -> dict:
+    """{phi(P): P} over every diagram P of the shapes; Phi must be injective."""
+    table = {}
+    for shape in shapes:
+        for P in enumerate_pm(ctype, n, shape):
+            elem = phi(P)
+            if elem in table:
+                raise RuntimeError(f"phi sends {table[elem]} and {P} to one element")
+            table[elem] = P
+    return table
 
 
-def phi_inverse(ctype: str, n: int, elem, shapes: tuple[Shape, ...]) -> PmDiagram:
-    """The unique diagram over one of the shapes whose walk lands on elem."""
-    table = _phi_table(ctype, n, tuple(shapes))
+def phi_inverse(table: dict, elem) -> PmDiagram:
+    """The diagram of a phi_table whose walk lands on elem."""
     try:
         return table[elem]
     except KeyError:
         raise ValueError(
             "element is not a colors-{2..n} highest vector of the given shapes"
         ) from None
-
-
-@lru_cache(maxsize=None)
-def _phi_table(ctype, n, shapes):
-    table = {}
-    for shape in shapes:
-        for P in enumerate_pm(ctype, n, shape):
-            table[phi(P)] = P
-    return table
 
 
 # -- the column-state involution --------------------------------------------------
@@ -438,127 +367,3 @@ def is_doubled(P: PmDiagram, target: str = "C") -> bool:
     if any(v % 2 for v in counts.values()) or top["+-"] % 2:
         return False
     return True  # top +/- parities decode to a 0 column or a spin sign
-
-
-def halve_pm(P: PmDiagram, target: str = "C") -> PmDiagram:
-    """Inverse of double_pm; the target picks the home context."""
-    if not is_doubled(P, target):
-        raise ValueError(f"not a doubled diagram for target {target!r}")
-    counts = {}
-    for col in P.cols:
-        counts[col] = counts.get(col, 0) + 1
-    if target == "C":
-        cols = [col for col, v in counts.items() for _ in range(v // 2)]
-        return make_pm("C", P.n, cols)
-    n = P.n
-    a = counts.pop((n, "+"), 0)
-    b = counts.pop((n, "-"), 0)
-    cols = [col for col, v in counts.items() for _ in range(v // 2)]
-    spin = ""
-    if a % 2 and b % 2:
-        a, b = a - 1, b - 1
-        cols.append((n, "0"))
-    elif a % 2:
-        a, spin = a - 1, "+"
-    elif b % 2:
-        b, spin = b - 1, "-"
-    cols.extend([(n, "+")] * (a // 2))
-    cols.extend([(n, "-")] * (b // 2))
-    return make_pm("B", n, cols, spin=spin)
-
-
-# -- e_1 on stacked pairs ----------------------------------------------------------
-
-def e1_on_pair(P: PmDiagram, p: PmDiagram):
-    """Raise color 1 on the pair (P over p); None when it annihilates.
-
-    Signs are bracketed by column position, both diagrams left-aligned:
-    every + of p takes the leftmost free + of P weakly left of it, every -
-    of p the rightmost free - of P weakly left of it, and leftover + of p
-    pair with leftover - of p.  An unpaired + of p moves up into P; failing
-    that the leftmost unpaired - of P moves down into p.
-    """
-    if P.inner_heights() != tuple(h for h, _ in p.cols) + (0,) * (
-        len(P.cols) - len(p.cols)
-    ):
-        raise ValueError("inner shape of P must be the outer shape of p")
-    p_plus = list(p.signs("+"))
-    p_minus = list(p.signs("-"))
-    big_plus = list(P.signs("+"))
-    big_minus = list(P.signs("-"))
-    free_big_plus = set(big_plus)
-    for x in p_plus[:]:
-        for y in big_plus:
-            if y in free_big_plus and y <= x:
-                free_big_plus.discard(y)
-                p_plus.remove(x)
-                break
-    free_big_minus = set(big_minus)
-    for x in p_minus[:]:
-        for y in reversed(big_minus):
-            if y in free_big_minus and y <= x:
-                free_big_minus.discard(y)
-                p_minus.remove(x)
-                break
-    for x in p_plus[:]:
-        if p_minus:
-            p_minus.pop(0)
-            p_plus.remove(x)
-    if p_plus:
-        return _transfer_plus(P, p, p_plus[-1])
-    if free_big_minus:
-        return _transfer_minus(P, p, min(free_big_minus))
-    return None
-
-
-def _receive_plus(cols, n, level):
-    """Attach a + at the given level to the column that keeps nesting."""
-    for want in (".", "-"):
-        for k, (h, st) in enumerate(cols):
-            if st == want and _inner_height(n, h, st) == level:
-                out = list(cols)
-                out[k] = (h, "+" if want == "." else "+-")
-                return out
-    raise ValueError(f"no column accepts a + at level {level}")
-
-
-def _transfer_plus(P: PmDiagram, p: PmDiagram, j: int):
-    h, st = p.cols[j]
-    new_p = list(p.cols)
-    if st == "+":
-        if h == 1:
-            del new_p[j]
-        else:
-            new_p[j] = (h - 1, ".")
-    elif st == "+-":
-        new_p[j] = (h - 1, "-")
-    else:
-        raise ValueError("the moving column carries no +")
-    return (
-        make_pm(P.ctype, P.n, _receive_plus(P.cols, P.n, h), P.spin, P.color),
-        make_pm(p.ctype, p.n, new_p, p.spin, p.color),
-    )
-
-
-def _transfer_minus(P: PmDiagram, p: PmDiagram, j: int):
-    H, ST = P.cols[j]
-    level = _inner_height(P.n, H, ST)
-    new_P = list(P.cols)
-    new_P[j] = (H, "." if ST == "-" else "+")
-    new_p = list(p.cols)
-    for want in (".", "+"):
-        for k, (h, st) in enumerate(new_p):
-            if st == want and h == level:
-                new_p[k] = (level + 1, "-" if want == "." else "+-")
-                break
-        else:
-            continue
-        break
-    else:
-        if level != 0:
-            raise ValueError(f"no column accepts a - above level {level}")
-        new_p.append((1, "-"))
-    return (
-        make_pm(P.ctype, P.n, new_P, P.spin, P.color),
-        make_pm(p.ctype, p.n, new_p, p.spin, p.color),
-    )

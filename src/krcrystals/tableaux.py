@@ -422,7 +422,7 @@ def enumerate_tableaux(ctype: str, n: int, shape):
             yield (cols, sp)
 
 
-# -- parsing / formatting -----------------------------------------------------
+# -- formatting --------------------------------------------------------------
 
 def format_element(elem) -> str:
     cols, spin = elem
@@ -433,25 +433,5 @@ def format_element(elem) -> str:
     return "|".join(parts)
 
 
-def parse_element(text: str):
-    cols = []
-    spin = None
-    for part in text.split("|"):
-        part = part.strip()
-        if not part:
-            continue
-        if part.startswith("s:"):
-            spin = tuple(1 if ch == "+" else -1 for ch in part[2:])
-        else:
-            cols.append(tuple(int(x) for x in part.split(",")))
-    return (tuple(cols), spin)
-
-
 def format_spin_tensor(vecs) -> str:
     return "*".join("".join("+" if x == 1 else "-" for x in sv) for sv in vecs)
-
-
-def parse_spin_tensor(text: str):
-    return tuple(
-        tuple(1 if ch == "+" else -1 for ch in part) for part in text.split("*")
-    )

@@ -25,7 +25,6 @@ from .cartan import (
     simple_root,
     zero_root_projection,
 )
-from .crystal_core import CrystalGraph
 from .kr_builders import (
     KRBuild,
     _c_virtual_shapes,
@@ -315,12 +314,11 @@ def check_phi0(build: KRBuild) -> CheckReport:
         g = build.graph
         m0 = 2 if fam == "C1" else 1
         model = classical_model(build)
-        shapes = model_shapes(build)
-        ctype = spec.classical_type
+        table = pm.phi_table(spec.classical_type, n, model_shapes(build))
         jcolors = tuple(range(2, n + 1))
         checked = 0
         for x in g.highest_vertices(jcolors):
-            P = pm.phi_inverse(ctype, n, model[x], shapes)
+            P = pm.phi_inverse(table, model[x])
             if build.kind == "triples":
                 t = _triple_of(P)
                 if g.eps(0, x) != t.l1 + t.gamma:
@@ -545,25 +543,3 @@ def default_grid(n_values=(2, 3), s_values=(1, 2)) -> tuple[AffineSpec, ...]:
                 for s in s_values:
                     specs.append(AffineSpec(family, n, r, s))
     return tuple(specs)
-
-
-def with_dropped_edge(build: KRBuild, color: int, k: int = 0) -> KRBuild:
-    """A copy of the build whose k-th arrow of the given color is deleted."""
-    g = build.graph
-    f_edges = {i: dict(g.f[i]) for i in g.colors}
-    pairs = sorted(f_edges[color].items())
-    if not pairs:
-        raise ValueError(f"no arrows of color {color} to drop")
-    src, _ = pairs[k % len(pairs)]
-    del f_edges[color][src]
-    mutated = CrystalGraph(g.elements, g.colors, f_edges, g.weights)
-    return KRBuild(
-        build.spec,
-        mutated,
-        build.kind,
-        build.render,
-        ambient=build.ambient,
-        stepped=build.stepped,
-        sigma_table=build.sigma_table,
-        partner=build.partner,
-    )

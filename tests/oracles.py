@@ -1,11 +1,26 @@
-"""String-walking definitions of (eps_i, phi_i), kept as test oracles.
+"""Definitions that only tests call, kept as independent oracles.
 
 `letter_phi`/`letter_eps` count steps along an i-string through the letter
 operators, and `reduce_signature` cancels the signs of a whole tensor word;
 `tableaux.letter_signs` and `tableaux.tableau_apply` are checked against
-them.
+them.  `phi_direct` fills the columns of a diagram directly and is checked
+against the walk `pm_diagrams.phi`; `halve_pm` inverts `double_pm`;
+`e1_on_pair` raises color 1 on a stacked pair of diagrams.  The parsers
+invert the element formatters, `load_graph_document` inverts
+`cli.graph_document`, and `with_dropped_edge` is the fault injection the
+suites must catch.
 """
 
+from krcrystals.cartan import AffineSpec
+from krcrystals.crystal_core import CrystalGraph
+from krcrystals.kr_builders import KRBuild
+from krcrystals.pm_diagrams import (
+    PmDiagram,
+    _inner_height,
+    _middle_height,
+    is_doubled,
+    make_pm,
+)
 from krcrystals.tableaux import (
     letter_e,
     letter_f,
@@ -13,6 +28,7 @@ from krcrystals.tableaux import (
     spin_eps,
     spin_phi,
 )
+from krcrystals.verify import affine_colors
 
 
 def letter_phi(ctype: str, n: int, i: int, x: int) -> int:
@@ -52,3 +68,255 @@ def reduce_signature(pairs) -> tuple[int, int]:
         minus += e
         plus += p
     return minus, plus
+
+
+# -- diagrams: the direct column filling, halving, e_1 on stacked pairs ------
+
+def phi_direct(P: PmDiagram):
+    """Direct column filling; independent cross-check for phi.
+
+    Covers types C and B, and type D diagrams without full-height columns.
+    Each + below full height is queued, then a single left-to-right pass
+    over the cells (top to bottom within a column) feeds the queue: a
+    queued + of height h is absorbed by the first bare bottom cell (its
+    column restarts at 1 and skips h+1), unassigned barred cell (which
+    becomes bar(h+1)), or untouched - spin column (which flips slot h+1).
+    """
+    n = P.n
+    if P.color:
+        raise ValueError("colored contexts are not supported")
+    cols = []
+    pending = []  # heights of queued + signs, leftmost first
+    full_plus = [k for k, col in enumerate(P.cols) if col == (n, "+")]
+    absorbed = full_plus[-1] if full_plus and P.spin == "-" else None
+    for k, (h, st) in enumerate(P.cols):
+        if h == n and st == "+":
+            if k != absorbed:
+                cols.append(list(range(1, n + 1)))
+                continue
+            cols.append(list(range(2, n + 1)) + [0])
+            pending.append(n)
+            continue
+        content = list(range(2, _middle_height(n, h, st) + 2))
+        if st in ("-", "+-"):
+            content.append(-1)
+        elif st == "0":
+            content.append(0)
+        cols.append(content)
+        if st == "+-":
+            pending.append(h - 1)
+        elif st == "+":
+            pending.append(h)
+    spin = None
+    if P.spin == "+":
+        spin = (1,) * n
+    elif P.spin == "-":
+        spin = (-1,) + (1,) * (n - 1)
+    positions = [
+        (k, r) for k, col in enumerate(cols) for r in range(len(col) - 1, -1, -1)
+    ]
+    if P.spin == "-":
+        positions.insert(0, (-1, 0))
+    cursor = 0
+    while pending:
+        h = pending.pop(0)
+        placed = False
+        while cursor < len(positions) and not placed:
+            k, r = positions[cursor]
+            cursor += 1
+            if k < 0:
+                spin = tuple(-1 if j == h else 1 for j in range(n))
+                placed = True
+                continue
+            col = cols[k]
+            if col[r] == -1:
+                col[r] = -(h + 1)
+                placed = True
+            elif r == 0 and col[0] == 2:
+                run = 0
+                while run < len(col) and col[run] == run + 2:
+                    run += 1
+                if run >= h:
+                    col[:run] = list(range(1, h + 1)) + list(range(h + 2, run + 2))
+                    placed = True
+        if not placed:
+            raise ValueError(f"unconsumed + signs in {P}")
+    return (tuple(tuple(c) for c in cols), spin)
+
+
+def halve_pm(P: PmDiagram, target: str = "C") -> PmDiagram:
+    """Inverse of double_pm; the target picks the home context."""
+    if not is_doubled(P, target):
+        raise ValueError(f"not a doubled diagram for target {target!r}")
+    counts = {}
+    for col in P.cols:
+        counts[col] = counts.get(col, 0) + 1
+    if target == "C":
+        cols = [col for col, v in counts.items() for _ in range(v // 2)]
+        return make_pm("C", P.n, cols)
+    n = P.n
+    a = counts.pop((n, "+"), 0)
+    b = counts.pop((n, "-"), 0)
+    cols = [col for col, v in counts.items() for _ in range(v // 2)]
+    spin = ""
+    if a % 2 and b % 2:
+        a, b = a - 1, b - 1
+        cols.append((n, "0"))
+    elif a % 2:
+        a, spin = a - 1, "+"
+    elif b % 2:
+        b, spin = b - 1, "-"
+    cols.extend([(n, "+")] * (a // 2))
+    cols.extend([(n, "-")] * (b // 2))
+    return make_pm("B", n, cols, spin=spin)
+
+
+def e1_on_pair(P: PmDiagram, p: PmDiagram):
+    """Raise color 1 on the pair (P over p); None when it annihilates.
+
+    Signs are bracketed by column position, both diagrams left-aligned:
+    every + of p takes the leftmost free + of P weakly left of it, every -
+    of p the rightmost free - of P weakly left of it, and leftover + of p
+    pair with leftover - of p.  An unpaired + of p moves up into P; failing
+    that the leftmost unpaired - of P moves down into p.
+    """
+    if P.inner_heights() != tuple(h for h, _ in p.cols) + (0,) * (
+        len(P.cols) - len(p.cols)
+    ):
+        raise ValueError("inner shape of P must be the outer shape of p")
+    p_plus = list(p.signs("+"))
+    p_minus = list(p.signs("-"))
+    big_plus = list(P.signs("+"))
+    big_minus = list(P.signs("-"))
+    free_big_plus = set(big_plus)
+    for x in p_plus[:]:
+        for y in big_plus:
+            if y in free_big_plus and y <= x:
+                free_big_plus.discard(y)
+                p_plus.remove(x)
+                break
+    free_big_minus = set(big_minus)
+    for x in p_minus[:]:
+        for y in reversed(big_minus):
+            if y in free_big_minus and y <= x:
+                free_big_minus.discard(y)
+                p_minus.remove(x)
+                break
+    for x in p_plus[:]:
+        if p_minus:
+            p_minus.pop(0)
+            p_plus.remove(x)
+    if p_plus:
+        return _transfer_plus(P, p, p_plus[-1])
+    if free_big_minus:
+        return _transfer_minus(P, p, min(free_big_minus))
+    return None
+
+
+def _receive_plus(cols, n, level):
+    """Attach a + at the given level to the column that keeps nesting."""
+    for want in (".", "-"):
+        for k, (h, st) in enumerate(cols):
+            if st == want and _inner_height(n, h, st) == level:
+                out = list(cols)
+                out[k] = (h, "+" if want == "." else "+-")
+                return out
+    raise ValueError(f"no column accepts a + at level {level}")
+
+
+def _transfer_plus(P: PmDiagram, p: PmDiagram, j: int):
+    h, st = p.cols[j]
+    new_p = list(p.cols)
+    if st == "+":
+        if h == 1:
+            del new_p[j]
+        else:
+            new_p[j] = (h - 1, ".")
+    elif st == "+-":
+        new_p[j] = (h - 1, "-")
+    else:
+        raise ValueError("the moving column carries no +")
+    return (
+        make_pm(P.ctype, P.n, _receive_plus(P.cols, P.n, h), P.spin, P.color),
+        make_pm(p.ctype, p.n, new_p, p.spin, p.color),
+    )
+
+
+def _transfer_minus(P: PmDiagram, p: PmDiagram, j: int):
+    H, ST = P.cols[j]
+    level = _inner_height(P.n, H, ST)
+    new_P = list(P.cols)
+    new_P[j] = (H, "." if ST == "-" else "+")
+    new_p = list(p.cols)
+    for want in (".", "+"):
+        for k, (h, st) in enumerate(new_p):
+            if st == want and h == level:
+                new_p[k] = (level + 1, "-" if want == "." else "+-")
+                break
+        else:
+            continue
+        break
+    else:
+        if level != 0:
+            raise ValueError(f"no column accepts a - above level {level}")
+        new_p.append((1, "-"))
+    return (
+        make_pm(P.ctype, P.n, new_P, P.spin, P.color),
+        make_pm(p.ctype, p.n, new_p, p.spin, p.color),
+    )
+
+
+# -- parsers and fault injection ---------------------------------------------
+
+def parse_element(text: str):
+    cols = []
+    spin = None
+    for part in text.split("|"):
+        part = part.strip()
+        if not part:
+            continue
+        if part.startswith("s:"):
+            spin = tuple(1 if ch == "+" else -1 for ch in part[2:])
+        else:
+            cols.append(tuple(int(x) for x in part.split(",")))
+    return (tuple(cols), spin)
+
+
+def parse_spin_tensor(text: str):
+    return tuple(
+        tuple(1 if ch == "+" else -1 for ch in part) for part in text.split("*")
+    )
+
+
+def load_graph_document(doc: dict) -> CrystalGraph:
+    """Rebuild a crystal graph from a document (elements become strings)."""
+    spec = AffineSpec(doc["family"], doc["n"], doc["r"], doc["s"])
+    elements = [node["element"] for node in sorted(doc["nodes"], key=lambda d: d["id"])]
+    weights = [tuple(node["weight"]) for node in sorted(doc["nodes"], key=lambda d: d["id"])]
+    colors = affine_colors(spec)
+    f_edges = {i: {} for i in colors}
+    for edge in doc["edges"]:
+        f_edges[edge["color"]][edge["src"]] = edge["dst"]
+    return CrystalGraph(elements, colors, f_edges, weights)
+
+
+def with_dropped_edge(build: KRBuild, color: int, k: int = 0) -> KRBuild:
+    """A copy of the build whose k-th arrow of the given color is deleted."""
+    g = build.graph
+    f_edges = {i: dict(g.f[i]) for i in g.colors}
+    pairs = sorted(f_edges[color].items())
+    if not pairs:
+        raise ValueError(f"no arrows of color {color} to drop")
+    src, _ = pairs[k % len(pairs)]
+    del f_edges[color][src]
+    mutated = CrystalGraph(g.elements, g.colors, f_edges, g.weights)
+    return KRBuild(
+        build.spec,
+        mutated,
+        build.kind,
+        build.render,
+        ambient=build.ambient,
+        stepped=build.stepped,
+        sigma_table=build.sigma_table,
+        partner=build.partner,
+    )

@@ -8,7 +8,8 @@ from krcrystals import kr_builders
 from krcrystals import pm_diagrams as pm
 from krcrystals import tableaux
 from krcrystals.cartan import AffineSpec, Shape, kr_decomposition, kr_dimension
-from krcrystals.crystal_core import generate_closure
+from krcrystals.cli import graph_document, to_dot
+from krcrystals.crystal_core import VERTEX_BOUND, generate_closure
 from krcrystals.kr_builders import (
     SignTriple,
     build_kr,
@@ -87,10 +88,10 @@ def test_sigma_is_involution_and_commutes():
 def test_sigma_on_highest_is_diagram_involution():
     spec = AffineSpec("A2odd", 3, 1, 2)
     b = build_kr(spec)
-    shapes = kr_decomposition(spec)
+    table = pm.phi_table("C", 3, kr_decomposition(spec))
     g = b.graph
     for x in g.highest_vertices((2, 3)):
-        P = pm.phi_inverse("C", 3, g.elements[x], shapes)
+        P = pm.phi_inverse(table, g.elements[x])
         direct = pm.phi(pm.involution_S(P, spec.r, spec.s))
         assert g.elements[b.sigma_table[x]] == direct
 
@@ -118,6 +119,15 @@ def test_virtual_c_sizes_and_decomposition():
 
 def test_virtual_c_rejects_top_node():
     assert build_kr(AffineSpec("C1", 2, 2, 1)).kind == "triples"
+
+
+def test_virtual_host_over_bound_is_refused_before_work(time_limit):
+    # the spec itself (143,143 vertices) is under the bound; its host is not
+    assert kr_dimension(AffineSpec("C1", 6, 5, 2)) < VERTEX_BOUND
+    message = "A2odd n=7 r=5 s=2 would have 1002001 vertices, over the bound 1000000"
+    with pytest.raises(RuntimeError) as caught:
+        build_kr(AffineSpec("C1", 6, 5, 2))
+    assert str(caught.value) == message
 
 
 def test_virtual_c_zero_side_matches_classical_sizes():
@@ -277,7 +287,10 @@ def test_spin_pair_via_dispatch():
     b = build_kr(AffineSpec("D1", 4, 3, 2))
     assert b.kind == "spin" and b.partner.spec.r == 4
     assert len(b.graph.elements) == 35
-    assert build_kr(AffineSpec("D1", 4, 4, 2)) is b.partner
+    twin = build_kr(AffineSpec("D1", 4, 4, 2))
+    assert twin is not b.partner
+    assert graph_document(twin) == graph_document(b.partner)
+    assert to_dot(twin) == to_dot(b.partner)
 
 
 def test_spin_zero_edges_conjugate_partner_one_edges():
@@ -289,7 +302,7 @@ def test_spin_zero_edges_conjugate_partner_one_edges():
         assert g.f[0].get(x) == expect
 
 
-# -- dispatch and caching ---------------------------------------------------------
+# -- dispatch -------------------------------------------------------------------
 
 def test_dispatch_kinds():
     assert build_kr(AffineSpec("A1", 3, 1, 1)).kind == "promotion"
@@ -311,16 +324,18 @@ def test_stepped_build_closes_no_host(monkeypatch):
         closed.append(len(graph))
         return graph
 
-    monkeypatch.setattr(kr_builders, "_BUILD_CACHE", {})
     monkeypatch.setattr(kr_builders, "generate_closure", counting_closure)
     spec = AffineSpec("A2even", 3, 2, 2)
     build_kr(spec)
     assert closed == [196] == [kr_dimension(spec)]
 
 
-def test_build_cache_returns_same_object():
+def test_build_kr_builds_afresh():
     spec = AffineSpec("C1", 2, 1, 1)
-    assert build_kr(spec) is build_kr(AffineSpec("C1", 2, 1, 1))
+    first, second = build_kr(spec), build_kr(AffineSpec("C1", 2, 1, 1))
+    assert first is not second
+    assert graph_document(first) == graph_document(second)
+    assert to_dot(first) == to_dot(second)
 
 
 @pytest.mark.parametrize(

@@ -5,9 +5,11 @@ import json
 import pytest
 
 from krcrystals.cartan import AffineSpec
-from krcrystals.cli import graph_document, load_graph_document, main, to_dot
+from krcrystals.cli import graph_document, main, to_dot
 from krcrystals.kr_builders import build_kr
 from krcrystals.verify import CheckReport
+
+from oracles import load_graph_document
 
 ROUND_TRIP_SPECS = [
     ("A1", 2, 1, 2),
@@ -129,7 +131,6 @@ def test_failed_build_becomes_a_report(capsys, monkeypatch):
     def broken(spec):
         raise RuntimeError("stepped image closure has the wrong size")
 
-    monkeypatch.setattr(kr_builders, "_BUILD_CACHE", {})
     monkeypatch.setattr(kr_builders, "_build_stepped", broken)
     args = ["check", "--family", "B1", "--n", "2", "--r", "2", "--s", "1"]
     assert main(args) == 1

@@ -1,0 +1,89 @@
+"""Layout guards on src/: builds own their state, and src/ holds no test-only code.
+
+Both guards read the sources with `ast`, so they run without importing the
+package.  A module-level cache outlives the build that filled it, and a
+top-level definition that nothing in src/ or perfbench/ names is called only
+by tests; such code belongs in tests/oracles.py.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = sorted((ROOT / "src" / "krcrystals").glob("*.py"))
+CALLERS = SRC + sorted((ROOT / "perfbench").glob("*.py"))
+
+CACHE_DECORATORS = {"cache", "lru_cache", "cached_property"}
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _decorator_name(node):
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return getattr(node, "id", None)
+
+
+def _is_empty_container(node):
+    if isinstance(node, (ast.Dict, ast.List, ast.Set)):
+        return not (node.keys if isinstance(node, ast.Dict) else node.elts)
+    return (
+        isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) in ("dict", "list", "set")
+        and not node.args
+        and not node.keywords
+    )
+
+
+def _names(node):
+    """Counts of the identifiers node names: variables, attributes, imports, strings.
+
+    Strings count because perfbench reaches functions through getattr.
+    """
+    out = Counter()
+    for here in ast.walk(node):
+        if isinstance(here, ast.Name):
+            out[here.id] += 1
+        elif isinstance(here, ast.Attribute):
+            out[here.attr] += 1
+        elif isinstance(here, ast.alias):
+            out[here.name.split(".")[-1]] += 1
+        elif isinstance(here, ast.Constant) and isinstance(here.value, str):
+            if here.value.isidentifier():
+                out[here.value] += 1
+    return out
+
+
+def test_src_has_no_module_level_caches():
+    found = []
+    for path in SRC:
+        tree = _tree(path)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                for dec in node.decorator_list:
+                    if _decorator_name(dec) in CACHE_DECORATORS:
+                        found.append(f"{path.name}: @{_decorator_name(dec)} on {node.name}")
+        for node in tree.body:
+            value = node.value if isinstance(node, (ast.Assign, ast.AnnAssign)) else None
+            if value is not None and _is_empty_container(value):
+                found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert found == []
+
+
+def test_every_top_level_definition_has_a_caller_outside_tests():
+    trees = {path: _tree(path) for path in CALLERS}
+    named = sum((_names(tree) for tree in trees.values()), Counter())
+    orphans = []
+    for path in SRC:
+        for node in trees[path].body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            # a definition that only names itself (recursion) has no caller
+            if named[node.name] - _names(node)[node.name] == 0:
+                orphans.append(f"{path.name}: {node.name}")
+    assert orphans == []

@@ -8,21 +8,19 @@ from krcrystals.pm_diagrams import (
     PmDiagram,
     SignTriple,
     double_pm,
-    e1_on_pair,
     enumerate_pm,
     f_string,
-    halve_pm,
     highest_element,
     involution_S,
     is_doubled,
     make_pm,
     phi,
-    phi_direct,
     phi_inverse,
+    phi_table,
 )
 from krcrystals.tableaux import tableau_apply, tableau_weight
 
-from oracles import tableau_eps_phi
+from oracles import e1_on_pair, halve_pm, phi_direct, tableau_eps_phi
 
 
 def apply_word(ctype, n, elem, word, op):
@@ -233,15 +231,26 @@ def test_phi_single_minus_reaches_lowest_letter():
 
 @pytest.mark.parametrize("ctype,n,shape", PHI_GRID, ids=str)
 def test_phi_inverse_roundtrip(ctype, n, shape):
+    table = phi_table(ctype, n, (shape,))
+    assert len(table) == len(enumerate_pm(ctype, n, shape))
     for P in enumerate_pm(ctype, n, shape):
-        assert phi_inverse(ctype, n, phi(P), (shape,)) == P
+        assert phi_inverse(table, phi(P)) == P
 
 
 def test_phi_inverse_rejects_unknown_elements():
     shape = Shape(rows=(1,))
     stranger = (((-2,),), None)  # not {2..n}-highest
     with pytest.raises(ValueError):
-        phi_inverse("C", 2, stranger, (shape,))
+        phi_inverse(phi_table("C", 2, (shape,)), stranger)
+
+
+def test_phi_table_refuses_two_diagrams_on_one_element(monkeypatch):
+    # a Phi that is not injective would give a wrong sigma; the table says so
+    from krcrystals import pm_diagrams
+
+    monkeypatch.setattr(pm_diagrams, "phi", lambda P: (((1,),), None))
+    with pytest.raises(RuntimeError, match="to one element"):
+        phi_table("C", 2, (Shape(rows=(1,)),))
 
 
 @pytest.mark.parametrize(

@@ -17,8 +17,6 @@ from krcrystals.tableaux import (
     letter_signs,
     letter_weight,
     order_key,
-    parse_element,
-    parse_spin_tensor,
     precedes,
     reading_word,
     signature_index,
@@ -33,7 +31,14 @@ from krcrystals.tableaux import (
     tableau_weight,
 )
 
-from oracles import letter_eps, letter_phi, reduce_signature, tableau_eps_phi
+from oracles import (
+    letter_eps,
+    letter_phi,
+    parse_element,
+    parse_spin_tensor,
+    reduce_signature,
+    tableau_eps_phi,
+)
 
 
 def test_letter_orders():

@@ -19,9 +19,10 @@ from krcrystals.verify import (
     check_sigma,
     default_grid,
     run_suite,
-    with_dropped_edge,
     zero_pairing,
 )
+
+from oracles import with_dropped_edge
 
 
 def _vertex(build, wt, isolated=False):
