@@ -167,21 +167,20 @@ class CrystalGraph:
 
 
 def greedy_raise(x, colors, up):
-    """Raise by the first color that applies until none does.
+    """Raise each color's whole e-string in turn, sweeping until none applies.
 
     ``up(i, x)`` returns the raised element or None.  Returns the color path
     and the top; applying f along the reversed path from the top gives x back.
     """
     path = []
-    while True:
+    moved = True
+    while moved:
+        moved = False
         for i in colors:
-            y = up(i, x)
-            if y is not None:
+            while (y := up(i, x)) is not None:
                 path.append(i)
-                x = y
-                break
-        else:
-            return path, x
+                x, moved = y, True
+    return path, x
 
 
 def generate_closure(seeds, colors, apply_fn, weight_fn, bound=VERTEX_BOUND):

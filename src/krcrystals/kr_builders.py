@@ -188,14 +188,26 @@ def _build_promotion(spec):
 
 # -- families with the 0-node attached at node 1: sigma conjugation -----------
 
+def _sigma_on_tops(table, r, s):
+    """sigma on each {2..n}-top of a phi_table: the entry of its involuted diagram.
+
+    RuntimeError if involution_S leaves the table or is not an involution on it.
+    """
+    top_of = {P: top for top, P in table.items()}
+    sigma = {top: top_of.get(pm.involution_S(P, r, s)) for top, P in table.items()}
+    if None in sigma.values():
+        raise RuntimeError("involution_S sends a diagram off the diagram table")
+    if any(sigma[y] != x for x, y in sigma.items()):
+        raise RuntimeError("sigma is not an involution on the {2..n}-tops")
+    return sigma
+
+
 def _sigma_dba_table(graph, ctype, n, r, s, shapes):
-    """sigma at every {2..n}-top via the diagram involution, transported."""
+    """sigma at every {2..n}-top read off the diagram table, transported."""
     jcolors = tuple(range(2, n + 1))
-    table = pm.phi_table(ctype, n, shapes)
-    anchors = {}
-    for top in graph.highest_vertices(jcolors):
-        P = pm.phi_inverse(table, graph.elements[top])
-        anchors[top] = graph.index[pm.phi(pm.involution_S(P, r, s))]
+    on_tops = _sigma_on_tops(pm.phi_table(ctype, n, shapes), r, s)
+    tops = graph.highest_vertices(jcolors)
+    anchors = {x: graph.index[on_tops[graph.elements[x]]] for x in tops}
     sigma = _transport(graph, lambda i, y: graph.f[i].get(y), anchors, jcolors)
     bad = [x for x in sigma if sigma[sigma[x]] != x]
     if bad:
@@ -295,11 +307,11 @@ class SteppedHost:
     (N = n), or, for A2even and D2 below the top node (N = n + 1), its
     sigma-fixed locus read as a C1 crystal of rank n whose colors 0 and i
     are the host operators f_0 f_1 and f_{i+1}.  The stepped build takes the
-    m_i-th powers of the colors.  No host crystal is closed: sigma raises an
-    element to its {2..N}-highest element, applies the diagram involution
-    there and descends the same path, so every arrow comes from the element
-    alone.  The diagram table sigma reads, sigma and the host arrows live on
-    this object, as long as its build.  Broken invariants raise RuntimeError.
+    m_i-th powers of the colors.  No host crystal is closed: sigma on the
+    {2..N}-tops is read off the diagram table, and any other element is raised
+    by whole e-strings to a top (or an element of known sigma), whose image
+    descends the same path.  sigma and the host arrows live on this object,
+    as long as its build.  Broken invariants raise RuntimeError.
     """
 
     def __init__(self, n, r, s, virtual, m):
@@ -308,10 +320,9 @@ class SteppedHost:
         self.shapes = kr_decomposition(AffineSpec("A2odd", self.rank, r, s))
         # shapes of the host's classical (C_n) decomposition
         self.model_shapes = _c_virtual_shapes(n, r, s) if virtual else self.shapes
-        self._phi = pm.phi_table("C", self.rank, self.shapes)
-        self._sigma = {}
+        self._sigma = _sigma_on_tops(pm.phi_table("C", self.rank, self.shapes), r, s)
         self._arrows = {}
-        self._fixed_tops = None
+        self._fixed_tops = [top for top, image in self._sigma.items() if image == top]
 
     # -- the A2odd crystal ----------------------------------------------------
 
@@ -330,9 +341,9 @@ class SteppedHost:
         return out
 
     def _reflect(self, elem):
-        """sigma(elem), carried down from its {2..N}-highest element.
+        """sigma(elem), carried down from the first element of known image.
 
-        The raise stops early at an element whose image is already known.
+        Every {2..N}-top is known, so the raise ends at one at the latest.
         """
         N = self.rank
         memo = self._sigma
@@ -341,10 +352,8 @@ class SteppedHost:
             return None if x in memo else tableaux.tableau_apply("C", N, x, i, "e")
 
         path, top = greedy_raise(elem, range(2, N + 1), up)
-        y = memo.get(top)
-        if y is None:
-            P = pm.phi_inverse(self._phi, top)
-            y = pm.phi(pm.involution_S(P, self.r, self.s))
+        if (y := memo.get(top)) is None:
+            raise RuntimeError("sigma's raise ended off the diagram table")
         for i in reversed(path):
             y = tableaux.tableau_apply("C", N, y, i, "f")
             if y is None:
@@ -394,13 +403,7 @@ class SteppedHost:
 
     def _fixed_top(self, wt):
         """The sigma-fixed {2..N}-highest host element of a given host weight."""
-        if self._fixed_tops is None:
-            tops = {}
-            for top, P in self._phi.items():
-                if pm.involution_S(P, self.r, self.s) == P:
-                    tops.setdefault(self.host_weight(top), []).append(top)
-            self._fixed_tops = tops
-        hits = self._fixed_tops.get(wt, [])
+        hits = [top for top in self._fixed_tops if self.host_weight(top) == wt]
         if len(hits) != 1:
             raise RuntimeError(f"classical top of weight {wt} is not unique")
         return hits[0]

@@ -5,7 +5,9 @@ operators, and `reduce_signature` cancels the signs of a whole tensor word;
 `tableaux.letter_signs` and `tableaux.tableau_apply` are checked against
 them.  `phi_direct` fills the columns of a diagram directly and is checked
 against the walk `pm_diagrams.phi`; `halve_pm` inverts `double_pm`;
-`e1_on_pair` raises color 1 on a stacked pair of diagrams.  The parsers
+`e1_on_pair` raises color 1 on a stacked pair of diagrams.
+`first_color_raise` is the raise that restarts from the first color after
+every step, against which `crystal_core.greedy_raise` is checked.  The parsers
 invert the element formatters, `load_graph_document` inverts
 `cli.graph_document`, and `with_dropped_edge` is the fault injection the
 suites must catch.
@@ -68,6 +70,20 @@ def reduce_signature(pairs) -> tuple[int, int]:
         minus += e
         plus += p
     return minus, plus
+
+
+def first_color_raise(x, colors, up):
+    """Raise by the first color that applies until none does; (color path, top)."""
+    path = []
+    while True:
+        for i in colors:
+            y = up(i, x)
+            if y is not None:
+                path.append(i)
+                x = y
+                break
+        else:
+            return path, x
 
 
 # -- diagrams: the direct column filling, halving, e_1 on stacked pairs ------

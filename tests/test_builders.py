@@ -1,5 +1,7 @@
 """Builder routes: desk-sized oracles for every family."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +10,7 @@ from krcrystals import kr_builders
 from krcrystals import pm_diagrams as pm
 from krcrystals import tableaux
 from krcrystals.cartan import AffineSpec, Shape, kr_decomposition, kr_dimension
-from krcrystals.cli import graph_document, to_dot
+from krcrystals.cli import graph_document, main, to_dot
 from krcrystals.crystal_core import VERTEX_BOUND, generate_closure
 from krcrystals.kr_builders import (
     SignTriple,
@@ -198,6 +200,62 @@ def test_stepped_route_matches_materialized_host(fam, n, r, s, host_size):
                 y = None if y is None else hg.f[i].get(y)
             edge = b.graph.f[i].get(x)
             assert (None if edge is None else hg.index[b.graph.elements[edge]]) == y
+
+
+@pytest.mark.parametrize(
+    "fam,n,r,s", [("B1", 2, 2, 2), ("A2even", 2, 2, 1), ("D2", 3, 2, 1)]
+)
+def test_stepped_sigma_on_tops_is_the_involuted_diagram_walk(fam, n, r, s):
+    # sigma at every {2..N}-top of the host against phi of the involuted
+    # diagram, walked here instead of read off the table
+    host = build_kr(AffineSpec(fam, n, r, s)).stepped
+    table = pm.phi_table("C", host.rank, host.shapes)
+    for top in table:
+        P = pm.phi_inverse(table, top)
+        assert host.sigma(top) == pm.phi(pm.involution_S(P, host.r, host.s))
+
+
+def test_stepped_build_tableau_apply_calls(monkeypatch):
+    # the count is deterministic; the bound sits between the 37,673 calls of
+    # sigma read off the table at the tops and raised by whole strings, and
+    # the 56,694 of re-walking each top and raising one step per sweep
+    calls = []
+    apply = tableaux.tableau_apply
+
+    def counted(*args):
+        calls.append(None)
+        return apply(*args)
+
+    monkeypatch.setattr(tableaux, "tableau_apply", counted)
+    assert len(build_kr(AffineSpec("A2even", 3, 3, 2)).graph) == 490
+    assert len(calls) < 45_000
+
+
+def test_non_involution_fails_host_construction(monkeypatch, capsys):
+    # every diagram goes where the first one asked about in its context goes
+    involution, first = pm.involution_S, {}
+
+    def constant(P, r, s):
+        return involution(first.setdefault((P.n, r, s), P), r, s)
+
+    monkeypatch.setattr(pm, "involution_S", constant)
+    for spec in (AffineSpec("A2even", 2, 2, 1), AffineSpec("A2odd", 2, 1, 1)):
+        with pytest.raises(RuntimeError, match="not an involution on the"):
+            build_kr(spec)
+    args = ["check", "--family", "A2even", "--n", "2", "--r", "2", "--s", "1"]
+    assert main(args + ["--format", "json"]) == 1
+    reports = json.loads(capsys.readouterr().out)
+    assert [(rep["suite"], rep["passed"]) for rep in reports] == [("build", False)]
+    assert "not an involution on the" in reports[0]["detail"]
+
+
+def test_involution_off_the_table_fails_host_construction(monkeypatch):
+    # five bare boxes in a row: a valid diagram of no shape in either table
+    row = pm.make_pm("C", 2, ((1, "."),) * 5)
+    monkeypatch.setattr(pm, "involution_S", lambda P, r, s: row)
+    for spec in (AffineSpec("A2even", 2, 2, 1), AffineSpec("A2odd", 2, 1, 1)):
+        with pytest.raises(RuntimeError, match="off the diagram table"):
+            build_kr(spec)
 
 
 def test_classical_model_of_stepped_build():

@@ -3,7 +3,7 @@
 import pytest
 
 from krcrystals.cartan import Shape, weyl_dimension
-from krcrystals.crystal_core import CrystalGraph, generate_closure
+from krcrystals.crystal_core import CrystalGraph, generate_closure, greedy_raise
 from krcrystals.tableaux import (
     letter_e,
     letter_f,
@@ -11,6 +11,8 @@ from krcrystals.tableaux import (
     tableau_apply,
     tableau_weight,
 )
+
+from oracles import first_color_raise
 
 
 def letter_graph(ctype, n, colors):
@@ -89,6 +91,34 @@ def test_raise_path_returns_to_highest():
     path, top = g.raise_path(x, (1, 2))
     assert top == hi
     assert len(path) == 4
+
+
+@pytest.mark.parametrize(
+    "ctype,n,rank,shapes",
+    [
+        ("A", 4, 3, [Shape((2, 1)), Shape((1, 1))]),
+        ("B", 3, 3, [Shape((2, 1))]),
+        ("C", 3, 3, [Shape((2, 1))]),
+        ("D", 4, 4, [Shape((1, 1)), Shape((2,))]),
+    ],
+)
+def test_sweep_raise_agrees_with_first_color_rule(ctype, n, rank, shapes):
+    # raising whole strings reaches the same highest vertex as restarting
+    # from the first color after each step, and f undoes the path
+    g = tableau_graph(ctype, n, tuple(range(1, rank + 1)), shapes)
+
+    def up(i, x):
+        return g.e[i].get(x)
+
+    for colors in (tuple(range(1, rank + 1)), tuple(range(2, rank + 1))):
+        for x in range(len(g)):
+            path, top = greedy_raise(x, colors, up)
+            assert top == first_color_raise(x, colors, up)[1]
+            assert all(g.e[i].get(top) is None for i in colors)
+            y = top
+            for i in reversed(path):
+                y = g.f[i][y]
+            assert y == x
 
 
 def test_decomposition_rejects_multiple_tops():
