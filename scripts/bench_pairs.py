@@ -4,7 +4,8 @@
         grid_check=10 wide_build=3 plan=3
 
 The parent is the committed tree of --rev, unpacked with `git archive` into a
-temporary directory; the change is the working tree of this checkout.  Each
+temporary directory next to this checkout, so both sides import from the same
+file system; the change is the working tree of this checkout.  Each
 pair runs `perfbench/run.py --trace 0 --seconds S` once on each side, and the
 side that goes first alternates from pair to pair.  The file holds every JSON
 result line, the non-blank `src/` line count of both sides and, per workload
@@ -96,7 +97,7 @@ def main(argv=None) -> int:
     plan = [(w, int(k)) for w, k in (item.split("=") for item in args.plan)]
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory(dir=ROOT.parent) as tmp:
         parent_root = Path(tmp)
         sha = unpack(args.rev, parent_root)
         roots = {"parent": parent_root, "change": ROOT}

@@ -23,6 +23,11 @@ from .verify import (
 )
 
 
+def _edges(graph):
+    """Every arrow as (source, target, color), sorted."""
+    return sorted((x, y, i) for i in graph.colors for x, y in graph.f[i].items())
+
+
 def graph_document(build) -> dict:
     """JSON-ready dict; node ids are the builder's breadth-first indices."""
     g = build.graph
@@ -31,16 +36,13 @@ def graph_document(build) -> dict:
         {"id": x, "element": build.render(g.elements[x]), "weight": list(g.weights[x])}
         for x in range(len(g))
     ]
-    edges = sorted(
-        (x, y, i) for i in g.colors for x, y in g.f[i].items()
-    )
     return {
         "family": spec.family,
         "n": spec.n,
         "r": spec.r,
         "s": spec.s,
         "nodes": nodes,
-        "edges": [{"src": x, "dst": y, "color": i} for x, y, i in edges],
+        "edges": [{"src": x, "dst": y, "color": i} for x, y, i in _edges(g)],
     }
 
 
@@ -49,7 +51,7 @@ def to_dot(build) -> str:
     lines = [f'digraph "{build.spec.family} n={build.spec.n} r={build.spec.r} s={build.spec.s}" {{']
     for x in range(len(g)):
         lines.append(f'  v{x} [label="{build.render(g.elements[x])}"];')
-    for x, y, i in sorted((x, y, i) for i in g.colors for x, y in g.f[i].items()):
+    for x, y, i in _edges(g):
         lines.append(f'  v{x} -> v{y} [label="{i}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

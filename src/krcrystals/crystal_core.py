@@ -183,11 +183,13 @@ def greedy_raise(x, colors, up):
     return path, x
 
 
-def generate_closure(seeds, colors, apply_fn, weight_fn, bound=VERTEX_BOUND):
+def generate_closure(seeds, colors, neighbours, weight_fn, bound=VERTEX_BOUND):
     """Close seed elements under e_i/f_i for all given colors.
 
-    ``apply_fn(elem, i, op)`` returns the neighbor element or None.  Raises
-    if the closure exceeds ``bound`` vertices or arrows conflict.
+    ``neighbours(elem)`` gives (i, f_i elem, e_i elem) for each color in
+    order, None where an operator vanishes.  Raises if the closure exceeds
+    ``bound`` vertices or arrows conflict: the f_i arrow out of y that e_i
+    at x claims must be the one f_i at y gives.
     """
     elements = []
     index = {}
@@ -210,13 +212,11 @@ def generate_closure(seeds, colors, apply_fn, weight_fn, bound=VERTEX_BOUND):
     while queue:
         elem = queue.popleft()
         x = index[elem]
-        for i in colors:
-            down = apply_fn(elem, i, "f")
+        for i, down, up in neighbours(elem):
             if down is not None:
                 y = intern(down)
                 if f_edges[i].setdefault(x, y) != y:
                     raise RuntimeError(f"conflicting f_{i} arrow at {elem!r}")
-            up = apply_fn(elem, i, "e")
             if up is not None:
                 y = intern(up)
                 if f_edges[i].setdefault(y, x) != x:

@@ -48,14 +48,10 @@ class KRBuild:
 def classical_crystal(ctype, n, shapes, colors):
     """Disjoint union of the tableau crystals B(shape), closed under colors."""
     seeds = [pm.highest_element(ctype, n, sh) for sh in shapes]
-
-    def apply_fn(elem, i, op):
-        return tableaux.tableau_apply(ctype, n, elem, i, op)
-
-    def weight_fn(elem):
-        return tableaux.tableau_weight(ctype, n, elem[0], elem[1])
-
-    return generate_closure(seeds, colors, apply_fn, weight_fn)
+    table = tableaux.SignatureTable(ctype, n, colors)
+    return generate_closure(
+        seeds, colors, table.neighbours, lambda elem: tableaux.tableau_weight(ctype, n, *elem)
+    )
 
 
 def _transport(src, dst_f, anchors, colors):
@@ -113,16 +109,13 @@ def classical_model(build):
     elif build.kind == "spin":
         raise ValueError("spin builds have no single-tableau classical model")
     else:
-        ctype, n = build.spec.classical_type, build.spec.n
+        ctype, n, colors = build.spec.classical_type, build.spec.n, build.spec.classical_colors
         anchors = {}
         for sh in model_shapes(build):
             top = pm.highest_element(ctype, n, sh)
             anchors[_locate_top(build, top)] = top
-
-        def tableau_f(i, tab):
-            return tableaux.tableau_apply(ctype, n, tab, i, "f")
-
-        model = _transport(build.graph, tableau_f, anchors, build.spec.classical_colors)
+        step = tableaux.SignatureTable(ctype, n, colors).apply
+        model = _transport(build.graph, lambda i, tab: step(tab, i, "f"), anchors, colors)
     build._model = model
     return model
 
@@ -275,12 +268,14 @@ def _build_virtual(spec):
         y = _virtual_arrow(step, hg.index[elem], i, op, lambda y: host.sigma_table[y] == y)
         return None if y is None else hg.elements[y]
 
+    def neighbours(elem):
+        return [(i, apply_fn(elem, i, "f"), apply_fn(elem, i, "e")) for i in colors]
+
     def weight_fn(elem):
         return tuple(hg.weights[hg.index[elem]][1:])
 
-    graph = generate_closure(
-        [hg.elements[x] for x in fixed], tuple(range(n + 1)), apply_fn, weight_fn
-    )
+    colors = tuple(range(n + 1))
+    graph = generate_closure([hg.elements[x] for x in fixed], colors, neighbours, weight_fn)
     if len(graph.elements) != len(fixed):
         raise RuntimeError("virtual closure left the fixed-point set")
     vmap = {k: hg.index[el] for k, el in enumerate(graph.elements)}
@@ -310,8 +305,9 @@ class SteppedHost:
     m_i-th powers of the colors.  No host crystal is closed: sigma on the
     {2..N}-tops is read off the diagram table, and any other element is raised
     by whole e-strings to a top (or an element of known sigma), whose image
-    descends the same path.  sigma and the host arrows live on this object,
-    as long as its build.  Broken invariants raise RuntimeError.
+    descends the same path.  sigma, the host arrows and the signature table
+    that takes every single host step live on this object, as long as its
+    build.  Broken invariants raise RuntimeError.
     """
 
     def __init__(self, n, r, s, virtual, m):
@@ -322,6 +318,7 @@ class SteppedHost:
         self.model_shapes = _c_virtual_shapes(n, r, s) if virtual else self.shapes
         self._sigma = _sigma_on_tops(pm.phi_table("C", self.rank, self.shapes), r, s)
         self._arrows = {}
+        self._table = tableaux.SignatureTable("C", self.rank, range(1, self.rank + 1))
         self._fixed_tops = [top for top, image in self._sigma.items() if image == top]
 
     # -- the A2odd crystal ----------------------------------------------------
@@ -345,24 +342,23 @@ class SteppedHost:
 
         Every {2..N}-top is known, so the raise ends at one at the latest.
         """
-        N = self.rank
-        memo = self._sigma
+        memo, step = self._sigma, self._table.apply
 
         def up(i, x):
-            return None if x in memo else tableaux.tableau_apply("C", N, x, i, "e")
+            return None if x in memo else step(x, i, "e")
 
-        path, top = greedy_raise(elem, range(2, N + 1), up)
+        path, top = greedy_raise(elem, range(2, self.rank + 1), up)
         if (y := memo.get(top)) is None:
             raise RuntimeError("sigma's raise ended off the diagram table")
         for i in reversed(path):
-            y = tableaux.tableau_apply("C", N, y, i, "f")
+            y = step(y, i, "f")
             if y is None:
                 raise RuntimeError(f"sigma died descending an f_{i} arrow")
         return y
 
     def _tail_apply(self, elem, i, op):
         if i:
-            return tableaux.tableau_apply("C", self.rank, elem, i, op)
+            return self._table.apply(elem, i, op)
         y = self._tail_apply(self.sigma(elem), 1, op)
         return None if y is None else self.sigma(y)
 
@@ -442,6 +438,9 @@ class SteppedHost:
                 return None
         return elem
 
+    def neighbours(self, elem):
+        return [(i, self.apply(elem, i, "f"), self.apply(elem, i, "e")) for i in range(self.n + 1)]
+
     def weight(self, elem):
         w = self.host_weight(elem)
         if any(c % 2 for c in w):
@@ -461,7 +460,7 @@ def _build_stepped(spec):
         host.seed(pm.phi(pm.double_pm(_seed_diagram(ctype, n, sh))))
         for sh in kr_decomposition(spec)
     ]
-    graph = generate_closure(seeds, tuple(range(n + 1)), host.apply, host.weight)
+    graph = generate_closure(seeds, tuple(range(n + 1)), host.neighbours, host.weight)
     if len(graph.elements) != kr_dimension(spec):
         raise RuntimeError("stepped image closure has the wrong size")
     return KRBuild(spec, graph, "stepped", tableaux.format_element, stepped=host)
@@ -579,18 +578,6 @@ def _build_triples(spec):
 
 # -- type D tail nodes: mirrored spin pair -------------------------------------
 
-def _spin_tensor_apply(n, vecs, i, op):
-    pairs = [
-        (tableaux.spin_eps("D", n, i, v), tableaux.spin_phi("D", n, i, v))
-        for v in vecs
-    ]
-    k = tableaux.signature_index(pairs, op)
-    if k is None:
-        return None
-    act = tableaux.spin_e if op == "e" else tableaux.spin_f
-    return vecs[:k] + (act("D", n, i, vecs[k]),) + vecs[k + 1 :]
-
-
 def _spin_tensor_weight(vecs):
     return tuple(sum(v[j] for v in vecs) for j in range(len(vecs[0])))
 
@@ -609,15 +596,14 @@ def _spin_branching(n, s, color, cls):
     """{2..n}-top vertex -> diagram, for one tensor power of a spin crystal."""
     k = s // 2
     sh = Shape((k,) * n if k else (), spin=s % 2, color=color)
-    top = cls.elements[0]
     table = {}
     for P in pm.enumerate_pm("D", n, sh):
-        vecs = top
+        x = 0  # the seed, the highest element
         for a in reversed(pm.f_string(P)):
-            vecs = _spin_tensor_apply(n, vecs, a, "f")
-            if vecs is None:
+            x = cls.f[a].get(x)
+            if x is None:
                 raise RuntimeError(f"branching walk died for {P}")
-        table[cls.index[vecs]] = P
+        table[x] = P
     jcolors = tuple(range(2, n + 1))
     tops = set(cls.highest_vertices(jcolors))
     if set(table) != tops or len(table) != len(tops):
@@ -633,15 +619,13 @@ def _build_spin(spec):
     n, s = spec.n, spec.s
     jcolors = tuple(range(2, n + 1))
     colors = tuple(range(1, n + 1))
+    rule = tableaux.SpinTensorTable("D", n, colors)
     cls = {}
     tables = {}
     for color in (1, 2):
         top = (1,) * n if color == 1 else (1,) * (n - 1) + (-1,)
         cls[color] = generate_closure(
-            [((top),) * s],
-            colors,
-            lambda vecs, i, op: _spin_tensor_apply(n, vecs, i, op),
-            _spin_tensor_weight,
+            [(top,) * s], colors, rule.neighbours, _spin_tensor_weight
         )
         tables[color] = _spin_branching(n, s, color, cls[color])
     sigma = {}

@@ -41,15 +41,6 @@ def preceq(ctype: str, n: int, x: int, y: int) -> bool:
     return x == y or precedes(ctype, n, x, y)
 
 
-def letter_weight(x: int, n: int) -> tuple[int, ...]:
-    w = [0] * n
-    if x > 0:
-        w[x - 1] = 2
-    elif x < 0:
-        w[-x - 1] = -2
-    return tuple(w)
-
-
 # -- single-letter crystal operators ----------------------------------------
 
 def letter_f(ctype: str, n: int, i: int, x: int):
@@ -300,68 +291,147 @@ def reading_word(cols):
 
 
 def tableau_weight(ctype: str, n: int, cols, spin=None) -> tuple[int, ...]:
-    w = [0] * n
+    """Doubled weight: 2 at i per letter i, -2 per bar i, plus the spin signs."""
+    w = list(spin) if spin is not None else [0] * n
     for x in reading_word(cols):
-        for k, v in enumerate(letter_weight(x, n)):
-            w[k] += v
-    if spin is not None:
-        w = [a + b for a, b in zip(w, spin)]
+        if x:
+            w[abs(x) - 1] += 2 if x > 0 else -2
     return tuple(w)
 
 
 def tableau_apply(ctype: str, n: int, elem, i: int, op: str):
     """Apply e_i/f_i ('e'/'f') via the signature rule; None if it vanishes.
 
-    One pass over the reading word keeps only the letters that carry a sign,
-    with their (column, row); a (0, 0) factor never moves the signature's
-    pending count, so the acted-on factor is the same as over the whole word.
+    `SignatureTable.apply` without a table: the rule over the factors picks
+    the column, and the rule over that column's letters picks the letter.
     """
-    cols, spin = elem
     signs = letter_signs(ctype, n, i)
-    cells, pairs = [], []
-    for c in range(len(cols) - 1, -1, -1):
-        for r, x in enumerate(cols[c]):
-            pair = signs.get(x)
-            if pair is not None:
-                cells.append((c, r))
-                pairs.append(pair)
+    cols, spin = elem
+    sigs = [signature([signs.get(x, (0, 0)) for x in col]) for col in reversed(cols)]
     if spin is not None:
-        pairs.append((spin_eps(ctype, n, i, spin), spin_phi(ctype, n, i, spin)))
-    j = signature_index(pairs, op)
-    if j is None:
+        sigs.append(spin_entry(ctype, n, i, spin))
+    k = signature_index(sigs, op)
+    if k is None:
         return None
-    if j == len(cells):
-        act = spin_e if op == "e" else spin_f
-        return (cols, act(ctype, n, i, spin))
-    c, r = cells[j]
-    act = letter_e if op == "e" else letter_f
-    new_col = cols[c][:r] + (act(ctype, n, i, cols[c][r]),) + cols[c][r + 1 :]
-    return (cols[:c] + (new_col,) + cols[c + 1 :], spin)
+    at = sigs[k][2 if op == "e" else 3]  # the spin image, or the column's letter
+    image = at if k == len(cols) else _moved(ctype, n, i, cols[-1 - k], at, op)
+    return SignatureTable._put(elem, k, image)
 
 
 # -- the signature rule -------------------------------------------------------
 
-def signature_index(pairs, op: str):
-    """Factor index acted on by e_i (rightmost -) or f_i (leftmost +).
+def signature(pairs):
+    """(eps, phi, e index, f index) of a tensor product from per-factor (eps, phi).
 
     Each factor reads -^eps +^phi, and a + cancels the nearest free - to its
-    right.  f scans right to left counting the pending -'s; a factor whose phi
-    exceeds them keeps a free +, and the last such factor is the leftmost.  e
-    mirrors this left to right with the pending +'s.
+    right.  e acts on the factor of the rightmost free -, f on that of the
+    leftmost free +, None where none is left.  In one left-to-right pass a
+    free - stays free, and the leftmost free + resets when none is pending.
     """
-    if op == "e":
-        order, take, give = range(len(pairs)), 0, 1
-    else:
-        order, take, give = range(len(pairs) - 1, -1, -1), 1, 0
-    pending, hit = 0, None
-    for k in order:
-        pair = pairs[k]
-        if pair[take] > pending:
-            hit, pending = k, 0
+    minus = plus = 0
+    e_at = f_at = None
+    for k, pair in enumerate(pairs):
+        eps, phi = pair[0], pair[1]
+        if eps > plus:
+            minus += eps - plus
+            plus, e_at = 0, k
         else:
-            pending -= pair[take]
-        pending += pair[give]
-    return hit
+            plus -= eps
+        if not plus:
+            f_at = k if phi else None
+        plus += phi
+    return minus, plus, e_at, f_at
+
+
+def signature_index(pairs, op: str):
+    """Factor index acted on by e_i (rightmost free -) or f_i (leftmost free +)."""
+    return signature(pairs)[2 if op == "e" else 3]
+
+
+# -- tensors of factors: one entry per factor and color -----------------------
+
+def column_entry(ctype: str, n: int, i: int, col):
+    """(eps_i, phi_i, e_i image, f_i image) of a column, the tensor of its letters."""
+    signs = letter_signs(ctype, n, i)
+    eps, phi, e_at, f_at = signature([signs.get(x, (0, 0)) for x in col])
+    return eps, phi, _moved(ctype, n, i, col, e_at, "e"), _moved(ctype, n, i, col, f_at, "f")
+
+
+def _moved(ctype, n, i, col, r, op):
+    """col with its letter r moved by e_i/f_i ('e'/'f'); None if r is None."""
+    if r is None:
+        return None
+    act = letter_e if op == "e" else letter_f
+    return col[:r] + (act(ctype, n, i, col[r]),) + col[r + 1 :]
+
+
+def spin_entry(ctype: str, n: int, i: int, sv):
+    """(eps_i, phi_i, e_i image, f_i image) of a spin vector."""
+    return tuple(rule(ctype, n, i, sv) for rule in (spin_eps, spin_phi, spin_e, spin_f))
+
+
+class SignatureTable:
+    """The signature rule on the tensor factors of tableaux, one entry per factor.
+
+    A tableau (cols, spin) is the tensor of its columns, rightmost first,
+    then the type B spin column; a column is the tensor of its letters.  The
+    acted-on sign is the acted-on factor's own leftmost free + (f) or
+    rightmost free - (e), so a step is the rule over the factors' (eps, phi)
+    and one factor swapped for its image.  A factor's entries, one per color,
+    are computed when the table first meets it; each build owns its table.
+    """
+
+    def __init__(self, ctype: str, n: int, colors):
+        self.ctype, self.n, self.colors = ctype, n, tuple(colors)
+        self._slot = {i: k for k, i in enumerate(self.colors)}
+        self._columns, self._spins = {}, {}  # factor -> its entry for each color
+
+    def _row(self, memo, entry, factor):
+        row = memo.get(factor)
+        if row is None:
+            row = memo[factor] = tuple(entry(self.ctype, self.n, i, factor) for i in self.colors)
+        return row
+
+    def _rows(self, elem):
+        cols, spin = elem
+        memo = self._columns
+        rows = [memo.get(col) or self._row(memo, column_entry, col) for col in reversed(cols)]
+        if spin is not None:
+            rows.append(self._row(self._spins, spin_entry, spin))
+        return rows
+
+    @staticmethod
+    def _put(elem, k, image):
+        """elem with tensor factor k replaced; factors run right to left, spin last."""
+        cols, spin = elem
+        c = len(cols) - 1 - k
+        return (cols, image) if c < 0 else (cols[:c] + (image,) + cols[c + 1 :], spin)
+
+    def apply(self, elem, i: int, op: str):
+        """e_i/f_i ('e'/'f') of elem; None if it vanishes."""
+        k = self._slot[i]
+        entries = [row[k] for row in self._rows(elem)]
+        j = signature_index(entries, op)
+        return None if j is None else self._put(elem, j, entries[j][2 if op == "e" else 3])
+
+    def neighbours(self, elem):
+        """(i, f_i elem, e_i elem) for every color, from one pass over the factors."""
+        put = self._put
+        for i, entries in zip(self.colors, zip(*self._rows(elem))):
+            _, _, e_at, f_at = signature(entries)
+            down = None if f_at is None else put(elem, f_at, entries[f_at][3])
+            yield i, down, None if e_at is None else put(elem, e_at, entries[e_at][2])
+
+
+class SpinTensorTable(SignatureTable):
+    """The same rule on tensors of spin vectors, the crystals of the D spin nodes."""
+
+    def _rows(self, vecs):
+        return [self._row(self._spins, spin_entry, sv) for sv in vecs]
+
+    @staticmethod
+    def _put(vecs, k, image):
+        return vecs[:k] + (image,) + vecs[k + 1 :]
 
 
 # -- enumeration (independent oracle for classical crystals) ------------------

@@ -3,8 +3,11 @@
 `letter_phi`/`letter_eps` count steps along an i-string through the letter
 operators, and `reduce_signature` cancels the signs of a whole tensor word;
 `tableaux.letter_signs` and `tableaux.tableau_apply` are checked against
-them.  `phi_direct` fills the columns of a diagram directly and is checked
-against the walk `pm_diagrams.phi`; `halve_pm` inverts `double_pm`;
+them, and `tableaux.tableau_weight` against the sum of `letter_weight`.
+`spin_tensor_apply` runs the signature rule on a spin tensor per call, from
+the spin vectors' own (eps, phi); `tableaux.SpinTensorTable` is checked
+against it.  `phi_direct` fills the columns of a diagram directly and is
+checked against the walk `pm_diagrams.phi`; `halve_pm` inverts `double_pm`;
 `e1_on_pair` raises color 1 on a stacked pair of diagrams.
 `first_color_raise` is the raise that restarts from the first color after
 every step, against which `crystal_core.greedy_raise` is checked.  The parsers
@@ -13,6 +16,7 @@ invert the element formatters, `load_graph_document` inverts
 suites must catch.
 """
 
+from krcrystals import tableaux
 from krcrystals.cartan import AffineSpec
 from krcrystals.crystal_core import CrystalGraph
 from krcrystals.kr_builders import KRBuild
@@ -49,6 +53,16 @@ def letter_eps(ctype: str, n: int, i: int, x: int) -> int:
     return k
 
 
+def letter_weight(x: int, n: int) -> tuple[int, ...]:
+    """Doubled weight of one letter; `tableaux.tableau_weight` is checked against it."""
+    w = [0] * n
+    if x > 0:
+        w[x - 1] = 2
+    elif x < 0:
+        w[-x - 1] = -2
+    return tuple(w)
+
+
 def tableau_eps_phi(ctype: str, n: int, elem, i: int) -> tuple[int, int]:
     cols, spin = elem
     pairs = [
@@ -70,6 +84,18 @@ def reduce_signature(pairs) -> tuple[int, int]:
         minus += e
         plus += p
     return minus, plus
+
+
+def spin_tensor_apply(n, vecs, i, op):
+    pairs = [
+        (tableaux.spin_eps("D", n, i, v), tableaux.spin_phi("D", n, i, v))
+        for v in vecs
+    ]
+    k = tableaux.signature_index(pairs, op)
+    if k is None:
+        return None
+    act = tableaux.spin_e if op == "e" else tableaux.spin_f
+    return vecs[:k] + (act("D", n, i, vecs[k]),) + vecs[k + 1 :]
 
 
 def first_color_raise(x, colors, up):

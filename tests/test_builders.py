@@ -216,18 +216,24 @@ def test_stepped_sigma_on_tops_is_the_involuted_diagram_walk(fam, n, r, s):
 
 
 def test_stepped_build_tableau_apply_calls(monkeypatch):
-    # the count is deterministic; the bound sits between the 37,673 calls of
-    # sigma read off the table at the tops and raised by whole strings, and
-    # the 56,694 of re-walking each top and raising one step per sweep
+    # every single step: the host's steps through its signature table, and
+    # the diagram walks and lifts through tableau_apply.  The count is
+    # deterministic; the bound sits between the 37,673 steps of sigma read
+    # off the table at the tops and raised by whole strings, and the 56,694
+    # of re-walking each top and raising one step per sweep
     calls = []
-    apply = tableaux.tableau_apply
 
-    def counted(*args):
-        calls.append(None)
-        return apply(*args)
+    def counted(step):
+        def wrapper(*args):
+            calls.append(step.__name__)
+            return step(*args)
 
-    monkeypatch.setattr(tableaux, "tableau_apply", counted)
+        return wrapper
+
+    monkeypatch.setattr(tableaux, "tableau_apply", counted(tableaux.tableau_apply))
+    monkeypatch.setattr(tableaux.SignatureTable, "apply", counted(tableaux.SignatureTable.apply))
     assert len(build_kr(AffineSpec("A2even", 3, 3, 2)).graph) == 490
+    assert calls.count("apply") > calls.count("tableau_apply")  # the host's own table
     assert len(calls) < 45_000
 
 

@@ -5,33 +5,37 @@ import pytest
 from krcrystals.cartan import Shape, weyl_dimension
 from krcrystals.crystal_core import CrystalGraph, generate_closure, greedy_raise
 from krcrystals.tableaux import (
+    SignatureTable,
     letter_e,
     letter_f,
-    letter_weight,
-    tableau_apply,
     tableau_weight,
 )
 
-from oracles import first_color_raise
+from oracles import first_color_raise, letter_weight
+
+
+def letter_neighbours(ctype, n, colors):
+    def neighbours(x):
+        return [(i, letter_f(ctype, n, i, x), letter_e(ctype, n, i, x)) for i in colors]
+
+    return neighbours
 
 
 def letter_graph(ctype, n, colors):
-    def apply_fn(x, i, op):
-        return (letter_f if op == "f" else letter_e)(ctype, n, i, x)
-
-    return generate_closure([1], colors, apply_fn, lambda x: letter_weight(x, n))
+    neighbours = letter_neighbours(ctype, n, colors)
+    return generate_closure([1], colors, neighbours, lambda x: letter_weight(x, n))
 
 
 def tableau_graph(ctype, n, colors, shapes):
-    def apply_fn(elem, i, op):
-        return tableau_apply(ctype, n, elem, i, op)
-
     seeds = [
         (tuple(tuple(range(1, h + 1)) for h in sh.columns()), (1,) * n if sh.spin else None)
         for sh in shapes
     ]
     return generate_closure(
-        seeds, colors, apply_fn, lambda el: tableau_weight(ctype, n, *el)
+        seeds,
+        colors,
+        SignatureTable(ctype, n, colors).neighbours,
+        lambda el: tableau_weight(ctype, n, *el),
     )
 
 
@@ -52,20 +56,30 @@ def test_closure_of_letter_chain():
 
 
 def test_closure_bound_and_conflicts():
-    def apply_fn(x, i, op):
-        return (letter_f if op == "f" else letter_e)("C", 3, i, x)
+    neighbours = letter_neighbours("C", 3, (1, 2, 3))
+    with pytest.raises(RuntimeError, match="exceeded 3 vertices"):
+        generate_closure([1], (1, 2, 3), neighbours, lambda x: (0,), bound=3)
 
-    with pytest.raises(RuntimeError):
-        generate_closure([1], (1, 2, 3), apply_fn, lambda x: (0,), bound=3)
-
-    def bad_apply(x, i, op):
+    def two_sources(x):
         # two different starts claim the same f_1 target
-        if op == "f" and x in ("a", "b"):
-            return "c"
-        return None
+        return [(1, "c" if x in ("a", "b") else None, None)]
 
-    with pytest.raises(RuntimeError):
-        generate_closure(["a", "b"], (1,), bad_apply, lambda x: (0,))
+    with pytest.raises(RuntimeError, match="not injective"):
+        generate_closure(["a", "b"], (1,), two_sources, lambda x: (0,))
+
+    def two_targets(x):
+        # f_1 at a gives b, but e_1 at c claims f_1 a = c
+        return [(1, "b" if x == "a" else None, "a" if x == "c" else None)]
+
+    with pytest.raises(RuntimeError, match="conflicting f_1 arrow at 'a'"):
+        generate_closure(["a", "c"], (1,), two_targets, lambda x: (0,))
+
+    def late_f(x):
+        # e_1 at b claims f_1 a = b before f_1 at a, reached later, says c
+        return [(1, "c" if x == "a" else None, "a" if x == "b" else None)]
+
+    with pytest.raises(RuntimeError, match="conflicting f_1 arrow at 'a'"):
+        generate_closure(["b", "a"], (1,), late_f, lambda x: (0,))
 
 
 def test_components_and_decomposition():
@@ -163,10 +177,7 @@ def test_isomorphism_detects_mismatch():
 
 def test_isomorphism_nontrivial_relabel():
     # the type D letter fork is symmetric under swapping its last two colors
-    def apply_fn(x, i, op):
-        return (letter_f if op == "f" else letter_e)("D", 3, i, x)
-
-    g = generate_closure([1], (1, 2, 3), apply_fn, lambda x: (0,))
+    g = generate_closure([1], (1, 2, 3), letter_neighbours("D", 3, (1, 2, 3)), lambda x: (0,))
     swap = {1: 1, 2: 3, 3: 2}
     mapping = g.isomorphism(g, color_map=swap)
     assert mapping is not None

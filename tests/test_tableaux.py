@@ -1,5 +1,7 @@
 """Letters, columns, semistandard fillings, and the signature rule."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,10 +17,12 @@ from krcrystals.tableaux import (
     letter_e,
     letter_f,
     letter_signs,
-    letter_weight,
     order_key,
     precedes,
     reading_word,
+    SignatureTable,
+    SpinTensorTable,
+    signature,
     signature_index,
     spin_e,
     spin_elements,
@@ -34,9 +38,11 @@ from krcrystals.tableaux import (
 from oracles import (
     letter_eps,
     letter_phi,
+    letter_weight,
     parse_element,
     parse_spin_tensor,
     reduce_signature,
+    spin_tensor_apply,
     tableau_eps_phi,
 )
 
@@ -145,6 +151,17 @@ def test_counting_signature_matches_stack(pairs, op):
     assert signature_index(pairs, op) == stack_signature_index(pairs, op)
 
 
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=10))
+@settings(max_examples=300)
+def test_signature_counts_and_both_indices(pairs):
+    # one pass gives the reduced (eps, phi) and the factors e and f act on
+    assert signature(pairs) == (
+        *reduce_signature(pairs),
+        stack_signature_index(pairs, "e"),
+        stack_signature_index(pairs, "f"),
+    )
+
+
 def reference_apply(ctype, n, elem, i, op):
     """tableau_apply from the stack rule, the preimage scan and a cell list."""
     cols, spin = elem
@@ -195,6 +212,54 @@ def test_tableau_apply_matches_stack_reference(ctype, n, shape):
             for op in "ef":
                 want = reference_apply(ctype, n, elem, i, op)
                 assert tableau_apply(ctype, n, elem, i, op) == want
+
+
+@pytest.mark.parametrize(
+    "ctype,n,shape",
+    [
+        ("A", 4, Shape((2, 2, 1))),
+        ("B", 3, Shape((2, 1), spin=1)),
+        ("C", 4, Shape((2, 1, 1))),
+        ("D", 4, Shape((2, 2))),
+        ("D", 5, Shape((2, 1))),
+    ],
+)
+def test_neighbours_match_single_steps(ctype, n, shape):
+    # one table serves every element, as in a closure; each (f_i, e_i) pair
+    # equals the single steps, with and without the table
+    colors = tuple(range(1, n if ctype == "A" else n + 1))
+    table = SignatureTable(ctype, n, colors)
+    for elem in enumerate_tableaux(ctype, n, shape):
+        want = [
+            (i, tableau_apply(ctype, n, elem, i, "f"), tableau_apply(ctype, n, elem, i, "e"))
+            for i in colors
+        ]
+        assert list(table.neighbours(elem)) == want
+        assert [(i, table.apply(elem, i, "f"), table.apply(elem, i, "e")) for i in colors] == want
+
+
+@pytest.mark.parametrize("n,s", [(4, 1), (4, 2), (4, 3), (5, 2), (5, 3)])
+def test_spin_tensor_table_matches_per_call_rule(n, s):
+    colors = tuple(range(1, n + 1))
+    table = SpinTensorTable("D", n, colors)
+    for color in (1, 2):
+        for vecs in itertools.product(list(spin_elements("D", n, color)), repeat=s):
+            want = [
+                (i, spin_tensor_apply(n, vecs, i, "f"), spin_tensor_apply(n, vecs, i, "e"))
+                for i in colors
+            ]
+            assert list(table.neighbours(vecs)) == want
+            assert [(i, table.apply(vecs, i, "f"), table.apply(vecs, i, "e")) for i in colors] == want
+
+
+def test_tableau_weight_sums_letter_weights():
+    shapes = [("B", 3, Shape((2, 1), spin=1)), ("C", 3, Shape((2, 2))), ("D", 4, Shape((1, 1)))]
+    for ctype, n, shape in shapes:
+        for cols, spin in enumerate_tableaux(ctype, n, shape):
+            want = [sum(w) for w in zip(*(letter_weight(x, n) for x in reading_word(cols)))]
+            if spin is not None:
+                want = [a + b for a, b in zip(want, spin)]
+            assert tableau_weight(ctype, n, cols, spin) == tuple(want)
 
 
 def test_column_conditions():
