@@ -20,27 +20,44 @@ class CrystalGraph:
         self.f = {i: dict(f_edges[i]) for i in self.colors}
         self.e = {i: {dst: src for src, dst in self.f[i].items()} for i in self.colors}
         self.weights = list(weights)
+        self._strings = {}  # color -> its eps and phi lists, None on a cycle
 
     def __len__(self):
         return len(self.elements)
 
     def phi(self, i, x) -> int:
-        return self._string_length(self.f[i], x, "f", i)
+        return self._string_length(i, x, 1, "f")
 
     def eps(self, i, x) -> int:
-        return self._string_length(self.e[i], x, "e", i)
+        return self._string_length(i, x, 0, "e")
 
-    def _string_length(self, arrows, x, op, i) -> int:
-        """Arrows followed from x; a walk longer than the graph is a cycle."""
-        start, k = x, 0
-        while (x := arrows.get(x)) is not None:
-            k += 1
-            if k >= len(self.elements):
-                raise RuntimeError(f"{op}_{i} string does not end at vertex {start}")
+    def _string_length(self, i, x, side, op):
+        k = (self._strings.get(i) or self._walk_strings(i))[side][x]
+        if k is None:
+            raise RuntimeError(f"{op}_{i} string does not end at vertex {x}")
         return k
 
-    def weight(self, x):
-        return self.weights[x]
+    def _walk_strings(self, i):
+        """(eps_i, phi_i) of every vertex, from one walk per string, down from its head.
+
+        A vertex no head reaches lies on a cycle and gets None; a walk longer
+        than the graph cycles too (through an f_i that is not injective).
+        """
+        f, size = self.f[i], len(self.elements)
+        eps, phi = [0] * size, [0] * size
+        for head in f.keys() - self.e[i].keys():
+            string = [head]
+            while (y := f.get(string[-1])) is not None:
+                if len(string) == size:
+                    raise RuntimeError(f"f_{i} string does not end at vertex {head}")
+                string.append(y)
+            for k, v in enumerate(string):
+                eps[v], phi[v] = k, len(string) - 1 - k
+        for v in f:
+            if not phi[v]:  # an f_i arrow out of a vertex no head reached
+                eps[v] = phi[v] = None
+        self._strings[i] = eps, phi
+        return eps, phi
 
     # -- structure ------------------------------------------------------------
 
@@ -67,12 +84,8 @@ class CrystalGraph:
         return out
 
     def highest_vertices(self, colors=None):
-        colors = colors or self.colors
-        return [
-            x
-            for x in range(len(self.elements))
-            if all(self.e[i].get(x) is None for i in colors)
-        ]
+        raised = set().union(*(self.e[i] for i in colors or self.colors))
+        return [x for x in range(len(self.elements)) if x not in raised]
 
     def raise_path(self, x, colors):
         """Greedy raising to a highest vertex; returns (color path, vertex)."""
@@ -96,20 +109,13 @@ class CrystalGraph:
 
     # -- isomorphism search -----------------------------------------------------
 
-    def isomorphism(self, other, color_map=None, colors=None):
-        """Color-respecting graph isomorphism self -> other, or None.
-
-        ``color_map`` sends self colors to other colors.  Works on graphs
-        connected under ``colors``; the anchor vertex is matched by its
-        (eps, phi) vectors, and arrows force the rest of the map.
-        """
-        return next(self.isomorphisms(other, color_map, colors), None)
-
     def isomorphisms(self, other, color_map=None, colors=None):
         """Yield every color-respecting isomorphism self -> other.
 
-        Connectivity under ``colors`` makes each anchor image determine at
-        most one map, so this yields one mapping per viable anchor image.
+        ``color_map`` sends self colors to other colors.  Works on graphs
+        connected under ``colors``; the anchor vertex is matched by its
+        (eps, phi) vectors, and arrows force the rest of the map, so each
+        viable anchor image yields one mapping.
         """
         colors = list(colors or self.colors)
         color_map = color_map or {i: i for i in colors}

@@ -46,7 +46,7 @@ class KRBuild:
 # -- classical layer ----------------------------------------------------------
 
 def classical_crystal(ctype, n, shapes, colors):
-    """Disjoint union of the tableau crystals B(shape), closed under colors."""
+    """The tableau crystals B(shape) closed under colors; vertex k is the top of shapes[k]."""
     seeds = [pm.highest_element(ctype, n, sh) for sh in shapes]
     table = tableaux.SignatureTable(ctype, n, colors)
     return generate_closure(
@@ -110,26 +110,38 @@ def classical_model(build):
         raise ValueError("spin builds have no single-tableau classical model")
     else:
         ctype, n, colors = build.spec.classical_type, build.spec.n, build.spec.classical_colors
-        anchors = {}
-        for sh in model_shapes(build):
-            top = pm.highest_element(ctype, n, sh)
-            anchors[_locate_top(build, top)] = top
+        tops = _locate_tops(build, model_shapes(build))
+        anchors = {v: pm.highest_element(ctype, n, sh) for sh, v in tops.items()}
         step = tableaux.SignatureTable(ctype, n, colors).apply
         model = _transport(build.graph, lambda i, tab: step(tab, i, "f"), anchors, colors)
     build._model = model
     return model
 
 
-def _locate_top(build, top):
-    """Vertex of the build carrying a given classical highest tableau."""
-    ctype, n = build.spec.classical_type, build.spec.n
-    colors = build.spec.classical_colors
-    g = build.graph
-    wt = tableaux.tableau_weight(ctype, n, top[0], top[1])
-    hits = [v for v in g.highest_vertices(colors) if tuple(g.weights[v]) == wt]
-    if len(hits) != 1:
-        raise RuntimeError(f"classical top of weight {wt} is not unique")
-    return hits[0]
+def _branching(graph, ctype, n, tops):
+    """{2..n}-top vertex -> diagram: Phi walked on the graph's own f-arrows.
+
+    tops maps each classical shape to the vertex of its highest element.
+    RuntimeError unless the table's keys are exactly the {2..n}-tops.
+    """
+    table = pm.phi_table(ctype, n, tops, lambda x, i: graph.f[i].get(x))
+    if set(table) != set(graph.highest_vertices(range(2, n + 1))):
+        raise RuntimeError("branching table does not match the {2..n}-tops")
+    return table
+
+
+def _locate_tops(build, shapes):
+    """{shape: the vertex of the build carrying its classical highest tableau}."""
+    ctype, n, g = build.spec.classical_type, build.spec.n, build.graph
+    tops = g.highest_vertices(build.spec.classical_colors)
+    located = {}
+    for sh in shapes:
+        wt = sh.weight(ctype, n)
+        hits = [v for v in tops if tuple(g.weights[v]) == wt]
+        if len(hits) != 1:
+            raise RuntimeError(f"classical top of weight {wt} is not unique")
+        located[sh] = hits[0]
+    return located
 
 
 # -- type A: promotion --------------------------------------------------------
@@ -181,26 +193,26 @@ def _build_promotion(spec):
 
 # -- families with the 0-node attached at node 1: sigma conjugation -----------
 
-def _sigma_on_tops(table, r, s):
-    """sigma on each {2..n}-top of a phi_table: the entry of its involuted diagram.
+def _sigma_on_tops(table, mirror, *args):
+    """sigma on each {2..n}-top of a phi_table: the entry of its mirrored diagram.
 
-    RuntimeError if involution_S leaves the table or is not an involution on it.
+    mirror(P, *args) is sigma on diagrams.  RuntimeError if it leaves the
+    table or sigma is not an involution on it.
     """
     top_of = {P: top for top, P in table.items()}
-    sigma = {top: top_of.get(pm.involution_S(P, r, s)) for top, P in table.items()}
+    sigma = {top: top_of.get(mirror(P, *args)) for top, P in table.items()}
     if None in sigma.values():
-        raise RuntimeError("involution_S sends a diagram off the diagram table")
+        raise RuntimeError(f"{mirror.__name__} sends a diagram off the diagram table")
     if any(sigma[y] != x for x, y in sigma.items()):
         raise RuntimeError("sigma is not an involution on the {2..n}-tops")
     return sigma
 
 
 def _sigma_dba_table(graph, ctype, n, r, s, shapes):
-    """sigma at every {2..n}-top read off the diagram table, transported."""
+    """sigma at every {2..n}-top read off the branching table, transported."""
     jcolors = tuple(range(2, n + 1))
-    on_tops = _sigma_on_tops(pm.phi_table(ctype, n, shapes), r, s)
-    tops = graph.highest_vertices(jcolors)
-    anchors = {x: graph.index[on_tops[graph.elements[x]]] for x in tops}
+    table = _branching(graph, ctype, n, {sh: k for k, sh in enumerate(shapes)})
+    anchors = _sigma_on_tops(table, pm.involution_S, r, s)
     sigma = _transport(graph, lambda i, y: graph.f[i].get(y), anchors, jcolors)
     bad = [x for x in sigma if sigma[sigma[x]] != x]
     if bad:
@@ -305,9 +317,10 @@ class SteppedHost:
     m_i-th powers of the colors.  No host crystal is closed: sigma on the
     {2..N}-tops is read off the diagram table, and any other element is raised
     by whole e-strings to a top (or an element of known sigma), whose image
-    descends the same path.  sigma, the host arrows and the signature table
-    that takes every single host step live on this object, as long as its
-    build.  Broken invariants raise RuntimeError.
+    descends the same path.  sigma, the host arrows and the signature tables
+    live on this object, as long as its build: the host's, which takes every
+    host step and the diagram walks, and the C_n one of the classical model,
+    which is the host's for B1.  Broken invariants raise RuntimeError.
     """
 
     def __init__(self, n, r, s, virtual, m):
@@ -316,9 +329,12 @@ class SteppedHost:
         self.shapes = kr_decomposition(AffineSpec("A2odd", self.rank, r, s))
         # shapes of the host's classical (C_n) decomposition
         self.model_shapes = _c_virtual_shapes(n, r, s) if virtual else self.shapes
-        self._sigma = _sigma_on_tops(pm.phi_table("C", self.rank, self.shapes), r, s)
-        self._arrows = {}
         self._table = tableaux.SignatureTable("C", self.rank, range(1, self.rank + 1))
+        self._model = tableaux.SignatureTable("C", n, range(1, n + 1)) if virtual else self._table
+        tops = {sh: pm.highest_element("C", self.rank, sh) for sh in self.shapes}
+        table = pm.phi_table("C", self.rank, tops, lambda x, i: self._table.apply(x, i, "f"))
+        self._sigma = _sigma_on_tops(table, pm.involution_S, r, s)
+        self._arrows = {}
         self._fixed_tops = [top for top, image in self._sigma.items() if image == top]
 
     # -- the A2odd crystal ----------------------------------------------------
@@ -380,16 +396,17 @@ class SteppedHost:
         w = tableaux.tableau_weight("C", self.rank, elem[0], elem[1])
         return w[1:] if self.virtual else w
 
+    def model_phi(self, P):
+        """Phi(P) of a C_n diagram in the classical model, walked through its table."""
+        top = pm.highest_element("C", self.n, P.outer())
+        return pm.phi(P, lambda x, i: self._model.apply(x, i, "f"), top)
+
     def lift(self, tab):
         """Host element whose classical-model C_n tableau is tab."""
         if not self.virtual:
             return tab  # the A2odd host is its own classical model
         n = self.n
-
-        def up(i, x):
-            return tableaux.tableau_apply("C", n, x, i, "e")
-
-        path, top = greedy_raise(tab, range(1, n + 1), up)
+        path, top = greedy_raise(tab, range(1, n + 1), lambda i, x: self._model.apply(x, i, "e"))
         y = self._fixed_top(tableaux.tableau_weight("C", n, top[0], top[1]))
         for i in reversed(path):
             y = self.host_apply(y, i, "f")
@@ -457,7 +474,7 @@ def _build_stepped(spec):
         host = SteppedHost(n, r, 2 * s, virtual=True, m=m)
     ctype = spec.classical_type
     seeds = [
-        host.seed(pm.phi(pm.double_pm(_seed_diagram(ctype, n, sh))))
+        host.seed(host.model_phi(pm.double_pm(_seed_diagram(ctype, n, sh))))
         for sh in kr_decomposition(spec)
     ]
     graph = generate_closure(seeds, tuple(range(n + 1)), host.neighbours, host.weight)
@@ -547,18 +564,19 @@ def _build_triples(spec):
     shapes = kr_decomposition(spec)
     cls = classical_crystal(ctype, n, shapes, spec.classical_colors)
     jcolors = tuple(range(2, n + 1))
-    table = pm.phi_table(ctype, n, shapes)
+    table = _branching(cls, ctype, n, {sh: k for k, sh in enumerate(shapes)})
+    vertex_of = {P: x for x, P in table.items()}
     target = {}
 
     def top_vertex(t):
         if t not in target:
-            target[t] = cls.index[pm.phi(_triple_diagram(ctype, n, t))]
+            target[t] = vertex_of[_triple_diagram(ctype, n, t)]
         return target[t]
 
     arrows = {"e": {}, "f": {}}
     for x in range(len(cls.elements)):
         path, top = cls.raise_path(x, jcolors)
-        t = _triple_of(pm.phi_inverse(table, cls.elements[top]))
+        t = _triple_of(table[top])
         for direction in ("e", "f"):
             out = triple_rules(family, s, t, direction)
             if out is None:
@@ -592,25 +610,6 @@ def sigma_spin_D(P):
     return pm.make_pm("D", P.n, cols, spin=spin, color=3 - P.color)
 
 
-def _spin_branching(n, s, color, cls):
-    """{2..n}-top vertex -> diagram, for one tensor power of a spin crystal."""
-    k = s // 2
-    sh = Shape((k,) * n if k else (), spin=s % 2, color=color)
-    table = {}
-    for P in pm.enumerate_pm("D", n, sh):
-        x = 0  # the seed, the highest element
-        for a in reversed(pm.f_string(P)):
-            x = cls.f[a].get(x)
-            if x is None:
-                raise RuntimeError(f"branching walk died for {P}")
-        table[x] = P
-    jcolors = tuple(range(2, n + 1))
-    tops = set(cls.highest_vertices(jcolors))
-    if set(table) != tops or len(table) != len(tops):
-        raise RuntimeError("branching table does not match the {2..n}-tops")
-    return table
-
-
 def _build_spin(spec):
     """The two spin-column crystals, tied together by the tail mirror.
 
@@ -620,20 +619,21 @@ def _build_spin(spec):
     jcolors = tuple(range(2, n + 1))
     colors = tuple(range(1, n + 1))
     rule = tableaux.SpinTensorTable("D", n, colors)
+    k = s // 2
     cls = {}
-    tables = {}
+    table = {}  # (color, top vertex) -> diagram, over both crystals
     for color in (1, 2):
         top = (1,) * n if color == 1 else (1,) * (n - 1) + (-1,)
         cls[color] = generate_closure(
             [(top,) * s], colors, rule.neighbours, _spin_tensor_weight
         )
-        tables[color] = _spin_branching(n, s, color, cls[color])
+        sh = Shape((k,) * n if k else (), spin=s % 2, color=color)
+        for x, P in _branching(cls[color], "D", n, {sh: 0}).items():
+            table[color, x] = P
+    on_tops = _sigma_on_tops(table, sigma_spin_D)
     sigma = {}
     for color in (1, 2):
-        lookup = {P: v for v, P in tables[3 - color].items()}
-        anchors = {
-            top: lookup[sigma_spin_D(P)] for top, P in tables[color].items()
-        }
+        anchors = {x: y for (c, x), (_, y) in on_tops.items() if c == color}
         dst = cls[3 - color]
         sigma[color] = _transport(
             cls[color], lambda i, y: dst.f[i].get(y), anchors, jcolors

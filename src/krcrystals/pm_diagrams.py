@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from . import tableaux
 from .cartan import Shape, conjugate
 
 STATES = (".", "+", "0", "-", "+-")
@@ -60,18 +59,6 @@ class PmDiagram:
 
     def inner_heights(self) -> tuple[int, ...]:
         return tuple(_inner_height(self.n, h, st) for h, st in self.cols)
-
-    def inner_shape(self) -> Shape:
-        if self.color:
-            raise ValueError("colored diagrams have no plain inner shape")
-        rows = conjugate(tuple(h for h in self.inner_heights() if h > 0))
-        return Shape(rows=rows, spin=1 if self.spin else 0)
-
-    def signs(self, sign: str) -> tuple[int, ...]:
-        """Column indices carrying the given sign; spin column excluded."""
-        return tuple(
-            k for k, (_, st) in enumerate(self.cols) if sign in _marks(st)
-        )
 
     def width(self) -> int:
         return len(self.cols)
@@ -255,24 +242,29 @@ def highest_element(ctype: str, n: int, shape: Shape):
     return (cols, spin)
 
 
-def phi(P: PmDiagram):
-    """The element of B(outer(P)) reached by walking f_string from the top."""
-    if P.color:
-        raise ValueError("colored contexts walk their strings in-graph")
-    elem = highest_element(P.ctype, P.n, P.outer())
+def phi(P: PmDiagram, step, top):
+    """The element reached by walking f_string(P) down from top.
+
+    top is the highest element of B(outer(P)) in the caller's model, and
+    step(x, i) is f_i x there, None where it vanishes.
+    """
+    x = top
     for a in reversed(f_string(P)):
-        elem = tableaux.tableau_apply(P.ctype, P.n, elem, a, "f")
-        if elem is None:
-            raise ValueError(f"walk died for {P}")
-    return elem
+        x = step(x, a)
+        if x is None:
+            raise RuntimeError(f"branching walk died for {P}")
+    return x
 
 
-def phi_table(ctype: str, n: int, shapes) -> dict:
-    """{phi(P): P} over every diagram P of the shapes; Phi must be injective."""
+def phi_table(ctype: str, n: int, tops, step) -> dict:
+    """{phi(P): P} over every diagram P of each shape of tops (shape -> its top).
+
+    Phi must be injective.
+    """
     table = {}
-    for shape in shapes:
+    for shape, top in tops.items():
         for P in enumerate_pm(ctype, n, shape):
-            elem = phi(P)
+            elem = phi(P, step, top)
             if elem in table:
                 raise RuntimeError(f"phi sends {table[elem]} and {P} to one element")
             table[elem] = P

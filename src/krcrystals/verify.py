@@ -27,7 +27,9 @@ from .cartan import (
 )
 from .kr_builders import (
     KRBuild,
+    _branching,
     _c_virtual_shapes,
+    _locate_tops,
     _triple_of,
     build_kr,
     classical_model,
@@ -313,12 +315,9 @@ def check_phi0(build: KRBuild) -> CheckReport:
             return True, "rule not applicable to this construction", None
         g = build.graph
         m0 = 2 if fam == "C1" else 1
-        model = classical_model(build)
-        table = pm.phi_table(spec.classical_type, n, model_shapes(build))
-        jcolors = tuple(range(2, n + 1))
+        table = _branching(g, spec.classical_type, n, _locate_tops(build, model_shapes(build)))
         checked = 0
-        for x in g.highest_vertices(jcolors):
-            P = pm.phi_inverse(table, model[x])
+        for x, P in sorted(table.items()):  # the {2..n}-tops in vertex order
             if build.kind == "triples":
                 t = _triple_of(P)
                 if g.eps(0, x) != t.l1 + t.gamma:
@@ -386,7 +385,7 @@ def _check_stepped_similarity(build):
     doubled = 0
     for sh in host.model_shapes:
         for P in pm.enumerate_pm("C", n, sh):
-            v = host.lift(pm.phi(P))
+            v = host.lift(host.model_phi(P))
             in_image = v in g.index
             # phantom zero-height columns double too, so their count stays even
             is_double = pm.is_doubled(P, target) and (host.s - P.width()) % 2 == 0

@@ -6,9 +6,13 @@ operators, and `reduce_signature` cancels the signs of a whole tensor word;
 them, and `tableaux.tableau_weight` against the sum of `letter_weight`.
 `spin_tensor_apply` runs the signature rule on a spin tensor per call, from
 the spin vectors' own (eps, phi); `tableaux.SpinTensorTable` is checked
-against it.  `phi_direct` fills the columns of a diagram directly and is
-checked against the walk `pm_diagrams.phi`; `halve_pm` inverts `double_pm`;
-`e1_on_pair` raises color 1 on a stacked pair of diagrams.
+against it.  `tableau_phi` and `tableau_phi_table` walk the branching map
+`pm_diagrams.phi` through the table-free `tableaux.tableau_apply`, a model no
+build owns; `phi_direct` fills the columns of a diagram directly and is
+checked against that walk.  `inner_shape` is the shape a diagram's bare cells
+form; `halve_pm` inverts `double_pm`; `e1_on_pair` raises color 1 on a
+stacked pair of diagrams, whose signed columns `signs` lists.
+`isomorphism` is the first of `CrystalGraph.isomorphisms`, or None.
 `first_color_raise` is the raise that restarts from the first color after
 every step, against which `crystal_core.greedy_raise` is checked.  The parsers
 invert the element formatters, `load_graph_document` inverts
@@ -17,15 +21,19 @@ suites must catch.
 """
 
 from krcrystals import tableaux
-from krcrystals.cartan import AffineSpec
+from krcrystals.cartan import AffineSpec, Shape, conjugate
 from krcrystals.crystal_core import CrystalGraph
 from krcrystals.kr_builders import KRBuild
 from krcrystals.pm_diagrams import (
     PmDiagram,
     _inner_height,
+    _marks,
     _middle_height,
+    highest_element,
     is_doubled,
     make_pm,
+    phi,
+    phi_table,
 )
 from krcrystals.tableaux import (
     letter_e,
@@ -98,6 +106,11 @@ def spin_tensor_apply(n, vecs, i, op):
     return vecs[:k] + (act("D", n, i, vecs[k]),) + vecs[k + 1 :]
 
 
+def isomorphism(graph: CrystalGraph, other: CrystalGraph, color_map=None, colors=None):
+    """A color-respecting isomorphism graph -> other, or None."""
+    return next(graph.isomorphisms(other, color_map, colors), None)
+
+
 def first_color_raise(x, colors, up):
     """Raise by the first color that applies until none does; (color path, top)."""
     path = []
@@ -112,7 +125,27 @@ def first_color_raise(x, colors, up):
             return path, x
 
 
-# -- diagrams: the direct column filling, halving, e_1 on stacked pairs ------
+# -- diagrams: the tableau walk, the direct column filling, halving, e_1 ------
+
+def tableau_phi(P: PmDiagram):
+    """phi(P) in the tableau model, walked by the table-free single step."""
+    top = highest_element(P.ctype, P.n, P.outer())
+    return phi(P, lambda x, i: tableaux.tableau_apply(P.ctype, P.n, x, i, "f"), top)
+
+
+def tableau_phi_table(ctype: str, n: int, shapes) -> dict:
+    """phi_table over the shapes in the tableau model, walked the same way."""
+    tops = {sh: highest_element(ctype, n, sh) for sh in shapes}
+    return phi_table(ctype, n, tops, lambda x, i: tableaux.tableau_apply(ctype, n, x, i, "f"))
+
+
+def inner_shape(P: PmDiagram) -> Shape:
+    """The shape of the undecorated cells of an uncolored diagram."""
+    if P.color:
+        raise ValueError("colored diagrams have no plain inner shape")
+    rows = conjugate(tuple(h for h in P.inner_heights() if h > 0))
+    return Shape(rows=rows, spin=1 if P.spin else 0)
+
 
 def phi_direct(P: PmDiagram):
     """Direct column filling; independent cross-check for phi.
@@ -213,6 +246,11 @@ def halve_pm(P: PmDiagram, target: str = "C") -> PmDiagram:
     return make_pm("B", n, cols, spin=spin)
 
 
+def signs(P: PmDiagram, sign: str) -> tuple[int, ...]:
+    """Column indices of P carrying the given sign; spin column excluded."""
+    return tuple(k for k, (_, st) in enumerate(P.cols) if sign in _marks(st))
+
+
 def e1_on_pair(P: PmDiagram, p: PmDiagram):
     """Raise color 1 on the pair (P over p); None when it annihilates.
 
@@ -226,10 +264,10 @@ def e1_on_pair(P: PmDiagram, p: PmDiagram):
         len(P.cols) - len(p.cols)
     ):
         raise ValueError("inner shape of P must be the outer shape of p")
-    p_plus = list(p.signs("+"))
-    p_minus = list(p.signs("-"))
-    big_plus = list(P.signs("+"))
-    big_minus = list(P.signs("-"))
+    p_plus = list(signs(p, "+"))
+    p_minus = list(signs(p, "-"))
+    big_plus = list(signs(P, "+"))
+    big_minus = list(signs(P, "-"))
     free_big_plus = set(big_plus)
     for x in p_plus[:]:
         for y in big_plus:

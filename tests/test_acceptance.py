@@ -20,7 +20,14 @@ from krcrystals.verify import (
     default_grid,
 )
 
-from oracles import e1_on_pair, phi_direct, reduce_signature, with_dropped_edge
+from oracles import (
+    e1_on_pair,
+    inner_shape,
+    phi_direct,
+    reduce_signature,
+    tableau_phi,
+    with_dropped_edge,
+)
 
 
 @pytest.fixture(scope="module")
@@ -123,7 +130,7 @@ def _grid_shapes():
 
 def _psi(ctype, n, P, p):
     """Pair (P, p) -> tableau: raise through the diagram walk of both layers."""
-    elem = pm.phi(P)
+    elem = tableau_phi(P)
     for a in reversed([c + 1 for c in pm.f_string(p)]):
         elem = tableau_apply(ctype, n, elem, a, "f")
         assert elem is not None, (P.cols, p.cols)
@@ -132,7 +139,7 @@ def _psi(ctype, n, P, p):
 
 def _e1_agrees_on_shape(ctype, n, shape):
     for P in pm.enumerate_pm(ctype, n, shape):
-        for p in pm.enumerate_pm(ctype, n - 1, P.inner_shape()):
+        for p in pm.enumerate_pm(ctype, n - 1, inner_shape(P)):
             b = _psi(ctype, n, P, p)
             expected = tableau_apply(ctype, n, b, 1, "e")
             got = e1_on_pair(P, p)
@@ -153,7 +160,7 @@ def test_criterion_10_differential_oracles():
             continue
         for sh in sorted(shs, key=str):
             for P in pm.enumerate_pm(ctype, n, sh):
-                assert phi_direct(P) == pm.phi(P), (ctype, n, sh, P.cols)
+                assert phi_direct(P) == tableau_phi(P), (ctype, n, sh, P.cols)
     # the pair-level e_1 matches the signature-rule e_1 through the embedding
     for (ctype, n), rows_list in E1_SHAPES.items():
         for rows in rows_list:

@@ -22,6 +22,9 @@ from krcrystals.kr_builders import (
     _build_spin,
     _build_virtual,
 )
+from krcrystals.verify import default_grid
+
+from oracles import isomorphism, phi_direct, tableau_phi, tableau_phi_table
 
 
 # -- promotion route (type A) --------------------------------------------------
@@ -90,11 +93,11 @@ def test_sigma_is_involution_and_commutes():
 def test_sigma_on_highest_is_diagram_involution():
     spec = AffineSpec("A2odd", 3, 1, 2)
     b = build_kr(spec)
-    table = pm.phi_table("C", 3, kr_decomposition(spec))
+    table = tableau_phi_table("C", 3, kr_decomposition(spec))
     g = b.graph
     for x in g.highest_vertices((2, 3)):
         P = pm.phi_inverse(table, g.elements[x])
-        direct = pm.phi(pm.involution_S(P, spec.r, spec.s))
+        direct = tableau_phi(pm.involution_S(P, spec.r, spec.s))
         assert g.elements[b.sigma_table[x]] == direct
 
 
@@ -209,18 +212,19 @@ def test_stepped_sigma_on_tops_is_the_involuted_diagram_walk(fam, n, r, s):
     # sigma at every {2..N}-top of the host against phi of the involuted
     # diagram, walked here instead of read off the table
     host = build_kr(AffineSpec(fam, n, r, s)).stepped
-    table = pm.phi_table("C", host.rank, host.shapes)
+    table = tableau_phi_table("C", host.rank, host.shapes)
     for top in table:
         P = pm.phi_inverse(table, top)
-        assert host.sigma(top) == pm.phi(pm.involution_S(P, host.r, host.s))
+        assert host.sigma(top) == tableau_phi(pm.involution_S(P, host.r, host.s))
 
 
 def test_stepped_build_tableau_apply_calls(monkeypatch):
-    # every single step: the host's steps through its signature table, and
-    # the diagram walks and lifts through tableau_apply.  The count is
-    # deterministic; the bound sits between the 37,673 steps of sigma read
-    # off the table at the tops and raised by whole strings, and the 56,694
-    # of re-walking each top and raising one step per sweep
+    # every single step: the host's steps, its diagram walks and the lifts go
+    # through the build's signature tables, none through the table-free
+    # tableau_apply.  The count is deterministic; the bound sits between the
+    # 37,673 steps of sigma read off the table at the tops and raised by
+    # whole strings, and the 56,694 of re-walking each top and raising one
+    # step per sweep
     calls = []
 
     def counted(step):
@@ -233,7 +237,7 @@ def test_stepped_build_tableau_apply_calls(monkeypatch):
     monkeypatch.setattr(tableaux, "tableau_apply", counted(tableaux.tableau_apply))
     monkeypatch.setattr(tableaux.SignatureTable, "apply", counted(tableaux.SignatureTable.apply))
     assert len(build_kr(AffineSpec("A2even", 3, 3, 2)).graph) == 490
-    assert calls.count("apply") > calls.count("tableau_apply")  # the host's own table
+    assert calls.count("tableau_apply") == 0
     assert len(calls) < 45_000
 
 
@@ -262,6 +266,45 @@ def test_involution_off_the_table_fails_host_construction(monkeypatch):
     for spec in (AffineSpec("A2even", 2, 2, 1), AffineSpec("A2odd", 2, 1, 1)):
         with pytest.raises(RuntimeError, match="off the diagram table"):
             build_kr(spec)
+
+
+@pytest.mark.parametrize(
+    "fam,n,r,s", [("A2odd", 3, 1, 2), ("C1", 2, 2, 2), ("D1", 4, 4, 2)]
+)
+def test_broken_branching_table_fails_every_closed_route_alike(monkeypatch, capsys, fam, n, r, s):
+    # one diagram dropped from every enumeration: the dba, triples and spin
+    # routes walk Phi on their closed crystal and refuse the short table
+    full = pm.enumerate_pm
+    monkeypatch.setattr(pm, "enumerate_pm", lambda ctype, n, outer: full(ctype, n, outer)[:-1])
+    args = ["build", "--family", fam, "--n", str(n), "--r", str(r), "--s", str(s)]
+    assert main(args) == 1
+    assert capsys.readouterr().err == "kr: branching table does not match the {2..n}-tops\n"
+
+
+def test_branching_tables_match_the_direct_filling(monkeypatch):
+    # the vertex each build's graph-walked table gives a diagram is the
+    # vertex of the diagram's direct column filling, on every default-grid
+    # dba and triples spec
+    tables = []
+
+    def recorded(*args):
+        tables.append(branching(*args))
+        return tables[-1]
+
+    branching = kr_builders._branching
+    monkeypatch.setattr(kr_builders, "_branching", recorded)
+    checked = set()
+    for spec in default_grid():
+        tables.clear()
+        b = build_kr(spec)
+        if b.kind not in ("dba", "triples"):
+            continue
+        (table,) = tables
+        assert len(table) == len(b.graph.highest_vertices(range(2, spec.n + 1)))
+        for x, P in table.items():
+            assert b.graph.index[phi_direct(P)] == x, (spec, P)
+        checked.add(b.kind)
+    assert checked == {"dba", "triples"}
 
 
 def test_classical_model_of_stepped_build():
@@ -314,7 +357,7 @@ def test_triples_match_fixed_point_route_at_odd_s():
     for n in (2, 3):
         tri = build_kr(AffineSpec("C1", n, n, 1))
         aux = _build_virtual(AffineSpec("C1", n, n, 1))
-        assert tri.graph.isomorphism(aux.graph) is not None
+        assert isomorphism(tri.graph, aux.graph) is not None
 
 
 def test_fixed_point_object_exceeds_kr_crystal_at_even_s():

@@ -1,9 +1,9 @@
 """Layout guards on src/: builds own their state, and src/ holds no test-only code.
 
-Both guards read the sources with `ast`, so they run without importing the
+The guards read the sources with `ast`, so they run without importing the
 package.  A module-level cache outlives the build that filled it, and a
-top-level definition that nothing in src/ or perfbench/ names is called only
-by tests; such code belongs in tests/oracles.py.
+top-level definition or method that nothing in src/ or perfbench/ names is
+called only by tests; such code belongs in tests/oracles.py.
 """
 
 import ast
@@ -40,18 +40,20 @@ def _is_empty_container(node):
     )
 
 
-def _names(node):
-    """Counts of the identifiers node names: variables, attributes, imports, strings.
+def _names(node, bare=True):
+    """Counts of the identifiers node names: attributes, strings, and if bare names and imports.
 
-    Strings count because perfbench reaches functions through getattr.
+    Strings count because perfbench reaches functions through getattr.  A
+    method is reached through an attribute, so a variable of its name is no
+    caller.
     """
     out = Counter()
     for here in ast.walk(node):
-        if isinstance(here, ast.Name):
+        if isinstance(here, ast.Name) and bare:
             out[here.id] += 1
         elif isinstance(here, ast.Attribute):
             out[here.attr] += 1
-        elif isinstance(here, ast.alias):
+        elif isinstance(here, ast.alias) and bare:
             out[here.name.split(".")[-1]] += 1
         elif isinstance(here, ast.Constant) and isinstance(here.value, str):
             if here.value.isidentifier():
@@ -75,15 +77,40 @@ def test_src_has_no_module_level_caches():
     assert found == []
 
 
-def test_every_top_level_definition_has_a_caller_outside_tests():
+def _orphans(definitions, bare=True):
+    """Definitions (path, label, node) whose name nothing in src/ or perfbench/ uses.
+
+    A definition that only names itself (recursion) has no caller.
+    """
     trees = {path: _tree(path) for path in CALLERS}
-    named = sum((_names(tree) for tree in trees.values()), Counter())
-    orphans = []
-    for path in SRC:
-        for node in trees[path].body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue
-            # a definition that only names itself (recursion) has no caller
-            if named[node.name] - _names(node)[node.name] == 0:
-                orphans.append(f"{path.name}: {node.name}")
-    assert orphans == []
+    named = sum((_names(tree, bare) for tree in trees.values()), Counter())
+    return [
+        f"{path.name}: {label}"
+        for path, label, node in definitions(trees)
+        if named[node.name] - _names(node, bare)[node.name] == 0
+    ]
+
+
+def test_every_top_level_definition_has_a_caller_outside_tests():
+    def top_level(trees):
+        for path in SRC:
+            for node in trees[path].body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    yield path, node.name, node
+
+    assert _orphans(top_level) == []
+
+
+def test_every_method_has_a_caller_outside_tests():
+    # dunders are called by the language, not by name
+    def methods(trees):
+        for path in SRC:
+            for cls in trees[path].body:
+                if not isinstance(cls, ast.ClassDef):
+                    continue
+                for node in cls.body:
+                    is_def = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    if is_def and not node.name.startswith("__"):
+                        yield path, f"{cls.name}.{node.name}", node
+
+    assert _orphans(methods, bare=False) == []

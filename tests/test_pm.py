@@ -20,7 +20,15 @@ from krcrystals.pm_diagrams import (
 )
 from krcrystals.tableaux import tableau_apply, tableau_weight
 
-from oracles import e1_on_pair, halve_pm, phi_direct, tableau_eps_phi
+from oracles import (
+    e1_on_pair,
+    halve_pm,
+    inner_shape,
+    phi_direct,
+    tableau_eps_phi,
+    tableau_phi,
+    tableau_phi_table,
+)
 
 
 def apply_word(ctype, n, elem, word, op):
@@ -44,7 +52,7 @@ def test_column_geometry():
     assert P.cols == ((3, "-"), (2, "+"), (2, "+-"), (1, "-"))
     assert P.inner_heights() == (2, 1, 0, 0)
     assert P.outer() == Shape(rows=(4, 3, 1))
-    assert P.inner_shape() == Shape(rows=(2, 1))
+    assert inner_shape(P) == Shape(rows=(2, 1))
     assert P.width() == 4
 
 
@@ -113,7 +121,7 @@ def test_sign_triple_validation():
 
 def branch_dim_ok(ctype, n, shape):
     total = sum(
-        weyl_dimension(ctype, n - 1, P.inner_shape().weight(ctype, n - 1))
+        weyl_dimension(ctype, n - 1, inner_shape(P).weight(ctype, n - 1))
         for P in enumerate_pm(ctype, n, shape)
     )
     return total == weyl_dimension(ctype, n, shape.weight(ctype, n))
@@ -199,14 +207,14 @@ PHI_GRID = [
 def test_phi_is_highest_and_injective(ctype, n, shape):
     seen = {}
     for P in enumerate_pm(ctype, n, shape):
-        b = phi(P)
+        b = tableau_phi(P)
         assert b is not None
         assert is_highest(ctype, n, b, range(2, n + 1))
         assert b not in seen, f"phi collision {P.cols} vs {seen[b].cols}"
         seen[b] = P
         # doubled weight on the lower letters 2..n reads off the inner shape
         w = tableau_weight(ctype, n, b[0], b[1])
-        rows = P.inner_shape().rows
+        rows = inner_shape(P).rows
         expect = [2 * (rows[i] if i < len(rows) else 0) for i in range(n - 1)]
         if P.spin:
             expect = [c + 1 for c in expect]
@@ -219,38 +227,47 @@ def test_phi_empty_string_diagram_is_highest_tableau():
         cols = [(h, "+") for h in shape.columns()]
         P = make_pm(ctype, n, cols)
         assert f_string(P) == ()
-        assert phi(P) == highest_element(ctype, n, shape)
+        assert tableau_phi(P) == highest_element(ctype, n, shape)
 
 
 def test_phi_single_minus_reaches_lowest_letter():
     # one - over a single box walks the letter chain down to bar-1
     for ctype, n in [("C", 2), ("C", 3), ("B", 2), ("B", 3)]:
         P = make_pm(ctype, n, [(1, "-")])
-        assert phi(P) == (((-1,),), None)
+        assert tableau_phi(P) == (((-1,),), None)
 
 
 @pytest.mark.parametrize("ctype,n,shape", PHI_GRID, ids=str)
 def test_phi_inverse_roundtrip(ctype, n, shape):
-    table = phi_table(ctype, n, (shape,))
+    table = tableau_phi_table(ctype, n, (shape,))
     assert len(table) == len(enumerate_pm(ctype, n, shape))
     for P in enumerate_pm(ctype, n, shape):
-        assert phi_inverse(table, phi(P)) == P
+        assert phi_inverse(table, tableau_phi(P)) == P
 
 
 def test_phi_inverse_rejects_unknown_elements():
     shape = Shape(rows=(1,))
     stranger = (((-2,),), None)  # not {2..n}-highest
     with pytest.raises(ValueError):
-        phi_inverse(phi_table("C", 2, (shape,)), stranger)
+        phi_inverse(tableau_phi_table("C", 2, (shape,)), stranger)
 
 
-def test_phi_table_refuses_two_diagrams_on_one_element(monkeypatch):
-    # a Phi that is not injective would give a wrong sigma; the table says so
-    from krcrystals import pm_diagrams
-
-    monkeypatch.setattr(pm_diagrams, "phi", lambda P: (((1,),), None))
+def test_phi_table_refuses_two_diagrams_on_one_element():
+    # a Phi that is not injective would give a wrong sigma; the table says so:
+    # a step that never moves sends every diagram to the top
     with pytest.raises(RuntimeError, match="to one element"):
-        phi_table("C", 2, (Shape(rows=(1,)),))
+        phi_table("C", 2, {Shape(rows=(1,)): "top"}, lambda x, i: x)
+
+
+def test_phi_walks_the_callers_model():
+    # the walk takes any f-step: here the arrows of the C2 letter crystal
+    # 1 -1-> 2 -2-> bar 2 -1-> bar 1, whose {2}-tops are 1, 2 and bar 1
+    arrows = {(1, 1): 2, (2, 2): -2, (-2, 1): -1}
+    table = phi_table("C", 2, {Shape(rows=(1,)): 1}, lambda x, i: arrows.get((x, i)))
+    cols = {x: P.cols for x, P in table.items()}
+    assert cols == {1: ((1, "+"),), 2: ((1, "."),), -1: ((1, "-"),)}
+    with pytest.raises(RuntimeError, match="branching walk died"):
+        phi(make_pm("C", 2, [(1, "-")]), lambda x, i: None, 1)
 
 
 @pytest.mark.parametrize(
@@ -267,7 +284,7 @@ def test_phi_table_refuses_two_diagrams_on_one_element(monkeypatch):
 )
 def test_phi_direct_agrees_with_phi(ctype, n, shape):
     for P in enumerate_pm(ctype, n, shape):
-        assert phi_direct(P) == phi(P), P.cols
+        assert phi_direct(P) == tableau_phi(P), P.cols
 
 
 def test_phi_direct_rejects_colored_diagrams():
@@ -297,7 +314,7 @@ def test_involution_is_involutive_and_inner_preserving(ctype, n, r, s):
     for rows in outers:
         for P in enumerate_pm(ctype, n, Shape(rows=rows)):
             Q = involution_S(P, r, s)
-            assert Q.inner_shape() == P.inner_shape()
+            assert inner_shape(Q) == inner_shape(P)
             assert Q.outer().rows in outers
             assert involution_S(Q, r, s) == P
 
@@ -405,7 +422,7 @@ def test_e1_mixed_column_can_supply_the_plus():
 
 
 def psi(ctype, n, P, p):
-    elem = phi(P)
+    elem = tableau_phi(P)
     word = [c + 1 for c in f_string(p)]
     return apply_word(ctype, n, elem, reversed(word), "f")
 
@@ -435,7 +452,7 @@ def test_e1_differential(ctype, n, shape, complete):
     ]
     pairs = {}
     for P in enumerate_pm(ctype, n, shape):
-        for p in enumerate_pm(ctype, n - 1, P.inner_shape()):
+        for p in enumerate_pm(ctype, n - 1, inner_shape(P)):
             b = psi(ctype, n, P, p)
             assert b is not None and b in highest3
             assert b not in pairs

@@ -186,6 +186,28 @@ def test_cyclic_zero_string_fails_regularity(time_limit):
     assert "f_0 string does not end" in report.detail
 
 
+@pytest.mark.parametrize("fam,n,r,s", [("A1", 2, 1, 20), ("C1", 2, 2, 6)])
+def test_regularity_reads_each_string_once(fam, n, r, s):
+    # every arrow lookup the suite makes: its own scan takes one f_i lookup
+    # per vertex and one e_i lookup per arrow, and the string lengths one
+    # walk per string from its head, one lookup per vertex plus one per
+    # string; so 3 per vertex and color.  Walking the rest of the string
+    # from every vertex costs O(L^2) per string of length L instead
+    lookups = []
+
+    class Counted(dict):
+        def get(self, key, default=None):
+            lookups.append(key)
+            return super().get(key, default)
+
+    build = build_kr(AffineSpec(fam, n, r, s))
+    g = build.graph
+    g.f = {i: Counted(arrows) for i, arrows in g.f.items()}
+    g.e = {i: Counted(arrows) for i, arrows in g.e.items()}
+    assert check_regularity(build).passed
+    assert len(lookups) <= 3 * len(g) * len(g.colors)
+
+
 def _first_red(check, build, colors):
     for color in colors:
         for k in range(len(build.graph.f[color])):
