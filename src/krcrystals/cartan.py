@@ -202,6 +202,15 @@ def _column_multisets(heights: list[int], budget: int):
             yield (h,) * count + rest
 
 
+def horizontal_domino_shapes(r: int, s: int) -> tuple[Shape, ...]:
+    """Horizontal-domino removals from an r x s rectangle: rows congruent to s mod 2."""
+    shapes = [
+        Shape(tuple(v for v in rows if v > 0))
+        for rows in itertools.combinations_with_replacement(range(s, -1, -2), r)
+    ]
+    return tuple(sorted(shapes, key=lambda sh: (sh.size(), sh.rows)))
+
+
 def kr_decomposition(spec: AffineSpec) -> tuple[Shape, ...]:
     """Classical decomposition of B^{r,s}, one Shape per irreducible summand."""
     fam, n, r, s = spec.family, spec.n, spec.r, spec.s
@@ -244,12 +253,7 @@ def kr_decomposition(spec: AffineSpec) -> tuple[Shape, ...]:
         return tuple(sorted(shapes, key=lambda sh: (sh.size(), sh.rows)))
 
     if fam == "C1":
-        # horizontal strips: rows congruent to s mod 2
-        shapes = [
-            Shape(tuple(v for v in rows if v > 0))
-            for rows in itertools.combinations_with_replacement(range(s, -1, -2), r)
-        ]
-        return tuple(sorted(shapes, key=lambda sh: (sh.size(), sh.rows)))
+        return horizontal_domino_shapes(r, s)
 
     # A2even any r, D2 r < n: every shape inside the r x s box
     shapes = [

@@ -10,12 +10,11 @@ routes share one rule on the closed classical crystal: f_0 = tau^{-1} f_1 tau,
 with tau promotion, sigma, or the mirror into the partner spin crystal.
 """
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import pm_diagrams as pm
 from . import tableaux
-from .cartan import AffineSpec, Shape, kr_decomposition, kr_dimension
+from .cartan import AffineSpec, Shape, horizontal_domino_shapes, kr_decomposition, kr_dimension
 from .crystal_core import VERTEX_BOUND, CrystalGraph, generate_closure, greedy_raise
 from .pm_diagrams import SignTriple
 
@@ -40,7 +39,6 @@ class KRBuild:
     stepped: "SteppedHost | None" = None  # stepped: the host, element-local
     sigma_table: dict | None = None
     partner: "KRBuild | None" = None  # spin: the crystal sigma lands in
-    _model: dict | None = field(default=None, repr=False)
 
 
 # -- classical layer ----------------------------------------------------------
@@ -57,7 +55,8 @@ def classical_crystal(ctype, n, shapes, colors):
 def _transport(src, dst_f, anchors, colors):
     """Extend a map defined on component tops along matching arrows.
 
-    ``dst_f(i, y)`` is f_i on the target side, None where it vanishes.
+    ``dst_f(i, y)`` is f_i on the target side, None where it vanishes.  The
+    map covers the components of the anchors under colors, and no others.
     """
     out = dict(anchors)
     stack = list(anchors.items())
@@ -72,8 +71,6 @@ def _transport(src, dst_f, anchors, colors):
                 raise RuntimeError(f"transport died on an f_{i} arrow")
             out[a] = b
             stack.append((a, b))
-    if len(out) != len(src.elements):
-        raise RuntimeError("transport did not reach every vertex")
     return out
 
 
@@ -92,29 +89,23 @@ def _with_f0(cls, f0):
     return CrystalGraph(cls.elements, (0,) + cls.colors, {0: f0, **cls.f}, cls.weights)
 
 
-def model_shapes(build):
-    """Classical shapes of the tableau model the build's vertices carry."""
-    spec = build.spec
-    if build.kind == "virtual":
-        return _c_virtual_shapes(spec.n, spec.r, spec.s)
-    return kr_decomposition(spec)
-
-
 def classical_model(build):
-    """Vertex -> classical tableau through the classical isomorphism."""
-    if build._model is not None:
-        return build._model
+    """Vertex -> classical tableau through the classical isomorphism.
+
+    The anchors are the tops of the classical shapes; RuntimeError if their
+    components miss a vertex.
+    """
     if build.kind in ("promotion", "dba", "triples"):
-        model = dict(enumerate(build.graph.elements))
-    elif build.kind == "spin":
+        return dict(enumerate(build.graph.elements))
+    if build.kind == "spin":
         raise ValueError("spin builds have no single-tableau classical model")
-    else:
-        ctype, n, colors = build.spec.classical_type, build.spec.n, build.spec.classical_colors
-        tops = _locate_tops(build, model_shapes(build))
-        anchors = {v: pm.highest_element(ctype, n, sh) for sh, v in tops.items()}
-        step = tableaux.SignatureTable(ctype, n, colors).apply
-        model = _transport(build.graph, lambda i, tab: step(tab, i, "f"), anchors, colors)
-    build._model = model
+    ctype, n, colors = build.spec.classical_type, build.spec.n, build.spec.classical_colors
+    tops = _locate_tops(build, kr_decomposition(build.spec))
+    anchors = {v: pm.highest_element(ctype, n, sh) for sh, v in tops.items()}
+    step = tableaux.SignatureTable(ctype, n, colors).apply
+    model = _transport(build.graph, lambda i, tab: step(tab, i, "f"), anchors, colors)
+    if len(model) != len(build.graph):
+        raise RuntimeError("transport did not reach every vertex")
     return model
 
 
@@ -231,16 +222,6 @@ def _build_dba(spec):
 
 # -- type C below the top node: fixed points of sigma -------------------------
 
-def _c_virtual_shapes(n, r, s):
-    """Horizontal-domino removals from an r x s rectangle, as C_n shapes."""
-    row_vals = sorted(range(s % 2, s + 1, 2), reverse=True)
-    shapes = {
-        Shape(tuple(v for v in rows if v))
-        for rows in itertools.combinations_with_replacement(row_vals, r)
-    }
-    return tuple(sorted(shapes, key=lambda sh: (sh.size(), sh.rows)))
-
-
 def _virtual_arrow(step, x, i, op, fixed):
     """e_i/f_i of the C1 crystal on the sigma-fixed locus of an A2odd host.
 
@@ -328,7 +309,7 @@ class SteppedHost:
         self.rank = n + 1 if virtual else n
         self.shapes = kr_decomposition(AffineSpec("A2odd", self.rank, r, s))
         # shapes of the host's classical (C_n) decomposition
-        self.model_shapes = _c_virtual_shapes(n, r, s) if virtual else self.shapes
+        self.model_shapes = horizontal_domino_shapes(r, s) if virtual else self.shapes
         self._table = tableaux.SignatureTable("C", self.rank, range(1, self.rank + 1))
         self._model = tableaux.SignatureTable("C", n, range(1, n + 1)) if virtual else self._table
         tops = {sh: pm.highest_element("C", self.rank, sh) for sh in self.shapes}
@@ -559,34 +540,23 @@ def _triple_diagram(ctype, n, t):
 
 
 def _build_triples(spec):
+    """The triple rules on each {2..n}-top, carried down its {2..n}-component."""
     family, n, s = spec.family, spec.n, spec.s
     ctype = spec.classical_type
     shapes = kr_decomposition(spec)
     cls = classical_crystal(ctype, n, shapes, spec.classical_colors)
-    jcolors = tuple(range(2, n + 1))
     table = _branching(cls, ctype, n, {sh: k for k, sh in enumerate(shapes)})
     vertex_of = {P: x for x, P in table.items()}
-    target = {}
-
-    def top_vertex(t):
-        if t not in target:
-            target[t] = vertex_of[_triple_diagram(ctype, n, t)]
-        return target[t]
-
-    arrows = {"e": {}, "f": {}}
-    for x in range(len(cls.elements)):
-        path, top = cls.raise_path(x, jcolors)
-        t = _triple_of(table[top])
-        for direction in ("e", "f"):
-            out = triple_rules(family, s, t, direction)
-            if out is None:
-                continue
-            y = top_vertex(out)
-            for i in reversed(path):
-                y = cls.f[i].get(y)
-                if y is None:
-                    raise RuntimeError("0-arrow transport died while descending")
-            arrows[direction][x] = y
+    arrows = {}
+    for direction in ("e", "f"):
+        anchors = {}
+        for top, P in table.items():
+            out = triple_rules(family, s, _triple_of(P), direction)
+            if out is not None:
+                anchors[top] = vertex_of[_triple_diagram(ctype, n, out)]
+        arrows[direction] = _transport(
+            cls, lambda i, y: cls.f[i].get(y), anchors, range(2, n + 1)
+        )
     inverse = sorted((b, a) for a, b in arrows["e"].items())
     if sorted(arrows["f"].items()) != inverse:
         raise RuntimeError("triple 0-arrows are not mutually inverse")

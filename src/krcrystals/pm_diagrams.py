@@ -64,10 +64,6 @@ class PmDiagram:
         return len(self.cols)
 
 
-def _marks(state: str) -> str:
-    return {".": "", "+": "+", "-": "-", "0": "0", "+-": "+-"}[state]
-
-
 def _inner_height(n: int, h: int, state: str) -> int:
     if state == ".":
         return h

@@ -41,83 +41,31 @@ def preceq(ctype: str, n: int, x: int, y: int) -> bool:
     return x == y or precedes(ctype, n, x, y)
 
 
-# -- single-letter crystal operators ----------------------------------------
+# -- the letter crystal ---------------------------------------------------------
 
-def letter_f(ctype: str, n: int, i: int, x: int):
-    """f_i on the letter crystal; None if undefined."""
+def letter_strings(ctype: str, n: int, i: int) -> tuple[tuple[int, ...], ...]:
+    """The i-strings of the letter crystal longer than one letter, each head first."""
     if ctype == "A":
-        return x + 1 if x == i else None
+        return ((i, i + 1),)
     if i < n - 1 or (i < n and ctype != "D"):
-        if x == i:
-            return i + 1
-        if x == -(i + 1):
-            return -i
-        return None
+        return ((i, i + 1), (-(i + 1), -i))
     if ctype == "B":
-        if x == n:
-            return 0
-        if x == 0:
-            return -n
-        return None
+        return ((n, 0, -n),)
     if ctype == "C":
-        return -n if x == n else None
+        return ((n, -n),)
     if i == n - 1:  # D
-        if x == n - 1:
-            return n
-        if x == -n:
-            return -(n - 1)
-        return None
-    if x == n - 1:  # D, i == n
-        return -n
-    if x == n:
-        return -(n - 1)
-    return None
+        return ((n - 1, n), (-n, -(n - 1)))
+    return ((n - 1, -n), (n, -(n - 1)))  # D, i == n
 
 
-def letter_e(ctype: str, n: int, i: int, x: int):
-    """e_i on the letter crystal, the mirror of letter_f; None if undefined."""
-    if ctype == "A":
-        return i if x == i + 1 else None
-    if i < n - 1 or (i < n and ctype != "D"):
-        if x == i + 1:
-            return i
-        if x == -i:
-            return -(i + 1)
-        return None
-    if ctype == "B":
-        if x == 0:
-            return n
-        if x == -n:
-            return 0
-        return None
-    if ctype == "C":
-        return n if x == -n else None
-    if i == n - 1:  # D
-        if x == n:
-            return n - 1
-        if x == -(n - 1):
-            return -n
-        return None
-    if x == -n:  # D, i == n
-        return n - 1
-    if x == -(n - 1):
-        return n
-    return None
-
-
-def letter_signs(ctype: str, n: int, i: int) -> dict[int, tuple[int, int]]:
-    """{letter: (eps_i, phi_i)} for the letters where either is non-zero."""
-    if ctype == "A":
-        return {i: (0, 1), i + 1: (1, 0)}
-    if i < n - 1 or (i < n and ctype != "D"):
-        return {i: (0, 1), -(i + 1): (0, 1), i + 1: (1, 0), -i: (1, 0)}
-    if ctype == "B":
-        return {n: (0, 2), 0: (1, 1), -n: (2, 0)}
-    if ctype == "C":
-        return {n: (0, 1), -n: (1, 0)}
-    if i == n - 1:  # D
-        return {n - 1: (0, 1), -n: (0, 1), n: (1, 0), -(n - 1): (1, 0)}
-    return {n - 1: (0, 1), n: (0, 1), -n: (1, 0), -(n - 1): (1, 0)}  # D, i == n
+def letter_entries(ctype: str, n: int, i: int) -> dict:
+    """{letter: (eps_i, phi_i, e_i letter, f_i letter)} for the letters on an i-string."""
+    out = {}
+    for string in letter_strings(ctype, n, i):
+        padded = (None, *string, None)  # padded[k] and padded[k + 2] flank string[k]
+        for k, x in enumerate(string):
+            out[x] = (k, len(string) - 1 - k, padded[k], padded[k + 2])
+    return out
 
 
 # -- spin factors (types B and D), stored as sign tuples ---------------------
@@ -299,25 +247,6 @@ def tableau_weight(ctype: str, n: int, cols, spin=None) -> tuple[int, ...]:
     return tuple(w)
 
 
-def tableau_apply(ctype: str, n: int, elem, i: int, op: str):
-    """Apply e_i/f_i ('e'/'f') via the signature rule; None if it vanishes.
-
-    `SignatureTable.apply` without a table: the rule over the factors picks
-    the column, and the rule over that column's letters picks the letter.
-    """
-    signs = letter_signs(ctype, n, i)
-    cols, spin = elem
-    sigs = [signature([signs.get(x, (0, 0)) for x in col]) for col in reversed(cols)]
-    if spin is not None:
-        sigs.append(spin_entry(ctype, n, i, spin))
-    k = signature_index(sigs, op)
-    if k is None:
-        return None
-    at = sigs[k][2 if op == "e" else 3]  # the spin image, or the column's letter
-    image = at if k == len(cols) else _moved(ctype, n, i, cols[-1 - k], at, op)
-    return SignatureTable._put(elem, k, image)
-
-
 # -- the signature rule -------------------------------------------------------
 
 def signature(pairs):
@@ -350,19 +279,19 @@ def signature_index(pairs, op: str):
 
 # -- tensors of factors: one entry per factor and color -----------------------
 
+_INERT = (0, 0, None, None)  # the entry of a letter on no i-string
+
+
 def column_entry(ctype: str, n: int, i: int, col):
     """(eps_i, phi_i, e_i image, f_i image) of a column, the tensor of its letters."""
-    signs = letter_signs(ctype, n, i)
-    eps, phi, e_at, f_at = signature([signs.get(x, (0, 0)) for x in col])
-    return eps, phi, _moved(ctype, n, i, col, e_at, "e"), _moved(ctype, n, i, col, f_at, "f")
+    letters = letter_entries(ctype, n, i)
+    entries = [letters.get(x, _INERT) for x in col]
+    eps, phi, e_at, f_at = signature(entries)
 
+    def swapped(r, slot):
+        return None if r is None else col[:r] + (entries[r][slot],) + col[r + 1 :]
 
-def _moved(ctype, n, i, col, r, op):
-    """col with its letter r moved by e_i/f_i ('e'/'f'); None if r is None."""
-    if r is None:
-        return None
-    act = letter_e if op == "e" else letter_f
-    return col[:r] + (act(ctype, n, i, col[r]),) + col[r + 1 :]
+    return eps, phi, swapped(e_at, 2), swapped(f_at, 3)
 
 
 def spin_entry(ctype: str, n: int, i: int, sv):
@@ -421,6 +350,14 @@ class SignatureTable:
             _, _, e_at, f_at = signature(entries)
             down = None if f_at is None else put(elem, f_at, entries[f_at][3])
             yield i, down, None if e_at is None else put(elem, e_at, entries[e_at][2])
+
+
+def tableau_apply(ctype: str, n: int, elem, i: int, op: str):
+    """Apply e_i/f_i ('e'/'f') via the signature rule; None if it vanishes.
+
+    `SignatureTable.apply` on a table made for the call.
+    """
+    return SignatureTable(ctype, n, (i,)).apply(elem, i, op)
 
 
 class SpinTensorTable(SignatureTable):

@@ -18,6 +18,7 @@ from .cartan import (
     AffineSpec,
     Shape,
     conjugate,
+    horizontal_domino_shapes,
     kr_decomposition,
     kr_dimension,
     pairing,
@@ -28,12 +29,10 @@ from .cartan import (
 from .kr_builders import (
     KRBuild,
     _branching,
-    _c_virtual_shapes,
     _locate_tops,
     _triple_of,
     build_kr,
     classical_model,
-    model_shapes,
     promotion,
 )
 
@@ -173,7 +172,7 @@ def check_decompositions(build: KRBuild) -> CheckReport:
             # the zero side branches over horizontal-domino shapes
             want_sizes = sorted(
                 shape_dimension("B", n, sh)
-                for sh in _c_virtual_shapes(n, spec.r, spec.s)
+                for sh in horizontal_domino_shapes(spec.r, spec.s)
             )
         else:
             want_sizes = classical_sizes
@@ -315,7 +314,7 @@ def check_phi0(build: KRBuild) -> CheckReport:
             return True, "rule not applicable to this construction", None
         g = build.graph
         m0 = 2 if fam == "C1" else 1
-        table = _branching(g, spec.classical_type, n, _locate_tops(build, model_shapes(build)))
+        table = _branching(g, spec.classical_type, n, _locate_tops(build, kr_decomposition(spec)))
         checked = 0
         for x, P in sorted(table.items()):  # the {2..n}-tops in vertex order
             if build.kind == "triples":
@@ -337,7 +336,7 @@ def check_phi0(build: KRBuild) -> CheckReport:
                 continue
             # mixed-sign diagrams: a short column with no plus forces motion
             short = [st for h, st in P.cols if h < n - 1]
-            if short and not any("+" in pm._marks(st) for st in short):
+            if short and not any("+" in st for st in short):
                 checked += 1
                 if g.phi(0, x) == 0:
                     return False, "phi_0 vanished without a short plus", _w(build, x, 0)

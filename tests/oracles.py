@@ -1,15 +1,17 @@
 """Definitions that only tests call, kept as independent oracles.
 
-`letter_phi`/`letter_eps` count steps along an i-string through the letter
-operators, and `reduce_signature` cancels the signs of a whole tensor word;
-`tableaux.letter_signs` and `tableaux.tableau_apply` are checked against
-them, and `tableaux.tableau_weight` against the sum of `letter_weight`.
+`letter_f` is f_i on the letter crystal in closed form, `letter_e` its
+preimage scan, and `letter_phi`/`letter_eps` count steps along an i-string
+through them; `reduce_signature` cancels the signs of a whole tensor word.
+`tableaux.letter_entries` (read off `tableaux.letter_strings`) and
+`tableaux.tableau_apply` are checked against them, and
+`tableaux.tableau_weight` against the sum of `letter_weight`.
 `spin_tensor_apply` runs the signature rule on a spin tensor per call, from
 the spin vectors' own (eps, phi); `tableaux.SpinTensorTable` is checked
 against it.  `tableau_phi` and `tableau_phi_table` walk the branching map
-`pm_diagrams.phi` through the table-free `tableaux.tableau_apply`, a model no
-build owns; `phi_direct` fills the columns of a diagram directly and is
-checked against that walk.  `inner_shape` is the shape a diagram's bare cells
+`pm_diagrams.phi` through `tableaux.tableau_apply`, on a table made for each
+step that no build owns; `phi_direct` fills the columns of a diagram
+directly and is checked against that walk.  `inner_shape` is the shape a diagram's bare cells
 form; `halve_pm` inverts `double_pm`; `e1_on_pair` raises color 1 on a
 stacked pair of diagrams, whose signed columns `signs` lists.
 `isomorphism` is the first of `CrystalGraph.isomorphisms`, or None.
@@ -27,7 +29,6 @@ from krcrystals.kr_builders import KRBuild
 from krcrystals.pm_diagrams import (
     PmDiagram,
     _inner_height,
-    _marks,
     _middle_height,
     highest_element,
     is_doubled,
@@ -36,13 +37,51 @@ from krcrystals.pm_diagrams import (
     phi_table,
 )
 from krcrystals.tableaux import (
-    letter_e,
-    letter_f,
+    all_letters,
     reading_word,
     spin_eps,
     spin_phi,
 )
 from krcrystals.verify import affine_colors
+
+
+def letter_f(ctype: str, n: int, i: int, x: int):
+    """f_i on the letter crystal; None if undefined."""
+    if ctype == "A":
+        return x + 1 if x == i else None
+    if i < n - 1 or (i < n and ctype != "D"):
+        if x == i:
+            return i + 1
+        if x == -(i + 1):
+            return -i
+        return None
+    if ctype == "B":
+        if x == n:
+            return 0
+        if x == 0:
+            return -n
+        return None
+    if ctype == "C":
+        return -n if x == n else None
+    if i == n - 1:  # D
+        if x == n - 1:
+            return n
+        if x == -n:
+            return -(n - 1)
+        return None
+    if x == n - 1:  # D, i == n
+        return -n
+    if x == n:
+        return -(n - 1)
+    return None
+
+
+def letter_e(ctype: str, n: int, i: int, x: int):
+    """e_i by definition: the preimage of x under f_i, found by scanning."""
+    for y in all_letters(ctype, n):
+        if letter_f(ctype, n, i, y) == x:
+            return y
+    return None
 
 
 def letter_phi(ctype: str, n: int, i: int, x: int) -> int:
@@ -128,7 +167,7 @@ def first_color_raise(x, colors, up):
 # -- diagrams: the tableau walk, the direct column filling, halving, e_1 ------
 
 def tableau_phi(P: PmDiagram):
-    """phi(P) in the tableau model, walked by the table-free single step."""
+    """phi(P) in the tableau model, walked by the single step."""
     top = highest_element(P.ctype, P.n, P.outer())
     return phi(P, lambda x, i: tableaux.tableau_apply(P.ctype, P.n, x, i, "f"), top)
 
@@ -248,7 +287,7 @@ def halve_pm(P: PmDiagram, target: str = "C") -> PmDiagram:
 
 def signs(P: PmDiagram, sign: str) -> tuple[int, ...]:
     """Column indices of P carrying the given sign; spin column excluded."""
-    return tuple(k for k, (_, st) in enumerate(P.cols) if sign in _marks(st))
+    return tuple(k for k, (_, st) in enumerate(P.cols) if sign in st)
 
 
 def e1_on_pair(P: PmDiagram, p: PmDiagram):

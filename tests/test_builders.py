@@ -220,11 +220,11 @@ def test_stepped_sigma_on_tops_is_the_involuted_diagram_walk(fam, n, r, s):
 
 def test_stepped_build_tableau_apply_calls(monkeypatch):
     # every single step: the host's steps, its diagram walks and the lifts go
-    # through the build's signature tables, none through the table-free
-    # tableau_apply.  The count is deterministic; the bound sits between the
-    # 37,673 steps of sigma read off the table at the tops and raised by
-    # whole strings, and the 56,694 of re-walking each top and raising one
-    # step per sweep
+    # through the build's signature tables, none through tableau_apply and
+    # the table it makes per call.  The count is deterministic; the bound
+    # sits between the 37,673 steps of sigma read off the table at the tops
+    # and raised by whole strings, and the 56,694 of re-walking each top and
+    # raising one step per sweep
     calls = []
 
     def counted(step):
@@ -343,6 +343,27 @@ def test_triple_rules_d():
     assert triple_rules("D2", 3, SignTriple(1, 0, 2), "e") == SignTriple(0, 1, 2)
     with pytest.raises(ValueError):
         triple_rules("D2", 2, SignTriple(1, 0, 0), "e")
+
+
+@pytest.mark.parametrize(
+    "n,message",
+    [(2, "triple 0-arrows are not mutually inverse"), (3, "transport died on an f_2 arrow")],
+)
+def test_broken_triple_rule_fails_the_transport(monkeypatch, capsys, n, message):
+    # f_0 sends every {2..n}-top to the all-+ top: at n = 2 the transport
+    # goes through and f_0 is not the inverse of e_0; at n = 3 an f_2 arrow
+    # out of some other top has no match at the all-+ top
+    rules = kr_builders.triple_rules
+
+    def all_plus(family, s, t, direction):
+        return SignTriple(s, 0, 0) if direction == "f" else rules(family, s, t, direction)
+
+    monkeypatch.setattr(kr_builders, "triple_rules", all_plus)
+    args = ["build", "--family", "C1", "--n", str(n), "--r", str(n), "--s", "2"]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"kr: {message}\n"
 
 
 def test_exceptional_cd_sizes():

@@ -4,14 +4,9 @@ import pytest
 
 from krcrystals.cartan import Shape, weyl_dimension
 from krcrystals.crystal_core import CrystalGraph, generate_closure, greedy_raise
-from krcrystals.tableaux import (
-    SignatureTable,
-    letter_e,
-    letter_f,
-    tableau_weight,
-)
+from krcrystals.tableaux import SignatureTable, tableau_weight
 
-from oracles import first_color_raise, isomorphism, letter_weight
+from oracles import first_color_raise, isomorphism, letter_e, letter_f, letter_weight
 
 
 def letter_neighbours(ctype, n, colors):

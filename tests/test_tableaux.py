@@ -14,9 +14,8 @@ from krcrystals.tableaux import (
     enumerate_tableaux,
     format_element,
     format_spin_tensor,
-    letter_e,
-    letter_f,
-    letter_signs,
+    letter_entries,
+    letter_strings,
     order_key,
     precedes,
     reading_word,
@@ -36,7 +35,9 @@ from krcrystals.tableaux import (
 )
 
 from oracles import (
+    letter_e,
     letter_eps,
+    letter_f,
     letter_phi,
     letter_weight,
     parse_element,
@@ -78,38 +79,37 @@ def test_letter_chain_crystals():
     assert letter_f("D", 3, 3, -3) is None
 
 
-def scan_letter_e(ctype, n, i, x):
-    """e_i by definition: the preimage of x under f_i, found by scanning."""
-    for y in all_letters(ctype, n):
-        if letter_f(ctype, n, i, y) == x:
-            return y
-    return None
+def every_letter_and_color():
+    """(ctype, n, i, letters) for every type, n up to 7, and every color."""
+    for ctype in "ABCD":
+        for n in range({"A": 2, "D": 3}.get(ctype, 1), 8):
+            top = n - 1 if ctype == "A" else n
+            for i in range(1, top + 1):
+                yield ctype, n, i, all_letters(ctype, n)
 
 
 def test_letter_e_inverts_f():
-    # every letter, None exactly where x has no preimage
-    for ctype in "ABCD":
-        for n in range({"A": 2, "D": 3}.get(ctype, 1), 8):
-            top = n - 1 if ctype == "A" else n
-            for i in range(1, top + 1):
-                for x in all_letters(ctype, n):
-                    assert letter_e(ctype, n, i, x) == scan_letter_e(ctype, n, i, x)
+    # each entry's e and f letters are the closed-form f_i and its preimage
+    # scan, None exactly where those vanish
+    for ctype, n, i, letters in every_letter_and_color():
+        entries = letter_entries(ctype, n, i)
+        for x in letters:
+            want = (letter_e(ctype, n, i, x), letter_f(ctype, n, i, x))
+            assert entries.get(x, (0, 0, None, None))[2:] == want, (ctype, n, i, x)
 
 
 def test_letter_signs_match_string_lengths():
-    # the closed-form table holds exactly the letters whose i-string lengths
-    # are not both 0, with those lengths
-    for ctype in "ABCD":
-        for n in range({"A": 2, "D": 3}.get(ctype, 1), 8):
-            top = n - 1 if ctype == "A" else n
-            letters = all_letters(ctype, n)
-            for i in range(1, top + 1):
-                signs = letter_signs(ctype, n, i)
-                assert set(signs) <= set(letters), (ctype, n, i)
-                for x in letters:
-                    pair = (letter_eps(ctype, n, i, x), letter_phi(ctype, n, i, x))
-                    assert (x in signs) == (pair != (0, 0)), (ctype, n, i, x)
-                    assert signs.get(x, (0, 0)) == pair, (ctype, n, i, x)
+    # the entries hold exactly the letters whose i-string lengths are not
+    # both 0, with those lengths; every string is listed head first
+    for ctype, n, i, letters in every_letter_and_color():
+        entries = letter_entries(ctype, n, i)
+        assert set(entries) <= set(letters), (ctype, n, i)
+        for x in letters:
+            pair = (letter_eps(ctype, n, i, x), letter_phi(ctype, n, i, x))
+            assert (x in entries) == (pair != (0, 0)), (ctype, n, i, x)
+            assert entries.get(x, (0, 0))[:2] == pair, (ctype, n, i, x)
+        for string in letter_strings(ctype, n, i):
+            assert letter_e(ctype, n, i, string[0]) is None, (ctype, n, i)
 
 
 def test_signature_rule_worked_example():
@@ -174,7 +174,7 @@ def reference_apply(ctype, n, elem, i, op):
         return k
 
     pairs = [
-        (length(scan_letter_e, cols[c][r]), length(letter_f, cols[c][r]))
+        (length(letter_e, cols[c][r]), length(letter_f, cols[c][r]))
         for c, r in cells
     ]
     if spin is not None:
@@ -185,7 +185,7 @@ def reference_apply(ctype, n, elem, i, op):
     if j == len(cells):
         return (cols, (spin_e if op == "e" else spin_f)(ctype, n, i, spin))
     c, r = cells[j]
-    letter = (scan_letter_e if op == "e" else letter_f)(ctype, n, i, cols[c][r])
+    letter = (letter_e if op == "e" else letter_f)(ctype, n, i, cols[c][r])
     col = cols[c][:r] + (letter,) + cols[c][r + 1 :]
     return (cols[:c] + (col,) + cols[c + 1 :], spin)
 
