@@ -149,6 +149,18 @@ def zero_root_projection(family: str, n: int) -> Weight:
     return tuple(w)
 
 
+def affine_pairing(family: str, n: int, wt: Weight, i: int) -> int:
+    """<wt, alpha_i^vee> for affine color i of the family, on a doubled classical weight."""
+    if i:
+        return pairing(CLASSICAL_TYPE[family], n, wt, i)
+    v = zero_root_projection(family, n)
+    num = 2 * sum(a * b for a, b in zip(wt, v))
+    den = sum(a * a for a in v)
+    if num % den:
+        raise ValueError(f"weight {wt} pairs fractionally with the zero root")
+    return num // den
+
+
 def weyl_dimension(ctype: str, n: int, wt: Weight) -> int:
     """Dimension of the classical irreducible with doubled highest weight wt.
 
@@ -191,17 +203,6 @@ def conjugate(cols) -> tuple[int, ...]:
     return tuple(sum(1 for h in heights if h > i) for i in range(heights[0]))
 
 
-def _column_multisets(heights: list[int], budget: int):
-    """All ways to pick columns from `heights` with at most `budget` columns."""
-    if not heights:
-        yield ()
-        return
-    h = heights[0]
-    for count in range(budget + 1):
-        for rest in _column_multisets(heights[1:], budget - count):
-            yield (h,) * count + rest
-
-
 def horizontal_domino_shapes(r: int, s: int) -> tuple[Shape, ...]:
     """Horizontal-domino removals from an r x s rectangle: rows congruent to s mod 2."""
     shapes = [
@@ -225,13 +226,12 @@ def kr_decomposition(spec: AffineSpec) -> tuple[Shape, ...]:
     if fam == "B1" and r == n:
         # weights 2(k_iota + ... + k_{n-2}) + k_n = s; height-0 entries carry
         # the k_0 slack when n is even
-        iota = n % 2
-        low_heights = list(range(iota, n - 1, 2))
+        low_heights = range(n % 2, n - 1, 2)
         shapes = []
-        for low in _column_multisets(low_heights, s // 2):
-            k_n = s - 2 * len(low)
-            full, sp = divmod(k_n, 2)
-            shapes.append(Shape(conjugate(low + (n,) * full), spin=sp))
+        for count in range(s // 2 + 1):
+            full, sp = divmod(s - 2 * count, 2)
+            for low in itertools.combinations_with_replacement(low_heights, count):
+                shapes.append(Shape(conjugate(low + (n,) * full), spin=sp))
         return tuple(sorted(shapes, key=lambda sh: (sh.size(), sh.rows, sh.spin)))
 
     if fam == "D2" and r == n:
@@ -242,13 +242,11 @@ def kr_decomposition(spec: AffineSpec) -> tuple[Shape, ...]:
         return (Shape((s,) * n),)
 
     if fam in ("B1", "D1", "A2odd"):
-        # vertical-domino removals: every column keeps height = r mod 2, so
-        # columns may vanish only when r is even
-        heights = list(range(r, 0, -2))
+        # vertical-domino removals: s columns of heights congruent to r mod 2,
+        # so columns may vanish (height 0) only when r is even
         shapes = [
             Shape(conjugate(cols))
-            for cols in _column_multisets(heights, s)
-            if r % 2 == 0 or len(cols) == s
+            for cols in itertools.combinations_with_replacement(range(r, -1, -2), s)
         ]
         return tuple(sorted(shapes, key=lambda sh: (sh.size(), sh.rows)))
 
@@ -257,7 +255,8 @@ def kr_decomposition(spec: AffineSpec) -> tuple[Shape, ...]:
 
     # A2even any r, D2 r < n: every shape inside the r x s box
     shapes = [
-        Shape(conjugate(cols)) for cols in _column_multisets(list(range(r, 0, -1)), s)
+        Shape(conjugate(cols))
+        for cols in itertools.combinations_with_replacement(range(r, -1, -1), s)
     ]
     return tuple(sorted(shapes, key=lambda sh: (sh.size(), sh.rows)))
 

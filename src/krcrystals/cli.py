@@ -12,15 +12,9 @@ import argparse
 import json
 import sys
 
-from .cartan import FAMILIES, AffineSpec, kr_dimension, pairing
+from .cartan import FAMILIES, AffineSpec, affine_pairing, kr_dimension
 from .kr_builders import build_kr
-from .verify import (
-    SUITES,
-    default_grid,
-    run_suite,
-    second_subset,
-    zero_pairing,
-)
+from .verify import SUITES, default_grid, run_suite, second_subset
 
 
 def _edges(graph):
@@ -59,10 +53,9 @@ def to_dot(build) -> str:
 
 def _fundamental_string(spec, subset, wt) -> str:
     """Weight as a sum of fundamental weights of the subset's colors."""
-    ctype, n = spec.classical_type, spec.n
     terms = []
     for i in subset:
-        c = zero_pairing(spec.family, n, wt) if i == 0 else pairing(ctype, n, wt, i)
+        c = affine_pairing(spec.family, spec.n, wt, i)
         if c:
             coeff = "" if c == 1 else str(c)
             terms.append(f"{coeff}Λ{i}")

@@ -189,13 +189,13 @@ def greedy_raise(x, colors, up):
     return path, x
 
 
-def generate_closure(seeds, colors, neighbours, weight_fn, bound=VERTEX_BOUND):
+def generate_closure(seeds, colors, neighbours, weight_fn):
     """Close seed elements under e_i/f_i for all given colors.
 
     ``neighbours(elem)`` gives (i, f_i elem, e_i elem) for each color in
     order, None where an operator vanishes.  Raises if the closure exceeds
-    ``bound`` vertices or arrows conflict: the f_i arrow out of y that e_i
-    at x claims must be the one f_i at y gives.
+    VERTEX_BOUND vertices or arrows conflict: the f_i arrow out of y that
+    e_i at x claims must be the one f_i at y gives.
     """
     elements = []
     index = {}
@@ -206,8 +206,8 @@ def generate_closure(seeds, colors, neighbours, weight_fn, bound=VERTEX_BOUND):
         k = index.get(elem)
         if k is None:
             k = len(elements)
-            if k >= bound:
-                raise RuntimeError(f"crystal closure exceeded {bound} vertices")
+            if k >= VERTEX_BOUND:
+                raise RuntimeError(f"crystal closure exceeded {VERTEX_BOUND} vertices")
             index[elem] = k
             elements.append(elem)
             queue.append(elem)

@@ -121,18 +121,22 @@ def _branching(graph, ctype, n, tops):
     return table
 
 
+def _top_of_weight(tops, weight_of, wt):
+    """The one top whose weight_of is wt; RuntimeError unless there is exactly one."""
+    hits = [top for top in tops if weight_of(top) == wt]
+    if len(hits) != 1:
+        raise RuntimeError(f"classical top of weight {wt} is not unique")
+    return hits[0]
+
+
 def _locate_tops(build, shapes):
     """{shape: the vertex of the build carrying its classical highest tableau}."""
     ctype, n, g = build.spec.classical_type, build.spec.n, build.graph
     tops = g.highest_vertices(build.spec.classical_colors)
-    located = {}
-    for sh in shapes:
-        wt = sh.weight(ctype, n)
-        hits = [v for v in tops if tuple(g.weights[v]) == wt]
-        if len(hits) != 1:
-            raise RuntimeError(f"classical top of weight {wt} is not unique")
-        located[sh] = hits[0]
-    return located
+    return {
+        sh: _top_of_weight(tops, lambda v: tuple(g.weights[v]), sh.weight(ctype, n))
+        for sh in shapes
+    }
 
 
 # -- type A: promotion --------------------------------------------------------
@@ -316,7 +320,8 @@ class SteppedHost:
         table = pm.phi_table("C", self.rank, tops, lambda x, i: self._table.apply(x, i, "f"))
         self._sigma = _sigma_on_tops(table, pm.involution_S, r, s)
         self._arrows = {}
-        self._fixed_tops = [top for top, image in self._sigma.items() if image == top]
+        fixed = [top for top, image in self._sigma.items() if image == top]
+        self._fixed_tops = {top: self.host_weight(top) for top in fixed}  # top -> its weight
 
     # -- the A2odd crystal ----------------------------------------------------
 
@@ -382,25 +387,18 @@ class SteppedHost:
         top = pm.highest_element("C", self.n, P.outer())
         return pm.phi(P, lambda x, i: self._model.apply(x, i, "f"), top)
 
-    def lift(self, tab):
-        """Host element whose classical-model C_n tableau is tab."""
-        if not self.virtual:
-            return tab  # the A2odd host is its own classical model
-        n = self.n
-        path, top = greedy_raise(tab, range(1, n + 1), lambda i, x: self._model.apply(x, i, "e"))
-        y = self._fixed_top(tableaux.tableau_weight("C", n, top[0], top[1]))
-        for i in reversed(path):
-            y = self.host_apply(y, i, "f")
-            if y is None:
-                raise RuntimeError("classical transport died while descending")
-        return y
+    def host_phi(self, P):
+        """Phi(P) of a C_n diagram walked in the host's own C_n view (colors 1..n).
 
-    def _fixed_top(self, wt):
-        """The sigma-fixed {2..N}-highest host element of a given host weight."""
-        hits = [top for top in self._fixed_tops if self.host_weight(top) == wt]
-        if len(hits) != 1:
-            raise RuntimeError(f"classical top of weight {wt} is not unique")
-        return hits[0]
+        The walk starts at the host's C_n top of P.outer(): the sigma-fixed
+        {2..N}-top of its weight when virtual, else the highest tableau.
+        """
+        outer = P.outer()
+        if self.virtual:
+            top = _top_of_weight(self._fixed_tops, self._fixed_tops.get, outer.weight("C", self.n))
+        else:
+            top = pm.highest_element("C", self.n, outer)
+        return pm.phi(P, lambda x, i: self.host_apply(x, i, "f"), top)
 
     def _is_host_element(self, tab):
         cols, spin = tab
@@ -412,19 +410,19 @@ class SteppedHost:
             and (not self.virtual or self.sigma(tab) == tab)
         )
 
-    def seed(self, tab):
-        """Host element seeding the image component of a doubled C_n tableau."""
-        # A tableau that is itself a (sigma-fixed) host element is used as
-        # is, although the classical isomorphism may carry it elsewhere: for
-        # A2even 2,1,1 the doubled seed 2|2 is such an element, whose
-        # classical model is 1|1 (the lift of 2|2 is 3|3).  Either seeds the
-        # same crystal, but the seeds fix the breadth-first vertex order, so
-        # this rule is what keeps the A2even and D2 exports byte-stable.
+    def seed(self, P):
+        """Host element seeding the image component of a doubled C_n diagram P."""
+        # Phi(P) in the classical model is used as is when it is itself a
+        # (sigma-fixed) host element: for A2even 2,1,1 the doubled seed walks
+        # to 2|2 there, where host_phi gives 3|3.  Either seeds the same
+        # crystal, but the seeds fix the breadth-first vertex order, so this
+        # rule is what keeps the A2even and D2 exports byte-stable.
+        tab = self.model_phi(P)
         if self._is_host_element(tab):
             return tab
         if not self.virtual:
             raise RuntimeError("doubled seed is not an element of the host")
-        return self.lift(tab)
+        return self.host_phi(P)
 
     # -- the stepped build ----------------------------------------------------
 
@@ -455,8 +453,7 @@ def _build_stepped(spec):
         host = SteppedHost(n, r, 2 * s, virtual=True, m=m)
     ctype = spec.classical_type
     seeds = [
-        host.seed(host.model_phi(pm.double_pm(_seed_diagram(ctype, n, sh))))
-        for sh in kr_decomposition(spec)
+        host.seed(pm.double_pm(_seed_diagram(ctype, n, sh))) for sh in kr_decomposition(spec)
     ]
     graph = generate_closure(seeds, tuple(range(n + 1)), host.neighbours, host.weight)
     if len(graph.elements) != kr_dimension(spec):
@@ -552,8 +549,12 @@ def _build_triples(spec):
         anchors = {}
         for top, P in table.items():
             out = triple_rules(family, s, _triple_of(P), direction)
-            if out is not None:
-                anchors[top] = vertex_of[_triple_diagram(ctype, n, out)]
+            if out is None:
+                continue
+            y = vertex_of.get(_triple_diagram(ctype, n, out))
+            if y is None:
+                raise RuntimeError(f"triple {out} is off the diagram table")
+            anchors[top] = y
         arrows[direction] = _transport(
             cls, lambda i, y: cls.f[i].get(y), anchors, range(2, n + 1)
         )

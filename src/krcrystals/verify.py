@@ -17,11 +17,11 @@ from .cartan import (
     FAMILIES,
     AffineSpec,
     Shape,
+    affine_pairing,
     conjugate,
     horizontal_domino_shapes,
     kr_decomposition,
     kr_dimension,
-    pairing,
     shape_dimension,
     simple_root,
     zero_root_projection,
@@ -92,16 +92,6 @@ def second_subset(spec: AffineSpec) -> tuple[int, ...]:
     return (0,) + tuple(range(2, top + 1))
 
 
-def zero_pairing(family: str, n: int, wt) -> int:
-    """<wt, alpha_0^vee> on a doubled classical weight."""
-    v = zero_root_projection(family, n)
-    num = 2 * sum(a * b for a, b in zip(wt, v))
-    den = sum(a * a for a in v)
-    if num % den:
-        raise ValueError(f"weight {wt} pairs fractionally with the zero root")
-    return num // den
-
-
 # -- regularity ----------------------------------------------------------------
 
 def check_regularity(build: KRBuild) -> CheckReport:
@@ -124,12 +114,7 @@ def check_regularity(build: KRBuild) -> CheckReport:
                     want = tuple(a - b for a, b in zip(wt, steps[i]))
                     if g.weights[y] != want:
                         return False, "weight step is not the root", _w(build, x, i)
-                want = (
-                    zero_pairing(spec.family, n, wt)
-                    if i == 0
-                    else pairing(ctype, n, wt, i)
-                )
-                if g.phi(i, x) - g.eps(i, x) != want:
+                if g.phi(i, x) - g.eps(i, x) != affine_pairing(spec.family, n, wt, i):
                     return False, "phi - eps misses the coroot pairing", _w(build, x, i)
         return True, f"{len(g)} vertices", None
 
@@ -188,79 +173,56 @@ def check_decompositions(build: KRBuild) -> CheckReport:
 
 # -- automorphisms ----------------------------------------------------------------
 
-def _check_table_sigma(build):
-    """sigma is an involution, commutes above color 1, and conjugates 0 to 1."""
+def _check_conjugation(build, tau, back, color_map, order, name, passed):
+    """tau has order `order` and carries each f_i arrow to an f'_{color_map[i]} arrow.
+
+    The order walk alternates tau and back, starting with tau.  f' is the
+    partner's arrows for a spin build and the build's own otherwise.  The
+    witness is the first vertex whose walk does not return, or the first
+    (vertex, color) whose arrow is not carried.
+    """
     g = build.graph
-    partner = build.partner or build  # spin: sigma lands in the partner
-    sigma, back = build.sigma_table, partner.sigma_table
-    pg = partner.graph
+    target = (build.partner or build).graph.f
     for x in range(len(g)):
-        if back[sigma[x]] != x:
-            return False, "sigma is not an involution", _w(build, x, 1)
-        for i in range(2, build.spec.n + 1):
+        w = x
+        for k in range(order):
+            w = (back if k % 2 else tau)[w]
+        if w != x:
+            witness = {"element": build.render(g.elements[x])}
+            return False, f"{name} does not have order {order}", witness
+        for i, j in color_map.items():
             y = g.f[i].get(x)
-            z = pg.f[i].get(sigma[x])
-            if (None if y is None else sigma[y]) != z:
-                return False, "sigma fails to commute", _w(build, x, i)
-        z = pg.f[1].get(sigma[x])
-        if g.f[0].get(x) != (None if z is None else back[z]):
-            return False, "f_0 is not sigma f_1 sigma", _w(build, x, 0)
-    return True, "involution conjugating f_0 to f_1", None
-
-
-def _check_promotion_sigma(build):
-    """Promotion has order n and rotates every colored arrow by one."""
-    g = build.graph
-    n = build.spec.n
-    pr = {}
-    for x, elem in enumerate(g.elements):
-        pr[x] = g.index[(promotion(elem[0], n), None)]
-    walk = list(range(len(g)))
-    for _ in range(n):
-        walk = [pr[x] for x in walk]
-    if walk != list(range(len(g))):
-        return False, f"promotion does not have order {n}", None
-    for x in range(len(g)):
-        for i in range(n):
-            y = g.f[i].get(x)
-            z = g.f[(i + 1) % n].get(pr[x])
-            if (None if y is None else pr[y]) != z:
-                return False, "promotion fails to rotate an arrow", _w(build, x, i)
-    return True, f"promotion of order {n} rotates all arrows", None
-
-
-def _search_involution(graph, color_map, colors):
-    for iso in graph.isomorphisms(graph, color_map=color_map, colors=colors):
-        if all(iso[iso[x]] == x for x in iso):
-            return iso
-    return None
-
-
-def _check_twisted_sigma(build, color_map, label):
-    colors = affine_colors(build.spec)
-    iso = _search_involution(build.graph, color_map, colors)
-    if iso is None:
-        return False, f"no involution realizing {label}", None
-    return True, f"involution realizing {label}", None
+            if (None if y is None else tau[y]) != target[j].get(tau[x]):
+                return False, f"{name} does not carry an f_{i} arrow", _w(build, x, i)
+    return True, passed, None
 
 
 def check_sigma(build: KRBuild) -> CheckReport:
     """The symmetry carrying the affine arrows exists and behaves."""
 
     def body():
-        n = build.spec.n
+        g, spec, n = build.graph, build.spec, build.spec.n
+        colors = affine_colors(spec)
+        swap = {i: i for i in colors} | {0: 1, 1: 0}
         if build.kind == "promotion":
-            return _check_promotion_sigma(build)
+            pr = [g.index[(promotion(cols, n), None)] for cols, _ in g.elements]
+            rotate = {i: (i + 1) % n for i in colors}
+            passed = f"promotion of order {n} rotates all arrows"
+            return _check_conjugation(build, pr, pr, rotate, n, "promotion", passed)
         if build.sigma_table is not None:
-            return _check_table_sigma(build)
-        if build.spec.family in ("C1", "D2"):
-            color_map = {i: n - i for i in affine_colors(build.spec)}
-            return _check_twisted_sigma(build, color_map, "i -> n-i")
-        if build.spec.family == "B1":  # r = n arrives without a stored table
-            color_map = {i: i for i in affine_colors(build.spec)}
-            color_map[0], color_map[1] = 1, 0
-            return _check_twisted_sigma(build, color_map, "0 <-> 1")
-        return True, "no automorphism in scope for this family", None
+            back = (build.partner or build).sigma_table
+            passed = "involution conjugating f_0 to f_1"
+            return _check_conjugation(build, build.sigma_table, back, swap, 2, "sigma", passed)
+        if spec.family in ("C1", "D2"):
+            color_map, label = {i: n - i for i in colors}, "i -> n-i"
+        elif spec.family == "B1":  # r = n arrives without a stored table
+            color_map, label = swap, "0 <-> 1"
+        else:
+            return True, "no automorphism in scope for this family", None
+        for iso in g.isomorphisms(g, color_map=color_map, colors=colors):
+            if all(iso[iso[x]] == x for x in iso):
+                return True, f"involution realizing {label}", None
+        return False, f"no involution realizing {label}", None
 
     return _report("sigma", build, body)
 
@@ -384,7 +346,7 @@ def _check_stepped_similarity(build):
     doubled = 0
     for sh in host.model_shapes:
         for P in pm.enumerate_pm("C", n, sh):
-            v = host.lift(host.model_phi(P))
+            v = host.host_phi(P)
             in_image = v in g.index
             # phantom zero-height columns double too, so their count stays even
             is_double = pm.is_doubled(P, target) and (host.s - P.width()) % 2 == 0

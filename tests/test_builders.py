@@ -21,6 +21,7 @@ from krcrystals.kr_builders import (
     triple_rules,
     _build_spin,
     _build_virtual,
+    _locate_tops,
 )
 from krcrystals.verify import default_grid
 
@@ -183,7 +184,8 @@ def test_stepped_route_matches_materialized_host(fam, n, r, s, host_size):
     # The host closed in full, with sigma tabled by transport along its
     # arrows, against the element-local operators of the stepped route:
     # B1 sits in A2odd B^{n,s}, A2even and D2 in the fixed locus of
-    # A2odd B^{r,2s} of rank n+1.
+    # A2odd B^{r,2s} of rank n+1.  Phi in the host's C_n view is Phi
+    # walked on the closed host's own arrows from its classical tops.
     b = build_kr(AffineSpec(fam, n, r, s))
     m = STEPPED_MULTIPLIERS[fam]
     assert b.ambient is None and b.stepped.m == m
@@ -203,6 +205,14 @@ def test_stepped_route_matches_materialized_host(fam, n, r, s, host_size):
                 y = None if y is None else hg.f[i].get(y)
             edge = b.graph.f[i].get(x)
             assert (None if edge is None else hg.index[b.graph.elements[edge]]) == y
+    tops = _locate_tops(host, b.stepped.model_shapes)
+    walked = 0
+    for sh in b.stepped.model_shapes:
+        for P in pm.enumerate_pm("C", n, sh):
+            v = pm.phi(P, lambda x, i: hg.f[i].get(x), tops[P.outer()])
+            assert b.stepped.host_phi(P) == hg.elements[v]
+            walked += 1
+    assert walked == len(hg.highest_vertices(range(2, n + 1)))
 
 
 @pytest.mark.parametrize(
@@ -364,6 +374,23 @@ def test_broken_triple_rule_fails_the_transport(monkeypatch, capsys, n, message)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"kr: {message}\n"
+
+
+def test_triple_off_the_diagram_table_exits_one(monkeypatch, capsys):
+    # f_0 sends every {2..n}-top to a triple one column too wide, which no
+    # diagram of the branching table carries
+    rules = kr_builders.triple_rules
+
+    def too_wide(family, s, t, direction):
+        return SignTriple(s + 1, 0, 0) if direction == "f" else rules(family, s, t, direction)
+
+    monkeypatch.setattr(kr_builders, "triple_rules", too_wide)
+    assert main(["build", "--family", "C1", "--n", "2", "--r", "2", "--s", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "kr: triple SignTriple(l1=3, l2=0, l3=0, gamma=0) is off the diagram table\n"
+    )
 
 
 def test_exceptional_cd_sizes():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from krcrystals import crystal_core
 from krcrystals.cartan import Shape, weyl_dimension
 from krcrystals.crystal_core import CrystalGraph, generate_closure, greedy_raise
 from krcrystals.tableaux import SignatureTable, tableau_weight
@@ -50,10 +51,11 @@ def test_closure_of_letter_chain():
     assert g.f[1].get(x) is None
 
 
-def test_closure_bound_and_conflicts():
+def test_closure_bound_and_conflicts(monkeypatch):
     neighbours = letter_neighbours("C", 3, (1, 2, 3))
+    monkeypatch.setattr(crystal_core, "VERTEX_BOUND", 3)
     with pytest.raises(RuntimeError, match="exceeded 3 vertices"):
-        generate_closure([1], (1, 2, 3), neighbours, lambda x: (0,), bound=3)
+        generate_closure([1], (1, 2, 3), neighbours, lambda x: (0,))
 
     def two_sources(x):
         # two different starts claim the same f_1 target

@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from krcrystals import pm_diagrams as pm
-from krcrystals.cartan import AffineSpec
+from krcrystals.cartan import AffineSpec, affine_pairing
 from krcrystals.crystal_core import CrystalGraph
 from krcrystals.kr_builders import build_kr
 from krcrystals.verify import (
@@ -19,7 +19,6 @@ from krcrystals.verify import (
     check_sigma,
     default_grid,
     run_suite,
-    zero_pairing,
 )
 
 from oracles import with_dropped_edge
@@ -73,7 +72,7 @@ def test_zero_string_pairing_matches_projected_root(family, n):
         build = build_kr(AffineSpec(family, n, 1, s))
         g = build.graph
         for x in range(len(g)):
-            want = zero_pairing(family, n, g.weights[x])
+            want = affine_pairing(family, n, g.weights[x], 0)
             assert g.phi(0, x) - g.eps(0, x) == want
 
 
