@@ -1,0 +1,109 @@
+"""Compare the outputs of a committed revision with the working tree's.
+
+    python3 scripts/same_output.py --rev HEAD~1
+
+The committed tree of --rev is unpacked with `git archive` into a temporary
+directory next to this checkout.  One child interpreter per tree runs, for
+every spec below, `kr build` (JSON and DOT) and `kr check --format json`
+through `cli.main`, and reports the exit code and the sha256 of stdout and
+stderr of each.  Every command whose record differs is printed; the exit
+status is 1 on any difference or child failure, else 0.
+
+The specs are the default `kr check` grid, the seven `wide_build` specs of
+perfbench/worker.py, and specs beyond both on the stepped, virtual, triples
+and spin routes.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+from bench_pairs import ROOT, unpack
+
+sys.path.insert(0, str(ROOT / "src"))
+from krcrystals.verify import default_grid  # noqa: E402
+
+EXTRA_SPECS = (
+    # the wide_build workload
+    ("A1", 6, 3, 3), ("B1", 4, 2, 3), ("D1", 5, 3, 2), ("A2odd", 5, 2, 3),
+    ("C1", 5, 5, 2), ("D2", 4, 4, 5), ("D1", 5, 5, 5),
+    # past the grid
+    ("A2even", 3, 3, 3), ("D2", 4, 3, 2), ("C1", 4, 3, 2), ("C1", 4, 4, 3),
+    ("D2", 3, 3, 4), ("D1", 4, 4, 3), ("D1", 5, 4, 3), ("D1", 6, 6, 2),
+    ("A2even", 4, 2, 2), ("A2even", 4, 3, 1), ("A2even", 2, 1, 4), ("D2", 4, 2, 2),
+    ("D2", 2, 1, 4), ("B1", 4, 4, 3), ("B1", 3, 3, 4),
+)
+
+# Runs in each tree: reads the argv lists on stdin, writes {command: record}.
+CHILD = """
+import contextlib, hashlib, io, json, sys
+from krcrystals import cli
+out = {"module": cli.__file__}
+for argv in json.load(sys.stdin):
+    streams = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(streams[0]), contextlib.redirect_stderr(streams[1]):
+        code = cli.main(argv)
+    digests = [hashlib.sha256(s.getvalue().encode()).hexdigest() for s in streams]
+    out["kr " + " ".join(argv)] = [code, *digests]
+json.dump(out, sys.stdout)
+"""
+
+
+def commands() -> list[list[str]]:
+    specs = [(s.family, s.n, s.r, s.s) for s in default_grid()] + list(EXTRA_SPECS)
+    out = []
+    for family, n, r, s in specs:
+        spec = ["--family", family, "--n", str(n), "--r", str(r), "--s", str(s)]
+        out += [["build", *spec], ["build", *spec, "--format", "dot"]]
+        out.append(["check", *spec, "--format", "json"])
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--rev", required=True, help="the revision to compare against")
+    args = parser.parse_args(argv)
+    todo = json.dumps(commands())
+    with tempfile.TemporaryDirectory(dir=ROOT.parent) as tmp:
+        roots = {"parent": Path(tmp), "change": ROOT}
+        sha = unpack(args.rev, roots["parent"])
+        children = {
+            side: subprocess.Popen(
+                [sys.executable, "-c", CHILD],
+                cwd=root,
+                env={**os.environ, "PYTHONPATH": str(root / "src")},
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            )
+            for side, root in roots.items()
+        }
+        records, failed = {}, False
+        for side, child in children.items():
+            out, err = child.communicate(todo)
+            if child.returncode:
+                print(f"{side} child exited {child.returncode}:\n{err}", file=sys.stderr)
+                failed = True
+                continue
+            records[side] = json.loads(out)
+            module = Path(records[side].pop("module"))
+            if not module.is_relative_to(roots[side]):
+                print(f"{side} child imported {module}, outside its tree", file=sys.stderr)
+                failed = True
+    if failed:
+        return 1
+    mismatches = [c for c in records["parent"] if records["parent"][c] != records["change"].get(c)]
+    for command in mismatches:
+        print(f"MISMATCH {command}: {records['parent'][command]} != "
+              f"{records['change'].get(command)}")
+    print(f"{len(records['parent']) - len(mismatches)} of {len(records['parent'])} "
+          f"outputs identical to {sha[:12]}")
+    return 1 if mismatches else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -105,6 +105,8 @@ def _cmd_check(args) -> int:
             raise ValueError("check needs either all of --family/--n/--r/--s or none")
         specs = (AffineSpec(args.family, args.n, args.r, args.s),)
     else:
+        if args.n_max < 2 or args.s_max < 1:
+            raise ValueError("check needs --n-max at least 2 and --s-max at least 1")
         specs = default_grid(
             n_values=tuple(range(2, args.n_max + 1)),
             s_values=tuple(range(1, args.s_max + 1)),

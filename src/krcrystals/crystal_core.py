@@ -75,12 +75,13 @@ class CrystalGraph:
         return seen
 
     def components(self, colors=None):
-        left = set(range(len(self.elements)))
+        seen = set()
         out = []
-        while left:
-            comp = self.component_of(min(left), colors)
-            out.append(sorted(comp))
-            left -= comp
+        for x in range(len(self.elements)):
+            if x not in seen:
+                comp = self.component_of(x, colors)
+                seen |= comp
+                out.append(sorted(comp))
         return out
 
     def highest_vertices(self, colors=None):
@@ -93,19 +94,12 @@ class CrystalGraph:
 
     def decomposition(self, colors=None):
         """Sorted weights of the unique highest vertex of each component."""
-        out = []
-        for comp in self.components(colors):
-            tops = [
-                x
-                for x in comp
-                if all(self.e[i].get(x) is None for i in (colors or self.colors))
-            ]
-            if len(tops) != 1:
-                raise ValueError(
-                    f"component has {len(tops)} highest vertices, expected 1"
-                )
-            out.append(self.weights[tops[0]])
-        return sorted(out)
+        highest = set(self.highest_vertices(colors))
+        tops = [highest.intersection(comp) for comp in self.components(colors)]
+        for found in tops:
+            if len(found) != 1:
+                raise ValueError(f"component has {len(found)} highest vertices, expected 1")
+        return sorted(self.weights[top] for (top,) in tops)
 
     # -- isomorphism search -----------------------------------------------------
 

@@ -302,10 +302,9 @@ class SteppedHost:
     m_i-th powers of the colors.  No host crystal is closed: sigma on the
     {2..N}-tops is read off the diagram table, and any other element is raised
     by whole e-strings to a top (or an element of known sigma), whose image
-    descends the same path.  sigma, the host arrows and the signature tables
-    live on this object, as long as its build: the host's, which takes every
-    host step and the diagram walks, and the C_n one of the classical model,
-    which is the host's for B1.  Broken invariants raise RuntimeError.
+    descends the same path.  sigma, the host arrows and the signature table,
+    which takes every host step and every diagram walk, live on this object,
+    as long as its build.  Broken invariants raise RuntimeError.
     """
 
     def __init__(self, n, r, s, virtual, m):
@@ -315,7 +314,6 @@ class SteppedHost:
         # shapes of the host's classical (C_n) decomposition
         self.model_shapes = horizontal_domino_shapes(r, s) if virtual else self.shapes
         self._table = tableaux.SignatureTable("C", self.rank, range(1, self.rank + 1))
-        self._model = tableaux.SignatureTable("C", n, range(1, n + 1)) if virtual else self._table
         tops = {sh: pm.highest_element("C", self.rank, sh) for sh in self.shapes}
         table = pm.phi_table("C", self.rank, tops, lambda x, i: self._table.apply(x, i, "f"))
         self._sigma = _sigma_on_tops(table, pm.involution_S, r, s)
@@ -382,46 +380,24 @@ class SteppedHost:
         w = tableaux.tableau_weight("C", self.rank, elem[0], elem[1])
         return w[1:] if self.virtual else w
 
-    def model_phi(self, P):
-        """Phi(P) of a C_n diagram in the classical model, walked through its table."""
-        top = pm.highest_element("C", self.n, P.outer())
-        return pm.phi(P, lambda x, i: self._model.apply(x, i, "f"), top)
+    def _host_top(self, outer):
+        """The host's C_n top of a shape: the sigma-fixed {2..N}-top of its weight,
+        or its highest tableau when the host is its own C_n crystal (B1 at r = n)."""
+        if self.virtual:
+            return _top_of_weight(self._fixed_tops, self._fixed_tops.get, outer.weight("C", self.n))
+        return pm.highest_element("C", self.n, outer)
 
     def host_phi(self, P):
-        """Phi(P) of a C_n diagram walked in the host's own C_n view (colors 1..n).
-
-        The walk starts at the host's C_n top of P.outer(): the sigma-fixed
-        {2..N}-top of its weight when virtual, else the highest tableau.
-        """
-        outer = P.outer()
-        if self.virtual:
-            top = _top_of_weight(self._fixed_tops, self._fixed_tops.get, outer.weight("C", self.n))
-        else:
-            top = pm.highest_element("C", self.n, outer)
-        return pm.phi(P, lambda x, i: self.host_apply(x, i, "f"), top)
-
-    def _is_host_element(self, tab):
-        cols, spin = tab
-        heights = tuple(len(col) for col in cols)
-        return (
-            spin is None
-            and heights in {sh.columns() for sh in self.shapes}
-            and tableaux.tableau_ok("C", self.rank, cols)
-            and (not self.virtual or self.sigma(tab) == tab)
-        )
+        """Phi(P) of a C_n diagram walked in the host's own C_n view (colors 1..n)."""
+        return pm.phi(P, lambda x, i: self.host_apply(x, i, "f"), self._host_top(P.outer()))
 
     def seed(self, P):
         """Host element seeding the image component of a doubled C_n diagram P."""
-        # Phi(P) in the classical model is used as is when it is itself a
-        # (sigma-fixed) host element: for A2even 2,1,1 the doubled seed walks
-        # to 2|2 there, where host_phi gives 3|3.  Either seeds the same
-        # crystal, but the seeds fix the breadth-first vertex order, so this
-        # rule is what keeps the A2even and D2 exports byte-stable.
-        tab = self.model_phi(P)
-        if self._is_host_element(tab):
-            return tab
-        if not self.virtual:
+        if not self.virtual and P.outer() not in self.shapes:
             raise RuntimeError("doubled seed is not an element of the host")
+        # the bare rectangle seeds at its top, not at host_phi: this fixes the breadth-first order
+        if self.virtual and P.cols == ((self.r, "."),) * self.s:
+            return self._host_top(P.outer())
         return self.host_phi(P)
 
     # -- the stepped build ----------------------------------------------------
@@ -590,15 +566,15 @@ def _build_spin(spec):
     jcolors = tuple(range(2, n + 1))
     colors = tuple(range(1, n + 1))
     rule = tableaux.SpinTensorTable("D", n, colors)
-    k = s // 2
+    specs = {1: AffineSpec("D1", n, n, s), 2: AffineSpec("D1", n, n - 1, s)}
     cls = {}
     table = {}  # (color, top vertex) -> diagram, over both crystals
     for color in (1, 2):
-        top = (1,) * n if color == 1 else (1,) * (n - 1) + (-1,)
+        (sh,) = kr_decomposition(specs[color])
+        _, top = pm.highest_element("D", n, Shape(spin=1, color=color))
         cls[color] = generate_closure(
             [(top,) * s], colors, rule.neighbours, _spin_tensor_weight
         )
-        sh = Shape((k,) * n if k else (), spin=s % 2, color=color)
         for x, P in _branching(cls[color], "D", n, {sh: 0}).items():
             table[color, x] = P
     on_tops = _sigma_on_tops(table, sigma_spin_D)
@@ -616,7 +592,7 @@ def _build_spin(spec):
     for color in (1, 2):
         f0 = _conjugated_f1(sigma[color], cls[3 - color].f[1], sigma[3 - color])
         builds[color] = KRBuild(
-            AffineSpec("D1", n, n if color == 1 else n - 1, s),
+            specs[color],
             _with_f0(cls[color], f0),
             "spin",
             tableaux.format_spin_tensor,

@@ -78,42 +78,40 @@ def spin_elements(ctype: str, n: int, color: int = 1):
         yield signs
 
 
+def _spin_move(ctype: str, n: int, i: int):
+    """(index of the first sign f_i reads, the signs it reads, the signs it writes)."""
+    if i < n:
+        return i - 1, (1, -1), (-1, 1)
+    if ctype == "B":
+        return n - 1, (1,), (-1,)
+    return n - 2, (1, 1), (-1, -1)
+
+
+def _swap_signs(sv, at: int, old, new):
+    """sv with the signs old at position at replaced by new; None if sv reads no old there."""
+    if sv[at : at + len(old)] != old:
+        return None
+    return sv[:at] + new + sv[at + len(old) :]
+
+
+def spin_f(ctype: str, n: int, i: int, sv):
+    at, read, written = _spin_move(ctype, n, i)
+    return _swap_signs(sv, at, read, written)
+
+
+def spin_e(ctype: str, n: int, i: int, sv):
+    at, read, written = _spin_move(ctype, n, i)
+    return _swap_signs(sv, at, written, read)
+
+
 def spin_phi(ctype: str, n: int, i: int, sv) -> int:
     """1 if f_i acts on the spin vector, else 0 (spin crystals are minuscule)."""
-    if i < n:
-        return 1 if sv[i - 1] == 1 and sv[i] == -1 else 0
-    if ctype == "B":
-        return 1 if sv[n - 1] == 1 else 0
-    return 1 if sv[n - 2] == 1 and sv[n - 1] == 1 else 0
+    return int(spin_f(ctype, n, i, sv) is not None)
 
 
 def spin_eps(ctype: str, n: int, i: int, sv) -> int:
     """1 if e_i acts on the spin vector, else 0."""
-    if i < n:
-        return 1 if sv[i - 1] == -1 and sv[i] == 1 else 0
-    if ctype == "B":
-        return 1 if sv[n - 1] == -1 else 0
-    return 1 if sv[n - 2] == -1 and sv[n - 1] == -1 else 0
-
-
-def spin_f(ctype: str, n: int, i: int, sv):
-    if not spin_phi(ctype, n, i, sv):
-        return None
-    if i < n:
-        return sv[: i - 1] + (-1, 1) + sv[i + 1 :]
-    if ctype == "B":
-        return sv[: n - 1] + (-1,)
-    return sv[: n - 2] + (-1, -1)
-
-
-def spin_e(ctype: str, n: int, i: int, sv):
-    if not spin_eps(ctype, n, i, sv):
-        return None
-    if i < n:
-        return sv[: i - 1] + (1, -1) + sv[i + 1 :]
-    if ctype == "B":
-        return sv[: n - 1] + (1,)
-    return sv[: n - 2] + (1, 1)
+    return int(spin_e(ctype, n, i, sv) is not None)
 
 
 def spin_to_column(sv) -> tuple[int, ...]:

@@ -309,9 +309,6 @@ def check_phi0(build: KRBuild) -> CheckReport:
 
 # -- index-scaled embeddings ----------------------------------------------------
 
-_DOUBLING_TARGET = {"B1": "B", "A2even": "C", "D2": "B"}
-
-
 def _host_string(host, elem, i, op):
     """Elements of the host i-string beyond elem, nearest first."""
     out = []
@@ -342,14 +339,13 @@ def _check_stepped_similarity(build):
             y = g.f[i].get(x)
             if (None if y is None else g.elements[y]) != w:
                 return False, "edge is not the powered host edge", _w(build, x, i)
-    target = _DOUBLING_TARGET[spec.family]
     doubled = 0
     for sh in host.model_shapes:
         for P in pm.enumerate_pm("C", n, sh):
             v = host.host_phi(P)
             in_image = v in g.index
             # phantom zero-height columns double too, so their count stays even
-            is_double = pm.is_doubled(P, target) and (host.s - P.width()) % 2 == 0
+            is_double = pm.is_doubled(P, spec.classical_type) and (host.s - P.width()) % 2 == 0
             if in_image != is_double:
                 return False, "image tops are not the doubled diagrams", {
                     "element": build.render(v),
@@ -494,10 +490,10 @@ def run_suite(specs, suites=SUITES) -> list[CheckReport]:
 
 
 def default_grid(n_values=(2, 3), s_values=(1, 2)) -> tuple[AffineSpec, ...]:
-    """Every family over small ranks; the rank-bound family starts at 4."""
+    """Every family over the ranks n_values; D1 runs from its least rank 4 to max(4, n_values)."""
     specs = []
     for family in FAMILIES:
-        for n in (4,) if family == "D1" else n_values:
+        for n in range(4, max((4, *n_values)) + 1) if family == "D1" else n_values:
             r_max = n - 1 if family == "A1" else n
             for r in range(1, r_max + 1):
                 for s in s_values:

@@ -228,6 +228,28 @@ def test_stepped_sigma_on_tops_is_the_involuted_diagram_walk(fam, n, r, s):
         assert host.sigma(top) == tableau_phi(pm.involution_S(P, host.r, host.s))
 
 
+def test_b1_seed_off_the_host_exits_one(monkeypatch, capsys):
+    # a doubled seed whose shape is no host shape: three boxes in a row
+    monkeypatch.setattr(kr_builders.pm, "double_pm", lambda P: pm.make_pm("C", P.n, [(1, ".")] * 3))
+    assert main(["build", "--family", "B1", "--n", "2", "--r", "2", "--s", "1"]) == 1
+    assert capsys.readouterr().err == "kr: doubled seed is not an element of the host\n"
+
+
+@pytest.mark.parametrize(
+    "fam,n,r,s", [("A2even", 2, 1, 1), ("A2even", 3, 2, 1), ("D2", 3, 1, 2), ("D2", 4, 3, 1)]
+)
+def test_rectangle_seeds_at_its_top_in_the_same_crystal(fam, n, r, s):
+    # the bare doubled rectangle seeds at the host's C_n top of its shape,
+    # not at its Phi walk; both lie in the built crystal
+    b = build_kr(AffineSpec(fam, n, r, s))
+    P = pm.make_pm("C", n, [(r, ".")] * (2 * s))
+    seed, walked = b.stepped.seed(P), b.stepped.host_phi(P)
+    assert seed != walked
+    assert seed in b.graph.index and walked in b.graph.index
+    if (fam, n, r, s) == ("A2even", 2, 1, 1):
+        assert (tableaux.format_element(seed), tableaux.format_element(walked)) == ("2|2", "3|3")
+
+
 def test_stepped_build_tableau_apply_calls(monkeypatch):
     # every single step: the host's steps, its diagram walks and the lifts go
     # through the build's signature tables, none through tableau_apply and

@@ -103,6 +103,33 @@ def test_check_grid_covers_every_family(capsys):
         assert family in out
 
 
+@pytest.mark.parametrize("flags", [["--s-max", "0"], ["--n-max", "1"]])
+def test_check_refuses_an_empty_grid(capsys, flags):
+    assert main(["check", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("kr: check needs --n-max")
+
+
+def test_check_n_max_bounds_every_family(monkeypatch):
+    import krcrystals.cli as cli
+
+    asked = []
+
+    def recorded(specs, suites):
+        asked.append(specs)
+        return []
+
+    monkeypatch.setattr(cli, "run_suite", recorded)
+    assert cli.main(["check"]) == 0
+    assert cli.main(["check", "--n-max", "5", "--s-max", "1"]) == 0
+    default, wide = asked
+    assert len(default) == 64
+    assert {spec.n for spec in default if spec.family == "D1"} == {4}
+    assert {spec.n for spec in wide if spec.family == "D1"} == {4, 5}
+    assert max(spec.n for spec in wide) == 5
+
+
 def test_check_json_report_is_structured(capsys):
     args = ["check", "--family", "A1", "--n", "2", "--r", "1", "--s", "1",
             "--format", "json"]

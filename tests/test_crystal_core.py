@@ -83,6 +83,7 @@ def test_components_and_decomposition():
     shapes = [Shape((2,)), Shape((1, 1))]
     g = tableau_graph("C", 2, (1, 2), shapes)
     comps = g.components()
+    assert [c[0] for c in comps] == sorted(c[0] for c in comps)  # by least vertex
     assert sorted(len(c) for c in comps) == sorted(
         weyl_dimension("C", 2, sh.weight("C", 2)) for sh in shapes
     )
@@ -143,7 +144,7 @@ def test_decomposition_rejects_multiple_tops():
     joined = CrystalGraph(
         ["a", "b", "c"], (1, 2), {1: {0: 1}, 2: {2: 1}}, [(0,)] * 3
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="component has 2 highest vertices, expected 1"):
         joined.decomposition()
 
 
