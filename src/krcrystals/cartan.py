@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import mul
 
 FAMILIES = ("A1", "B1", "C1", "D1", "A2even", "A2odd", "D2")
 
@@ -124,17 +125,6 @@ def simple_root(ctype: str, n: int, i: int) -> Weight:
     return tuple(w)
 
 
-def pairing(ctype: str, n: int, wt: Weight, i: int) -> int:
-    """<wt, alpha_i^vee> for a doubled weight wt."""
-    if ctype == "A" or i < n:
-        return (wt[i - 1] - wt[i]) // 2
-    if ctype == "B":
-        return wt[n - 1]
-    if ctype == "C":
-        return wt[n - 1] // 2
-    return (wt[n - 2] + wt[n - 1]) // 2
-
-
 def zero_root_projection(family: str, n: int) -> Weight:
     """Classical projection of alpha_0: wt(f_0 b) = wt(b) - this, doubled."""
     w = [0] * n
@@ -149,16 +139,18 @@ def zero_root_projection(family: str, n: int) -> Weight:
     return tuple(w)
 
 
+def affine_root(family: str, n: int, i: int) -> Weight:
+    """The doubled classical root of affine color i: wt(f_i b) = wt(b) - this."""
+    return simple_root(CLASSICAL_TYPE[family], n, i) if i else zero_root_projection(family, n)
+
+
 def affine_pairing(family: str, n: int, wt: Weight, i: int) -> int:
-    """<wt, alpha_i^vee> for affine color i of the family, on a doubled classical weight."""
-    if i:
-        return pairing(CLASSICAL_TYPE[family], n, wt, i)
-    v = zero_root_projection(family, n)
-    num = 2 * sum(a * b for a, b in zip(wt, v))
-    den = sum(a * a for a in v)
-    if num % den:
+    """<wt, alpha_i^vee> = 2 (wt, alpha_i) / (alpha_i, alpha_i), rounded down; exact for i = 0."""
+    root = affine_root(family, n, i)
+    value, rest = divmod(2 * sum(map(mul, wt, root)), sum(map(mul, root, root)))
+    if rest and not i:
         raise ValueError(f"weight {wt} pairs fractionally with the zero root")
-    return num // den
+    return value
 
 
 def weyl_dimension(ctype: str, n: int, wt: Weight) -> int:
@@ -212,53 +204,57 @@ def horizontal_domino_shapes(r: int, s: int) -> tuple[Shape, ...]:
     return tuple(sorted(shapes, key=lambda sh: (sh.size(), sh.rows)))
 
 
-def kr_decomposition(spec: AffineSpec) -> tuple[Shape, ...]:
-    """Classical decomposition of B^{r,s}, one Shape per irreducible summand."""
+def _box_rows(heights, s):
+    """Rows of each shape of s columns, heights from a decreasing tuple; the full box first.
+
+    With t columns at least h tall, the rows from the next smaller height up to h have length t.
+    """
+
+    def fill(k, used, below):  # used columns are taller than heights[k]; below: the lower rows
+        h = heights[k]
+        for t in range(s, used - 1, -1) if k + 1 < len(heights) else (s,):
+            if t == s:
+                yield (s,) * h + below
+            else:
+                yield from fill(k + 1, t, (t,) * (h - heights[k + 1]) + below if t else below)
+
+    return fill(0, 0, ())
+
+
+def kr_shapes(spec: AffineSpec):
+    """The classical shapes of B^{r,s}, one per irreducible summand, the full box first."""
     fam, n, r, s = spec.family, spec.n, spec.r, spec.s
     if fam == "A1":
-        return (Shape((s,) * r),)
-
-    if fam == "D1" and r >= n - 1:
+        yield Shape((s,) * r)
+    elif fam == "D1" and r >= n - 1:
         k, sp = divmod(s, 2)
-        color = 1 if r == n else 2
-        return (Shape((k,) * n if k else (), spin=sp, color=color),)
-
-    if fam == "B1" and r == n:
+        yield Shape((k,) * n if k else (), spin=sp, color=1 if r == n else 2)
+    elif fam == "B1" and r == n:
         # weights 2(k_iota + ... + k_{n-2}) + k_n = s; height-0 entries carry
         # the k_0 slack when n is even
         low_heights = range(n % 2, n - 1, 2)
-        shapes = []
         for count in range(s // 2 + 1):
             full, sp = divmod(s - 2 * count, 2)
             for low in itertools.combinations_with_replacement(low_heights, count):
-                shapes.append(Shape(conjugate(low + (n,) * full), spin=sp))
-        return tuple(sorted(shapes, key=lambda sh: (sh.size(), sh.rows, sh.spin)))
-
-    if fam == "D2" and r == n:
+                yield Shape(conjugate(low + (n,) * full), spin=sp)
+    elif fam == "D2" and r == n:
         k, sp = divmod(s, 2)
-        return (Shape((k,) * n if k else (), spin=sp),)
-
-    if fam == "C1" and r == n:
-        return (Shape((s,) * n),)
-
-    if fam in ("B1", "D1", "A2odd"):
+        yield Shape((k,) * n if k else (), spin=sp)
+    elif fam == "C1" and r == n:
+        yield Shape((s,) * n)
+    elif fam in ("B1", "D1", "A2odd"):
         # vertical-domino removals: s columns of heights congruent to r mod 2,
         # so columns may vanish (height 0) only when r is even
-        shapes = [
-            Shape(conjugate(cols))
-            for cols in itertools.combinations_with_replacement(range(r, -1, -2), s)
-        ]
-        return tuple(sorted(shapes, key=lambda sh: (sh.size(), sh.rows)))
+        yield from map(Shape, _box_rows(tuple(range(r, -1, -2)), s))
+    elif fam == "C1":
+        yield from reversed(horizontal_domino_shapes(r, s))
+    else:  # A2even any r, D2 r < n: every shape inside the r x s box
+        yield from map(Shape, _box_rows(tuple(range(r, -1, -1)), s))
 
-    if fam == "C1":
-        return horizontal_domino_shapes(r, s)
 
-    # A2even any r, D2 r < n: every shape inside the r x s box
-    shapes = [
-        Shape(conjugate(cols))
-        for cols in itertools.combinations_with_replacement(range(r, -1, -1), s)
-    ]
-    return tuple(sorted(shapes, key=lambda sh: (sh.size(), sh.rows)))
+def kr_decomposition(spec: AffineSpec) -> tuple[Shape, ...]:
+    """Classical decomposition of B^{r,s}, one Shape per irreducible summand."""
+    return tuple(sorted(kr_shapes(spec), key=lambda sh: (sh.size(), sh.rows, sh.spin)))
 
 
 def kr_dimension(spec: AffineSpec) -> int:

@@ -22,13 +22,19 @@ def _edges(graph):
     return sorted((x, y, i) for i in graph.colors for x, y in graph.f[i].items())
 
 
+def _labels(build):
+    """Every vertex's element text, through one memo of part texts."""
+    texts = {}
+    return [build.render(elem, texts) for elem in build.graph.elements]
+
+
 def graph_document(build) -> dict:
     """JSON-ready dict; node ids are the builder's breadth-first indices."""
     g = build.graph
     spec = build.spec
     nodes = [
-        {"id": x, "element": build.render(g.elements[x]), "weight": list(g.weights[x])}
-        for x in range(len(g))
+        {"id": x, "element": label, "weight": list(wt)}
+        for x, (label, wt) in enumerate(zip(_labels(build), g.weights))
     ]
     return {
         "family": spec.family,
@@ -41,12 +47,10 @@ def graph_document(build) -> dict:
 
 
 def to_dot(build) -> str:
-    g = build.graph
-    lines = [f'digraph "{build.spec.family} n={build.spec.n} r={build.spec.r} s={build.spec.s}" {{']
-    for x in range(len(g)):
-        lines.append(f'  v{x} [label="{build.render(g.elements[x])}"];')
-    for x, y, i in _edges(g):
-        lines.append(f'  v{x} -> v{y} [label="{i}"];')
+    spec = build.spec
+    lines = [f'digraph "{spec.family} n={spec.n} r={spec.r} s={spec.s}" {{']
+    lines += [f'  v{x} [label="{label}"];' for x, label in enumerate(_labels(build))]
+    lines += [f'  v{x} -> v{y} [label="{i}"];' for x, y, i in _edges(build.graph)]
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -32,17 +32,19 @@ class CrystalGraph:
         return self._string_length(i, x, 0, "e")
 
     def _string_length(self, i, x, side, op):
-        k = (self._strings.get(i) or self._walk_strings(i))[side][x]
+        k = self.strings(i)[side][x]
         if k is None:
             raise RuntimeError(f"{op}_{i} string does not end at vertex {x}")
         return k
 
-    def _walk_strings(self, i):
+    def strings(self, i):
         """(eps_i, phi_i) of every vertex, from one walk per string, down from its head.
 
         A vertex no head reaches lies on a cycle and gets None; a walk longer
         than the graph cycles too (through an f_i that is not injective).
         """
+        if i in self._strings:
+            return self._strings[i]
         f, size = self.f[i], len(self.elements)
         eps, phi = [0] * size, [0] * size
         for head in f.keys() - self.e[i].keys():
@@ -61,27 +63,26 @@ class CrystalGraph:
 
     # -- structure ------------------------------------------------------------
 
-    def component_of(self, x, colors=None):
-        colors = colors or self.colors
-        seen = {x}
-        queue = deque([x])
-        while queue:
-            y = queue.popleft()
-            for i in colors:
-                for z in (self.f[i].get(y), self.e[i].get(y)):
-                    if z is not None and z not in seen:
-                        seen.add(z)
-                        queue.append(z)
-        return seen
-
     def components(self, colors=None):
-        seen = set()
+        """Sorted vertex lists of the components under colors, by least vertex, breadth first."""
+        adjacent = [[] for _ in self.elements]
+        for i in colors or self.colors:
+            for x, y in self.f[i].items():
+                adjacent[x].append(y)
+                adjacent[y].append(x)
+        seen = [False] * len(adjacent)
         out = []
-        for x in range(len(self.elements)):
-            if x not in seen:
-                comp = self.component_of(x, colors)
-                seen |= comp
-                out.append(sorted(comp))
+        for x, done in enumerate(seen):
+            if done:
+                continue
+            seen[x] = True
+            comp = [x]
+            for y in comp:  # comp grows while it is read: a queue
+                for z in adjacent[y]:
+                    if not seen[z]:
+                        seen[z] = True
+                        comp.append(z)
+            out.append(sorted(comp))
         return out
 
     def highest_vertices(self, colors=None):
@@ -116,54 +117,48 @@ class CrystalGraph:
         if len(self.elements) != len(other.elements):
             return
 
-        def self_key(x):
-            return (
-                tuple(self.eps(i, x) for i in colors),
-                tuple(self.phi(i, x) for i in colors),
-            )
-
-        def other_key(x):
-            return (
-                tuple(other.eps(color_map[i], x) for i in colors),
-                tuple(other.phi(color_map[i], x) for i in colors),
-            )
-
-        anchor = min(range(len(self.elements)), key=lambda x: (self_key(x), x))
-        target_key = self_key(anchor)
-        for start in range(len(other.elements)):
-            if other_key(start) != target_key:
-                continue
-            mapping = self._propagate(other, anchor, start, colors, color_map)
-            if mapping is not None:
+        keys = self.string_vectors(colors)
+        other_keys = other.string_vectors([color_map[i] for i in colors])
+        anchor = keys.index(min(keys))
+        sides = (self.f, other.f), (self.e, other.e)  # each color's lookups, f then e
+        arrows = [(mine[i].get, theirs[color_map[i]].get) for i in colors for mine, theirs in sides]
+        for start in (start for start, key in enumerate(other_keys) if key == keys[anchor]):
+            if (mapping := self._propagate(anchor, start, arrows)) is not None:
                 yield mapping
 
-    def _propagate(self, other, anchor, start, colors, color_map):
-        mapping = {anchor: start}
-        used = {start}
-        queue = deque([anchor])
-        while queue:
-            x = queue.popleft()
-            for i in colors:
-                j = color_map[i]
-                for mine, theirs in ((self.f[i], other.f[j]), (self.e[i], other.e[j])):
-                    y = mine.get(x)
-                    z = theirs.get(mapping[x])
-                    if (y is None) != (z is None):
+    def string_vectors(self, colors):
+        """Each vertex's (eps, phi) vectors over colors, read off each color's lists once."""
+        lists = [self.strings(i) for i in colors]
+        keys = list(zip(zip(*(eps for eps, _ in lists)), zip(*(phi for _, phi in lists))))
+        for x in (x for x, (eps, _) in enumerate(keys) if None in eps):
+            self.eps(colors[keys[x][0].index(None)], x)  # on a cycle: raises at its least vertex
+        return keys
+
+    def _propagate(self, anchor, start, arrows):
+        """The map anchor -> start forces breadth first along arrows; None on a clash."""
+        size = len(self.elements)
+        image = [None] * size
+        used = [False] * size  # vertices of the other graph already hit
+        image[anchor], used[start] = start, True
+        queue = [anchor]
+        for x in queue:  # queue grows while it is read
+            there = image[x]
+            for mine, theirs in arrows:
+                y, z = mine(x), theirs(there)
+                if y is None or z is None:
+                    if y is not z:
                         return None
-                    if y is None:
-                        continue
-                    if y in mapping:
-                        if mapping[y] != z:
-                            return None
-                    elif z in used:
+                    continue
+                if image[y] is None:
+                    if used[z]:
                         return None
-                    else:
-                        mapping[y] = z
-                        used.add(z)
-                        queue.append(y)
-        if len(mapping) != len(self.elements):
+                    image[y], used[z] = z, True
+                    queue.append(y)
+                elif image[y] != z:
+                    return None
+        if len(queue) != size:
             return None
-        return mapping
+        return dict(enumerate(image))
 
 
 def greedy_raise(x, colors, up):

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from . import pm_diagrams as pm
 from . import tableaux
 from .cartan import AffineSpec, Shape, horizontal_domino_shapes, kr_decomposition, kr_dimension
+from .cartan import kr_shapes, shape_dimension
 from .crystal_core import VERTEX_BOUND, CrystalGraph, generate_closure, greedy_raise
 from .pm_diagrams import SignTriple
 
@@ -331,7 +332,7 @@ class SteppedHost:
             # a fixed point is its own check; any other pair is checked once
             if out != elem and self._reflect(out) != elem:
                 raise RuntimeError(
-                    f"sigma is not an involution at {tableaux.format_element(elem)}"
+                    f"sigma is not an involution at {tableaux.format_element(elem, {})}"
                 )
             self._sigma[elem] = out
             self._sigma[out] = elem
@@ -544,7 +545,7 @@ def _build_triples(spec):
 # -- type D tail nodes: mirrored spin pair -------------------------------------
 
 def _spin_tensor_weight(vecs):
-    return tuple(sum(v[j] for v in vecs) for j in range(len(vecs[0])))
+    return tuple(map(sum, zip(*vecs)))
 
 
 def sigma_spin_D(P):
@@ -612,9 +613,12 @@ def build_kr(spec: AffineSpec) -> KRBuild:
 
 
 def _refuse_over_bound(spec):
-    if (size := kr_dimension(spec)) > VERTEX_BOUND:
-        name = f"{spec.family} n={spec.n} r={spec.r} s={spec.s}"
-        raise RuntimeError(f"{name} would have {size} vertices, over the bound {VERTEX_BOUND}")
+    """Refuse once the summands' sizes, the largest first, sum past the bound."""
+    size = 0
+    for sh in kr_shapes(spec):
+        if (size := size + shape_dimension(spec.classical_type, spec.n, sh)) > VERTEX_BOUND:
+            head = f"{spec.family} n={spec.n} r={spec.r} s={spec.s} would have at least {size}"
+            raise RuntimeError(f"{head} vertices, over the bound {VERTEX_BOUND}")
 
 
 def _dispatch(spec):

@@ -230,18 +230,15 @@ def tableau_ok(ctype: str, n: int, cols, spin=None) -> bool:
     return True
 
 
-def reading_word(cols):
-    """Letters rightmost column first, bottom to top inside a column."""
-    for col in reversed(cols):
-        yield from col
-
-
 def tableau_weight(ctype: str, n: int, cols, spin=None) -> tuple[int, ...]:
     """Doubled weight: 2 at i per letter i, -2 per bar i, plus the spin signs."""
     w = list(spin) if spin is not None else [0] * n
-    for x in reading_word(cols):
-        if x:
-            w[abs(x) - 1] += 2 if x > 0 else -2
+    for col in cols:
+        for x in col:
+            if x > 0:
+                w[x - 1] += 2
+            elif x:
+                w[-x - 1] -= 2
     return tuple(w)
 
 
@@ -429,14 +426,20 @@ def enumerate_tableaux(ctype: str, n: int, shape):
 
 # -- formatting --------------------------------------------------------------
 
-def format_element(elem) -> str:
+def format_element(elem, texts) -> str:
+    """`s:` and the spin signs, then each column's letters, `|`-joined; `texts` memoizes parts."""
     cols, spin = elem
-    parts = []
+    parts = [texts.get(col) or texts.setdefault(col, ",".join(map(str, col))) for col in cols]
     if spin is not None:
-        parts.append("s:" + "".join("+" if x == 1 else "-" for x in spin))
-    parts.extend(",".join(str(x) for x in col) for col in cols)
+        key = "s:", spin
+        parts.insert(0, texts.get(key) or texts.setdefault(key, "s:" + _signs(spin)))
     return "|".join(parts)
 
 
-def format_spin_tensor(vecs) -> str:
-    return "*".join("".join("+" if x == 1 else "-" for x in sv) for sv in vecs)
+def format_spin_tensor(vecs, texts) -> str:
+    """Each spin vector's signs, `*`-joined; ``texts`` memoizes them as above."""
+    return "*".join([texts.get(v) or texts.setdefault(v, _signs(v)) for v in vecs])
+
+
+def _signs(vec) -> str:
+    return "".join("+" if x == 1 else "-" for x in vec)

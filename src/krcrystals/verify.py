@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from operator import mul, sub
 
 from . import pm_diagrams as pm
 from .cartan import (
@@ -18,13 +19,12 @@ from .cartan import (
     AffineSpec,
     Shape,
     affine_pairing,
+    affine_root,
     conjugate,
     horizontal_domino_shapes,
     kr_decomposition,
     kr_dimension,
     shape_dimension,
-    simple_root,
-    zero_root_projection,
 )
 from .kr_builders import (
     KRBuild,
@@ -95,34 +95,56 @@ def second_subset(spec: AffineSpec) -> tuple[int, ...]:
 # -- regularity ----------------------------------------------------------------
 
 def check_regularity(build: KRBuild) -> CheckReport:
-    """Arrows are mutually inverse, step by roots, and pair with the strings."""
+    """Arrows are mutually inverse, step by roots, and pair with the strings.
+
+    Color by color, the least failing (vertex, color) is reported; a pair checks its inverse
+    arrow, weight step and pairing in that order, and an error raised there is its failure.
+    """
 
     def body():
-        g = build.graph
-        spec = build.spec
-        ctype, n = spec.classical_type, spec.n
-        steps = {0: zero_root_projection(spec.family, n)}
-        for i in spec.classical_colors:
-            steps[i] = simple_root(ctype, n, i)
-        for x in range(len(g)):
-            wt = g.weights[x]
-            for i in affine_colors(spec):
-                y = g.f[i].get(x)
-                if y is not None:
-                    if g.e[i].get(y) != x:
-                        return False, "arrows not mutually inverse", _w(build, x, i)
-                    want = tuple(a - b for a, b in zip(wt, steps[i]))
-                    if g.weights[y] != want:
-                        return False, "weight step is not the root", _w(build, x, i)
-                if g.phi(i, x) - g.eps(i, x) != affine_pairing(spec.family, n, wt, i):
-                    return False, "phi - eps misses the coroot pairing", _w(build, x, i)
+        g, spec = build.graph, build.spec
+        fam, n = spec.family, spec.n
+        ids = {}  # distinct weights, numbered in vertex order
+        wid = [ids.setdefault(wt, len(ids)) for wt in g.weights]
+        x, color, failure = len(g), None, None
+        for i in affine_colors(spec):
+            root = affine_root(fam, n, i)
+            down = [ids.get(tuple(map(sub, wt, root)), -1) for wt in ids]
+            norm = sum(map(mul, root, root))
+            want = [divmod(2 * sum(map(mul, wt, root)), norm) for wt in ids]
+            want = [value if i or not rest else None for value, rest in want]  # None: a fraction
+            try:
+                eps, phi = g.strings(i)
+            except RuntimeError:  # a walk that cycles: vertex 0's pairing check raises it again
+                eps, phi = [None], [None]
+            v, f, e = 0, g.f[i], g.e[i]
+            try:
+                for v, y, p, q, k in zip(range(x), map(f.get, range(x)), phi, eps, wid):
+                    if y is not None and e.get(y) != v:
+                        detail = "arrows not mutually inverse"
+                    elif y is not None and wid[y] != down[k]:
+                        detail = "weight step is not the root"
+                    elif p is None or p - q != want[k]:
+                        g.phi(i, v)  # raises where the string does not end
+                        affine_pairing(fam, n, g.weights[v], i)  # raises on a fraction
+                        detail = "phi - eps misses the coroot pairing"
+                    else:
+                        continue
+                    x, color, failure = v, i, detail
+                    break
+            except Exception as exc:  # a broken graph fails at the pair that raised
+                x, color, failure = v, i, exc
+        if isinstance(failure, Exception):
+            raise failure
+        if failure is not None:
+            return False, failure, _w(build, x, color)
         return True, f"{len(g)} vertices", None
 
     return _report("regularity", build, body)
 
 
 def _w(build, x, i, **extra):
-    witness = {"element": build.render(build.graph.elements[x]), "color": i}
+    witness = {"element": build.render(build.graph.elements[x], {}), "color": i}
     witness.update(extra)
     return witness
 
@@ -178,22 +200,25 @@ def _check_conjugation(build, tau, back, color_map, order, name, passed):
 
     The order walk alternates tau and back, starting with tau.  f' is the
     partner's arrows for a spin build and the build's own otherwise.  The
-    witness is the first vertex whose walk does not return, or the first
-    (vertex, color) whose arrow is not carried.
+    witness is the least vertex whose walk does not return or whose arrow
+    is not carried, the walk checked first, then the colors in order.
     """
-    g = build.graph
-    target = (build.partner or build).graph.f
-    for x in range(len(g)):
-        w = x
-        for k in range(order):
-            w = (back if k % 2 else tau)[w]
-        if w != x:
-            witness = {"element": build.render(g.elements[x])}
-            return False, f"{name} does not have order {order}", witness
-        for i, j in color_map.items():
-            y = g.f[i].get(x)
-            if (None if y is None else tau[y]) != target[j].get(tau[x]):
-                return False, f"{name} does not carry an f_{i} arrow", _w(build, x, i)
+    g, target = build.graph, (build.partner or build).graph.f
+    walk = range(len(g))
+    for k in range(order):
+        step = back if k % 2 else tau
+        walk = [step[w] for w in walk]
+    x = next((x for x, w in enumerate(walk) if w != x), len(g))
+    images, color = [tau[v] for v in range(len(g))], None
+    for i, j in color_map.items():
+        arrows = zip(range(x), map(g.f[i].get, range(x)), map(target[j].get, images))
+        bad = ((v, i) for v, y, z in arrows if (None if y is None else images[y]) != z)
+        x, color = next(bad, (x, color))
+    if color is not None:
+        return False, f"{name} does not carry an f_{color} arrow", _w(build, x, color)
+    if x < len(g):
+        witness = {"element": build.render(g.elements[x], {})}
+        return False, f"{name} does not have order {order}", witness
     return True, passed, None
 
 
@@ -348,7 +373,7 @@ def _check_stepped_similarity(build):
             is_double = pm.is_doubled(P, spec.classical_type) and (host.s - P.width()) % 2 == 0
             if in_image != is_double:
                 return False, "image tops are not the doubled diagrams", {
-                    "element": build.render(v),
+                    "element": build.render(v, {}),
                     "in_image": str(in_image),
                 }
             doubled += in_image

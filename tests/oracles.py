@@ -5,7 +5,8 @@ preimage scan, and `letter_phi`/`letter_eps` count steps along an i-string
 through them; `reduce_signature` cancels the signs of a whole tensor word.
 `tableaux.letter_entries` (read off `tableaux.letter_strings`) and
 `tableaux.tableau_apply` are checked against them, and
-`tableaux.tableau_weight` against the sum of `letter_weight`.
+`tableaux.tableau_weight` against the sum of `letter_weight` over the
+`reading_word`.
 `spin_tensor_apply` runs the signature rule on a spin tensor per call, from
 the spin vectors' own (eps, phi); `tableaux.SpinTensorTable` is checked
 against it.  `tableau_phi` and `tableau_phi_table` walk the branching map
@@ -14,7 +15,10 @@ step that no build owns; `phi_direct` fills the columns of a diagram
 directly and is checked against that walk.  `inner_shape` is the shape a diagram's bare cells
 form; `halve_pm` inverts `double_pm`; `e1_on_pair` raises color 1 on a
 stacked pair of diagrams, whose signed columns `signs` lists.
-`isomorphism` is the first of `CrystalGraph.isomorphisms`, or None.
+`isomorphism` is the first of `CrystalGraph.isomorphisms`, or None;
+`components_bfs` is the per-vertex deque walk `CrystalGraph.components`
+is checked against, and `regularity_vertex_major` the vertex by vertex
+scan `verify.check_regularity` must agree with.
 `first_color_raise` is the raise that restarts from the first color after
 every step, against which `crystal_core.greedy_raise` is checked.  The parsers
 invert the element formatters, `load_graph_document` inverts
@@ -22,8 +26,17 @@ invert the element formatters, `load_graph_document` inverts
 suites must catch.
 """
 
+from collections import deque
+
 from krcrystals import tableaux
-from krcrystals.cartan import AffineSpec, Shape, conjugate
+from krcrystals.cartan import (
+    AffineSpec,
+    Shape,
+    affine_pairing,
+    conjugate,
+    simple_root,
+    zero_root_projection,
+)
 from krcrystals.crystal_core import CrystalGraph
 from krcrystals.kr_builders import KRBuild
 from krcrystals.pm_diagrams import (
@@ -38,11 +51,10 @@ from krcrystals.pm_diagrams import (
 )
 from krcrystals.tableaux import (
     all_letters,
-    reading_word,
     spin_eps,
     spin_phi,
 )
-from krcrystals.verify import affine_colors
+from krcrystals.verify import affine_colors, _w
 
 
 def letter_f(ctype: str, n: int, i: int, x: int):
@@ -100,6 +112,20 @@ def letter_eps(ctype: str, n: int, i: int, x: int) -> int:
     return k
 
 
+def pairing(ctype: str, n: int, wt, i: int) -> int:
+    """<wt, alpha_i^vee> for a doubled weight wt, in closed form.
+
+    `cartan.affine_pairing` on the classical colors is checked against it.
+    """
+    if ctype == "A" or i < n:
+        return (wt[i - 1] - wt[i]) // 2
+    if ctype == "B":
+        return wt[n - 1]
+    if ctype == "C":
+        return wt[n - 1] // 2
+    return (wt[n - 2] + wt[n - 1]) // 2
+
+
 def letter_weight(x: int, n: int) -> tuple[int, ...]:
     """Doubled weight of one letter; `tableaux.tableau_weight` is checked against it."""
     w = [0] * n
@@ -108,6 +134,12 @@ def letter_weight(x: int, n: int) -> tuple[int, ...]:
     elif x < 0:
         w[-x - 1] = -2
     return tuple(w)
+
+
+def reading_word(cols):
+    """Letters rightmost column first, bottom to top inside a column."""
+    for col in reversed(cols):
+        yield from col
 
 
 def tableau_eps_phi(ctype: str, n: int, elem, i: int) -> tuple[int, int]:
@@ -148,6 +180,59 @@ def spin_tensor_apply(n, vecs, i, op):
 def isomorphism(graph: CrystalGraph, other: CrystalGraph, color_map=None, colors=None):
     """A color-respecting isomorphism graph -> other, or None."""
     return next(graph.isomorphisms(other, color_map, colors), None)
+
+
+def components_bfs(graph: CrystalGraph, colors=None):
+    """Sorted vertex lists of the components, one deque walk over f and e per component."""
+    colors = colors or graph.colors
+    seen = set()
+    out = []
+    for x in range(len(graph)):
+        if x in seen:
+            continue
+        comp = {x}
+        queue = deque([x])
+        while queue:
+            y = queue.popleft()
+            for i in colors:
+                for z in (graph.f[i].get(y), graph.e[i].get(y)):
+                    if z is not None and z not in comp:
+                        comp.add(z)
+                        queue.append(z)
+        seen |= comp
+        out.append(sorted(comp))
+    return out
+
+
+def regularity_vertex_major(build: KRBuild):
+    """(passed, detail, witness) of the regularity suite, scanned vertex by vertex.
+
+    At each vertex the colors run in order, and at each pair the inverse
+    arrow, then the weight step, then the pairing; an error is a failure
+    without a witness, as `verify` reports it.
+    """
+    g = build.graph
+    spec = build.spec
+    ctype, n = spec.classical_type, spec.n
+    steps = {0: zero_root_projection(spec.family, n)}
+    for i in spec.classical_colors:
+        steps[i] = simple_root(ctype, n, i)
+    try:
+        for x in range(len(g)):
+            wt = g.weights[x]
+            for i in affine_colors(spec):
+                y = g.f[i].get(x)
+                if y is not None:
+                    if g.e[i].get(y) != x:
+                        return False, "arrows not mutually inverse", _w(build, x, i)
+                    want = tuple(a - b for a, b in zip(wt, steps[i]))
+                    if g.weights[y] != want:
+                        return False, "weight step is not the root", _w(build, x, i)
+                if g.phi(i, x) - g.eps(i, x) != affine_pairing(spec.family, n, wt, i):
+                    return False, "phi - eps misses the coroot pairing", _w(build, x, i)
+    except Exception as exc:
+        return False, f"error: {exc}", None
+    return True, f"{len(g)} vertices", None
 
 
 def first_color_raise(x, colors, up):

@@ -12,14 +12,16 @@ from krcrystals.cartan import (
     AffineSpec,
     Shape,
     kr_decomposition,
+    affine_pairing,
     kr_dimension,
-    pairing,
     shape_dimension,
     simple_root,
     weyl_dimension,
     zero_root_projection,
 )
 from krcrystals.tableaux import enumerate_tableaux
+
+from oracles import pairing
 
 
 def test_affine_spec_validation():
@@ -325,6 +327,26 @@ def test_zero_root_projection():
     assert zero_root_projection("C1", 2) == (-4, 0)
     assert zero_root_projection("A2even", 3) == (-2, 0, 0)
     assert zero_root_projection("D2", 2) == (-2, 0)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_affine_pairing_matches_the_closed_forms(family):
+    # classical colors round down as the closed forms do; the zero coroot
+    # refuses a fraction
+    for n in (4, 5) if family == "D1" else (2, 3, 4):
+        spec = AffineSpec(family, n, 1, 1)
+        v = zero_root_projection(family, n)
+        den = sum(a * a for a in v)
+        for wt in itertools.product(range(-3, 4), repeat=n):
+            for i in spec.classical_colors:
+                want = pairing(spec.classical_type, n, wt, i)
+                assert affine_pairing(family, n, wt, i) == want
+            num = 2 * sum(a * b for a, b in zip(wt, v))
+            if num % den:
+                with pytest.raises(ValueError, match="pairs fractionally"):
+                    affine_pairing(family, n, wt, 0)
+            else:
+                assert affine_pairing(family, n, wt, 0) == num // den
 
 
 def test_pairing_against_simple_roots():

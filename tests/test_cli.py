@@ -1,13 +1,16 @@
 """CLI surface: document export, decomposition strings, suites, exit codes."""
 
+import hashlib
 import json
+import time
+from pathlib import Path
 
 import pytest
 
 from krcrystals.cartan import AffineSpec
 from krcrystals.cli import graph_document, main, to_dot
 from krcrystals.kr_builders import build_kr
-from krcrystals.verify import CheckReport
+from krcrystals.verify import CheckReport, default_grid
 
 from oracles import load_graph_document
 
@@ -190,7 +193,7 @@ def test_build_that_raises_exits_one(capsys, monkeypatch, command):
 
 
 def test_over_bound_build_is_refused_before_work(capsys, time_limit):
-    message = "A1 n=12 r=6 s=3 would have 24293412 vertices, over the bound 1000000"
+    message = "A1 n=12 r=6 s=3 would have at least 24293412 vertices, over the bound 1000000"
     with pytest.raises(RuntimeError) as caught:
         build_kr(AffineSpec("A1", 12, 6, 3))
     assert str(caught.value) == message
@@ -203,6 +206,23 @@ def test_over_bound_build_is_refused_before_work(capsys, time_limit):
     assert capsys.readouterr().out == (
         f"build      A1     n=12 r=6 s=3  FAIL  [error: {message}]\n"
     )
+
+
+def test_a_huge_box_is_refused_at_once(capsys, time_limit):
+    # the box holds C(24, 12) shapes; the refusal stops at the first, the box itself
+    head = "A2even n=12 r=12 s=12 would have at least "
+    tail = " vertices, over the bound 1000000"
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError) as caught:
+        build_kr(AffineSpec("A2even", 12, 12, 12))
+    assert time.perf_counter() - start < 1
+    text = str(caught.value)
+    assert text.startswith(head) and text.endswith(tail)
+    assert int(text[len(head) : -len(tail)]) > 10**6
+    start = time.perf_counter()
+    assert main(["build", "--family", "A2even", "--n", "12", "--r", "12", "--s", "12"]) == 1
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == f"kr: {text}\n"
 
 
 def test_stepped_build_seeds_fix_the_node_order(capsys):
@@ -236,3 +256,26 @@ def test_out_flag_redirects_stdout(tmp_path, capsys):
     assert main(args) == 0
     assert target.read_text() == "4\n"
     assert capsys.readouterr().out == ""
+
+
+@pytest.fixture(scope="module")
+def recorded_digests():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "expected.json"
+    return json.loads(path.read_text())["specs"]
+
+
+@pytest.mark.parametrize("spec", default_grid(), ids=str)
+def test_outputs_match_the_recorded_digests(spec, recorded_digests, capsys):
+    # the sha256 of `kr build` (JSON and DOT) and `kr check --format json`,
+    # as perfbench/record.py stored them
+    flags = ["--family", spec.family, "--n", str(spec.n), "--r", str(spec.r), "--s", str(spec.s)]
+    commands = {
+        "json": ["build", *flags],
+        "dot": ["build", *flags, "--format", "dot"],
+        "reports": ["check", *flags, "--format", "json"],
+    }
+    got = {}
+    for key, argv in commands.items():
+        assert main(argv) == 0
+        got[key] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert got == recorded_digests[f"{spec.family} {spec.n} {spec.r} {spec.s}"]

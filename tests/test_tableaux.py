@@ -5,7 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from krcrystals.cartan import Shape, pairing, weyl_dimension
+from krcrystals.cartan import Shape, weyl_dimension
 from krcrystals.tableaux import (
     adjacent_ok,
     all_letters,
@@ -18,7 +18,6 @@ from krcrystals.tableaux import (
     letter_strings,
     order_key,
     precedes,
-    reading_word,
     SignatureTable,
     SpinTensorTable,
     signature,
@@ -40,8 +39,10 @@ from oracles import (
     letter_f,
     letter_phi,
     letter_weight,
+    pairing,
     parse_element,
     parse_spin_tensor,
+    reading_word,
     reduce_signature,
     spin_tensor_apply,
     tableau_eps_phi,
@@ -399,12 +400,12 @@ def test_crystal_axioms_on_shape(ctype, n, shape):
 
 def test_parse_format_roundtrip():
     elem = (((1, 2), (3, -2)), None)
-    assert parse_element(format_element(elem)) == elem
-    assert format_element(elem) == "1,2|3,-2"
+    assert parse_element(format_element(elem, {})) == elem
+    assert format_element(elem, {}) == "1,2|3,-2"
     spun = (((1,),), (1, -1))
-    assert format_element(spun) == "s:+-|1"
+    assert format_element(spun, {}) == "s:+-|1"
     assert parse_element("s:+-|1") == spun
-    assert parse_spin_tensor(format_spin_tensor(((1, -1), (-1, -1)))) == (
+    assert parse_spin_tensor(format_spin_tensor(((1, -1), (-1, -1)), {})) == (
         (1, -1),
         (-1, -1),
     )

@@ -21,7 +21,7 @@ from krcrystals.verify import (
     run_suite,
 )
 
-from oracles import with_dropped_edge
+from oracles import components_bfs, regularity_vertex_major, with_dropped_edge
 
 
 def _vertex(build, wt, isolated=False):
@@ -29,12 +29,8 @@ def _vertex(build, wt, isolated=False):
     g = build.graph
     hits = [x for x in range(len(g)) if g.weights[x] == wt]
     if len(hits) > 1:
-        classical = build.spec.classical_colors
-        hits = [
-            x
-            for x in hits
-            if (len(g.component_of(x, classical)) == 1) == isolated
-        ]
+        singles = {c[0] for c in g.components(build.spec.classical_colors) if len(c) == 1}
+        hits = [x for x in hits if (x in singles) == isolated]
     assert len(hits) == 1
     return hits[0]
 
@@ -110,9 +106,9 @@ def test_sign_column_counts_give_zero_string_ends():
 def test_spin_triple_zero_arrows():
     build = build_kr(AffineSpec("D2", 2, 2, 1))
     g = build.graph
-    by_render = {build.render(el): k for k, el in enumerate(g.elements)}
+    by_render = {build.render(el, {}): k for k, el in enumerate(g.elements)}
     got = {
-        (build.render(g.elements[x]), build.render(g.elements[y]))
+        (build.render(g.elements[x], {}), build.render(g.elements[y], {}))
         for x, y in g.f[0].items()
     }
     assert got == {("s:-+", "s:++"), ("s:--", "s:+-")}
@@ -165,12 +161,13 @@ def test_failing_report_carries_witness():
     assert report.witness is not None and "element" in report.witness
 
 
-def test_cyclic_zero_string_fails_regularity(time_limit):
-    build = build_kr(AffineSpec("B1", 2, 2, 2))
+def _with_cyclic_zero_string(build):
+    """The build with its first 0-string, whose least vertex is not its end, closed into a cycle.
+
+    The regularity scan reaches that vertex before the bad arrow.
+    """
     g = build.graph
     f0 = g.f[0]
-    # close the first 0-string whose smallest vertex is not its end into a
-    # cycle; the regularity scan reaches that vertex before the bad arrow
     for x in range(len(g)):
         string = [x]
         while string[-1] in f0:
@@ -180,9 +177,63 @@ def test_cyclic_zero_string_fails_regularity(time_limit):
     edges = {i: dict(g.f[i]) for i in g.colors}
     edges[0][string[-1]] = x
     cyclic = CrystalGraph(g.elements, g.colors, edges, g.weights)
-    report = check_regularity(dataclasses.replace(build, graph=cyclic))
+    return dataclasses.replace(build, graph=cyclic)
+
+
+def test_cyclic_zero_string_fails_regularity(time_limit):
+    cyclic = _with_cyclic_zero_string(build_kr(AffineSpec("B1", 2, 2, 2)))
+    report = check_regularity(cyclic)
     assert not report.passed
     assert "f_0 string does not end" in report.detail
+    assert (report.passed, report.detail, report.witness) == regularity_vertex_major(cyclic)
+
+
+def _with_shifted_weight(build, x, shift):
+    """The build with vertex x's weight moved by shift."""
+    g = build.graph
+    weights = list(g.weights)
+    weights[x] = tuple(a + b for a, b in zip(weights[x], shift))
+    edges = {i: dict(g.f[i]) for i in g.colors}
+    moved = CrystalGraph(g.elements, g.colors, edges, weights)
+    return dataclasses.replace(build, graph=moved)
+
+
+def _regularity_outcome(build):
+    report = check_regularity(build)
+    return report.passed, report.detail, report.witness
+
+
+@pytest.mark.parametrize("spec", default_grid(), ids=str)
+def test_regularity_agrees_with_the_vertex_major_scan_on_the_grid(spec):
+    build = build_kr(spec)
+    assert _regularity_outcome(build) == regularity_vertex_major(build)
+
+
+REGULARITY_FAULT_SPECS = (
+    AffineSpec("A1", 3, 1, 2),
+    AffineSpec("B1", 3, 2, 1),
+    AffineSpec("C1", 2, 2, 2),
+    AffineSpec("A2even", 2, 1, 2),
+)
+
+
+@pytest.mark.parametrize("spec", REGULARITY_FAULT_SPECS, ids=str)
+def test_regularity_agrees_with_the_vertex_major_scan_on_faults(spec, time_limit):
+    build = build_kr(spec)
+    broken = [with_dropped_edge(build, i, 3) for i in build.graph.colors]
+    # a shift at the middle fails a weight step into it; at the top, a
+    # pairing or its own step
+    middle = len(build.graph) // 2
+    dim = len(build.graph.weights[0])
+    broken.append(_with_shifted_weight(build, middle, (2,) + (0,) * (dim - 1)))
+    broken.append(_with_shifted_weight(build, 0, (0,) * (dim - 1) + (1,)))
+    for mutated in broken:
+        outcome = _regularity_outcome(mutated)
+        assert not outcome[0]
+        assert outcome == regularity_vertex_major(mutated)
+        assert mutated.graph.components() == components_bfs(mutated.graph)
+        for colors in ((0,), build.spec.classical_colors):
+            assert mutated.graph.components(colors) == components_bfs(mutated.graph, colors)
 
 
 @pytest.mark.parametrize("fam,n,r,s", [("A1", 2, 1, 20), ("C1", 2, 2, 6)])
