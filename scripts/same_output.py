@@ -6,8 +6,9 @@ The committed tree of --rev is unpacked with `git archive` into a temporary
 directory next to this checkout.  One child interpreter per tree runs, for
 every spec below, `kr build` (JSON and DOT) and `kr check --format json`
 through `cli.main`, and reports the exit code and the sha256 of stdout and
-stderr of each.  Every command whose record differs is printed; the exit
-status is 1 on any difference or child failure, else 0.
+stderr of each.  Every command whose record differs is printed, then the
+non-blank `src/` line count of both trees; the exit status is 1 on any
+difference or child failure, else 0.
 
 The specs are the default `kr check` grid, the seven `wide_build` specs of
 perfbench/worker.py, and specs beyond both on the stepped, virtual, triples
@@ -24,7 +25,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from bench_pairs import ROOT, unpack
+from bench_pairs import ROOT, src_lines, unpack
 
 sys.path.insert(0, str(ROOT / "src"))
 from krcrystals.verify import default_grid  # noqa: E402
@@ -73,6 +74,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(dir=ROOT.parent) as tmp:
         roots = {"parent": Path(tmp), "change": ROOT}
         sha = unpack(args.rev, roots["parent"])
+        lines = {side: src_lines(root) for side, root in roots.items()}
         children = {
             side: subprocess.Popen(
                 [sys.executable, "-c", CHILD],
@@ -102,6 +104,8 @@ def main(argv=None) -> int:
               f"{records['change'].get(command)}")
     print(f"{len(records['parent']) - len(mismatches)} of {len(records['parent'])} "
           f"outputs identical to {sha[:12]}")
+    print(f"non-blank src/ lines: {lines['parent']} at {sha[:12]}, "
+          f"{lines['change']} in the working tree")
     return 1 if mismatches else 0
 
 

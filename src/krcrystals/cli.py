@@ -1,8 +1,8 @@
 """Command-line front end: build, export, decompose, dim, and check.
 
-Exit codes: 0 success, 1 at least one failed check or a build that was refused
-or could not finish (a predicted size over the vertex bound, refused before any
-work, a broken invariant or the closure bound), 2 invalid arguments.
+Exit codes: 0 success, 1 a failed check or a refused or unfinished run (a
+predicted size over the vertex bound, refused before any work, a broken
+invariant, the closure bound, an unwritable --out), 2 invalid arguments.
 All output is deterministic; documents carry no timestamps.
 """
 
@@ -171,7 +171,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"kr: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:
+    except (RuntimeError, OSError) as exc:
         print(f"kr: {exc}", file=sys.stderr)
         return 1
 

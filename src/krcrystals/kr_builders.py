@@ -18,6 +18,7 @@ from .cartan import AffineSpec, Shape, horizontal_domino_shapes, kr_decompositio
 from .cartan import kr_shapes, shape_dimension
 from .crystal_core import VERTEX_BOUND, CrystalGraph, generate_closure, greedy_raise
 from .pm_diagrams import SignTriple
+from .tableaux import classical_crystal
 
 
 @dataclass
@@ -40,17 +41,6 @@ class KRBuild:
     stepped: "SteppedHost | None" = None  # stepped: the host, element-local
     sigma_table: dict | None = None
     partner: "KRBuild | None" = None  # spin: the crystal sigma lands in
-
-
-# -- classical layer ----------------------------------------------------------
-
-def classical_crystal(ctype, n, shapes, colors):
-    """The tableau crystals B(shape) closed under colors; vertex k is the top of shapes[k]."""
-    seeds = [pm.highest_element(ctype, n, sh) for sh in shapes]
-    table = tableaux.SignatureTable(ctype, n, colors)
-    return generate_closure(
-        seeds, colors, table.neighbours, lambda elem: tableaux.tableau_weight(ctype, n, *elem)
-    )
 
 
 def _transport(src, dst_f, anchors, colors):
@@ -171,7 +161,9 @@ def promotion(cols, n):
                 j -= 1
         grid[i, j] = 1
     out = tuple(tuple(grid[i, j] for i in range(rows)) for j in range(len(cols)))
-    if not tableaux.tableau_ok("A", n, out):
+    # semistandard: rows weakly increasing, columns strictly
+    rows_ok = all(a <= b for u, v in zip(out, out[1:]) for a, b in zip(u, v))
+    if not rows_ok or any(a >= b for col in out for a, b in zip(col, col[1:])):
         raise RuntimeError(f"promotion broke semistandardness on {cols}")
     return out
 

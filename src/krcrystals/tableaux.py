@@ -1,44 +1,19 @@
-"""Letters, columns, and semistandard tableaux for types A, B, C, D.
+"""The classical crystals B(lambda) of types A, B, C, D, on tableaux.
 
-Letters are ints: i unbarred, -i barred, 0 the middle letter of type B.
-A column is a tuple of letters from bottom (smallest) to top.  A tableau is a
-tuple of columns left to right; bottom-aligned, so row k of a column is index
-k-1.  Type B shapes may carry one extra half-width spin column on the left,
-stored as a tuple of signs +1/-1 (sign of letter i in the spin column).
+Letters are ints: i unbarred, -i barred, 0 the middle letter of type B; the
+letter crystal is its i-strings.  A column is a tuple of letters from bottom
+(smallest) to top, a tableau a tuple of columns left to right, bottom-aligned,
+so row k of a column is index k-1.  Type B shapes may carry one half-width spin
+column on the left, a tuple of signs +1/-1 (the sign of letter i) with its own
+minuscule moves.  e_i and f_i act on the tensor of those factors through the
+signature rule, and B(lambda) is the closure of its highest tableau under them
+(`classical_crystal`), the one way the package computes it.
 """
 
 from __future__ import annotations
 
-import itertools
-
-
-def all_letters(ctype: str, n: int) -> tuple[int, ...]:
-    if ctype == "A":
-        return tuple(range(1, n + 1))
-    mid = (0,) if ctype == "B" else ()
-    return tuple(range(1, n + 1)) + mid + tuple(range(-n, 0))
-
-
-def order_key(ctype: str, n: int, x: int) -> int:
-    """Position in the letter order; n and -n share a key in type D."""
-    if ctype == "B":
-        if x == 0:
-            return 2 * n + 1
-        return 2 * x if x > 0 else 4 * n + 2 + 2 * x
-    if ctype == "D":
-        return x if x > 0 else 2 * n + x
-    return x if x > 0 else 2 * n + 1 + x
-
-
-def precedes(ctype: str, n: int, x: int, y: int) -> bool:
-    """Strict order; false for the incomparable pair {n, -n} in type D."""
-    if ctype == "D" and {x, y} == {n, -n}:
-        return False
-    return order_key(ctype, n, x) < order_key(ctype, n, y)
-
-
-def preceq(ctype: str, n: int, x: int, y: int) -> bool:
-    return x == y or precedes(ctype, n, x, y)
+from .crystal_core import generate_closure
+from .pm_diagrams import highest_element
 
 
 # -- the letter crystal ---------------------------------------------------------
@@ -69,14 +44,6 @@ def letter_entries(ctype: str, n: int, i: int) -> dict:
 
 
 # -- spin factors (types B and D), stored as sign tuples ---------------------
-
-def spin_elements(ctype: str, n: int, color: int = 1):
-    """All spin vectors; in type D color 1 has an even number of -1 signs."""
-    for signs in itertools.product((1, -1), repeat=n):
-        if ctype == "D" and signs.count(-1) % 2 != (0 if color == 1 else 1):
-            continue
-        yield signs
-
 
 def _spin_move(ctype: str, n: int, i: int):
     """(index of the first sign f_i reads, the signs it reads, the signs it writes)."""
@@ -114,121 +81,7 @@ def spin_eps(ctype: str, n: int, i: int, sv) -> int:
     return int(spin_e(ctype, n, i, sv) is not None)
 
 
-def spin_to_column(sv) -> tuple[int, ...]:
-    """Letter column of a spin vector: i if sign +, bar i if sign -."""
-    n = len(sv)
-    col = [i for i in range(1, n + 1) if sv[i - 1] == 1]
-    col += [-i for i in range(n, 0, -1) if sv[i - 1] == -1]
-    return tuple(col)
-
-
-# -- columns ------------------------------------------------------------------
-
-def column_ok(ctype: str, n: int, col: tuple[int, ...]) -> bool:
-    """One-column semistandardity, including the (p, bar p) height bound."""
-    big_n = len(col)
-    for a, b in zip(col, col[1:]):
-        if ctype == "D":
-            if preceq(ctype, n, b, a):
-                return False
-        elif ctype == "B" and a == b == 0:
-            continue
-        elif not precedes(ctype, n, a, b):
-            return False
-    # the bound covers every p < n, and p = n outside type D, where n and -n
-    # are incomparable and may alternate
-    for p in range(1, n if ctype == "D" else n + 1):
-        ks = [k + 1 for k, x in enumerate(col) if x == p]
-        ls = [l + 1 for l, x in enumerate(col) if x == -p]
-        for k in ks:
-            for l in ls:
-                if k + (big_n - l + 1) > p:
-                    return False
-    return True
-
-
-def _ab_config_violation(ctype, n, u, v):
-    """True when some configuration bound fails for adjacent columns u, v."""
-    big_n = len(v)
-
-    def pos(col, letter):
-        return [k + 1 for k, x in enumerate(col) if x == letter]
-
-    # (a,b)-configurations; b = n has special clauses except in type C
-    b_top = n + 1 if ctype == "C" else n
-    for a in range(1, b_top):
-        sa = pos(u, a)
-        ta = pos(v, -a)
-        if not sa or not ta:
-            continue
-        p, s = sa[0], ta[0]
-        for b in range(a, b_top):
-            for qs, rs in ((pos(u, b), pos(u, -b)), ((pos(v, b)), pos(v, -b))):
-                for q in qs:
-                    for r in rs:
-                        if p <= q < r <= s <= big_n:
-                            if (q - p) + (s - r) >= b - a:
-                                return True
-        # (a,n)-configurations: adjacent middle letters in one column (B, D)
-        if ctype != "C" and a < n:
-            middles = {n, -n, 0} if ctype == "B" else {n, -n}
-            for col in (u, v):
-                for q in range(1, len(col)):
-                    if col[q - 1] in middles and col[q] in middles:
-                        r = q + 1
-                        if p <= q < r <= s <= big_n:
-                            if (q - p) + (s - r) >= n - a:
-                                return True
-        if ctype == "D":
-            # a-odd / a-even configurations (mixed-column middle pairs)
-            for q in pos(v, n) + pos(v, -n):
-                for r in pos(u, n) + pos(u, -n):
-                    if not p <= q < r <= s <= big_n:
-                        continue
-                    same = (v[q - 1] == u[r - 1])
-                    odd = (r - q + 1) % 2 == 1
-                    if same != odd and s - p >= n - a:
-                        return True
-    # (n,n)-configuration: middle letter in u strictly below one in v
-    if ctype in ("B", "D"):
-        left = {n, 0} if ctype == "B" else {n, -n}
-        right = {0, -n} if ctype == "B" else {n, -n}
-        for p in range(1, big_n):
-            if u[p - 1] in left and any(
-                v[q - 1] in right for q in range(p + 1, big_n + 1)
-            ):
-                return True
-    return False
-
-
-def adjacent_ok(ctype: str, n: int, u: tuple[int, ...], v: tuple[int, ...]) -> bool:
-    """Adjacency for columns u (left, taller) and v (right), bottom-aligned."""
-    if len(u) < len(v):
-        return False
-    for k in range(len(v)):
-        if not preceq(ctype, n, u[k], v[k]):
-            return False
-        if ctype == "B" and u[k] == 0 and v[k] == 0:
-            return False
-    if ctype == "A":
-        return True
-    return not _ab_config_violation(ctype, n, u, v)
-
-
 # -- tableaux -----------------------------------------------------------------
-
-def tableau_ok(ctype: str, n: int, cols, spin=None) -> bool:
-    for col in cols:
-        if not column_ok(ctype, n, col):
-            return False
-    seq = list(cols)
-    if spin is not None:
-        seq = [spin_to_column(spin)] + seq
-    for u, v in zip(seq, seq[1:]):
-        if not adjacent_ok(ctype, n, u, v):
-            return False
-    return True
-
 
 def tableau_weight(ctype: str, n: int, cols, spin=None) -> tuple[int, ...]:
     """Doubled weight: 2 at i per letter i, -2 per bar i, plus the spin signs."""
@@ -366,62 +219,28 @@ class SpinTensorTable(SignatureTable):
         return vecs[:k] + (image,) + vecs[k + 1 :]
 
 
-# -- enumeration (independent oracle for classical crystals) ------------------
+# -- the classical crystal B(lambda) -------------------------------------------
 
-def enumerate_columns(ctype: str, n: int, height: int):
-    """Every valid column, in the lexicographic order of the alphabet.
-
-    Columns grow along weakly increasing letter keys, so type B may repeat 0
-    and type D may alternate n and -n, which share a key; `column_ok` decides.
-    """
-    letters = all_letters(ctype, n)
-
-    def grow(col):
-        if len(col) == height:
-            if column_ok(ctype, n, col):
-                yield col
-            return
-        floor = order_key(ctype, n, col[-1]) if col else 0
-        for x in letters:
-            if order_key(ctype, n, x) >= floor:
-                yield from grow(col + (x,))
-
-    yield from grow(())
+def classical_crystal(ctype, n, shapes, colors):
+    """The tableau crystals B(shape) closed under colors; vertex k is the top of shapes[k]."""
+    seeds = [highest_element(ctype, n, sh) for sh in shapes]
+    table = SignatureTable(ctype, n, colors)
+    return generate_closure(
+        seeds, colors, table.neighbours, lambda elem: tableau_weight(ctype, n, *elem)
+    )
 
 
 def enumerate_tableaux(ctype: str, n: int, shape):
-    """All valid fillings of a Shape (spin flag = type B spin column)."""
-    heights = list(shape.columns())
+    """The elements of B(shape) under every classical color, in the closure's order."""
+    heights = shape.columns()
+    # the closure would seed both colors at one top, the highest tableau of color 1
     if ctype == "D" and shape.color and heights and heights[0] == n:
         raise ValueError(
             "type D full-height columns split by color; model them as "
             "tensors of half-columns instead"
         )
-    spins = (
-        list(spin_elements(ctype, n, shape.color or 1))
-        if shape.spin
-        else [None]
-    )
-    col_pool = {h: list(enumerate_columns(ctype, n, h)) for h in set(heights)}
-
-    def extend(prefix, k):
-        if k == len(heights):
-            yield tuple(prefix)
-            return
-        for col in col_pool[heights[k]]:
-            if prefix and not adjacent_ok(ctype, n, prefix[-1], col):
-                continue
-            if not prefix and spin_col is not None:
-                if not adjacent_ok(ctype, n, spin_col, col):
-                    continue
-            prefix.append(col)
-            yield from extend(prefix, k + 1)
-            prefix.pop()
-
-    for sp in spins:
-        spin_col = spin_to_column(sp) if sp is not None else None
-        for cols in extend([], 0):
-            yield (cols, sp)
+    colors = tuple(range(1, n if ctype == "A" else n + 1))
+    return classical_crystal(ctype, n, (shape,), colors).elements
 
 
 # -- formatting --------------------------------------------------------------

@@ -8,8 +8,8 @@ import pytest
 
 from krcrystals import pm_diagrams as pm
 from krcrystals.cartan import AffineSpec, Shape, kr_decomposition, kr_dimension
-from krcrystals.kr_builders import build_kr, classical_crystal
-from krcrystals.tableaux import enumerate_tableaux, signature_index, tableau_apply
+from krcrystals.kr_builders import build_kr
+from krcrystals.tableaux import classical_crystal, signature_index, tableau_apply
 from krcrystals.verify import (
     _CHECKS,
     check_decompositions,
@@ -22,6 +22,7 @@ from krcrystals.verify import (
 
 from oracles import (
     e1_on_pair,
+    enumerate_tableaux,
     inner_shape,
     phi_direct,
     reduce_signature,

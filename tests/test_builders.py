@@ -25,7 +25,14 @@ from krcrystals.kr_builders import (
 )
 from krcrystals.verify import default_grid
 
-from oracles import isomorphism, phi_direct, tableau_phi, tableau_phi_table
+from oracles import (
+    enumerate_tableaux,
+    isomorphism,
+    phi_direct,
+    tableau_ok,
+    tableau_phi,
+    tableau_phi_table,
+)
 
 
 # -- promotion route (type A) --------------------------------------------------
@@ -41,9 +48,30 @@ def test_promotion_rejects_ragged_shape():
         promotion(((1, 2), (1,)), 3)
 
 
+@pytest.mark.parametrize("cols", [((1, 1),), ((2,), (1,))], ids=["column", "row"])
+def test_promotion_check_catches_a_non_semistandard_output(cols):
+    # a repeated letter down a column and a descent along a row both survive
+    # the jeu de taquin, and the check on the output names the input
+    with pytest.raises(RuntimeError) as err:
+        promotion(cols, 3)
+    assert str(err.value) == f"promotion broke semistandardness on {cols}"
+
+
+def test_promotion_output_satisfies_the_kn_rules():
+    # every rectangle over 1..n, n <= 4 and r*s <= 6, against the type A rules
+    checked = 0
+    for n in range(2, 5):
+        for r in range(1, n + 1):
+            for s in range(1, 6 // r + 1):
+                for cols, _ in enumerate_tableaux("A", n, Shape((s,) * r)):
+                    assert tableau_ok("A", n, promotion(cols, n)), (n, cols)
+                    checked += 1
+    assert checked == 434
+
+
 def test_promotion_cycles_with_order_n():
     for r, s in [(1, 1), (2, 2), (1, 3)]:
-        for cols, _ in tableaux.enumerate_tableaux("A", 3, Shape((s,) * r)):
+        for cols, _ in enumerate_tableaux("A", 3, Shape((s,) * r)):
             out = cols
             for _ in range(3):
                 out = promotion(out, 3)
@@ -52,7 +80,7 @@ def test_promotion_cycles_with_order_n():
 
 @given(st.integers(0, 19))
 def test_promotion_rotates_content(k):
-    elems = list(tableaux.enumerate_tableaux("A", 3, Shape((2, 2))))
+    elems = list(enumerate_tableaux("A", 3, Shape((2, 2))))
     cols, _ = elems[k % len(elems)]
     before = tableaux.tableau_weight("A", 3, cols, None)
     after = tableaux.tableau_weight("A", 3, promotion(cols, 3), None)
@@ -347,7 +375,7 @@ def test_classical_model_of_stepped_build():
     model = classical_model(b)
     assert len(model) == 6
     for x, tab in model.items():
-        assert tableaux.tableau_ok("B", 2, tab[0], tab[1])
+        assert tableau_ok("B", 2, tab[0], tab[1])
         assert tuple(b.graph.weights[x]) == tableaux.tableau_weight(
             "B", 2, tab[0], tab[1]
         )

@@ -19,9 +19,7 @@ from krcrystals.cartan import (
     weyl_dimension,
     zero_root_projection,
 )
-from krcrystals.tableaux import enumerate_tableaux
-
-from oracles import pairing
+from oracles import enumerate_tableaux, pairing
 
 
 def test_affine_spec_validation():

@@ -258,6 +258,19 @@ def test_out_flag_redirects_stdout(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("command", ["build", "check"])
+def test_out_to_a_missing_directory_exits_one(tmp_path, capsys, command):
+    target = tmp_path / "missing" / "x.json"
+    args = [command, "--family", "A1", "--n", "3", "--r", "1", "--s", "1",
+            "--out", str(target)]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("kr: ") and str(target) in captured.err
+    assert captured.err.count("\n") == 1
+    assert not target.parent.exists()
+
+
 @pytest.fixture(scope="module")
 def recorded_digests():
     path = Path(__file__).resolve().parent.parent / "perfbench" / "expected.json"

@@ -22,6 +22,7 @@ from krcrystals.tableaux import tableau_apply, tableau_weight
 
 from oracles import (
     e1_on_pair,
+    enumerate_tableaux,
     halve_pm,
     inner_shape,
     phi_direct,
@@ -443,8 +444,6 @@ DIFF_GRID = [
 
 @pytest.mark.parametrize("ctype,n,shape,complete", DIFF_GRID, ids=str)
 def test_e1_differential(ctype, n, shape, complete):
-    from krcrystals.tableaux import enumerate_tableaux
-
     highest3 = [
         b
         for b in enumerate_tableaux(ctype, n, shape)

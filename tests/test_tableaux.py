@@ -5,35 +5,30 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from krcrystals import tableaux
 from krcrystals.cartan import Shape, weyl_dimension
 from krcrystals.tableaux import (
-    adjacent_ok,
-    all_letters,
-    column_ok,
-    enumerate_columns,
-    enumerate_tableaux,
     format_element,
     format_spin_tensor,
     letter_entries,
     letter_strings,
-    order_key,
-    precedes,
     SignatureTable,
     SpinTensorTable,
     signature,
     signature_index,
     spin_e,
-    spin_elements,
     spin_eps,
     spin_f,
     spin_phi,
-    spin_to_column,
     tableau_apply,
-    tableau_ok,
     tableau_weight,
 )
 
 from oracles import (
+    adjacent_ok,
+    all_letters,
+    column_ok,
+    enumerate_tableaux,
     letter_e,
     letter_eps,
     letter_f,
@@ -42,10 +37,14 @@ from oracles import (
     pairing,
     parse_element,
     parse_spin_tensor,
+    precedes,
     reading_word,
     reduce_signature,
+    spin_elements,
     spin_tensor_apply,
+    spin_to_column,
     tableau_eps_phi,
+    tableau_ok,
 )
 
 
@@ -378,6 +377,25 @@ def test_classical_crystal_three_way(ctype, n, shape):
     filtered = set(enumerate_tableaux(ctype, n, shape))
     assert reached == filtered
     assert len(reached) == weyl_dimension(ctype, n, shape.weight(ctype, n))
+
+
+@pytest.mark.parametrize(
+    "ctype,n,shape",
+    [(t, 4, Shape((2, 1))) for t in "ABCD"]
+    + [("B", 3, Shape((2, 1), spin=1)), ("D", 4, Shape((1,), spin=1, color=2))],
+)
+def test_enumerate_tableaux_is_the_kn_list(ctype, n, shape):
+    # the closure's elements, each once, are exactly the fillings the KN rules accept
+    got = tableaux.enumerate_tableaux(ctype, n, shape)
+    assert len(set(got)) == len(got)
+    assert set(got) == set(enumerate_tableaux(ctype, n, shape))
+
+
+@pytest.mark.parametrize("color", [1, 2])
+def test_enumerate_tableaux_refuses_colored_full_height_columns(color):
+    # the closure seeds at one top for both colors, so it refuses instead
+    with pytest.raises(ValueError, match="type D full-height columns split by color"):
+        tableaux.enumerate_tableaux("D", 4, Shape((1, 1, 1, 1), color=color))
 
 
 @pytest.mark.parametrize("ctype,n,shape", ORACLE_SHAPES)
