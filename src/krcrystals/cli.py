@@ -46,6 +46,25 @@ def graph_document(build) -> dict:
     }
 
 
+def dump_graph_document(doc) -> str:
+    """json.dumps(doc, indent=2) and a newline for graph_document's fixed shape, from %d
+    and the C string encoder: any indent sends json.dumps to its pure-Python encoder."""
+    text = json.encoder.encode_basestring_ascii
+
+    def block(items, pad):  # a list as indent=2 lays it out at depth pad
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]" if items else "[]"
+
+    node = '    {\n      "id": %d,\n      "element": %s,\n      "weight": %s\n    }'
+    edge = '    {\n      "src": %d,\n      "dst": %d,\n      "color": %d\n    }'
+    weights = [block(["        %d" % c for c in v["weight"]], "      ") for v in doc["nodes"]]
+    nodes = [node % (v["id"], text(v["element"]), wt) for v, wt in zip(doc["nodes"], weights)]
+    edges = [edge % (a["src"], a["dst"], a["color"]) for a in doc["edges"]]
+    head = '{\n  "family": %s,\n  "n": %d,\n  "r": %d,\n  "s": %d,\n' % (
+        text(doc["family"]), doc["n"], doc["r"], doc["s"]
+    )
+    return f'{head}  "nodes": {block(nodes, "  ")},\n  "edges": {block(edges, "  ")}\n}}\n'
+
+
 def to_dot(build) -> str:
     spec = build.spec
     lines = [f'digraph "{spec.family} n={spec.n} r={spec.r} s={spec.s}" {{']
@@ -80,10 +99,8 @@ def _write(text: str, out: str | None) -> None:
 
 def _cmd_build(args) -> int:
     build = build_kr(_spec_from(args))
-    if args.format == "dot":
-        _write(to_dot(build), args.out)
-    else:
-        _write(json.dumps(graph_document(build), indent=2) + "\n", args.out)
+    text = to_dot(build) if args.format == "dot" else dump_graph_document(graph_document(build))
+    _write(text, args.out)
     return 0
 
 

@@ -90,8 +90,15 @@ class CrystalGraph:
         return [x for x in range(len(self.elements)) if x not in raised]
 
     def raise_path(self, x, colors):
-        """Greedy raising to a highest vertex; returns (color path, vertex)."""
-        return greedy_raise(x, colors, lambda i, y: self.e[i].get(y))
+        """Greedy raising to a highest vertex; returns ((color, length) path, vertex)."""
+
+        def up(i, y):
+            e, k = self.e[i], 0
+            while (z := e.get(y)) is not None:
+                y, k = z, k + 1
+            return (y, k) if k else None
+
+        return greedy_raise(x, colors, up)
 
     def decomposition(self, colors=None):
         """Sorted weights of the unique highest vertex of each component."""
@@ -164,17 +171,19 @@ class CrystalGraph:
 def greedy_raise(x, colors, up):
     """Raise each color's whole e-string in turn, sweeping until none applies.
 
-    ``up(i, x)`` returns the raised element or None.  Returns the color path
-    and the top; applying f along the reversed path from the top gives x back.
+    ``up(i, x)`` returns (the top of x's i-string, its length) or None where
+    x is not raised.  Returns the path of (color, length) segments and the
+    top; f_i^k along the reversed path from the top gives x back.
     """
     path = []
     moved = True
     while moved:
         moved = False
         for i in colors:
-            while (y := up(i, x)) is not None:
-                path.append(i)
-                x, moved = y, True
+            if (segment := up(i, x)) is not None:
+                x, k = segment
+                path.append((i, k))
+                moved = True
     return path, x
 
 

@@ -295,9 +295,10 @@ class SteppedHost:
     m_i-th powers of the colors.  No host crystal is closed: sigma on the
     {2..N}-tops is read off the diagram table, and any other element is raised
     by whole e-strings to a top (or an element of known sigma), whose image
-    descends the same path.  sigma, the host arrows and the signature table,
-    which takes every host step and every diagram walk, live on this object,
-    as long as its build.  Broken invariants raise RuntimeError.
+    descends the same path, one signature pass per string segment each way
+    (the m_i-th powers stay single host steps).  sigma, the host arrows and
+    the signature table, which takes every pass, live on this object, as
+    long as its build.  Broken invariants raise RuntimeError.
     """
 
     def __init__(self, n, r, s, virtual, m):
@@ -335,16 +336,18 @@ class SteppedHost:
 
         Every {2..N}-top is known, so the raise ends at one at the latest.
         """
-        memo, step = self._sigma, self._table.apply
+        memo, string = self._sigma, self._table.string
 
         def up(i, x):
-            return None if x in memo else step(x, i, "e")
+            if x not in memo and (segment := string(x, i, "e"))[1]:
+                return segment
+            return None
 
         path, top = greedy_raise(elem, range(2, self.rank + 1), up)
         if (y := memo.get(top)) is None:
             raise RuntimeError("sigma's raise ended off the diagram table")
-        for i in reversed(path):
-            y = step(y, i, "f")
+        for i, k in reversed(path):
+            y = string(y, i, "f", k)[0]
             if y is None:
                 raise RuntimeError(f"sigma died descending an f_{i} arrow")
         return y

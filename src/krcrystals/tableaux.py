@@ -120,11 +120,6 @@ def signature(pairs):
     return minus, plus, e_at, f_at
 
 
-def signature_index(pairs, op: str):
-    """Factor index acted on by e_i (rightmost free -) or f_i (leftmost free +)."""
-    return signature(pairs)[2 if op == "e" else 3]
-
-
 # -- tensors of factors: one entry per factor and color -----------------------
 
 _INERT = (0, 0, None, None)  # the entry of a letter on no i-string
@@ -184,12 +179,46 @@ class SignatureTable:
         c = len(cols) - 1 - k
         return (cols, image) if c < 0 else (cols[:c] + (image,) + cols[c + 1 :], spin)
 
+    def _memo_of(self, elem, k):
+        """(memo, entry rule) of tensor factor k: a column, or the spin column last."""
+        return (self._columns, column_entry) if k < len(elem[0]) else (self._spins, spin_entry)
+
+    def string(self, elem, i: int, op: str, k=None):
+        """(e_i^k or f_i^k of elem, k) ('e'/'f') from one signature pass.
+
+        k=None is the whole string, and a k past it gives (None, its length).
+        e takes the k rightmost free -, counted left to right, f the k leftmost
+        free +, counted right to left; each factor walks its own entries for its share.
+        """
+        slot, side = self._slot[i], 2 if op == "e" else 3
+        entries = [row[slot] for row in self._rows(elem)]
+        reads, keeps = (0, 1) if op == "e" else (1, 0)
+        order = range(len(entries)) if op == "e" else range(len(entries) - 1, -1, -1)
+        free, length, other = [], 0, 0  # (factor, its free signs), in pass order
+        for j in order:
+            own = entries[j][reads] - other  # other: the carried signs that cancel these
+            other = entries[j][keeps] - own if own < 0 else entries[j][keeps]
+            if own > 0:
+                free.append((j, own))
+                length += own
+        if (k := length if k is None else k) > length:
+            return None, length
+        left = k
+        while left:
+            j, share = free.pop()  # the signs op takes come last in the pass
+            share = min(share, left)
+            left -= share
+            image = entries[j][side]
+            if share > 1:
+                memo, rule = self._memo_of(elem, j)
+                for _ in range(share - 1):
+                    image = (memo.get(image) or self._row(memo, rule, image))[slot][side]
+            elem = self._put(elem, j, image)
+        return elem, k
+
     def apply(self, elem, i: int, op: str):
         """e_i/f_i ('e'/'f') of elem; None if it vanishes."""
-        k = self._slot[i]
-        entries = [row[k] for row in self._rows(elem)]
-        j = signature_index(entries, op)
-        return None if j is None else self._put(elem, j, entries[j][2 if op == "e" else 3])
+        return self.string(elem, i, op, 1)[0]
 
     def neighbours(self, elem):
         """(i, f_i elem, e_i elem) for every color, from one pass over the factors."""
@@ -213,6 +242,9 @@ class SpinTensorTable(SignatureTable):
 
     def _rows(self, vecs):
         return [self._row(self._spins, spin_entry, sv) for sv in vecs]
+
+    def _memo_of(self, vecs, k):
+        return self._spins, spin_entry
 
     @staticmethod
     def _put(vecs, k, image):

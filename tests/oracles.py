@@ -11,7 +11,9 @@ its elements) is checked against that list, so the rules stay a reference
 that shares no code with the signature rule.
 `letter_f` is f_i on the letter crystal in closed form, `letter_e` its
 preimage scan, and `letter_phi`/`letter_eps` count steps along an i-string
-through them; `reduce_signature` cancels the signs of a whole tensor word.
+through them; `reduce_signature` cancels the signs of a whole tensor word,
+and `signature_index` reads the factor a single step acts on off
+`tableaux.signature`.
 `tableaux.letter_entries` (read off `tableaux.letter_strings`) and
 `tableaux.tableau_apply` are checked against them, and
 `tableaux.tableau_weight` against the sum of `letter_weight` over the
@@ -390,12 +392,17 @@ def reduce_signature(pairs) -> tuple[int, int]:
     return minus, plus
 
 
+def signature_index(pairs, op: str):
+    """Factor index acted on by e_i (rightmost free -) or f_i (leftmost free +)."""
+    return tableaux.signature(pairs)[2 if op == "e" else 3]
+
+
 def spin_tensor_apply(n, vecs, i, op):
     pairs = [
         (tableaux.spin_eps("D", n, i, v), tableaux.spin_phi("D", n, i, v))
         for v in vecs
     ]
-    k = tableaux.signature_index(pairs, op)
+    k = signature_index(pairs, op)
     if k is None:
         return None
     act = tableaux.spin_e if op == "e" else tableaux.spin_f

@@ -9,7 +9,7 @@ import pytest
 from krcrystals import pm_diagrams as pm
 from krcrystals.cartan import AffineSpec, Shape, kr_decomposition, kr_dimension
 from krcrystals.kr_builders import build_kr
-from krcrystals.tableaux import classical_crystal, signature_index, tableau_apply
+from krcrystals.tableaux import classical_crystal, tableau_apply
 from krcrystals.verify import (
     _CHECKS,
     check_decompositions,
@@ -26,6 +26,7 @@ from oracles import (
     inner_shape,
     phi_direct,
     reduce_signature,
+    signature_index,
     tableau_phi,
     with_dropped_edge,
 )

@@ -281,12 +281,12 @@ def test_rectangle_seeds_at_its_top_in_the_same_crystal(fam, n, r, s):
 
 
 def test_stepped_build_tableau_apply_calls(monkeypatch):
-    # every single step: the host's steps, its diagram walks and the lifts go
-    # through the build's signature tables, none through tableau_apply and
-    # the table it makes per call.  The count is deterministic; the bound
-    # sits between the 37,673 steps of sigma read off the table at the tops
-    # and raised by whole strings, and the 56,694 of re-walking each top and
-    # raising one step per sweep
+    # every signature pass, a single step or a whole-string jump: the host's
+    # steps, its diagram walks and sigma's raises and descents go through the
+    # build's signature table, none through tableau_apply and the table it
+    # makes per call.  The count is deterministic; the bound sits above the
+    # 21,091 passes of raising and descending sigma one string segment per
+    # pass, and below the 37,679 of one step per pass
     calls = []
 
     def counted(step):
@@ -297,10 +297,10 @@ def test_stepped_build_tableau_apply_calls(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(tableaux, "tableau_apply", counted(tableaux.tableau_apply))
-    monkeypatch.setattr(tableaux.SignatureTable, "apply", counted(tableaux.SignatureTable.apply))
+    monkeypatch.setattr(tableaux.SignatureTable, "string", counted(tableaux.SignatureTable.string))
     assert len(build_kr(AffineSpec("A2even", 3, 3, 2)).graph) == 490
     assert calls.count("tableau_apply") == 0
-    assert len(calls) < 45_000
+    assert len(calls) < 24_000
 
 
 def test_non_involution_fails_host_construction(monkeypatch, capsys):
@@ -328,6 +328,61 @@ def test_involution_off_the_table_fails_host_construction(monkeypatch):
     for spec in (AffineSpec("A2even", 2, 2, 1), AffineSpec("A2odd", 2, 1, 1)):
         with pytest.raises(RuntimeError, match="off the diagram table"):
             build_kr(spec)
+
+
+def _sigma_tops_without_pairs(on_tops):
+    # sigma at the tops with every swapped pair forgotten: raises end off the memo
+    def mutated(*args):
+        return {x: y for x, y in on_tops(*args).items() if x == y}
+
+    return mutated
+
+
+def _sigma_tops_onto_empty(on_tops):
+    # every swapped top sent to the empty tableau, a {2..N}-component of one
+    # element, so no nonempty raise path descends from it
+    def mutated(*args):
+        empty = ((), None)
+        return {x: y if x in (y, empty) else empty for x, y in on_tops(*args).items()}
+
+    return mutated
+
+
+def _reflect_fixing_images(reflect):
+    # a second _reflect at an image claims it fixed instead of returning its preimage
+    images = set()
+
+    def mutated(host, elem):
+        if elem in images:
+            return elem
+        images.add(out := reflect(host, elem))
+        return out
+
+    return mutated
+
+
+@pytest.mark.parametrize(
+    "target,name,mutation,message",
+    [
+        (kr_builders, "_sigma_on_tops", _sigma_tops_without_pairs,
+         "sigma's raise ended off the diagram table"),
+        (kr_builders, "_sigma_on_tops", _sigma_tops_onto_empty,
+         "sigma died descending an f_2 arrow"),
+        (kr_builders.SteppedHost, "_reflect", _reflect_fixing_images,
+         "sigma is not an involution at "),
+    ],
+)
+def test_broken_stepped_sigma_fails_the_build(
+    monkeypatch, capsys, target, name, mutation, message
+):
+    # each check of the element-local sigma, reached by a mutation of its
+    # memo or its reflection, stops the build and exits 1 from the CLI
+    monkeypatch.setattr(target, name, mutation(getattr(target, name)))
+    with pytest.raises(RuntimeError) as caught:
+        build_kr(AffineSpec("A2even", 2, 2, 1))
+    assert str(caught.value).startswith(message)
+    assert main(["build", "--family", "A2even", "--n", "2", "--r", "2", "--s", "1"]) == 1
+    assert capsys.readouterr().err == f"kr: {caught.value}\n"
 
 
 @pytest.mark.parametrize(

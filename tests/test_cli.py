@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from krcrystals.cartan import AffineSpec
-from krcrystals.cli import graph_document, main, to_dot
+from krcrystals.cli import dump_graph_document, graph_document, main, to_dot
 from krcrystals.kr_builders import build_kr
 from krcrystals.verify import CheckReport, default_grid
 
@@ -44,6 +44,27 @@ def test_document_round_trip_is_identity(family, n, r, s):
     assert rebuilt.weights == list(build.graph.weights)
     ident = {x: x for x in range(len(build.graph))}
     assert ident in build.graph.isomorphisms(rebuilt)
+
+
+@pytest.mark.parametrize("spec", default_grid(), ids=str)
+def test_graph_document_text_is_indented_json(spec):
+    doc = graph_document(build_kr(spec))
+    assert dump_graph_document(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+def test_graph_document_text_escapes_like_json():
+    # non-ASCII, quotes, backslashes and control characters in the labels
+    # and the family, and empty lists, come out as json.dumps writes them
+    doc = graph_document(build_kr(AffineSpec("C1", 2, 1, 1)))
+    labels = ["\u00e9t\u00e9 \u2603", 'say "hi"', "back\\slash\\", "tab\tnew\nline\x00"]
+    for node, label in zip(doc["nodes"], labels):
+        node["element"] = label
+    doc["family"] = "\U0001d504\"/"
+    doc["nodes"][0]["weight"] = []
+    assert dump_graph_document(doc) == json.dumps(doc, indent=2) + "\n"
+    doc["edges"] = []
+    assert dump_graph_document(doc) == json.dumps(doc, indent=2) + "\n"
+    assert json.loads(dump_graph_document(doc)) == doc
 
 
 def test_dot_golden_two_cycle():

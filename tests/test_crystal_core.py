@@ -91,6 +91,15 @@ def test_components_and_decomposition():
     assert len(g.highest_vertices()) == 2
 
 
+def descend(g, path, top):
+    """f_i^k along the reversed (color, length) segments from top."""
+    y = top
+    for i, k in reversed(path):
+        for _ in range(k):
+            y = g.f[i][y]
+    return y
+
+
 def test_raise_path_returns_to_highest():
     g = tableau_graph("B", 2, (1, 2), [Shape((1, 1))])
     hi = g.highest_vertices()[0]
@@ -102,7 +111,8 @@ def test_raise_path_returns_to_highest():
     assert steps == 4
     path, top = g.raise_path(x, (1, 2))
     assert top == hi
-    assert len(path) == 4
+    assert sum(k for _, k in path) == 4
+    assert descend(g, path, top) == x
 
 
 @pytest.mark.parametrize(
@@ -115,21 +125,28 @@ def test_raise_path_returns_to_highest():
     ],
 )
 def test_sweep_raise_agrees_with_first_color_rule(ctype, n, rank, shapes):
-    # raising whole strings reaches the same highest vertex as restarting
-    # from the first color after each step, and f undoes the path
+    # raising whole strings, on the graph's arrows or by one signature pass
+    # per segment, reaches the same highest vertex as restarting from the
+    # first color after each single step; every segment is a whole string,
+    # and f^k undoes the path
     g = tableau_graph(ctype, n, tuple(range(1, rank + 1)), shapes)
+    string = SignatureTable(ctype, n, g.colors).string
 
-    def up(i, x):
-        return g.e[i].get(x)
+    def jump(i, x):
+        top, k = string(g.elements[x], i, "e")
+        return (g.index[top], k) if k else None
 
     for colors in (tuple(range(1, rank + 1)), tuple(range(2, rank + 1))):
         for x in range(len(g)):
-            path, top = greedy_raise(x, colors, up)
-            assert top == first_color_raise(x, colors, up)[1]
+            path, top = g.raise_path(x, colors)
+            assert greedy_raise(x, colors, jump) == (path, top)
+            assert top == first_color_raise(x, colors, lambda i, y: g.e[i].get(y))[1]
             assert all(g.e[i].get(top) is None for i in colors)
+            assert all(k > 0 for _, k in path)
             y = top
-            for i in reversed(path):
-                y = g.f[i][y]
+            for i, k in reversed(path):
+                assert g.eps(i, y) == 0 and g.phi(i, y) >= k
+                y = descend(g, [(i, k)], y)
             assert y == x
 
 

@@ -1,6 +1,7 @@
 """Letters, columns, semistandard fillings, and the signature rule."""
 
 import itertools
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +16,6 @@ from krcrystals.tableaux import (
     SignatureTable,
     SpinTensorTable,
     signature,
-    signature_index,
     spin_e,
     spin_eps,
     spin_f,
@@ -40,6 +40,7 @@ from oracles import (
     precedes,
     reading_word,
     reduce_signature,
+    signature_index,
     spin_elements,
     spin_tensor_apply,
     spin_to_column,
@@ -250,6 +251,51 @@ def test_spin_tensor_table_matches_per_call_rule(n, s):
             ]
             assert list(table.neighbours(vecs)) == want
             assert [(i, table.apply(vecs, i, "f"), table.apply(vecs, i, "e")) for i in colors] == want
+
+
+def assert_strings_match_steps(table, elements, colors, step):
+    # string(x, i, op, k) is k single steps for every k up to the string's
+    # length, k=None the whole string, and a k past it (None, length)
+    for elem in elements:
+        for i in colors:
+            for op in "ef":
+                chain = [elem]
+                while (y := step(chain[-1], i, op)) is not None:
+                    chain.append(y)
+                length = len(chain) - 1
+                assert table.string(elem, i, op) == (chain[-1], length)
+                for k, y in enumerate(chain):
+                    assert table.string(elem, i, op, k) == (y, k)
+                assert table.string(elem, i, op, length + 1) == (None, length)
+                assert table.string(elem, i, op, length + 3) == (None, length)
+                assert table.apply(elem, i, op) == (chain[1] if length else None)
+
+
+@pytest.mark.parametrize(
+    "ctype,n,shape",
+    [
+        ("C", 4, Shape((2, 2, 1))),
+        ("C", 3, Shape((3, 2))),
+        ("B", 3, Shape((2, 1))),
+        ("B", 3, Shape((2, 1), spin=1)),
+        ("D", 4, Shape((2, 1, 1))),
+        ("A", 4, Shape((3, 1))),
+    ],
+)
+def test_string_is_repeated_single_steps(ctype, n, shape):
+    colors = tuple(range(1, n if ctype == "A" else n + 1))
+    table = SignatureTable(ctype, n, colors)
+    elements = enumerate_tableaux(ctype, n, shape)
+    assert_strings_match_steps(table, elements, colors, partial(tableau_apply, ctype, n))
+
+
+@pytest.mark.parametrize("n,s", [(4, 3), (5, 2)])
+def test_spin_tensor_string_is_repeated_single_steps(n, s):
+    colors = tuple(range(1, n + 1))
+    table = SpinTensorTable("D", n, colors)
+    for color in (1, 2):
+        elements = itertools.product(list(spin_elements("D", n, color)), repeat=s)
+        assert_strings_match_steps(table, elements, colors, partial(spin_tensor_apply, n))
 
 
 def test_tableau_weight_sums_letter_weights():
