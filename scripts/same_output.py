@@ -4,11 +4,11 @@
 
 The committed tree of --rev is unpacked with `git archive` into a temporary
 directory next to this checkout.  One child interpreter per tree runs, for
-every spec below, `kr build` (JSON and DOT) and `kr check --format json`
-through `cli.main`, and reports the exit code and the sha256 of stdout and
-stderr of each.  Every command whose record differs is printed, then the
-non-blank `src/` line count of both trees; the exit status is 1 on any
-difference or child failure, else 0.
+every spec below, `kr build` (JSON and DOT), `kr check --format json` and
+`kr dim` through `cli.main` (344 commands on 86 specs), and reports the
+exit code and the sha256 of stdout and stderr of each.  Every command whose
+record differs is printed, then the non-blank `src/` line count of both
+trees; the exit status is 1 on any difference or child failure, else 0.
 
 The specs are the default `kr check` grid, the seven `wide_build` specs of
 perfbench/worker.py, and specs beyond both on the stepped, virtual, triples
@@ -62,7 +62,7 @@ def commands() -> list[list[str]]:
     for family, n, r, s in specs:
         spec = ["--family", family, "--n", str(n), "--r", str(r), "--s", str(s)]
         out += [["build", *spec], ["build", *spec, "--format", "dot"]]
-        out.append(["check", *spec, "--format", "json"])
+        out += [["check", *spec, "--format", "json"], ["dim", *spec]]
     return out
 
 

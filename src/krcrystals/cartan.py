@@ -258,10 +258,19 @@ def kr_decomposition(spec: AffineSpec) -> tuple[Shape, ...]:
 
 
 def kr_dimension(spec: AffineSpec) -> int:
-    """Total vertex count of B^{r,s} from the classical decomposition.
+    """Total vertex count of B^{r,s}, a sum of Weyl dimensions over classical shapes.
 
+    A twisted family answers through its untwisted partner with the same
+    (r, s), whose KR module has the same dimension because twisted KR
+    characters solve the folded Q-system (Hernandez, IMRN 2010):
+    A2even n -> A1 at 2n+1 and A2odd n -> A1 at 2n (one rectangle each), and
+    D2 n -> D1 at n+1 when 2 < n and r < n (the vertical-domino shapes).
     Weight vectors always have n coordinates; in type A the staircase formula
     over n letters gives the gl_n dimension, which matches the crystal.
     """
+    if spec.family in ("A2even", "A2odd"):
+        spec = AffineSpec("A1", 2 * spec.n + (spec.family == "A2even"), spec.r, spec.s)
+    elif spec.family == "D2" and 2 < spec.n and spec.r < spec.n:
+        spec = AffineSpec("D1", spec.n + 1, spec.r, spec.s)
     ctype = spec.classical_type
-    return sum(shape_dimension(ctype, spec.n, sh) for sh in kr_decomposition(spec))
+    return sum(shape_dimension(ctype, spec.n, sh) for sh in kr_shapes(spec))

@@ -229,9 +229,29 @@ def test_weyl_dimension_agrees_with_fraction_formula_on_rejections():
                     weyl_dimension(ctype, n, wt)
 
 
+def shape_sum(spec):
+    """|B^{r,s}| as the sum of the Weyl dimensions of its classical decomposition."""
+    return sum(shape_dimension(spec.classical_type, spec.n, sh) for sh in kr_decomposition(spec))
+
+
 def test_large_box_dimension_is_fast(time_limit):
-    # 12,870 type C_8 summands; the Fraction product took about 8 s over them
-    assert kr_dimension(AffineSpec("A2even", 8, 8, 8)) == 288882990167192721013376
+    # one gl_17 rectangle through the A1 partner; the shape sum over the
+    # 12,870 type C_8 summands must give the same value within the limit too
+    spec = AffineSpec("A2even", 8, 8, 8)
+    assert kr_dimension(spec) == 288882990167192721013376 == shape_sum(spec)
+
+
+@pytest.mark.parametrize("family", ["A2even", "A2odd", "D2"])
+def test_twisted_dimension_is_the_classical_shape_sum(family):
+    # the untwisted partner against the decomposition it stops summing; D2 at
+    # n = 2 and at r = n keeps the shape sum, and is included
+    checked = 0
+    for n in range(2, 7):
+        for r, s in itertools.product(range(1, n + 1), range(1, 6)):
+            spec = AffineSpec(family, n, r, s)
+            assert kr_dimension(spec) == shape_sum(spec), spec
+            checked += 1
+    assert checked == 5 * (2 + 3 + 4 + 5 + 6)
 
 
 def test_decomposition_single_component_families():

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from krcrystals.cartan import AffineSpec
+from krcrystals.cartan import AffineSpec, kr_dimension
 from krcrystals.cli import dump_graph_document, graph_document, main, to_dot
 from krcrystals.kr_builders import build_kr
 from krcrystals.verify import CheckReport, default_grid
@@ -292,14 +292,38 @@ def test_out_to_a_missing_directory_exits_one(tmp_path, capsys, command):
     assert not target.parent.exists()
 
 
+@pytest.mark.parametrize(
+    "spec,value",
+    [
+        (("A2even", 11, 11, 11), 36298820709557430183399305000196605531250000),
+        (("D2", 12, 11, 12), 89377321050003588589082803229657241716025562500000000),
+    ],
+    ids=["A2even-11-11-11", "D2-12-11-12"],
+)
+def test_dim_of_a_huge_twisted_box_answers_at_once(spec, value, capsys, time_limit):
+    # both values agree with the sum over every shape of the box
+    family, n, r, s = spec
+    assert main(["dim", "--family", family, "--n", str(n), "--r", str(r), "--s", str(s)]) == 0
+    assert capsys.readouterr().out == f"{value}\n"
+
+
 @pytest.fixture(scope="module")
-def recorded_digests():
+def recorded():
     path = Path(__file__).resolve().parent.parent / "perfbench" / "expected.json"
-    return json.loads(path.read_text())["specs"]
+    return json.loads(path.read_text())
+
+
+def test_dimensions_match_the_recorded_plan_answers(recorded):
+    # the 900 `kr dim` answers perfbench/record.py stored, every family
+    answers = recorded["plan"]
+    assert len(answers) == 900
+    for key, value in answers.items():
+        family, n, r, s = key.split()
+        assert kr_dimension(AffineSpec(family, int(n), int(r), int(s))) == value, key
 
 
 @pytest.mark.parametrize("spec", default_grid(), ids=str)
-def test_outputs_match_the_recorded_digests(spec, recorded_digests, capsys):
+def test_outputs_match_the_recorded_digests(spec, recorded, capsys):
     # the sha256 of `kr build` (JSON and DOT) and `kr check --format json`,
     # as perfbench/record.py stored them
     flags = ["--family", spec.family, "--n", str(spec.n), "--r", str(spec.r), "--s", str(spec.s)]
@@ -312,4 +336,4 @@ def test_outputs_match_the_recorded_digests(spec, recorded_digests, capsys):
     for key, argv in commands.items():
         assert main(argv) == 0
         got[key] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert got == recorded_digests[f"{spec.family} {spec.n} {spec.r} {spec.s}"]
+    assert got == recorded["specs"][f"{spec.family} {spec.n} {spec.r} {spec.s}"]
