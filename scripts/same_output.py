@@ -5,7 +5,7 @@
 The committed tree of --rev is unpacked with `git archive` into a temporary
 directory next to this checkout.  One child interpreter per tree runs, for
 every spec below, `kr build` (JSON and DOT), `kr check --format json` and
-`kr dim` through `cli.main` (344 commands on 86 specs), and reports the
+`kr dim` through `cli.main` (352 commands on 88 specs), and reports the
 exit code and the sha256 of stdout and stderr of each.  Every command whose
 record differs is printed, then the non-blank `src/` line count of both
 trees; the exit status is 1 on any difference or child failure, else 0.
@@ -38,7 +38,7 @@ EXTRA_SPECS = (
     ("A2even", 3, 3, 3), ("D2", 4, 3, 2), ("C1", 4, 3, 2), ("C1", 4, 4, 3),
     ("D2", 3, 3, 4), ("D1", 4, 4, 3), ("D1", 5, 4, 3), ("D1", 6, 6, 2),
     ("A2even", 4, 2, 2), ("A2even", 4, 3, 1), ("A2even", 2, 1, 4), ("D2", 4, 2, 2),
-    ("D2", 2, 1, 4), ("B1", 4, 4, 3), ("B1", 3, 3, 4),
+    ("D2", 2, 1, 4), ("B1", 4, 4, 3), ("B1", 3, 3, 4), ("D1", 6, 5, 3), ("D1", 5, 4, 4),
 )
 
 # Runs in each tree: reads the argv lists on stdin, writes {command: record}.

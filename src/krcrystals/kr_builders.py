@@ -4,10 +4,11 @@ Classical arrows always come from the signature rule on tableaux (or spin
 tensors).  The 0-arrows are produced by a route that depends on the family:
 promotion in type A, conjugation by the tail involution sigma for the three
 families whose 0-node hangs off node 1, fixed points of that involution for
-type C, sign-triple case rules at the exceptional C/D node, and a mirrored
-spin pair at the two tail nodes of type D.  The promotion, sigma and spin
-routes share one rule on the closed classical crystal: f_0 = tau^{-1} f_1 tau,
-with tau promotion, sigma, or the mirror into the partner spin crystal.
+type C, sign-triple case rules at the exceptional C/D node, and, at the two
+tail nodes of type D, sigma composed with the n-1 <-> n flip, which maps the
+spin crystal to itself.  The promotion, sigma and spin routes share one rule
+on the closed classical crystal: f_0 = tau^{-1} f_1 tau, with tau promotion
+or one of the two sigmas, each read off the branching table by one helper.
 """
 
 from dataclasses import dataclass
@@ -40,7 +41,7 @@ class KRBuild:
     ambient: AmbientLink | None = None  # virtual: the closed A2odd host
     stepped: "SteppedHost | None" = None  # stepped: the host, element-local
     sigma_table: dict | None = None
-    partner: "KRBuild | None" = None  # spin: the crystal sigma lands in
+    partner: "KRBuild | None" = None  # always None; the benchmark's build ledger reads it
 
 
 def _transport(src, dst_f, anchors, colors):
@@ -181,14 +182,14 @@ def _build_promotion(spec):
 
 # -- families with the 0-node attached at node 1: sigma conjugation -----------
 
-def _sigma_on_tops(table, mirror, *args):
+def _sigma_on_tops(table, mirror):
     """sigma on each {2..n}-top of a phi_table: the entry of its mirrored diagram.
 
-    mirror(P, *args) is sigma on diagrams.  RuntimeError if it leaves the
-    table or sigma is not an involution on it.
+    mirror(P) is sigma on diagrams.  RuntimeError if it leaves the table or
+    sigma is not an involution on it.
     """
     top_of = {P: top for top, P in table.items()}
-    sigma = {top: top_of.get(mirror(P, *args)) for top, P in table.items()}
+    sigma = {top: top_of.get(mirror(P)) for top, P in table.items()}
     if None in sigma.values():
         raise RuntimeError(f"{mirror.__name__} sends a diagram off the diagram table")
     if any(sigma[y] != x for x, y in sigma.items()):
@@ -196,25 +197,32 @@ def _sigma_on_tops(table, mirror, *args):
     return sigma
 
 
-def _sigma_dba_table(graph, ctype, n, r, s, shapes):
-    """sigma at every {2..n}-top read off the branching table, transported."""
-    jcolors = tuple(range(2, n + 1))
-    table = _branching(graph, ctype, n, {sh: k for k, sh in enumerate(shapes)})
-    anchors = _sigma_on_tops(table, pm.involution_S, r, s)
-    sigma = _transport(graph, lambda i, y: graph.f[i].get(y), anchors, jcolors)
+def _sigma_build(spec, cls, mirror, swap, kind, render):
+    """cls with f_0 = sigma f_1 sigma: sigma is read off the branching table at
+    the {2..n}-tops by mirror and transported along f_i -> f_{swap(i)}, i in 2..n.
+
+    cls is the closed classical crystal, vertex k the top of kr_decomposition's
+    k-th shape; swap maps a color to its image, identity where absent.
+    """
+    ctype, n = spec.classical_type, spec.n
+    table = _branching(cls, ctype, n, {sh: k for k, sh in enumerate(kr_decomposition(spec))})
+    jcolors = range(2, n + 1)
+    dst = {i: cls.f[swap.get(i, i)] for i in jcolors}
+    sigma = _transport(cls, lambda i, y: dst[i].get(y), _sigma_on_tops(table, mirror), jcolors)
     bad = [x for x in sigma if sigma[sigma[x]] != x]
     if bad:
         raise RuntimeError(f"sigma is not an involution at vertex {bad[0]}")
-    return sigma
+    graph = _with_f0(cls, _conjugated_f1(sigma, cls.f[1], sigma))
+    return KRBuild(spec, graph, kind, render, sigma_table=sigma)
 
 
 def _build_dba(spec):
+    def involution_S(P):
+        return pm.involution_S(P, spec.r, spec.s)
+
     ctype, n = spec.classical_type, spec.n
-    shapes = kr_decomposition(spec)
-    cls = classical_crystal(ctype, n, shapes, spec.classical_colors)
-    sigma = _sigma_dba_table(cls, ctype, n, spec.r, spec.s, shapes)
-    graph = _with_f0(cls, _conjugated_f1(sigma, cls.f[1], sigma))
-    return KRBuild(spec, graph, "dba", tableaux.format_element, sigma_table=sigma)
+    cls = classical_crystal(ctype, n, kr_decomposition(spec), spec.classical_colors)
+    return _sigma_build(spec, cls, involution_S, {}, "dba", tableaux.format_element)
 
 
 # -- type C below the top node: fixed points of sigma -------------------------
@@ -310,7 +318,7 @@ class SteppedHost:
         self._table = tableaux.SignatureTable("C", self.rank, range(1, self.rank + 1))
         tops = {sh: pm.highest_element("C", self.rank, sh) for sh in self.shapes}
         table = pm.phi_table("C", self.rank, tops, lambda x, i: self._table.apply(x, i, "f"))
-        self._sigma = _sigma_on_tops(table, pm.involution_S, r, s)
+        self._sigma = _sigma_on_tops(table, lambda P: pm.involution_S(P, r, s))
         self._arrows = {}
         fixed = [top for top, image in self._sigma.items() if image == top]
         self._fixed_tops = {top: self.host_weight(top) for top in fixed}  # top -> its weight
@@ -537,66 +545,35 @@ def _build_triples(spec):
     return KRBuild(spec, graph, "triples", tableaux.format_element)
 
 
-# -- type D tail nodes: mirrored spin pair -------------------------------------
+# -- type D tail nodes: sigma on one spin crystal -----------------------------
 
 def _spin_tensor_weight(vecs):
     return tuple(map(sum, zip(*vecs)))
 
 
 def sigma_spin_D(P):
-    """Mirror a full-height type D diagram onto the other tail color."""
+    """sigma on a full-height type D diagram, followed by the n-1 <-> n flip:
+    signs flipped, color kept."""
     if P.ctype != "D" or P.color not in (1, 2):
         raise ValueError("needs a colored full-height type D diagram")
     flip = {"+": "-", "-": "+", "+-": "+-"}
     cols = tuple((h, flip[st]) for h, st in P.cols)
     spin = {"": "", "+": "-", "-": "+"}[P.spin]
-    return pm.make_pm("D", P.n, cols, spin=spin, color=3 - P.color)
+    return pm.make_pm("D", P.n, cols, spin=spin, color=P.color)
 
 
 def _build_spin(spec):
-    """The two spin-column crystals, tied together by the tail mirror.
+    """The spin-column crystal, with sigma composed with the n-1 <-> n flip.
 
-    Returns the requested one; the other is its partner.
+    The composite maps the crystal to itself, carrying f_{n-1} to f_n.
     """
     n, s = spec.n, spec.s
-    jcolors = tuple(range(2, n + 1))
-    colors = tuple(range(1, n + 1))
+    colors = spec.classical_colors
+    _, top = pm.highest_element("D", n, Shape(spin=1, color=1 if spec.r == n else 2))
     rule = tableaux.SpinTensorTable("D", n, colors)
-    specs = {1: AffineSpec("D1", n, n, s), 2: AffineSpec("D1", n, n - 1, s)}
-    cls = {}
-    table = {}  # (color, top vertex) -> diagram, over both crystals
-    for color in (1, 2):
-        (sh,) = kr_decomposition(specs[color])
-        _, top = pm.highest_element("D", n, Shape(spin=1, color=color))
-        cls[color] = generate_closure(
-            [(top,) * s], colors, rule.neighbours, _spin_tensor_weight
-        )
-        for x, P in _branching(cls[color], "D", n, {sh: 0}).items():
-            table[color, x] = P
-    on_tops = _sigma_on_tops(table, sigma_spin_D)
-    sigma = {}
-    for color in (1, 2):
-        anchors = {x: y for (c, x), (_, y) in on_tops.items() if c == color}
-        dst = cls[3 - color]
-        sigma[color] = _transport(
-            cls[color], lambda i, y: dst.f[i].get(y), anchors, jcolors
-        )
-    bad = [x for x in sigma[1] if sigma[2][sigma[1][x]] != x]
-    if bad or any(sigma[1][sigma[2][y]] != y for y in sigma[2]):
-        raise RuntimeError("spin mirrors are not mutually inverse")
-    builds = {}
-    for color in (1, 2):
-        f0 = _conjugated_f1(sigma[color], cls[3 - color].f[1], sigma[3 - color])
-        builds[color] = KRBuild(
-            specs[color],
-            _with_f0(cls[color], f0),
-            "spin",
-            tableaux.format_spin_tensor,
-            sigma_table=sigma[color],
-        )
-    builds[1].partner = builds[2]
-    builds[2].partner = builds[1]
-    return builds[1] if spec.r == n else builds[2]
+    cls = generate_closure([(top,) * s], colors, rule.neighbours, _spin_tensor_weight)
+    swap = {n - 1: n, n: n - 1}
+    return _sigma_build(spec, cls, sigma_spin_D, swap, "spin", tableaux.format_spin_tensor)
 
 
 # -- dispatch ------------------------------------------------------------------

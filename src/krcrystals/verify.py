@@ -195,23 +195,20 @@ def check_decompositions(build: KRBuild) -> CheckReport:
 
 # -- automorphisms ----------------------------------------------------------------
 
-def _check_conjugation(build, tau, back, color_map, order, name, passed):
-    """tau has order `order` and carries each f_i arrow to an f'_{color_map[i]} arrow.
+def _check_conjugation(build, tau, color_map, order, name, passed):
+    """tau has order `order` and carries each f_i arrow to an f_{color_map[i]} arrow.
 
-    The order walk alternates tau and back, starting with tau.  f' is the
-    partner's arrows for a spin build and the build's own otherwise.  The
-    witness is the least vertex whose walk does not return or whose arrow
+    The witness is the least vertex whose walk does not return or whose arrow
     is not carried, the walk checked first, then the colors in order.
     """
-    g, target = build.graph, (build.partner or build).graph.f
+    g = build.graph
     walk = range(len(g))
-    for k in range(order):
-        step = back if k % 2 else tau
-        walk = [step[w] for w in walk]
+    for _ in range(order):
+        walk = [tau[w] for w in walk]
     x = next((x for x, w in enumerate(walk) if w != x), len(g))
     images, color = [tau[v] for v in range(len(g))], None
     for i, j in color_map.items():
-        arrows = zip(range(x), map(g.f[i].get, range(x)), map(target[j].get, images))
+        arrows = zip(range(x), map(g.f[i].get, range(x)), map(g.f[j].get, images))
         bad = ((v, i) for v, y, z in arrows if (None if y is None else images[y]) != z)
         x, color = next(bad, (x, color))
     if color is not None:
@@ -233,11 +230,12 @@ def check_sigma(build: KRBuild) -> CheckReport:
             pr = [g.index[(promotion(cols, n), None)] for cols, _ in g.elements]
             rotate = {i: (i + 1) % n for i in colors}
             passed = f"promotion of order {n} rotates all arrows"
-            return _check_conjugation(build, pr, pr, rotate, n, "promotion", passed)
+            return _check_conjugation(build, pr, rotate, n, "promotion", passed)
         if build.sigma_table is not None:
-            back = (build.partner or build).sigma_table
+            if build.kind == "spin":  # sigma composed with the n-1 <-> n flip
+                swap |= {n - 1: n, n: n - 1}
             passed = "involution conjugating f_0 to f_1"
-            return _check_conjugation(build, build.sigma_table, back, swap, 2, "sigma", passed)
+            return _check_conjugation(build, build.sigma_table, swap, 2, "sigma", passed)
         if spec.family in ("C1", "D2"):
             color_map, label = {i: n - i for i in colors}, "i -> n-i"
         elif spec.family == "B1":  # r = n arrives without a stored table

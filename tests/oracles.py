@@ -754,5 +754,4 @@ def with_dropped_edge(build: KRBuild, color: int, k: int = 0) -> KRBuild:
         ambient=build.ambient,
         stepped=build.stepped,
         sigma_table=build.sigma_table,
-        partner=build.partner,
     )

@@ -521,47 +521,116 @@ def test_fixed_point_object_exceeds_kr_crystal_at_even_s():
     assert aux.graph.decomposition((1, 2)) == [(0, 0), (4, 0), (4, 4)]
 
 
-# -- spin-pair route (D1 r in {n-1, n}) -------------------------------------------
+# -- spin route (D1 r in {n-1, n}) ------------------------------------------------
 
-def test_sigma_spin_diagram_rule():
+def test_sigma_spin_diagram_rule_flips_signs_and_keeps_the_color():
     P = pm.make_pm("D", 4, ((4, "+-"), (4, "+-")), color=1)
     Q = sigma_spin_D(P)
-    assert Q.color == 2 and Q.cols == P.cols
+    assert Q.color == 1 and Q.cols == P.cols
     P = pm.make_pm("D", 4, ((4, "+"),), spin="+", color=2)
     Q = sigma_spin_D(P)
-    assert Q.color == 1 and Q.cols == ((4, "-"),) and Q.spin == "-"
+    assert Q.color == 2 and Q.cols == ((4, "-"),) and Q.spin == "-"
     with pytest.raises(ValueError):
         sigma_spin_D(pm.make_pm("B", 2, ((2, "+"),)))
 
 
-def test_spin_pair_sizes_and_involution():
-    b = _build_spin(AffineSpec("D1", 4, 4, 1))
-    partner = b.partner
-    assert len(b.graph.elements) == 8 and len(partner.graph.elements) == 8
-    assert b.spec.r == 4 and partner.spec.r == 3
-    for x in range(8):
-        assert b.partner.sigma_table[b.sigma_table[x]] == x
-    assert b.graph.decomposition((1, 2, 3, 4)) == [(1, 1, 1, 1)]
-    assert partner.graph.decomposition((1, 2, 3, 4)) == [(1, 1, 1, -1)]
+@pytest.mark.parametrize("n,r,s", [(4, 4, 1), (4, 3, 2), (5, 5, 2), (5, 4, 3), (6, 6, 2)])
+def test_spin_tau_is_an_involution_carrying_f_i_to_the_swapped_color(n, r, s):
+    # tau is sigma composed with the n-1 <-> n flip: it stays in the one
+    # crystal and exchanges colors 0, 1 and n-1, n
+    b = build_kr(AffineSpec("D1", n, r, s))
+    g, tau = b.graph, b.sigma_table
+    assert b.kind == "spin" and b.partner is None
+    swap = {0: 1, 1: 0, n - 1: n, n: n - 1}
+    for x in range(len(g)):
+        assert tau[tau[x]] == x
+        for i in g.colors:
+            y = g.f[i].get(x)
+            assert g.f[swap.get(i, i)].get(tau[x]) == (None if y is None else tau[y])
 
 
-def test_spin_pair_via_dispatch():
-    b = build_kr(AffineSpec("D1", 4, 3, 2))
-    assert b.kind == "spin" and b.partner.spec.r == 4
-    assert len(b.graph.elements) == 35
-    twin = build_kr(AffineSpec("D1", 4, 4, 2))
-    assert twin is not b.partner
-    assert graph_document(twin) == graph_document(b.partner)
-    assert to_dot(twin) == to_dot(b.partner)
-
-
-def test_spin_zero_edges_conjugate_partner_one_edges():
+def test_spin_zero_edges_conjugate_one_edges():
     b = build_kr(AffineSpec("D1", 4, 4, 1))
-    g, pg = b.graph, b.partner.graph
-    for x in range(len(g.elements)):
-        y = pg.f[1].get(b.sigma_table[x])
-        expect = None if y is None else b.partner.sigma_table[y]
-        assert g.f[0].get(x) == expect
+    g, tau = b.graph, b.sigma_table
+    for x in range(len(g)):
+        y = g.f[1].get(tau[x])
+        assert g.f[0].get(x) == (None if y is None else tau[y])
+    # at s = 1, f_0 adds e_1 + e_2: it turns the first two signs from - to +
+    for x, (vec,) in enumerate(g.elements):
+        flipped = (1, 1) + vec[2:] if vec[:2] == (-1, -1) else None
+        assert g.f[0].get(x) == (None if flipped is None else g.index[(flipped,)])
+
+
+def test_spin_sizes_and_decompositions():
+    for r, top in ((4, (1, 1, 1, 1)), (3, (1, 1, 1, -1))):
+        b = _build_spin(AffineSpec("D1", 4, r, 1))
+        assert len(b.graph) == 8 and b.spec.r == r and b.partner is None
+        assert b.graph.decomposition((1, 2, 3, 4)) == [top]
+    b = build_kr(AffineSpec("D1", 4, 3, 2))
+    assert b.kind == "spin" and b.partner is None
+    assert len(b.graph) == 35 == kr_dimension(b.spec)
+    assert b.graph.decomposition((1, 2, 3, 4)) == [(2, 2, 2, -2)]
+    twin = build_kr(AffineSpec("D1", 4, 3, 2))
+    assert twin is not b
+    assert graph_document(twin) == graph_document(b)
+    assert to_dot(twin) == to_dot(b)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_spin_crystals_are_isomorphic_under_the_tail_flip(n, s):
+    # the two spin nodes' crystals, each from its own closure and its own
+    # tau, are one affine crystal up to the n-1 <-> n flip, and only up to it
+    top, other = build_kr(AffineSpec("D1", n, n, s)), build_kr(AffineSpec("D1", n, n - 1, s))
+    colors = top.graph.colors
+    flip = {i: i for i in colors} | {n - 1: n, n: n - 1}
+    assert len(list(top.graph.isomorphisms(other.graph, color_map=flip, colors=colors))) == 1
+    assert isomorphism(top.graph, other.graph, colors=colors) is None
+
+
+def _transport_without_swap(sigma_build):
+    def mutated(spec, cls, mirror, swap, kind, render):
+        return sigma_build(spec, cls, mirror, {}, kind, render)
+
+    return mutated
+
+
+def _mirror_swapping_the_color(mirror):
+    # the rule of a sigma into the other spin crystal: signs and color flipped
+    def sigma_spin_D(P):
+        Q = mirror(P)
+        return pm.make_pm("D", Q.n, Q.cols, spin=Q.spin, color=3 - Q.color)
+
+    return sigma_spin_D
+
+
+@pytest.mark.parametrize(
+    "name,mutation,message",
+    [
+        ("_sigma_build", _transport_without_swap, "transport died on an f_3 arrow"),
+        ("sigma_spin_D", _mirror_swapping_the_color,
+         "sigma_spin_D sends a diagram off the diagram table"),
+    ],
+)
+def test_broken_spin_tau_exits_one(monkeypatch, capsys, name, mutation, message):
+    monkeypatch.setattr(kr_builders, name, mutation(getattr(kr_builders, name)))
+    assert main(["build", "--family", "D1", "--n", "4", "--r", "4", "--s", "2"]) == 1
+    assert capsys.readouterr().err == f"kr: {message}\n"
+
+
+@pytest.mark.parametrize("n,r,s", [(4, 4, 2), (4, 3, 2), (5, 4, 3)])
+def test_spin_build_closes_one_crystal(monkeypatch, n, r, s):
+    closed = []
+
+    def counting_closure(*args, **kwargs):
+        graph = generate_closure(*args, **kwargs)
+        closed.append(len(graph))
+        return graph
+
+    monkeypatch.setattr(kr_builders, "generate_closure", counting_closure)
+    spec = AffineSpec("D1", n, r, s)
+    build_kr(spec)
+    assert closed == [kr_dimension(spec)]
 
 
 # -- dispatch -------------------------------------------------------------------
