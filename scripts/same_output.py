@@ -5,8 +5,9 @@
 The committed tree of --rev is unpacked with `git archive` into a temporary
 directory next to this checkout.  One child interpreter per tree runs, for
 every spec below, `kr build` (JSON and DOT), `kr check --format json` and
-`kr dim` through `cli.main` (352 commands on 88 specs), and reports the
-exit code and the sha256 of stdout and stderr of each.  Every command whose
+`kr dim` through `cli.main`, and `kr decompose` with both subsets on the
+grid specs (480 commands on 88 specs), and reports the exit code and the
+sha256 of stdout and stderr of each.  Every command whose
 record differs is printed, then the non-blank `src/` line count of both
 trees; the exit status is 1 on any difference or child failure, else 0.
 
@@ -57,12 +58,14 @@ json.dump(out, sys.stdout)
 
 
 def commands() -> list[list[str]]:
-    specs = [(s.family, s.n, s.r, s.s) for s in default_grid()] + list(EXTRA_SPECS)
+    grid = [(s.family, s.n, s.r, s.s) for s in default_grid()]
     out = []
-    for family, n, r, s in specs:
+    for family, n, r, s in grid + list(EXTRA_SPECS):
         spec = ["--family", family, "--n", str(n), "--r", str(r), "--s", str(s)]
         out += [["build", *spec], ["build", *spec, "--format", "dot"]]
         out += [["check", *spec, "--format", "json"], ["dim", *spec]]
+        if (family, n, r, s) in grid:
+            out += [["decompose", *spec, "--subset", subset] for subset in ("classical", "zero")]
     return out
 
 

@@ -1,8 +1,9 @@
 """Finite crystal graphs: closure generation, strings, components, isomorphism.
 
 A graph holds hashable elements, arrow dictionaries f[i]/e[i] on vertex
-indices, and one weight tuple per vertex.  Arrows for each color are partial
-injections; that is checked during generation.
+indices, and one weight tuple per vertex.  It is regular by construction:
+each color's arrows are a partial injection and each of its strings ends,
+which the graph checks where it is made, reading every string once.
 """
 
 from __future__ import annotations
@@ -17,49 +18,52 @@ class CrystalGraph:
         self.elements = list(elements)
         self.colors = tuple(colors)
         self.index = {el: k for k, el in enumerate(self.elements)}
-        self.f = {i: dict(f_edges[i]) for i in self.colors}
-        self.e = {i: {dst: src for src, dst in self.f[i].items()} for i in self.colors}
         self.weights = list(weights)
-        self._strings = {}  # color -> its eps and phi lists, None on a cycle
+        self.f, self.e = {}, {}
+        self._strings = {}  # color -> its eps and phi lists
+        for i in self.colors:
+            self._attach(i, dict(f_edges[i]))
 
     def __len__(self):
         return len(self.elements)
 
-    def phi(self, i, x) -> int:
-        return self._string_length(i, x, 1, "f")
+    def add_color(self, i, f_edges):
+        """Attach color i, placed first, walking only its strings; refused as in __init__."""
+        self._attach(i, dict(f_edges))
+        self.colors = (i,) + self.colors
 
-    def eps(self, i, x) -> int:
-        return self._string_length(i, x, 0, "e")
+    def _attach(self, i, f):
+        """Store color i's arrows and (eps_i, phi_i), one walk per string, down from its head.
 
-    def _string_length(self, i, x, side, op):
-        k = self.strings(i)[side][x]
-        if k is None:
-            raise RuntimeError(f"{op}_{i} string does not end at vertex {x}")
-        return k
-
-    def strings(self, i):
-        """(eps_i, phi_i) of every vertex, from one walk per string, down from its head.
-
-        A vertex no head reaches lies on a cycle and gets None; a walk longer
-        than the graph cycles too (through an f_i that is not injective).
+        RuntimeError if f is not injective, or at the least vertex of a cycle.
         """
-        if i in self._strings:
-            return self._strings[i]
-        f, size = self.f[i], len(self.elements)
+        e = {y: x for x, y in f.items()}
+        if len(e) != len(f):
+            raise RuntimeError(f"f_{i} arrows are not injective")
+        size = len(self.elements)
         eps, phi = [0] * size, [0] * size
-        for head in f.keys() - self.e[i].keys():
+        walked = 0
+        for head in f.keys() - e.keys():
             string = [head]
             while (y := f.get(string[-1])) is not None:
-                if len(string) == size:
-                    raise RuntimeError(f"f_{i} string does not end at vertex {head}")
                 string.append(y)
             for k, v in enumerate(string):
                 eps[v], phi[v] = k, len(string) - 1 - k
-        for v in f:
-            if not phi[v]:  # an f_i arrow out of a vertex no head reached
-                eps[v] = phi[v] = None
-        self._strings[i] = eps, phi
-        return eps, phi
+            walked += len(string) - 1
+        if walked != len(f):  # the arrows no head reaches close into cycles
+            x = min(x for x in f if not phi[x])
+            raise RuntimeError(f"f_{i} string does not end at vertex {x}")
+        self.f[i], self.e[i], self._strings[i] = f, e, (eps, phi)
+
+    def phi(self, i, x) -> int:
+        return self._strings[i][1][x]
+
+    def eps(self, i, x) -> int:
+        return self._strings[i][0][x]
+
+    def strings(self, i):
+        """(eps_i, phi_i) of every vertex, read when color i was attached."""
+        return self._strings[i]
 
     # -- structure ------------------------------------------------------------
 
@@ -135,11 +139,8 @@ class CrystalGraph:
 
     def string_vectors(self, colors):
         """Each vertex's (eps, phi) vectors over colors, read off each color's lists once."""
-        lists = [self.strings(i) for i in colors]
-        keys = list(zip(zip(*(eps for eps, _ in lists)), zip(*(phi for _, phi in lists))))
-        for x in (x for x, (eps, _) in enumerate(keys) if None in eps):
-            self.eps(colors[keys[x][0].index(None)], x)  # on a cycle: raises at its least vertex
-        return keys
+        lists = [self._strings[i] for i in colors]
+        return list(zip(zip(*(eps for eps, _ in lists)), zip(*(phi for _, phi in lists))))
 
     def _propagate(self, anchor, start, arrows):
         """The map anchor -> start forces breadth first along arrows; None on a clash."""
@@ -225,13 +226,4 @@ def generate_closure(seeds, colors, neighbours, weight_fn):
                 y = intern(up)
                 if f_edges[i].setdefault(y, x) != x:
                     raise RuntimeError(f"conflicting f_{i} arrow at {up!r}")
-    graph = CrystalGraph(elements, colors, f_edges, [weight_fn(el) for el in elements])
-    _check_injective(graph)
-    return graph
-
-
-def _check_injective(graph):
-    for i in graph.colors:
-        targets = list(graph.f[i].values())
-        if len(targets) != len(set(targets)):
-            raise RuntimeError(f"f_{i} arrows are not injective")
+    return CrystalGraph(elements, colors, f_edges, [weight_fn(el) for el in elements])

@@ -24,10 +24,9 @@ from .tableaux import classical_crystal
 
 @dataclass
 class AmbientLink:
-    """Embedding of a build into a closed host crystal."""
+    """Embedding of a build into a closed host crystal, element for element."""
 
     build: "KRBuild"
-    vertex_map: dict
 
 
 @dataclass(eq=False)
@@ -40,7 +39,7 @@ class KRBuild:
     render: object
     ambient: AmbientLink | None = None  # virtual: the closed A2odd host
     stepped: "SteppedHost | None" = None  # stepped: the host, element-local
-    sigma_table: dict | None = None
+    sigma_table: dict | list | None = None  # tau on vertex ids, where f_0 = tau^-1 f_1 tau
     partner: "KRBuild | None" = None  # always None; the benchmark's build ledger reads it
 
 
@@ -74,11 +73,6 @@ def _conjugated_f1(tau, f1, back):
         if y is not None:
             f0[x] = back[y]
     return f0
-
-
-def _with_f0(cls, f0):
-    """The closed classical crystal cls with the 0-arrows f0 attached."""
-    return CrystalGraph(cls.elements, (0,) + cls.colors, {0: f0, **cls.f}, cls.weights)
 
 
 def classical_model(build):
@@ -176,8 +170,8 @@ def _build_promotion(spec):
     back = {y: x for x, y in enumerate(pr)}
     if len(back) != len(pr):
         raise RuntimeError("promotion is not a bijection on the rectangle")
-    graph = _with_f0(cls, _conjugated_f1(pr, cls.f[1], back))
-    return KRBuild(spec, graph, "promotion", tableaux.format_element)
+    cls.add_color(0, _conjugated_f1(pr, cls.f[1], back))
+    return KRBuild(spec, cls, "promotion", tableaux.format_element, sigma_table=pr)
 
 
 # -- families with the 0-node attached at node 1: sigma conjugation -----------
@@ -212,8 +206,8 @@ def _sigma_build(spec, cls, mirror, swap, kind, render):
     bad = [x for x in sigma if sigma[sigma[x]] != x]
     if bad:
         raise RuntimeError(f"sigma is not an involution at vertex {bad[0]}")
-    graph = _with_f0(cls, _conjugated_f1(sigma, cls.f[1], sigma))
-    return KRBuild(spec, graph, kind, render, sigma_table=sigma)
+    cls.add_color(0, _conjugated_f1(sigma, cls.f[1], sigma))
+    return KRBuild(spec, cls, kind, render, sigma_table=sigma)
 
 
 def _build_dba(spec):
@@ -276,9 +270,7 @@ def _build_virtual(spec):
     graph = generate_closure([hg.elements[x] for x in fixed], colors, neighbours, weight_fn)
     if len(graph.elements) != len(fixed):
         raise RuntimeError("virtual closure left the fixed-point set")
-    vmap = {k: hg.index[el] for k, el in enumerate(graph.elements)}
-    link = AmbientLink(host, vmap)
-    return KRBuild(spec, graph, "virtual", tableaux.format_element, ambient=link)
+    return KRBuild(spec, graph, "virtual", tableaux.format_element, ambient=AmbientLink(host))
 
 
 # -- doubling embeddings ------------------------------------------------------
@@ -318,7 +310,11 @@ class SteppedHost:
         self._table = tableaux.SignatureTable("C", self.rank, range(1, self.rank + 1))
         tops = {sh: pm.highest_element("C", self.rank, sh) for sh in self.shapes}
         table = pm.phi_table("C", self.rank, tops, lambda x, i: self._table.apply(x, i, "f"))
-        self._sigma = _sigma_on_tops(table, lambda P: pm.involution_S(P, r, s))
+
+        def involution_S(P):
+            return pm.involution_S(P, r, s)
+
+        self._sigma = _sigma_on_tops(table, involution_S)
         self._arrows = {}
         fixed = [top for top, image in self._sigma.items() if image == top]
         self._fixed_tops = {top: self.host_weight(top) for top in fixed}  # top -> its weight
@@ -541,8 +537,8 @@ def _build_triples(spec):
     inverse = sorted((b, a) for a, b in arrows["e"].items())
     if sorted(arrows["f"].items()) != inverse:
         raise RuntimeError("triple 0-arrows are not mutually inverse")
-    graph = _with_f0(cls, arrows["f"])
-    return KRBuild(spec, graph, "triples", tableaux.format_element)
+    cls.add_color(0, arrows["f"])
+    return KRBuild(spec, cls, "triples", tableaux.format_element)
 
 
 # -- type D tail nodes: sigma on one spin crystal -----------------------------

@@ -30,6 +30,9 @@ stacked pair of diagrams, whose signed columns `signs` lists.
 `components_bfs` is the per-vertex deque walk `CrystalGraph.components`
 is checked against, and `regularity_vertex_major` the vertex by vertex
 scan `verify.check_regularity` must agree with.
+`element_local_fold` closes the `C1` crystal below the top node element by
+element on the stepped host with unit multipliers; the virtual route, which
+closes its whole host, must give the same labelled graph.
 `first_color_raise` is the raise that restarts from the first color after
 every step, against which `crystal_core.greedy_raise` is checked.  The parsers
 invert the element formatters, `load_graph_document` inverts
@@ -46,11 +49,12 @@ from krcrystals.cartan import (
     Shape,
     affine_pairing,
     conjugate,
+    kr_decomposition,
     simple_root,
     zero_root_projection,
 )
-from krcrystals.crystal_core import CrystalGraph
-from krcrystals.kr_builders import KRBuild
+from krcrystals.crystal_core import CrystalGraph, generate_closure
+from krcrystals.kr_builders import KRBuild, SteppedHost
 from krcrystals.pm_diagrams import (
     PmDiagram,
     _inner_height,
@@ -465,6 +469,16 @@ def regularity_vertex_major(build: KRBuild):
     except Exception as exc:
         return False, f"error: {exc}", None
     return True, f"{len(g)} vertices", None
+
+
+def element_local_fold(spec: AffineSpec) -> CrystalGraph:
+    """C1 B^{r,s} below the top node as the sigma-fixed locus of its A2odd host, evaluated
+    element by element: the stepped host with every m_i = 1, closed from its C_n top
+    of each shape."""
+    n = spec.n
+    host = SteppedHost(n, spec.r, spec.s, virtual=True, m=(1,) * (n + 1))
+    seeds = [host._host_top(sh) for sh in kr_decomposition(spec)]
+    return generate_closure(seeds, tuple(range(n + 1)), host.neighbours, host.host_weight)
 
 
 def first_color_raise(x, colors, up):

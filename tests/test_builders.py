@@ -26,6 +26,7 @@ from krcrystals.kr_builders import (
 from krcrystals.verify import default_grid
 
 from oracles import (
+    element_local_fold,
     enumerate_tableaux,
     isomorphism,
     phi_direct,
@@ -91,9 +92,12 @@ def test_promotion_zero_edges_conjugate_one_edges():
     g = build_kr(AffineSpec("A1", 3, 1, 1)).graph
     assert g.e[0].get(g.index[(((1,),), None)]) == g.index[(((3,),), None)]
     # f_0 = pr^{-1} f_1 pr, with pr^{-1} taken as pr^{n-1}
+    # pr is the stored tau of the build
     for n, r, s in [(3, 1, 1), (3, 2, 2), (4, 2, 1)]:
-        g = build_kr(AffineSpec("A1", n, r, s)).graph
+        b = build_kr(AffineSpec("A1", n, r, s))
+        g = b.graph
         for x, (cols, _) in enumerate(g.elements):
+            assert b.sigma_table[x] == g.index[(promotion(cols, n), None)]
             moved = tableaux.tableau_apply("A", n, (promotion(cols, n), None), 1, "f")
             if moved is None:
                 assert g.f[0].get(x) is None
@@ -139,6 +143,23 @@ def test_dba_zero_edges_conjugate_one_edges():
             assert arrows[0].get(x) == (None if y is None else sigma[y])
 
 
+def test_non_injective_zero_arrows_fail_the_build(monkeypatch, capsys):
+    # a route whose f_0 sends the two least sources to one target is refused
+    # where its graph is made: kr build exits 1 and writes no document (a
+    # cyclic f_0 is test_verify's test_cyclic_zero_string_fails_the_build)
+    conjugated = kr_builders._conjugated_f1
+
+    def merged(*args):
+        f0 = conjugated(*args)
+        a, b = sorted(f0)[:2]
+        return {**f0, b: f0[a]}
+
+    monkeypatch.setattr(kr_builders, "_conjugated_f1", merged)
+    assert main(["build", "--family", "A2odd", "--n", "2", "--r", "1", "--s", "1"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "kr: f_0 arrows are not injective\n")
+
+
 # -- fixed-point route (C1 r<n) --------------------------------------------------
 
 def test_virtual_c_sizes_and_decomposition():
@@ -162,6 +183,23 @@ def test_virtual_host_over_bound_is_refused_before_work(time_limit):
     with pytest.raises(RuntimeError) as caught:
         build_kr(AffineSpec("C1", 6, 5, 2))
     assert str(caught.value) == message
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [spec for spec in default_grid() if spec.family == "C1" and spec.r < spec.n]
+    + [AffineSpec("C1", 4, 3, 2), AffineSpec("C1", 4, 2, 3)],
+    ids=str,
+)
+def test_element_local_fold_matches_the_virtual_route(spec):
+    # the stepped host with unit multipliers, closed element by element from
+    # its C_n tops, is the crystal the virtual route reads off its closed host:
+    # the same weights and arrows on the same elements, in another order
+    def labelled(g):
+        arrows = {(i, g.elements[x], g.elements[y]) for i in g.colors for x, y in g.f[i].items()}
+        return dict(zip(g.elements, g.weights)), arrows
+
+    assert labelled(element_local_fold(spec)) == labelled(build_kr(spec).graph)
 
 
 def test_virtual_c_zero_side_matches_classical_sizes():
@@ -322,12 +360,14 @@ def test_non_involution_fails_host_construction(monkeypatch, capsys):
 
 
 def test_involution_off_the_table_fails_host_construction(monkeypatch):
-    # five bare boxes in a row: a valid diagram of no shape in either table
+    # five bare boxes in a row: a valid diagram of no shape in either table;
+    # the stepped host and the dba route name the mirror alike
     row = pm.make_pm("C", 2, ((1, "."),) * 5)
     monkeypatch.setattr(pm, "involution_S", lambda P, r, s: row)
     for spec in (AffineSpec("A2even", 2, 2, 1), AffineSpec("A2odd", 2, 1, 1)):
-        with pytest.raises(RuntimeError, match="off the diagram table"):
+        with pytest.raises(RuntimeError) as caught:
             build_kr(spec)
+        assert str(caught.value) == "involution_S sends a diagram off the diagram table"
 
 
 def _sigma_tops_without_pairs(on_tops):
@@ -631,6 +671,101 @@ def test_spin_build_closes_one_crystal(monkeypatch, n, r, s):
     spec = AffineSpec("D1", n, r, s)
     build_kr(spec)
     assert closed == [kr_dimension(spec)]
+
+
+# -- builder invariants under fault injection -----------------------------------
+
+def _zero_only_on_fixed_points(arrow):
+    # host f_0 vanishes off the sigma-fixed locus, so f_1 then f_0 dies where
+    # f_0 then f_1 does not
+    def mutated(step, x, i, op, fixed):
+        def skewed(y, c, op):
+            return None if c == 0 and not fixed(y) else step(y, c, op)
+
+        return arrow(skewed, x, i, op, fixed)
+
+    return mutated
+
+
+def _nothing_fixed(arrow):
+    return lambda step, x, i, op, fixed: arrow(step, x, i, op, lambda y: False)
+
+
+def _bare_host_f0(arrow):
+    # color 0 is the host's f_0 alone, unchecked, which leaves the fixed locus
+    return lambda step, x, i, op, fixed: step(x, 0, op) if i == 0 else arrow(step, x, i, op, fixed)
+
+
+def _least_moved_vertex_fixed(transport):
+    # the transported sigma keeps its least moved vertex, whose partner still moves to it
+    def mutated(*args):
+        out = transport(*args)
+        x = min(x for x, y in out.items() if x != y)
+        out[x] = x
+        return out
+
+    return mutated
+
+
+def _promotion_to_the_top(promotion):
+    # every tableau goes to the highest tableau of the rectangle
+    return lambda cols, n: tuple(tuple(range(1, len(col) + 1)) for col in cols)
+
+
+def _odd_host_weights(host_weight):
+    return lambda host, elem: tuple(c + 1 for c in host_weight(host, elem))
+
+
+def _zero_host_weights(host_weight):
+    return lambda host, elem: (0,) * len(host_weight(host, elem))
+
+
+def _last_shape_unlocated(locate_tops):
+    return lambda build, shapes: dict(list(locate_tops(build, shapes).items())[:-1])
+
+
+@pytest.mark.parametrize(
+    "target,name,mutation,command,spec,message",
+    [
+        (kr_builders, "_virtual_arrow", _zero_only_on_fixed_points, "build", ("C1", 3, 1, 1),
+         "host 0- and 1-operators failed to commute"),
+        (kr_builders, "_virtual_arrow", _zero_only_on_fixed_points, "build", ("A2even", 2, 1, 1),
+         "host 0- and 1-operators failed to commute"),
+        (kr_builders, "_virtual_arrow", _nothing_fixed, "build", ("C1", 3, 1, 1),
+         "virtual operator escaped the fixed locus"),
+        (kr_builders, "_virtual_arrow", _nothing_fixed, "build", ("A2even", 2, 1, 1),
+         "virtual operator escaped the fixed locus"),
+        (kr_builders, "_virtual_arrow", _bare_host_f0, "build", ("C1", 3, 1, 1),
+         "virtual closure left the fixed-point set"),
+        (kr_builders, "_transport", _least_moved_vertex_fixed, "build", ("A2odd", 2, 1, 1),
+         "sigma is not an involution at vertex 3"),
+        (kr_builders, "_transport", _least_moved_vertex_fixed, "build", ("D1", 4, 4, 1),
+         "sigma is not an involution at vertex 3"),
+        (kr_builders, "promotion", _promotion_to_the_top, "build", ("A1", 3, 1, 1),
+         "promotion is not a bijection on the rectangle"),
+        (kr_builders.SteppedHost, "host_weight", _odd_host_weights, "build", ("B1", 2, 2, 1),
+         "host weight of an image vertex is not even"),
+        (kr_builders.SteppedHost, "host_weight", _zero_host_weights, "build", ("A2even", 2, 1, 1),
+         "classical top of weight (0, 0) is not unique"),
+        (kr_builders, "_locate_tops", _last_shape_unlocated, "check", ("A2even", 2, 1, 1),
+         "jlowest    A2even n=2 r=1 s=1  FAIL  [error: transport did not reach every vertex]"),
+    ],
+)
+def test_each_builder_check_fails_the_run(
+    monkeypatch, capsys, target, name, mutation, command, spec, message
+):
+    # a broken invariant stops kr build with exit 1 and its message, or fails
+    # the kr check report that reaches it
+    monkeypatch.setattr(target, name, mutation(getattr(target, name)))
+    fam, n, r, s = spec
+    args = [command, "--family", fam, "--n", str(n), "--r", str(r), "--s", str(s)]
+    if command == "check":
+        assert main(args + ["--suite", "jlowest"]) == 1
+        assert capsys.readouterr().out == message + "\n"
+    else:
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"kr: {message}\n")
 
 
 # -- dispatch -------------------------------------------------------------------

@@ -166,12 +166,22 @@ def test_decomposition_rejects_multiple_tops():
 
 
 def test_cyclic_string_raises_instead_of_hanging(time_limit):
-    cycle = CrystalGraph(["a", "b", "c"], (1,), {1: {0: 1, 1: 2, 2: 0}}, [(0,)] * 3)
-    for walk, op in ((cycle.phi, "f"), (cycle.eps, "e")):
-        with pytest.raises(RuntimeError, match=f"{op}_1 string does not end at vertex 0"):
-            walk(1, 0)
-    chain = CrystalGraph(["a", "b", "c"], (1,), {1: {0: 1, 1: 2}}, [(0,)] * 3)
+    # a color is refused where the graph is made, at the least vertex on a
+    # cycle; a refused added color leaves the graph as it was
+    weights = [(0,)] * 4
+    with pytest.raises(RuntimeError, match="^f_1 string does not end at vertex 1$"):
+        CrystalGraph("abcd", (1,), {1: {0: 3, 2: 1, 1: 2}}, weights)
+    with pytest.raises(RuntimeError, match="^f_1 arrows are not injective$"):
+        CrystalGraph("abcd", (1,), {1: {0: 3, 2: 1, 1: 3}}, weights)
+    chain = CrystalGraph("abcd", (1,), {1: {0: 1, 1: 2}}, weights)
     assert chain.phi(1, 0) == 2 and chain.eps(1, 2) == 2  # longest string is fine
+    for arrows, message in (({3: 2, 2: 3}, "string does not end at vertex 2"),
+                            ({0: 2, 1: 2}, "arrows are not injective")):
+        with pytest.raises(RuntimeError, match=f"^f_0 {message}$"):
+            chain.add_color(0, arrows)
+        assert chain.colors == (1,) and set(chain.f) == set(chain.e) == {1}
+    chain.add_color(0, {2: 3})
+    assert chain.colors == (0, 1) and chain.strings(0) == ([0, 0, 0, 1], [0, 0, 1, 0])
 
 
 def test_isomorphism_identity_and_relabel():

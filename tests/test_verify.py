@@ -1,12 +1,15 @@
 """Checks for the verification suites, anchored on hand-derived zero strings."""
 
 import dataclasses
+import json
 
 import pytest
 
+from krcrystals import kr_builders
 from krcrystals import pm_diagrams as pm
 from krcrystals.cartan import AffineSpec, affine_pairing
 from krcrystals.crystal_core import CrystalGraph
+from krcrystals.cli import main
 from krcrystals.kr_builders import build_kr
 from krcrystals.verify import (
     SUITES,
@@ -21,7 +24,11 @@ from krcrystals.verify import (
     run_suite,
 )
 
-from oracles import components_bfs, regularity_vertex_major, with_dropped_edge
+from oracles import (
+    components_bfs,
+    regularity_vertex_major,
+    with_dropped_edge,
+)
 
 
 def _vertex(build, wt, isolated=False):
@@ -161,31 +168,37 @@ def test_failing_report_carries_witness():
     assert report.witness is not None and "element" in report.witness
 
 
-def _with_cyclic_zero_string(build):
-    """The build with its first 0-string, whose least vertex is not its end, closed into a cycle.
-
-    The regularity scan reaches that vertex before the bad arrow.
-    """
-    g = build.graph
-    f0 = g.f[0]
-    for x in range(len(g)):
-        string = [x]
-        while string[-1] in f0:
-            string.append(f0[string[-1]])
-        if x not in g.e[0] and min(string) != string[-1]:
-            break
-    edges = {i: dict(g.f[i]) for i in g.colors}
-    edges[0][string[-1]] = x
-    cyclic = CrystalGraph(g.elements, g.colors, edges, g.weights)
-    return dataclasses.replace(build, graph=cyclic)
+def _with_closed_string(f):
+    """A copy of the arrows f with the string down from its least head closed into a
+    cycle, and the least vertex on that cycle."""
+    string = [min(f.keys() - set(f.values()))]
+    while string[-1] in f:
+        string.append(f[string[-1]])
+    return {**f, string[-1]: string[0]}, min(string)
 
 
-def test_cyclic_zero_string_fails_regularity(time_limit):
-    cyclic = _with_cyclic_zero_string(build_kr(AffineSpec("B1", 2, 2, 2)))
-    report = check_regularity(cyclic)
-    assert not report.passed
-    assert "f_0 string does not end" in report.detail
-    assert (report.passed, report.detail, report.witness) == regularity_vertex_major(cyclic)
+def test_cyclic_zero_string_fails_the_build(monkeypatch, capsys, time_limit):
+    # a cyclic 0-string is refused where the graph is made: from a build's
+    # own arrows, and from a route that closes one, as one failing build report
+    g = build_kr(AffineSpec("B1", 2, 2, 2)).graph
+    f0, least = _with_closed_string(g.f[0])
+    with pytest.raises(RuntimeError, match=f"^f_0 string does not end at vertex {least}$"):
+        CrystalGraph(g.elements, g.colors, {**g.f, 0: f0}, g.weights)
+    conjugated, cycles = kr_builders._conjugated_f1, []
+
+    def closing(*args):
+        f0, least = _with_closed_string(conjugated(*args))
+        cycles.append(least)
+        return f0
+
+    monkeypatch.setattr(kr_builders, "_conjugated_f1", closing)
+    spec = ["--family", "A2odd", "--n", "2", "--r", "1", "--s", "2"]
+    assert main(["build", *spec]) == 1
+    message = f"f_0 string does not end at vertex {cycles[-1]}"
+    assert capsys.readouterr().err == f"kr: {message}\n"
+    assert main(["check", *spec, "--format", "json"]) == 1
+    reports = [(r["suite"], r["passed"], r["detail"]) for r in json.loads(capsys.readouterr().out)]
+    assert reports == [("build", False, f"error: {message}")]
 
 
 def _with_shifted_weight(build, x, shift):
@@ -238,11 +251,9 @@ def test_regularity_agrees_with_the_vertex_major_scan_on_faults(spec, time_limit
 
 @pytest.mark.parametrize("fam,n,r,s", [("A1", 2, 1, 20), ("C1", 2, 2, 6)])
 def test_regularity_reads_each_string_once(fam, n, r, s):
-    # every arrow lookup the suite makes: its own scan takes one f_i lookup
-    # per vertex and one e_i lookup per arrow, and the string lengths one
-    # walk per string from its head, one lookup per vertex plus one per
-    # string; so 3 per vertex and color.  Walking the rest of the string
-    # from every vertex costs O(L^2) per string of length L instead
+    # every arrow lookup the suite makes: the graph read its strings where it
+    # was made, and e_i is f_i's inverse by construction, so the scan takes
+    # one f_i lookup per vertex and color, and no e_i lookup
     lookups = []
 
     class Counted(dict):
@@ -255,7 +266,7 @@ def test_regularity_reads_each_string_once(fam, n, r, s):
     g.f = {i: Counted(arrows) for i, arrows in g.f.items()}
     g.e = {i: Counted(arrows) for i, arrows in g.e.items()}
     assert check_regularity(build).passed
-    assert len(lookups) <= 3 * len(g) * len(g.colors)
+    assert len(lookups) == len(g) * len(g.colors)
 
 
 def _first_red(check, build, colors):
