@@ -11,6 +11,7 @@ on the closed classical crystal: f_0 = tau^{-1} f_1 tau, with tau promotion
 or one of the two sigmas, each read off the branching table by one helper.
 """
 
+import functools
 from dataclasses import dataclass
 
 from . import pm_diagrams as pm
@@ -296,9 +297,9 @@ class SteppedHost:
     {2..N}-tops is read off the diagram table, and any other element is raised
     by whole e-strings to a top (or an element of known sigma), whose image
     descends the same path, one signature pass per string segment each way
-    (the m_i-th powers stay single host steps).  sigma, the host arrows and
-    the signature table, which takes every pass, live on this object, as
-    long as its build.  Broken invariants raise RuntimeError.
+    (the m_i-th powers stay single host steps).  sigma, the host's single
+    steps and the signature table, which takes every pass, live on this
+    object, as long as its build.  Broken invariants raise RuntimeError.
     """
 
     def __init__(self, n, r, s, virtual, m):
@@ -309,7 +310,9 @@ class SteppedHost:
         self.model_shapes = horizontal_domino_shapes(r, s) if virtual else self.shapes
         self._table = tableaux.SignatureTable("C", self.rank, range(1, self.rank + 1))
         tops = {sh: pm.highest_element("C", self.rank, sh) for sh in self.shapes}
-        table = pm.phi_table("C", self.rank, tops, lambda x, i: self._table.apply(x, i, "f"))
+        # the diagrams' walks share most steps; their memo is dropped with the walk
+        walk = functools.cache(lambda x, i: self._table.apply(x, i, "f"))
+        table = pm.phi_table("C", self.rank, tops, walk)
 
         def involution_S(P):
             return pm.involution_S(P, r, s)
@@ -357,16 +360,21 @@ class SteppedHost:
         return y
 
     def _tail_apply(self, elem, i, op):
-        if i:
-            return self._table.apply(elem, i, op)
-        y = self._tail_apply(self.sigma(elem), 1, op)
-        return None if y is None else self.sigma(y)
+        """e_i/f_i of the A2odd crystal: sigma f_1 sigma at color 0, else one pass
+        kept in _arrows, where the two orders of the virtual color 0 share it."""
+        if not i:
+            y = self._tail_apply(self.sigma(elem), 1, op)
+            return None if y is None else self.sigma(y)
+        if (elem, i, op) not in self._arrows:
+            self._arrows[elem, i, op] = self._table.apply(elem, i, op)
+        return self._arrows[elem, i, op]
 
     # -- the host seen by the stepped build -----------------------------------
 
     def host_apply(self, elem, i, op):
-        """e_i/f_i of the host crystal (colors 0..n); None if it vanishes."""
-        key = (elem, i, op)
+        """e_i/f_i of the host crystal (colors 0..n), None if it vanishes, kept under its
+        A2odd color: i + 1 for the virtual host's i > 0, whose 0 is f_0 f_1."""
+        key = (elem, i + 1 if self.virtual and i else i, op)
         if key not in self._arrows:
             self._arrows[key] = self._host_arrow(elem, i, op)
         return self._arrows[key]

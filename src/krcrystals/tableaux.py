@@ -172,12 +172,27 @@ class SignatureTable:
             rows.append(self._row(self._spins, spin_entry, spin))
         return rows
 
-    @staticmethod
-    def _put(elem, k, image):
-        """elem with tensor factor k replaced; factors run right to left, spin last."""
+    def _entries(self, elem, slot):
+        """Each tensor factor's entry for one color, in pass order."""
         cols, spin = elem
-        c = len(cols) - 1 - k
-        return (cols, image) if c < 0 else (cols[:c] + (image,) + cols[c + 1 :], spin)
+        memo, row = self._columns, self._row
+        entries = [(memo.get(col) or row(memo, column_entry, col))[slot] for col in reversed(cols)]
+        if spin is not None:
+            entries.append(row(self._spins, spin_entry, spin)[slot])
+        return entries
+
+    @staticmethod
+    def _put(elem, moves):
+        """elem with each (k, image) of moves put in; factors run right to left, spin last."""
+        cols, spin = elem
+        last = len(cols) - 1
+        new = list(cols)
+        for k, image in moves:
+            if k > last:
+                spin = image
+            else:
+                new[last - k] = image
+        return tuple(new), spin
 
     def _memo_of(self, elem, k):
         """(memo, entry rule) of tensor factor k: a column, or the spin column last."""
@@ -188,10 +203,11 @@ class SignatureTable:
 
         k=None is the whole string, and a k past it gives (None, its length).
         e takes the k rightmost free -, counted left to right, f the k leftmost
-        free +, counted right to left; each factor walks its own entries for its share.
+        free +, counted right to left; each factor walks its own entries for
+        its share, and the element is rebuilt once.
         """
         slot, side = self._slot[i], 2 if op == "e" else 3
-        entries = [row[slot] for row in self._rows(elem)]
+        entries = self._entries(elem, slot)
         reads, keeps = (0, 1) if op == "e" else (1, 0)
         order = range(len(entries)) if op == "e" else range(len(entries) - 1, -1, -1)
         free, length, other = [], 0, 0  # (factor, its free signs), in pass order
@@ -203,7 +219,7 @@ class SignatureTable:
                 length += own
         if (k := length if k is None else k) > length:
             return None, length
-        left = k
+        moves, left = [], k
         while left:
             j, share = free.pop()  # the signs op takes come last in the pass
             share = min(share, left)
@@ -213,8 +229,8 @@ class SignatureTable:
                 memo, rule = self._memo_of(elem, j)
                 for _ in range(share - 1):
                     image = (memo.get(image) or self._row(memo, rule, image))[slot][side]
-            elem = self._put(elem, j, image)
-        return elem, k
+            moves.append((j, image))
+        return (self._put(elem, moves) if moves else elem), k
 
     def apply(self, elem, i: int, op: str):
         """e_i/f_i ('e'/'f') of elem; None if it vanishes."""
@@ -225,8 +241,8 @@ class SignatureTable:
         put = self._put
         for i, entries in zip(self.colors, zip(*self._rows(elem))):
             _, _, e_at, f_at = signature(entries)
-            down = None if f_at is None else put(elem, f_at, entries[f_at][3])
-            yield i, down, None if e_at is None else put(elem, e_at, entries[e_at][2])
+            down = None if f_at is None else put(elem, ((f_at, entries[f_at][3]),))
+            yield i, down, None if e_at is None else put(elem, ((e_at, entries[e_at][2]),))
 
 
 def tableau_apply(ctype: str, n: int, elem, i: int, op: str):
@@ -243,12 +259,18 @@ class SpinTensorTable(SignatureTable):
     def _rows(self, vecs):
         return [self._row(self._spins, spin_entry, sv) for sv in vecs]
 
+    def _entries(self, vecs, slot):
+        return [self._row(self._spins, spin_entry, sv)[slot] for sv in vecs]
+
     def _memo_of(self, vecs, k):
         return self._spins, spin_entry
 
     @staticmethod
-    def _put(vecs, k, image):
-        return vecs[:k] + (image,) + vecs[k + 1 :]
+    def _put(vecs, moves):
+        new = list(vecs)
+        for k, image in moves:
+            new[k] = image
+        return tuple(new)
 
 
 # -- the classical crystal B(lambda) -------------------------------------------

@@ -13,7 +13,11 @@ that shares no code with the signature rule.
 preimage scan, and `letter_phi`/`letter_eps` count steps along an i-string
 through them; `reduce_signature` cancels the signs of a whole tensor word,
 and `signature_index` reads the factor a single step acts on off
-`tableaux.signature`.
+`tableaux.signature`.  `stack_signature_index` states that rule again with
+an explicit stack of unmatched signs, and `reference_apply` takes one step
+of a tableau with it, the letter operators and a cell list, sharing no code
+with `tableaux`' signature rule; `tableaux.tableau_apply` and
+`SignatureTable.string` are checked against it.
 `tableaux.letter_entries` (read off `tableaux.letter_strings`) and
 `tableaux.tableau_apply` are checked against them, and
 `tableaux.tableau_weight` against the sum of `letter_weight` over the
@@ -399,6 +403,55 @@ def reduce_signature(pairs) -> tuple[int, int]:
 def signature_index(pairs, op: str):
     """Factor index acted on by e_i (rightmost free -) or f_i (leftmost free +)."""
     return tableaux.signature(pairs)[2 if op == "e" else 3]
+
+
+def stack_signature_index(pairs, op):
+    """The signature rule with an explicit stack of unmatched signs."""
+    stack = []  # unmatched (symbol, factor index), '-' only below '+'
+    for k, (e, p) in enumerate(pairs):
+        for _ in range(e):
+            if stack and stack[-1][0] == "+":
+                stack.pop()
+            else:
+                stack.append(("-", k))
+        stack.extend(("+", k) for _ in range(p))
+    if op == "e":
+        for sym, k in reversed(stack):
+            if sym == "-":
+                return k
+        return None
+    for sym, k in stack:
+        if sym == "+":
+            return k
+    return None
+
+
+def reference_apply(ctype, n, elem, i, op):
+    """tableau_apply from the stack rule, the preimage scan and a cell list."""
+    cols, spin = elem
+    cells = [(c, r) for c in reversed(range(len(cols))) for r in range(len(cols[c]))]
+
+    def length(step, x):
+        k = 0
+        while (x := step(ctype, n, i, x)) is not None:
+            k += 1
+        return k
+
+    pairs = [
+        (length(letter_e, cols[c][r]), length(letter_f, cols[c][r]))
+        for c, r in cells
+    ]
+    if spin is not None:
+        pairs.append((spin_eps(ctype, n, i, spin), spin_phi(ctype, n, i, spin)))
+    j = stack_signature_index(pairs, op)
+    if j is None:
+        return None
+    if j == len(cells):
+        return (cols, (tableaux.spin_e if op == "e" else tableaux.spin_f)(ctype, n, i, spin))
+    c, r = cells[j]
+    letter = (letter_e if op == "e" else letter_f)(ctype, n, i, cols[c][r])
+    col = cols[c][:r] + (letter,) + cols[c][r + 1 :]
+    return (cols[:c] + (col,) + cols[c + 1 :], spin)
 
 
 def spin_tensor_apply(n, vecs, i, op):

@@ -341,6 +341,25 @@ def test_stepped_build_tableau_apply_calls(monkeypatch):
     assert len(calls) < 24_000
 
 
+@pytest.mark.parametrize("spec,budget", [(("A2even", 3, 3, 2), 17_132), (("D2", 3, 2, 2), 9_930)])
+def test_stepped_build_pass_budget(monkeypatch, spec, budget):
+    # every signature pass of a stepped build is one SignatureTable.string
+    # call, and the count is deterministic.  The diagram walk takes each
+    # (element, color) step once across diagrams, and the two orders of
+    # color 0 share their host f_1/e_1 steps; taking those steps again
+    # costs 21,091 and 11,687 passes
+    passes = []
+    string = tableaux.SignatureTable.string
+
+    def counted(*args):
+        passes.append(None)
+        return string(*args)
+
+    monkeypatch.setattr(tableaux.SignatureTable, "string", counted)
+    build_kr(AffineSpec(*spec))
+    assert len(passes) <= budget
+
+
 def test_non_involution_fails_host_construction(monkeypatch, capsys):
     # every diagram goes where the first one asked about in its context goes
     involution, first = pm.involution_S, {}
@@ -724,6 +743,20 @@ def _last_shape_unlocated(locate_tops):
     return lambda build, shapes: dict(list(locate_tops(build, shapes).items())[:-1])
 
 
+def _two_step_e1(tail_apply):
+    # host e_1 takes two steps where its string allows, so it is not the
+    # inverse of f_1.  Color 0 reads its f_1 and e_1 steps from the host's
+    # kept steps, each computed in its own direction, so e_0 still
+    # disagrees with f_0 and the closure's conflict check stops the build
+    def mutated(host, elem, i, op):
+        y = tail_apply(host, elem, i, op)
+        if i == 1 and op == "e" and y is not None:
+            return tail_apply(host, y, 1, "e") or y
+        return y
+
+    return mutated
+
+
 @pytest.mark.parametrize(
     "target,name,mutation,command,spec,message",
     [
@@ -749,6 +782,8 @@ def _last_shape_unlocated(locate_tops):
          "classical top of weight (0, 0) is not unique"),
         (kr_builders, "_locate_tops", _last_shape_unlocated, "check", ("A2even", 2, 1, 1),
          "jlowest    A2even n=2 r=1 s=1  FAIL  [error: transport did not reach every vertex]"),
+        (kr_builders.SteppedHost, "_tail_apply", _two_step_e1, "build", ("A2even", 2, 1, 1),
+         "conflicting f_0 arrow at (((-2,), (-2,)), None)"),
     ],
 )
 def test_each_builder_check_fails_the_run(

@@ -40,10 +40,12 @@ from oracles import (
     precedes,
     reading_word,
     reduce_signature,
+    reference_apply,
     signature_index,
     spin_elements,
     spin_tensor_apply,
     spin_to_column,
+    stack_signature_index,
     tableau_eps_phi,
     tableau_ok,
 )
@@ -122,27 +124,6 @@ def test_signature_rule_worked_example():
     assert signature_index([(0, 0)], "f") is None
 
 
-def stack_signature_index(pairs, op):
-    """The signature rule with an explicit stack of unmatched signs."""
-    stack = []  # unmatched (symbol, factor index), '-' only below '+'
-    for k, (e, p) in enumerate(pairs):
-        for _ in range(e):
-            if stack and stack[-1][0] == "+":
-                stack.pop()
-            else:
-                stack.append(("-", k))
-        stack.extend(("+", k) for _ in range(p))
-    if op == "e":
-        for sym, k in reversed(stack):
-            if sym == "-":
-                return k
-        return None
-    for sym, k in stack:
-        if sym == "+":
-            return k
-    return None
-
-
 @given(
     st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=10),
     st.sampled_from("ef"),
@@ -161,34 +142,6 @@ def test_signature_counts_and_both_indices(pairs):
         stack_signature_index(pairs, "e"),
         stack_signature_index(pairs, "f"),
     )
-
-
-def reference_apply(ctype, n, elem, i, op):
-    """tableau_apply from the stack rule, the preimage scan and a cell list."""
-    cols, spin = elem
-    cells = [(c, r) for c in reversed(range(len(cols))) for r in range(len(cols[c]))]
-
-    def length(step, x):
-        k = 0
-        while (x := step(ctype, n, i, x)) is not None:
-            k += 1
-        return k
-
-    pairs = [
-        (length(letter_e, cols[c][r]), length(letter_f, cols[c][r]))
-        for c, r in cells
-    ]
-    if spin is not None:
-        pairs.append((spin_eps(ctype, n, i, spin), spin_phi(ctype, n, i, spin)))
-    j = stack_signature_index(pairs, op)
-    if j is None:
-        return None
-    if j == len(cells):
-        return (cols, (spin_e if op == "e" else spin_f)(ctype, n, i, spin))
-    c, r = cells[j]
-    letter = (letter_e if op == "e" else letter_f)(ctype, n, i, cols[c][r])
-    col = cols[c][:r] + (letter,) + cols[c][r + 1 :]
-    return (cols[:c] + (col,) + cols[c + 1 :], spin)
 
 
 @pytest.mark.parametrize(
@@ -280,13 +233,23 @@ def assert_strings_match_steps(table, elements, colors, step):
         ("B", 3, Shape((2, 1), spin=1)),
         ("D", 4, Shape((2, 1, 1))),
         ("A", 4, Shape((3, 1))),
+        ("C", 4, Shape((3, 1))),
     ],
 )
 def test_string_is_repeated_single_steps(ctype, n, shape):
+    # the steps come from the oracles' stack rule, not from the table, and
+    # some whole-string jump rewrites every column, up to three, at once
     colors = tuple(range(1, n if ctype == "A" else n + 1))
     table = SignatureTable(ctype, n, colors)
-    elements = enumerate_tableaux(ctype, n, shape)
-    assert_strings_match_steps(table, elements, colors, partial(tableau_apply, ctype, n))
+    elements = list(enumerate_tableaux(ctype, n, shape))
+    assert_strings_match_steps(table, elements, colors, partial(reference_apply, ctype, n))
+    widest = max(
+        sum(a != b for a, b in zip(elem[0], table.string(elem, i, op)[0][0]))
+        for elem in elements
+        for i in colors
+        for op in "ef"
+    )
+    assert widest >= min(len(shape.columns()), 3)
 
 
 @pytest.mark.parametrize("n,s", [(4, 3), (5, 2)])
