@@ -3,14 +3,16 @@
     python3 scripts/bench_pairs.py --rev HEAD --seed 61 --out BENCH.json \\
         grid_check=10 wide_build=3 plan=3
 
-The parent is the committed tree of --rev, unpacked with `git archive` into a
-temporary directory next to this checkout, so both sides import from the same
-file system; the change is the working tree of this checkout.  Each
-pair runs `perfbench/run.py --trace 0 --seconds S` once on each side, and the
-side that goes first alternates from pair to pair.  The file holds every JSON
-result line, the non-blank `src/` line count of both sides and, per workload
-and end-to-end metric, the two medians, the parent's interquartile range and
-the number of pairs the change won.
+Both sides run from fresh sibling directories in one temporary directory next
+to this checkout: the parent is the committed tree of --rev, unpacked with
+`git archive`, and the change is a copy of this checkout's working tree, its
+tracked and untracked, non-ignored files.  So both import from the same file
+system, neither with bytecode left by earlier runs, and a location cannot
+enter a pair.  Each pair runs `perfbench/run.py --trace 0 --seconds S` once
+on each side, and the side that goes first alternates from pair to pair.
+The file holds every JSON result line, the non-blank `src/` line count of
+both sides and, per workload and end-to-end metric, the two medians, the
+parent's interquartile range and the number of pairs the change won.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import io
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -50,6 +53,18 @@ def unpack(rev: str, dest: Path) -> str:
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(dest)
     return sha
+
+
+def copy_worktree(dest: Path) -> None:
+    """Copy the tracked and untracked, non-ignored files of this checkout into dest."""
+    listed = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        cwd=ROOT, check=True, capture_output=True, text=True,
+    ).stdout.split("\0")
+    for name in filter(None, listed):
+        if (ROOT / name).is_file():  # a tracked file deleted in the working tree is left out
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, dest / name)
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -98,9 +113,9 @@ def main(argv=None) -> int:
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 
     with tempfile.TemporaryDirectory(dir=ROOT.parent) as tmp:
-        parent_root = Path(tmp)
-        sha = unpack(args.rev, parent_root)
-        roots = {"parent": parent_root, "change": ROOT}
+        roots = {"parent": Path(tmp, "parent"), "change": Path(tmp, "change")}
+        sha = unpack(args.rev, roots["parent"])
+        copy_worktree(roots["change"])
         runs = []
         for workload, count in plan:
             for pair in range(count):
@@ -115,8 +130,8 @@ def main(argv=None) -> int:
                           f"failed={result['failed']}", file=sys.stderr, flush=True)
         report = {
             "command": f"perfbench/run.py --trace 0 --seconds {args.seconds:g} --seed {args.seed}",
-            "parent": {"rev": sha, "src_nonblank_lines": src_lines(parent_root)},
-            "change": {"rev": "working tree", "src_nonblank_lines": src_lines(ROOT)},
+            "parent": {"rev": sha, "src_nonblank_lines": src_lines(roots["parent"])},
+            "change": {"rev": "working tree", "src_nonblank_lines": src_lines(roots["change"])},
             "machine": {
                 "nproc": os.cpu_count(),
                 "python": platform.python_version(),

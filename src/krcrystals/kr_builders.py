@@ -294,7 +294,8 @@ class SteppedHost:
     onto the image component, an involution that commutes with f_2..f_N.
     Any other element is raised by whole e-strings to a top (or an element of
     known sigma), whose image descends the same path, one signature pass per
-    string segment each way (the m_i-th powers stay single host steps).
+    string segment each way (the m_i-th powers stay single host steps); every
+    segment end of the path keeps the image the descent passes through.
     sigma, the host's single steps and the signature table, which takes every
     pass, live on this object, as long as its build.  Broken invariants raise
     RuntimeError; per element, only the virtual color 0 is checked.
@@ -328,31 +329,32 @@ class SteppedHost:
     def sigma(self, elem):
         """The tail involution, memoized on both elements of each pair."""
         out = self._sigma.get(elem)
-        if out is None:
-            out = self._reflect(elem)
-            self._sigma[elem] = out
-            self._sigma[out] = elem
-        return out
+        return self._reflect(elem) if out is None else out
 
     def _reflect(self, elem):
         """sigma(elem), carried down from the first element of known image.
 
         Every {2..N}-top is known, so the raise ends at one at the latest.
+        The descent passes through the image of each segment end of the
+        raise, elem last, and memoizes each such pair both ways.
         """
         memo, string = self._sigma, self._table.string
+        ends = [elem]  # the raise's segment ends, elem first and the top last
 
         def up(i, x):
             if x not in memo and (segment := string(x, i, "e"))[1]:
+                ends.append(segment[0])
                 return segment
             return None
 
         path, top = greedy_raise(elem, range(2, self.rank + 1), up)
         if (y := memo.get(top)) is None:
             raise RuntimeError("sigma's raise ended off the diagram table")
-        for i, k in reversed(path):
+        for (i, k), x in zip(reversed(path), reversed(ends[:-1])):
             y = string(y, i, "f", k)[0]
             if y is None:
                 raise RuntimeError(f"sigma died descending an f_{i} arrow")
+            memo[x], memo[y] = y, x
         return y
 
     def _tail_apply(self, elem, i, op):

@@ -12,6 +12,8 @@ signature rule, and B(lambda) is the closure of its highest tableau under them
 
 from __future__ import annotations
 
+from functools import partial
+
 from .crystal_core import generate_closure
 from .pm_diagrams import highest_element
 
@@ -125,9 +127,8 @@ def signature(pairs):
 _INERT = (0, 0, None, None)  # the entry of a letter on no i-string
 
 
-def column_entry(ctype: str, n: int, i: int, col):
-    """(eps_i, phi_i, e_i image, f_i image) of a column, the tensor of its letters."""
-    letters = letter_entries(ctype, n, i)
+def column_entry(letters: dict, col):
+    """(eps_i, phi_i, e_i image, f_i image) of a column, from its letters' `letter_entries`."""
     entries = [letters.get(x, _INERT) for x in col]
     eps, phi, e_at, f_at = signature(entries)
 
@@ -150,35 +151,39 @@ class SignatureTable:
     acted-on sign is the acted-on factor's own leftmost free + (f) or
     rightmost free - (e), so a step is the rule over the factors' (eps, phi)
     and one factor swapped for its image.  A factor's entries, one per color,
-    are computed when the table first meets it; each build owns its table.
+    are computed when the table first meets it, a column's from each color's
+    letter entries, read once per table; each build owns its table.
     """
 
     def __init__(self, ctype: str, n: int, colors):
         self.ctype, self.n, self.colors = ctype, n, tuple(colors)
         self._slot = {i: k for k, i in enumerate(self.colors)}
         self._columns, self._spins = {}, {}  # factor -> its entry for each color
+        letters = [letter_entries(ctype, n, i) for i in self.colors]  # read once per table
+        self._column_rules = [partial(column_entry, table) for table in letters]
+        self._spin_rules = [partial(spin_entry, ctype, n, i) for i in self.colors]
 
-    def _row(self, memo, entry, factor):
+    def _row(self, memo, rules, factor):
         row = memo.get(factor)
         if row is None:
-            row = memo[factor] = tuple(entry(self.ctype, self.n, i, factor) for i in self.colors)
+            row = memo[factor] = tuple(rule(factor) for rule in rules)
         return row
 
     def _rows(self, elem):
         cols, spin = elem
-        memo = self._columns
-        rows = [memo.get(col) or self._row(memo, column_entry, col) for col in reversed(cols)]
+        memo, rules = self._columns, self._column_rules
+        rows = [memo.get(col) or self._row(memo, rules, col) for col in reversed(cols)]
         if spin is not None:
-            rows.append(self._row(self._spins, spin_entry, spin))
+            rows.append(self._row(self._spins, self._spin_rules, spin))
         return rows
 
     def _entries(self, elem, slot):
         """Each tensor factor's entry for one color, in pass order."""
         cols, spin = elem
-        memo, row = self._columns, self._row
-        entries = [(memo.get(col) or row(memo, column_entry, col))[slot] for col in reversed(cols)]
+        memo, row, rules = self._columns, self._row, self._column_rules
+        entries = [(memo.get(col) or row(memo, rules, col))[slot] for col in reversed(cols)]
         if spin is not None:
-            entries.append(row(self._spins, spin_entry, spin)[slot])
+            entries.append(row(self._spins, self._spin_rules, spin)[slot])
         return entries
 
     @staticmethod
@@ -195,8 +200,10 @@ class SignatureTable:
         return tuple(new), spin
 
     def _memo_of(self, elem, k):
-        """(memo, entry rule) of tensor factor k: a column, or the spin column last."""
-        return (self._columns, column_entry) if k < len(elem[0]) else (self._spins, spin_entry)
+        """(memo, entry rules) of tensor factor k: a column, or the spin column last."""
+        if k < len(elem[0]):
+            return self._columns, self._column_rules
+        return self._spins, self._spin_rules
 
     def string(self, elem, i: int, op: str, k=None):
         """(e_i^k or f_i^k of elem, k) ('e'/'f') from one signature pass.
@@ -226,9 +233,9 @@ class SignatureTable:
             left -= share
             image = entries[j][side]
             if share > 1:
-                memo, rule = self._memo_of(elem, j)
+                memo, rules = self._memo_of(elem, j)
                 for _ in range(share - 1):
-                    image = (memo.get(image) or self._row(memo, rule, image))[slot][side]
+                    image = (memo.get(image) or self._row(memo, rules, image))[slot][side]
             moves.append((j, image))
         return (self._put(elem, moves) if moves else elem), k
 
@@ -257,13 +264,13 @@ class SpinTensorTable(SignatureTable):
     """The same rule on tensors of spin vectors, the crystals of the D spin nodes."""
 
     def _rows(self, vecs):
-        return [self._row(self._spins, spin_entry, sv) for sv in vecs]
+        return [self._row(self._spins, self._spin_rules, sv) for sv in vecs]
 
     def _entries(self, vecs, slot):
-        return [self._row(self._spins, spin_entry, sv)[slot] for sv in vecs]
+        return [self._row(self._spins, self._spin_rules, sv)[slot] for sv in vecs]
 
     def _memo_of(self, vecs, k):
-        return self._spins, spin_entry
+        return self._spins, self._spin_rules
 
     @staticmethod
     def _put(vecs, moves):

@@ -333,27 +333,34 @@ def _host_string(host, elem, i, op):
 
 
 def _check_stepped_similarity(build):
+    """Each graph i-string is the host i-string of its head, every m_i-th element kept.
+
+    Every vertex lies on one graph i-string, so one walk of each host string,
+    from the head of its graph string, checks every vertex's lengths and edge.
+    """
     g = build.graph
     spec = build.spec
     n = spec.n
     host = build.stepped
     m = host.m
+    strings = [g.strings(i) for i in range(n + 1)]
     for x, v in enumerate(g.elements):
-        for i in range(n + 1):
+        for i, (eps, phi) in enumerate(strings):
+            if eps[x]:
+                continue
             down = _host_string(host, v, i, "f")
-            he, hp = len(_host_string(host, v, i, "e")), len(down)
-            if he % m[i] or hp % m[i]:
-                return False, "host string not divisible by the multiplier", _w(
-                    build, x, i
-                )
-            if g.eps(i, x) != he // m[i] or g.phi(i, x) != hp // m[i]:
-                return False, "image string is not the scaled host string", _w(
-                    build, x, i
-                )
-            w = down[m[i] - 1] if hp else None
-            y = g.f[i].get(x)
-            if (None if y is None else g.elements[y]) != w:
-                return False, "edge is not the powered host edge", _w(build, x, i)
+            if len(down) % m[i]:
+                return False, "host string not divisible by the multiplier", _w(build, x, i)
+            if host.host_apply(v, i, "e") is not None or len(down) != m[i] * phi[x]:
+                return False, "image string is not the scaled host string", _w(build, x, i)
+            y = x
+            for k, w in enumerate(down, 1):
+                if k % m[i] == 0:
+                    if g.elements[z := g.f[i][y]] != w:
+                        return False, "edge is not the powered host edge", _w(build, y, i)
+                    y = z
+                elif w in g.index:
+                    return False, "host string not divisible by the multiplier", _w(build, x, i)
     doubled = 0
     for sh in host.model_shapes:
         for P in pm.enumerate_pm("C", n, sh):

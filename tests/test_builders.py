@@ -329,8 +329,8 @@ def test_stepped_build_tableau_apply_calls(monkeypatch):
     # steps, its diagram walks and sigma's raises and descents go through the
     # build's signature table, none through tableau_apply and the table it
     # makes per call.  The count is deterministic; the bound sits just above
-    # the 11,122 passes of checking sigma once at the tops, and below the
-    # 17,132 of checking it again at every host step
+    # the 8,997 passes of keeping sigma at every segment end of its raises,
+    # and below the 11,122 of keeping it at the raised element alone
     calls = []
 
     def counted(step):
@@ -344,16 +344,18 @@ def test_stepped_build_tableau_apply_calls(monkeypatch):
     monkeypatch.setattr(tableaux.SignatureTable, "string", counted(tableaux.SignatureTable.string))
     assert len(build_kr(AffineSpec("A2even", 3, 3, 2)).graph) == 490
     assert calls.count("tableau_apply") == 0
-    assert len(calls) < 11_200
+    assert len(calls) < 9_000
 
 
-@pytest.mark.parametrize("spec,budget", [(("A2even", 3, 3, 2), 11_122), (("D2", 3, 2, 2), 6_960)])
+@pytest.mark.parametrize("spec,budget", [(("A2even", 3, 3, 2), 8_997), (("D2", 3, 2, 2), 5_317)])
 def test_stepped_build_pass_budget(monkeypatch, spec, budget):
     # every signature pass of a stepped build is one SignatureTable.string
     # call, and the count is deterministic.  The diagram walk takes each
     # (element, color) step once across diagrams, sigma is reflected once
-    # per pair, and color 0 takes one order, f_1 f_0; checking sigma again
-    # at every host step, and both orders, costs 17,132 and 9,930 passes
+    # per pair and kept at every segment end of its raise, and color 0
+    # takes one order, f_1 f_0.  Keeping sigma at the raised element alone
+    # costs 11,122 and 6,960 passes; checking it again at every host step,
+    # and both orders, 17,132 and 9,930
     passes = []
     string = tableaux.SignatureTable.string
 
@@ -364,6 +366,35 @@ def test_stepped_build_pass_budget(monkeypatch, spec, budget):
     monkeypatch.setattr(tableaux.SignatureTable, "string", counted)
     build_kr(AffineSpec(*spec))
     assert len(passes) <= budget
+
+
+@pytest.mark.parametrize("fam,n,r,s", [("A2even", 2, 1, 1), ("A2even", 2, 2, 1), ("D2", 2, 1, 1)])
+def test_sigma_keeps_its_raise_path(monkeypatch, fam, n, r, s):
+    # sigma on an element two or more e-string segments below its
+    # {2..N}-top, in a fresh host that knows sigma at the tops alone: the
+    # descent keeps every segment end of the raise, each at the closed
+    # A2odd host's transported sigma, and asking again takes no pass.  (B1
+    # at n = 2 raises by color 2 alone, one segment.)
+    built = build_kr(AffineSpec(fam, n, r, s)).stepped
+    host = kr_builders.SteppedHost(built.n, built.r, built.s, built.virtual, built.m)
+    closed = _build_virtual(AffineSpec("C1", n, r, 2 * s)).ambient.build
+    cg = closed.graph
+    jcolors = range(2, host.rank + 1)
+    x, path = next((x, p) for x in range(len(cg)) if len((p := cg.raise_path(x, jcolors)[0])) > 1)
+    ends = [x]
+    for i, k in path:
+        y = ends[-1]
+        for _ in range(k):
+            y = cg.e[i][y]
+        ends.append(y)
+    assert [cg.elements[y] in host._sigma for y in ends] == [False] * len(path) + [True]
+    host.sigma(cg.elements[x])
+    passes = []
+    monkeypatch.setattr(tableaux.SignatureTable, "string", lambda *args: passes.append(args))
+    for y in ends:
+        assert cg.elements[y] in host._sigma
+        assert host.sigma(cg.elements[y]) == cg.elements[closed.sigma_table[y]]
+    assert passes == []
 
 
 def test_non_involution_fails_host_construction(monkeypatch, capsys):

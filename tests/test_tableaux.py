@@ -475,3 +475,15 @@ def test_signature_counts_match_index_presence(pairs):
     total_minus = sum(e for e, _ in pairs)
     total_plus = sum(p for _, p in pairs)
     assert total_plus - total_minus == phi - eps
+
+
+def test_signature_table_reads_each_colors_letters_once(monkeypatch):
+    # a table reads the letter crystal of each of its colors when it is made,
+    # and not again for the columns it meets
+    calls = []
+    letters = tableaux.letter_entries
+    monkeypatch.setattr(tableaux, "letter_entries", lambda *key: calls.append(key) or letters(*key))
+    shape = Shape((2, 2, 1))
+    graph = tableaux.classical_crystal("C", 3, (shape,), (1, 2, 3))
+    assert len(graph) == weyl_dimension("C", 3, shape.weight("C", 3))
+    assert calls == [("C", 3, 1), ("C", 3, 2), ("C", 3, 3)]

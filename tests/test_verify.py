@@ -20,6 +20,7 @@ from krcrystals.verify import (
     check_phi0,
     check_regularity,
     check_sigma,
+    check_similarity,
     default_grid,
     run_suite,
 )
@@ -330,3 +331,53 @@ def test_suites_cover_their_scopes():
     assert spin.passed
     lowest = check_jlowest(build_kr(AffineSpec("C1", 3, 2, 2)))
     assert lowest.passed and lowest.detail.endswith("lowest elements")
+
+
+def _similarity_with_host_steps(monkeypatch, build, steps):
+    """check_similarity with some host steps replaced: steps maps (elem, i, op) to an answer."""
+    real = build.stepped.host_apply
+    monkeypatch.setattr(
+        build.stepped, "host_apply", lambda *key: steps[key] if key in steps else real(*key)
+    )
+    return check_similarity(build)
+
+
+def _first_vertex(build, i, phi):
+    """The first vertex whose phi_i is phi, and its element."""
+    g = build.graph
+    x = next(x for x in range(len(g)) if g.phi(i, x) == phi)
+    return x, g.elements[x]
+
+
+def test_similarity_flags_a_host_string_cut_between_powers(monkeypatch):
+    # color 1 steps by f_1^2 in the host: a host 1-string cut after its
+    # first step has odd length
+    build = build_kr(AffineSpec("A2even", 2, 1, 1))
+    assert build.stepped.m[1] == 2 and check_similarity(build).passed
+    _, v = _first_vertex(build, 1, 1)
+    middle = build.stepped.host_apply(v, 1, "f")
+    report = _similarity_with_host_steps(monkeypatch, build, {(middle, 1, "f"): None})
+    assert not report.passed
+    assert report.detail == "host string not divisible by the multiplier"
+
+
+def test_similarity_flags_a_host_string_shorter_than_the_image_string(monkeypatch):
+    # color 0 steps singly: a vanished host f_0 leaves the graph's 0-string longer
+    build = build_kr(AffineSpec("A2even", 2, 1, 1))
+    assert build.stepped.m[0] == 1
+    _, v = _first_vertex(build, 0, 1)
+    report = _similarity_with_host_steps(monkeypatch, build, {(v, 0, "f"): None})
+    assert not report.passed
+    assert report.detail == "image string is not the scaled host string"
+
+
+def test_similarity_flags_a_host_edge_to_another_vertex(monkeypatch):
+    # a host f_0 that lands on another end of a 0-string keeps every string
+    # length and moves one edge
+    build = build_kr(AffineSpec("A2even", 2, 1, 1))
+    g = build.graph
+    x, v = _first_vertex(build, 0, 1)
+    ends = [w for y, w in enumerate(g.elements) if g.phi(0, y) == 0 and y != g.f[0][x]]
+    report = _similarity_with_host_steps(monkeypatch, build, {(v, 0, "f"): ends[0]})
+    assert not report.passed
+    assert report.detail == "edge is not the powered host edge"
