@@ -296,7 +296,7 @@ class SteppedHost:
     known sigma), whose image descends the same path, one signature pass per
     string segment each way (the m_i-th powers stay single host steps); every
     segment end of the path keeps the image the descent passes through.
-    sigma, the host's single steps and the signature table, which takes every
+    sigma, the host's arrows and the signature table, which takes every
     pass, live on this object, as long as its build.  Broken invariants raise
     RuntimeError; per element, only the virtual color 0 is checked.
     """
@@ -358,35 +358,30 @@ class SteppedHost:
         return y
 
     def _tail_apply(self, elem, i, op):
-        """e_i/f_i of the A2odd crystal: sigma f_1 sigma at color 0, else one pass
-        kept in _arrows, where the two orders of the virtual color 0 share it."""
+        """e_i/f_i of the A2odd crystal, None if it vanishes: one signature pass,
+        or sigma f_1 sigma at color 0."""
         if not i:
             y = self._tail_apply(self.sigma(elem), 1, op)
             return None if y is None else self.sigma(y)
-        if (elem, i, op) not in self._arrows:
-            self._arrows[elem, i, op] = self._table.apply(elem, i, op)
-        return self._arrows[elem, i, op]
+        return self._table.apply(elem, i, op)
 
     # -- the host seen by the stepped build -----------------------------------
 
     def host_apply(self, elem, i, op):
-        """e_i/f_i of the host crystal (colors 0..n), None if it vanishes, kept under its
-        A2odd color: i + 1 for the virtual host's i > 0, whose 0 is f_0 f_1."""
-        key = (elem, i + 1 if self.virtual and i else i, op)
+        """e_i/f_i of the host crystal (colors 0..n), None if it vanishes, kept in
+        _arrows under its host color i."""
+        key = (elem, i, op)
         if key not in self._arrows:
-            self._arrows[key] = self._host_arrow(elem, i, op)
+            step, fixed = self._tail_apply, lambda y: self.sigma(y) == y
+            y = _virtual_arrow(step, elem, i, op, fixed) if self.virtual else step(elem, i, op)
+            self._arrows[key] = y
         return self._arrows[key]
-
-    def _host_arrow(self, elem, i, op):
-        if not self.virtual:
-            return self._tail_apply(elem, i, op)
-        return _virtual_arrow(self._tail_apply, elem, i, op, lambda y: self.sigma(y) == y)
 
     def host_weight(self, elem):
         w = tableaux.tableau_weight("C", self.rank, elem[0], elem[1])
         return w[1:] if self.virtual else w
 
-    def _host_top(self, outer):
+    def host_top(self, outer):
         """The host's C_n top of a shape: the sigma-fixed {2..N}-top of its weight,
         or its highest tableau when the host is its own C_n crystal (B1 at r = n)."""
         if self.virtual:
@@ -395,7 +390,7 @@ class SteppedHost:
 
     def host_phi(self, P):
         """Phi(P) of a C_n diagram walked in the host's own C_n view (colors 1..n)."""
-        return pm.phi(P, lambda x, i: self.host_apply(x, i, "f"), self._host_top(P.outer()))
+        return pm.phi(P, lambda x, i: self.host_apply(x, i, "f"), self.host_top(P.outer()))
 
     def seed(self, P):
         """Host element seeding the image component of a doubled C_n diagram P."""
@@ -403,7 +398,7 @@ class SteppedHost:
             raise RuntimeError("doubled seed is not an element of the host")
         # the bare rectangle seeds at its top, not at host_phi: this fixes the breadth-first order
         if self.virtual and P.cols == ((self.r, "."),) * self.s:
-            return self._host_top(P.outer())
+            return self.host_top(P.outer())
         return self.host_phi(P)
 
     # -- the stepped build ----------------------------------------------------

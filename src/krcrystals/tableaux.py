@@ -199,12 +199,6 @@ class SignatureTable:
                 new[last - k] = image
         return tuple(new), spin
 
-    def _memo_of(self, elem, k):
-        """(memo, entry rules) of tensor factor k: a column, or the spin column last."""
-        if k < len(elem[0]):
-            return self._columns, self._column_rules
-        return self._spins, self._spin_rules
-
     def string(self, elem, i: int, op: str, k=None):
         """(e_i^k or f_i^k of elem, k) ('e'/'f') from one signature pass.
 
@@ -232,10 +226,9 @@ class SignatureTable:
             share = min(share, left)
             left -= share
             image = entries[j][side]
-            if share > 1:
-                memo, rules = self._memo_of(elem, j)
+            if share > 1:  # a column: spin factors are minuscule, one free sign at most
                 for _ in range(share - 1):
-                    image = (memo.get(image) or self._row(memo, rules, image))[slot][side]
+                    image = self._row(self._columns, self._column_rules, image)[slot][side]
             moves.append((j, image))
         return (self._put(elem, moves) if moves else elem), k
 
@@ -268,9 +261,6 @@ class SpinTensorTable(SignatureTable):
 
     def _entries(self, vecs, slot):
         return [self._row(self._spins, self._spin_rules, sv)[slot] for sv in vecs]
-
-    def _memo_of(self, vecs, k):
-        return self._spins, self._spin_rules
 
     @staticmethod
     def _put(vecs, moves):

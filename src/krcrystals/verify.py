@@ -361,19 +361,18 @@ def _check_stepped_similarity(build):
                     y = z
                 elif w in g.index:
                     return False, "host string not divisible by the multiplier", _w(build, x, i)
+    tops = {sh: host.host_top(sh) for sh in host.model_shapes}
     doubled = 0
-    for sh in host.model_shapes:
-        for P in pm.enumerate_pm("C", n, sh):
-            v = host.host_phi(P)
-            in_image = v in g.index
-            # phantom zero-height columns double too, so their count stays even
-            is_double = pm.is_doubled(P, spec.classical_type) and (host.s - P.width()) % 2 == 0
-            if in_image != is_double:
-                return False, "image tops are not the doubled diagrams", {
-                    "element": build.render(v, {}),
-                    "in_image": str(in_image),
-                }
-            doubled += in_image
+    for v, P in pm.phi_table("C", n, tops, lambda x, i: host.host_apply(x, i, "f")).items():
+        in_image = v in g.index
+        # phantom zero-height columns double too, so their count stays even
+        is_double = pm.is_doubled(P, spec.classical_type) and (host.s - P.width()) % 2 == 0
+        if in_image != is_double:
+            return False, "image tops are not the doubled diagrams", {
+                "element": build.render(v, {}),
+                "in_image": str(in_image),
+            }
+        doubled += in_image
     return True, f"{doubled} doubled diagram tops", None
 
 

@@ -530,7 +530,7 @@ def element_local_fold(spec: AffineSpec) -> CrystalGraph:
     of each shape."""
     n = spec.n
     host = SteppedHost(n, spec.r, spec.s, virtual=True, m=(1,) * (n + 1))
-    seeds = [host._host_top(sh) for sh in kr_decomposition(spec)]
+    seeds = [host.host_top(sh) for sh in kr_decomposition(spec)]
     return generate_closure(seeds, tuple(range(n + 1)), host.neighbours, host.host_weight)
 
 

@@ -253,7 +253,8 @@ def test_stepped_route_matches_materialized_host(fam, n, r, s, host_size):
     # A2odd B^{r,2s} of rank n+1.  Phi in the host's C_n view is Phi
     # walked on the closed host's own arrows from its classical tops.  Every
     # sigma the stepped host tabled, at a top or by a raise and descent, is
-    # the closed A2odd crystal's transported sigma.
+    # the closed A2odd crystal's transported sigma, and every host arrow it
+    # kept is the closed host's arrow of that color, a vanished one included.
     b = build_kr(AffineSpec(fam, n, r, s))
     m = STEPPED_MULTIPLIERS[fam]
     assert b.ambient is None and b.stepped.m == m
@@ -267,6 +268,9 @@ def test_stepped_route_matches_materialized_host(fam, n, r, s, host_size):
     cg = closed.graph
     for x, y in b.stepped._sigma.items():
         assert cg.elements[closed.sigma_table[cg.index[x]]] == y
+    for (x, i, op), y in b.stepped._arrows.items():
+        w = (hg.f if op == "f" else hg.e)[i].get(hg.index[x])
+        assert (None if w is None else hg.elements[w]) == y
     for x, elem in enumerate(b.graph.elements):
         v = hg.index[elem]
         assert all(w % 2 == 0 for w in hg.weights[v])
@@ -347,15 +351,19 @@ def test_stepped_build_tableau_apply_calls(monkeypatch):
     assert len(calls) < 9_000
 
 
-@pytest.mark.parametrize("spec,budget", [(("A2even", 3, 3, 2), 8_997), (("D2", 3, 2, 2), 5_317)])
-def test_stepped_build_pass_budget(monkeypatch, spec, budget):
+@pytest.mark.parametrize(
+    "spec,budget,arrows", [(("A2even", 3, 3, 2), 8_997, 5_446), (("D2", 3, 2, 2), 5_317, 3_300)]
+)
+def test_stepped_build_pass_budget(monkeypatch, spec, budget, arrows):
     # every signature pass of a stepped build is one SignatureTable.string
     # call, and the count is deterministic.  The diagram walk takes each
     # (element, color) step once across diagrams, sigma is reflected once
     # per pair and kept at every segment end of its raise, and color 0
     # takes one order, f_1 f_0.  Keeping sigma at the raised element alone
     # costs 11,122 and 6,960 passes; checking it again at every host step,
-    # and both orders, 17,132 and 9,930
+    # and both orders, 17,132 and 9,930.  The host keeps each host arrow
+    # once, under its host color, and no A2odd step besides: keeping the
+    # A2odd steps inside color 0 as well held 7,086 and 4,342 arrows
     passes = []
     string = tableaux.SignatureTable.string
 
@@ -364,8 +372,9 @@ def test_stepped_build_pass_budget(monkeypatch, spec, budget):
         return string(*args)
 
     monkeypatch.setattr(tableaux.SignatureTable, "string", counted)
-    build_kr(AffineSpec(*spec))
+    build = build_kr(AffineSpec(*spec))
     assert len(passes) <= budget
+    assert len(build.stepped._arrows) <= arrows
 
 
 @pytest.mark.parametrize("fam,n,r,s", [("A2even", 2, 1, 1), ("A2even", 2, 2, 1), ("D2", 2, 1, 1)])
@@ -798,10 +807,10 @@ def _last_shape_unlocated(locate_tops):
 
 
 def _two_step_e1(tail_apply):
-    # host e_1 takes two steps where its string allows, so it is not the
-    # inverse of f_1.  Color 0 reads its f_1 and e_1 steps from the host's
-    # kept steps, each computed in its own direction, so e_0 still
-    # disagrees with f_0 and the closure's conflict check stops the build
+    # A2odd e_1 takes two steps where its string allows, so it is not the
+    # inverse of f_1.  The host color 0 is f_1 f_0, and its e applies e_0 =
+    # sigma e_1 sigma, then e_1, both e_1 steps through this rule, so e_0 of
+    # the build disagrees with f_0 and the closure's conflict check stops it
     def mutated(host, elem, i, op):
         y = tail_apply(host, elem, i, op)
         if i == 1 and op == "e" and y is not None:

@@ -381,3 +381,16 @@ def test_similarity_flags_a_host_edge_to_another_vertex(monkeypatch):
     report = _similarity_with_host_steps(monkeypatch, build, {(v, 0, "f"): ends[0]})
     assert not report.passed
     assert report.detail == "edge is not the powered host edge"
+
+
+def test_similarity_flags_two_diagrams_walking_to_one_top(monkeypatch):
+    # after the build, every diagram's branching walk is empty, so each
+    # diagram of a shape lands on the shape's top: Phi is not injective on
+    # the first shape with two diagrams
+    build = build_kr(AffineSpec("A2even", 2, 1, 1))
+    shapes = build.stepped.model_shapes
+    first, second = next(Ps for sh in shapes if len(Ps := pm.enumerate_pm("C", 2, sh)) > 1)[:2]
+    monkeypatch.setattr(pm, "f_string", lambda P: ())
+    report = check_similarity(build)
+    assert not report.passed
+    assert report.detail == f"error: phi sends {first} and {second} to one element"
