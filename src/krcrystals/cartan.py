@@ -82,11 +82,7 @@ class Shape:
 
     def columns(self) -> tuple[int, ...]:
         """Column heights, tallest first, spin column excluded."""
-        if not self.rows:
-            return ()
-        return tuple(
-            sum(1 for row in self.rows if row > i) for i in range(self.rows[0])
-        )
+        return conjugate(self.rows)
 
     def size(self) -> int:
         return sum(self.rows)
@@ -188,7 +184,7 @@ def shape_dimension(ctype: str, n: int, shape: Shape) -> int:
 
 
 def conjugate(cols) -> tuple[int, ...]:
-    """Row lengths of the shape with the given column heights, in any order."""
+    """The conjugate partition: row lengths from column heights in any order, or back."""
     heights = sorted((h for h in cols if h > 0), reverse=True)
     if not heights:
         return ()

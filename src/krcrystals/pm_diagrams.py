@@ -106,8 +106,6 @@ def _invalid_reason(P: PmDiagram):
     prev = None
     zeros = 0
     for h, st in P.cols:
-        if st not in STATES:
-            return f"unknown state {st!r}"
         if not 1 <= h <= P.n:
             return f"column height {h} out of range"
         if _inner_height(P.n, h, st) < 0:
@@ -341,17 +339,11 @@ def double_pm(P: PmDiagram) -> PmDiagram:
 
 
 def is_doubled(P: PmDiagram, target: str = "C") -> bool:
-    """Whether P is the double of a diagram from the target type context."""
-    if P.ctype != "C" or P.spin or P.color:
-        return False
+    """Whether the type C diagram P doubles a diagram of the target context, B or C."""
     counts = {}
     for col in P.cols:
         counts[col] = counts.get(col, 0) + 1
-    if target == "C":
-        return all(v % 2 == 0 for v in counts.values())
-    if target != "B":
-        raise ValueError(f"unknown target context {target!r}")
-    top = {st: counts.pop((P.n, st), 0) for st in ("+", "-", "+-")}
-    if any(v % 2 for v in counts.values()) or top["+-"] % 2:
-        return False
-    return True  # top +/- parities decode to a 0 column or a spin sign
+    if target == "B":  # top +/- parities decode to a 0 column or a spin sign
+        counts.pop((P.n, "+"), None)
+        counts.pop((P.n, "-"), None)
+    return all(v % 2 == 0 for v in counts.values())

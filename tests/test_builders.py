@@ -328,13 +328,23 @@ def test_rectangle_seeds_at_its_top_in_the_same_crystal(fam, n, r, s):
         assert got == ("2|2", "3|3")
 
 
-def test_stepped_build_tableau_apply_calls(monkeypatch):
-    # every signature pass, a single step or a whole-string jump: the host's
-    # steps, its diagram walks and sigma's raises and descents go through the
+@pytest.mark.parametrize(
+    "spec,size,budget,arrows",
+    [(("A2even", 3, 3, 2), 490, 8_997, 5_446), (("D2", 3, 2, 2), 329, 5_317, 3_300)],
+)
+def test_stepped_build_pass_budget(monkeypatch, spec, size, budget, arrows):
+    # every signature pass of a stepped build, a single step or a
+    # whole-string jump, is one SignatureTable.string call: the host's steps,
+    # its diagram walks and sigma's raises and descents go through the
     # build's signature table, none through tableau_apply and the table it
-    # makes per call.  The count is deterministic; the bound sits just above
-    # the 8,997 passes of keeping sigma at every segment end of its raises,
-    # and below the 11,122 of keeping it at the raised element alone
+    # makes per call.  The count is deterministic.  The diagram walk takes
+    # each (element, color) step once across diagrams, sigma is reflected
+    # once per pair and kept at every segment end of its raise, and color 0
+    # takes one order, f_1 f_0.  Keeping sigma at the raised element alone
+    # costs 11,122 and 6,960 passes; checking it again at every host step,
+    # and both orders, 17,132 and 9,930.  The host keeps each host arrow
+    # once, under its host color, and no A2odd step besides: keeping the
+    # A2odd steps inside color 0 as well held 7,086 and 4,342 arrows
     calls = []
 
     def counted(step):
@@ -346,34 +356,10 @@ def test_stepped_build_tableau_apply_calls(monkeypatch):
 
     monkeypatch.setattr(tableaux, "tableau_apply", counted(tableaux.tableau_apply))
     monkeypatch.setattr(tableaux.SignatureTable, "string", counted(tableaux.SignatureTable.string))
-    assert len(build_kr(AffineSpec("A2even", 3, 3, 2)).graph) == 490
-    assert calls.count("tableau_apply") == 0
-    assert len(calls) < 9_000
-
-
-@pytest.mark.parametrize(
-    "spec,budget,arrows", [(("A2even", 3, 3, 2), 8_997, 5_446), (("D2", 3, 2, 2), 5_317, 3_300)]
-)
-def test_stepped_build_pass_budget(monkeypatch, spec, budget, arrows):
-    # every signature pass of a stepped build is one SignatureTable.string
-    # call, and the count is deterministic.  The diagram walk takes each
-    # (element, color) step once across diagrams, sigma is reflected once
-    # per pair and kept at every segment end of its raise, and color 0
-    # takes one order, f_1 f_0.  Keeping sigma at the raised element alone
-    # costs 11,122 and 6,960 passes; checking it again at every host step,
-    # and both orders, 17,132 and 9,930.  The host keeps each host arrow
-    # once, under its host color, and no A2odd step besides: keeping the
-    # A2odd steps inside color 0 as well held 7,086 and 4,342 arrows
-    passes = []
-    string = tableaux.SignatureTable.string
-
-    def counted(*args):
-        passes.append(None)
-        return string(*args)
-
-    monkeypatch.setattr(tableaux.SignatureTable, "string", counted)
     build = build_kr(AffineSpec(*spec))
-    assert len(passes) <= budget
+    assert len(build.graph) == size
+    assert calls.count("tableau_apply") == 0
+    assert len(calls) <= budget
     assert len(build.stepped._arrows) <= arrows
 
 
@@ -829,6 +815,8 @@ def _two_step_e1(tail_apply):
          "host 0- and 1-operators failed to commute"),
         (kr_builders, "_virtual_arrow", _bare_host_f0, "build", ("C1", 3, 1, 1),
          "virtual closure left the fixed-point set"),
+        (kr_builders, "_virtual_arrow", _bare_host_f0, "build", ("A2even", 2, 1, 1),
+         "stepped image closure has the wrong size"),
         (kr_builders, "_transport", _least_moved_vertex_fixed, "build", ("A2odd", 2, 1, 1),
          "sigma is not an involution at vertex 3"),
         (kr_builders, "_transport", _least_moved_vertex_fixed, "build", ("D1", 4, 4, 1),

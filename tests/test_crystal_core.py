@@ -241,3 +241,30 @@ def test_isomorphisms_twisted_color_map():
     assert list(g.isomorphisms(g)) == [{0: 0, 1: 1, 2: 2, 3: 3}]
     twisted = list(g.isomorphisms(g, color_map={1: 2, 2: 1}))
     assert twisted == [{0: 0, 1: 2, 2: 1, 3: 3}]
+
+
+def _two_color_graph(size, f1, f2):
+    return CrystalGraph(range(size), (1, 2), {1: f1, 2: f2}, [(0,)] * size)
+
+
+@pytest.mark.parametrize(
+    "mine,theirs,found",
+    [
+        # the anchor's f_1 image has an f_2 arrow on one side only
+        ((3, {2: 0}, {0: 1}), (3, {2: 0}, {1: 0}), []),
+        # f_1 and f_2 of the anchor meet in the other graph, not in this one
+        ((3, {0: 2}, {0: 1}), (3, {2: 1}, {2: 1}), []),
+        # f_1 and f_2 of the anchor meet in this graph, not in the other one
+        ((3, {0: 1, 1: 2}, {0: 1}), (3, {1: 2, 2: 0}, {1: 0}), []),
+        # the first anchor image clashes as in the first case, the second one maps
+        ((4, {1: 0, 3: 2}, {0: 2}), (4, {1: 0, 3: 2}, {2: 0}), [{0: 2, 1: 3, 2: 0, 3: 1}]),
+        # two components: the anchor's leaves the other one unmapped
+        ((4, {0: 1, 2: 3}, {}), (4, {0: 1, 2: 3}, {}), []),
+    ],
+)
+def test_isomorphism_search_refuses_a_clashing_anchor_image(mine, theirs, found):
+    # every anchor image with the anchor's string vectors is tried; one whose
+    # forced map clashes (an arrow on one side only, two vertices sent to one,
+    # one vertex sent to two) or misses a vertex yields nothing
+    g, h = _two_color_graph(*mine), _two_color_graph(*theirs)
+    assert list(g.isomorphisms(h)) == found

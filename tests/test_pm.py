@@ -117,6 +117,34 @@ def test_sign_triple_validation():
         SignTriple(0, 0, 0, gamma=2)
 
 
+REJECTIONS = [
+    # _invalid_reason: the rules enumerate_pm filters its candidates by
+    (lambda: make_pm("A", 2, []), "bad type context A_2"),
+    (lambda: make_pm("B", 2, [], color=1), "column colors are a type D feature"),
+    (lambda: make_pm("C", 2, [(3, "+")]), "column height 3 out of range"),
+    (lambda: make_pm("C", 2, [(1, "+-")]), "state +- too tall for height 1"),
+    (lambda: make_pm("D", 3, [], color=3), "color must be 1 or 2"),
+    (lambda: make_pm("D", 3, [], spin="+"), "type D spin columns need a color"),
+    # involution_S: signed contexts, and a diagram whose inner heights do not fit r and s
+    (lambda: involution_S(make_pm("D", 3, [], spin="+", color=1), 1, 1),
+     "the involution acts on unsigned-column contexts"),
+    (lambda: involution_S(make_pm("C", 2, [(2, "+-")]), 1, 1), "blocks at sign height 0 for r=1"),
+    (lambda: involution_S(make_pm("C", 2, [(1, "+")]), 2, 1),
+     "single signs at block height 0 for r=2"),
+    (lambda: involution_S(make_pm("C", 2, [(2, "+-"), (2, "+-")]), 2, 1), "more blocks than slots"),
+    # double_pm: type D diagrams have no doubling
+    (lambda: double_pm(make_pm("D", 3, [(3, "+")], color=1)),
+     "doubling is defined for types B and C"),
+]
+
+
+@pytest.mark.parametrize("call,message", REJECTIONS, ids=[m for _, m in REJECTIONS])
+def test_rejection_names_its_rule(call, message):
+    with pytest.raises(ValueError) as caught:
+        call()
+    assert str(caught.value) == message
+
+
 # -- enumeration vs. branching dimensions -------------------------------------------
 
 

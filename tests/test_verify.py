@@ -5,17 +5,18 @@ import json
 
 import pytest
 
-from krcrystals import kr_builders
+from krcrystals import kr_builders, verify
 from krcrystals import pm_diagrams as pm
-from krcrystals.cartan import AffineSpec, affine_pairing
+from krcrystals.cartan import AffineSpec, affine_pairing, kr_decomposition
 from krcrystals.crystal_core import CrystalGraph
 from krcrystals.cli import main
-from krcrystals.kr_builders import build_kr
+from krcrystals.kr_builders import AmbientLink, _branching, _locate_tops, build_kr
 from krcrystals.verify import (
     SUITES,
     CheckReport,
     _CHECKS,
     _phi0_rule,
+    check_decompositions,
     check_jlowest,
     check_phi0,
     check_regularity,
@@ -394,3 +395,153 @@ def test_similarity_flags_two_diagrams_walking_to_one_top(monkeypatch):
     report = check_similarity(build)
     assert not report.passed
     assert report.detail == f"error: phi sends {first} and {second} to one element"
+
+
+# -- each failure branch of the suites, under fault injection ----------------------
+
+def _arrow_out_of(build, i, x):
+    """The position of x's f_i arrow among the build's sorted f_i arrows."""
+    return sorted(build.graph.f[i]).index(x)
+
+
+def _with_crossed_heads(build, i):
+    """The build with the f_i arrows out of its first two i-string heads of one
+    length crossed: every string keeps its length, and two edges move."""
+    g = build.graph
+    eps, phi = g.strings(i)
+    heads = {}
+    for x in range(len(g)):
+        if not eps[x] and phi[x]:
+            if phi[x] in heads:
+                break
+            heads[phi[x]] = x
+    a, f = heads[phi[x]], dict(g.f[i])
+    f[a], f[x] = f[x], f[a]
+    edges = {j: dict(g.f[j]) for j in g.colors} | {i: f}
+    return dataclasses.replace(build, graph=CrystalGraph(g.elements, g.colors, edges, g.weights))
+
+
+def test_decomp_flags_a_graph_of_the_wrong_size():
+    build = build_kr(AffineSpec("B1", 2, 1, 1))
+    wider = dataclasses.replace(build, graph=build_kr(AffineSpec("B1", 2, 1, 2)).graph)
+    report = check_decompositions(wider)
+    assert (report.passed, report.detail) == (False, f"size {len(wider.graph)} != 5")
+
+
+def test_sigma_flags_a_table_that_is_no_involution():
+    # rotated vertex ids: vertex 0 does not come back after two steps, and
+    # the arrow check only covers the vertices before the first that does not
+    build = build_kr(AffineSpec("A2odd", 2, 1, 1))
+    size = len(build.graph)
+    rotated = dataclasses.replace(build, sigma_table=[(v + 1) % size for v in range(size)])
+    report = check_sigma(rotated)
+    assert (report.passed, report.detail) == (False, "sigma does not have order 2")
+    assert report.witness == {"element": build.render(build.graph.elements[0], {})}
+
+
+def test_phi0_flags_a_sign_column_count_off_the_zero_string(monkeypatch):
+    # the triples route reads eps_0 off the sign columns: one + more in the
+    # count misses it at the first {2..n}-top
+    build = build_kr(AffineSpec("C1", 2, 2, 1))
+    real = verify._triple_of
+
+    def one_plus_more(P):
+        t = real(P)
+        return dataclasses.replace(t, l1=t.l1 + 1)
+
+    monkeypatch.setattr(verify, "_triple_of", one_plus_more)
+    report = check_phi0(build)
+    assert (report.passed, report.detail) == (False, "eps_0 misses the sign-column count")
+    assert report.witness["color"] == 0
+
+
+def test_phi0_flags_a_vanished_zero_string_on_a_mixed_diagram():
+    # the top of the mixed-sign diagram +|- has phi_0 = 1, and its short
+    # column has no plus, so f_0 must act there: without that 0-arrow it does not
+    build = build_kr(AffineSpec("D2", 3, 2, 2))
+    g = build.graph
+    table = _branching(g, "B", 3, _locate_tops(build, kr_decomposition(build.spec)))
+    x = next(x for x, P in table.items() if P.cols == ((2, "+"), (1, "-")))
+    assert check_phi0(build).passed and g.phi(0, x) == 1
+    report = check_phi0(with_dropped_edge(build, 0, _arrow_out_of(build, 0, x)))
+    assert (report.passed, report.detail) == (False, "phi_0 vanished without a short plus")
+    assert report.witness == {"element": build.render(g.elements[x], {}), "color": 0}
+
+
+def test_similarity_flags_image_tops_off_the_doubled_diagrams(monkeypatch):
+    # a doubling rule that calls every diagram doubled: the first diagram top
+    # outside the image is the witness
+    build = build_kr(AffineSpec("A2even", 2, 1, 1))
+    monkeypatch.setattr(pm, "is_doubled", lambda P, target: True)
+    report = check_similarity(build)
+    assert (report.passed, report.detail) == (False, "image tops are not the doubled diagrams")
+    assert report.witness["in_image"] == "False"
+
+
+def _virtual_host_without_zero_arrow(build):
+    """The virtual build with its host's f_0 arrow out of the first image vertex
+    that has one deleted: the host tail strings 0 and 1 part there."""
+    g, host = build.graph, build.ambient.build
+    x = next(x for x in range(len(g)) if g.phi(0, x))
+    v = host.graph.index[g.elements[x]]
+    return dataclasses.replace(
+        build, ambient=AmbientLink(with_dropped_edge(host, 0, _arrow_out_of(host, 0, v)))
+    )
+
+
+@pytest.mark.parametrize(
+    "mutation,detail",
+    [
+        (_virtual_host_without_zero_arrow, "tail strings disagree on a fixed point"),
+        (lambda build: _with_crossed_heads(build, 0), "zero edge is not the host tail pair"),
+        (lambda build: with_dropped_edge(build, 1),
+         "classical string is not the shifted host string"),
+        (lambda build: _with_crossed_heads(build, 1),
+         "classical edge is not the shifted host edge"),
+    ],
+)
+def test_similarity_flags_a_fixed_point_build_off_its_host(mutation, detail):
+    build = build_kr(AffineSpec("C1", 2, 1, 2))
+    assert build.kind == "virtual" and check_similarity(build).passed
+    report = check_similarity(mutation(build))
+    assert (report.passed, report.detail) == (False, detail)
+
+
+JLOWEST_FAULTS = [
+    # a barred letter above an unbarred one, a zero letter in type C, a
+    # barred letter as high as the run start, a taller column right of a
+    # shorter one, and no columns at all where the branch top has a shape
+    (((-1, 1),), "letters out of band order"),
+    (((0,),), "zero letters outside type B"),
+    (((3, -3),), "barred letter at or above the run start"),
+    (((3,), (2, 3)), "inner heights are not a partition"),
+    ((), "branch top misses the inner shape"),
+]
+
+
+def _classical_model_with_columns(cols):
+    """classical_model with every tableau replaced by cols, spin columns kept."""
+    real = verify.classical_model
+    return lambda build: {x: (cols, spin) for x, (_, spin) in real(build).items()}
+
+
+@pytest.mark.parametrize("cols,detail", JLOWEST_FAULTS, ids=[d for _, d in JLOWEST_FAULTS])
+def test_jlowest_flags_each_column_pattern_fault(monkeypatch, cols, detail):
+    build = build_kr(AffineSpec("A2odd", 3, 1, 1))
+    assert check_jlowest(build).passed
+    monkeypatch.setattr(verify, "classical_model", _classical_model_with_columns(cols))
+    report = check_jlowest(build)
+    assert (report.passed, report.detail) == (False, detail)
+
+
+def test_failing_json_report_carries_its_witness_in_key_order(monkeypatch, capsys):
+    monkeypatch.setattr(verify, "classical_model", _classical_model_with_columns(((-1, 1),)))
+    spec = ["--family", "A2odd", "--n", "3", "--r", "1", "--s", "1"]
+    assert main(["check", *spec, "--suite", "jlowest", "--format", "json"]) == 1
+    out = capsys.readouterr().out
+    assert json.loads(out) == [{
+        "suite": "jlowest", "family": "A2odd", "n": 3, "r": 1, "s": 1, "passed": False,
+        "detail": "letters out of band order",
+        "witness": {"color": 1, "column": "(-1, 1)", "element": "3"},
+    }]
+    assert out.index('"color"') < out.index('"column"') < out.index('"element"')
