@@ -3,8 +3,8 @@
     python3 scripts/bench_pairs.py --rev HEAD --seed 61 --out BENCH.json \\
         grid_check=10 wide_build=3 plan=3
 
-Both sides run from fresh sibling directories in one temporary directory next
-to this checkout: the parent is the committed tree of --rev, unpacked with
+Both sides run from fresh sibling directories in one temporary directory
+(tempfile's default): the parent is the committed tree of --rev, unpacked with
 `git archive`, and the change is a copy of this checkout's working tree, its
 tracked and untracked, non-ignored files.  So both import from the same file
 system, neither with bytecode left by earlier runs, and a location cannot
@@ -112,7 +112,7 @@ def main(argv=None) -> int:
     plan = [(w, int(k)) for w, k in (item.split("=") for item in args.plan)]
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 
-    with tempfile.TemporaryDirectory(dir=ROOT.parent) as tmp:
+    with tempfile.TemporaryDirectory() as tmp:
         roots = {"parent": Path(tmp, "parent"), "change": Path(tmp, "change")}
         sha = unpack(args.rev, roots["parent"])
         copy_worktree(roots["change"])

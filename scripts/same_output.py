@@ -3,7 +3,7 @@
     python3 scripts/same_output.py --rev HEAD~1
 
 The committed tree of --rev is unpacked with `git archive` into a temporary
-directory next to this checkout.  One child interpreter per tree runs, for
+directory (tempfile's default).  One child interpreter per tree runs, for
 every spec below, `kr build` (JSON and DOT), `kr check --format json` and
 `kr dim` through `cli.main`, and `kr decompose` with both subsets on the
 grid specs (480 commands on 88 specs), and reports the exit code and the
@@ -74,7 +74,7 @@ def main(argv=None) -> int:
     parser.add_argument("--rev", required=True, help="the revision to compare against")
     args = parser.parse_args(argv)
     todo = json.dumps(commands())
-    with tempfile.TemporaryDirectory(dir=ROOT.parent) as tmp:
+    with tempfile.TemporaryDirectory() as tmp:
         roots = {"parent": Path(tmp), "change": ROOT}
         sha = unpack(args.rev, roots["parent"])
         lines = {side: src_lines(root) for side, root in roots.items()}

@@ -7,7 +7,7 @@ as tuples of *doubled* integers so that spin weights stay exact.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import mul
 
 FAMILIES = ("A1", "B1", "C1", "D1", "A2even", "A2odd", "D2")
@@ -26,27 +26,24 @@ CLASSICAL_TYPE = {
 Weight = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class AffineSpec:
+class AffineSpec(namedtuple("AffineSpec", "family n r s")):
     """One Kirillov-Reshetikhin crystal instance B^{r,s}."""
 
-    family: str
-    n: int
-    r: int
-    s: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.n < 2:
+    def __new__(cls, family, n, r, s):
+        if family not in FAMILIES:
+            raise ValueError(f"unknown family {family!r}")
+        if n < 2:
             raise ValueError("rank n must be at least 2")
-        if self.family == "D1" and self.n < 4:
+        if family == "D1" and n < 4:
             raise ValueError("the D1 family needs rank at least 4")
-        r_max = self.n - 1 if self.family == "A1" else self.n
-        if not 1 <= self.r <= r_max:
-            raise ValueError(f"r={self.r} out of range 1..{r_max} for {self.family}")
-        if self.s < 1:
+        r_max = n - 1 if family == "A1" else n
+        if not 1 <= r <= r_max:
+            raise ValueError(f"r={r} out of range 1..{r_max} for {family}")
+        if s < 1:
             raise ValueError("s must be positive")
+        return tuple.__new__(cls, (family, n, r, s))
 
     @property
     def classical_type(self) -> str:
@@ -59,8 +56,7 @@ class AffineSpec:
         return tuple(range(1, top + 1))
 
 
-@dataclass(frozen=True)
-class Shape:
+class Shape(namedtuple("Shape", "rows spin color")):
     """Classical highest weight, drawn as a column shape.
 
     ``rows`` is a partition (row lengths, weakly decreasing).  ``spin=1`` adds
@@ -68,17 +64,14 @@ class Shape:
     full-height column species in type D (1 or 2); it is 0 elsewhere.
     """
 
-    rows: tuple[int, ...] = ()
-    spin: int = 0
-    color: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if any(a < b for a, b in zip(self.rows, self.rows[1:])) or any(
-            a <= 0 for a in self.rows
-        ):
-            raise ValueError(f"rows {self.rows} not a partition")
-        if self.spin not in (0, 1) or self.color not in (0, 1, 2):
+    def __new__(cls, rows=(), spin=0, color=0):
+        if any(a < b for a, b in zip(rows, rows[1:])) or any(a <= 0 for a in rows):
+            raise ValueError(f"rows {rows} not a partition")
+        if spin not in (0, 1) or color not in (0, 1, 2):
             raise ValueError("bad spin/color flag")
+        return tuple.__new__(cls, (rows, spin, color))
 
     def columns(self) -> tuple[int, ...]:
         """Column heights, tallest first, spin column excluded."""

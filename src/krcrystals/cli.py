@@ -133,12 +133,22 @@ def _cmd_check(args) -> int:
             s_values=tuple(range(1, args.s_max + 1)),
         )
     suites = SUITES if args.suite == "all" else (args.suite,)
-    reports = run_suite(specs, suites)
     if args.format == "json":
+        reports = run_suite(specs, suites)
         _write(json.dumps([r.to_dict() for r in reports], indent=2) + "\n", args.out)
-    else:
-        _write("".join(r.line() + "\n" for r in reports), args.out)
-    return 0 if all(r.passed for r in reports) else 1
+        return 0 if all(r.passed for r in reports) else 1
+    out = open(args.out, "w") if args.out else sys.stdout
+    passed = True
+    try:
+        for spec in specs:  # each spec's lines as soon as its suites finish
+            reports = run_suite((spec,), suites)
+            out.write("".join(r.line() + "\n" for r in reports))
+            out.flush()
+            passed &= all(r.passed for r in reports)
+    finally:
+        if out is not sys.stdout:
+            out.close()
+    return 0 if passed else 1
 
 
 def _add_spec_flags(parser, required=True):

@@ -12,7 +12,6 @@ or one of the two sigmas, each read off the branching table by one helper.
 """
 
 import functools
-from dataclasses import dataclass
 
 from . import pm_diagrams as pm
 from . import tableaux
@@ -23,25 +22,26 @@ from .pm_diagrams import SignTriple
 from .tableaux import classical_crystal
 
 
-@dataclass
 class AmbientLink:
     """Embedding of a build into a closed host crystal, element for element."""
 
-    build: "KRBuild"
+    def __init__(self, build):
+        self.build = build  # a KRBuild
 
 
-@dataclass(eq=False)
 class KRBuild:
     """A finished crystal B^{r,s} plus the scaffolding that built it."""
 
-    spec: AffineSpec
-    graph: CrystalGraph
-    kind: str  # promotion | dba | virtual | stepped | triples | spin
-    render: object
-    ambient: AmbientLink | None = None  # virtual: the closed A2odd host
-    stepped: "SteppedHost | None" = None  # stepped: the host, element-local
-    sigma_table: dict | list | None = None  # tau on vertex ids, where f_0 = tau^-1 f_1 tau
-    partner: "KRBuild | None" = None  # always None; the benchmark's build ledger reads it
+    def __init__(self, spec, graph, kind, render, ambient=None, stepped=None, sigma_table=None,
+                 partner=None):
+        self.spec = spec  # an AffineSpec
+        self.graph = graph  # a CrystalGraph
+        self.kind = kind  # promotion | dba | virtual | stepped | triples | spin
+        self.render = render
+        self.ambient = ambient  # virtual: an AmbientLink to the closed A2odd host
+        self.stepped = stepped  # stepped: the SteppedHost, element-local
+        self.sigma_table = sigma_table  # tau on vertex ids, where f_0 = tau^-1 f_1 tau
+        self.partner = partner  # always None; the benchmark's build ledger reads it
 
 
 def _transport(src, dst_f, anchors, colors):

@@ -17,7 +17,7 @@ sign and are tracked separately from the full columns.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .cartan import Shape, conjugate
 
@@ -25,32 +25,29 @@ STATES = (".", "+", "0", "-", "+-")
 _RANK = {s: k for k, s in enumerate(STATES)}
 
 
-@dataclass(frozen=True, order=True)
-class SignTriple:
+class SignTriple(namedtuple("SignTriple", "l1 l2 l3 gamma")):
     """Counts of +, -, and -over-+ full columns; gamma flags a 0 column."""
 
-    l1: int
-    l2: int
-    l3: int
-    gamma: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if min(self.l1, self.l2, self.l3) < 0 or self.gamma not in (0, 1):
+    def __new__(cls, l1, l2, l3, gamma=0):
+        self = tuple.__new__(cls, (l1, l2, l3, gamma))
+        if min(l1, l2, l3) < 0 or gamma not in (0, 1):
             raise ValueError(f"bad sign triple {self}")
+        return self
 
     def total(self) -> int:
         return self.l1 + self.l2 + self.l3 + 2 * self.gamma
 
 
-@dataclass(frozen=True, order=True)
-class PmDiagram:
-    """Columns are (outer height, state) pairs in canonical display order."""
+class PmDiagram(namedtuple("PmDiagram", "ctype n cols spin color", defaults=("", 0))):
+    """Columns are (outer height, state) pairs in canonical display order.
 
-    ctype: str
-    n: int
-    cols: tuple[tuple[int, str], ...]
-    spin: str = ""  # "", "+", "-"
-    color: int = 0  # 1 or 2 once type D height-n or spin columns occur
+    ``spin`` is "", "+" or "-"; ``color`` is 1 or 2 once type D height-n or
+    spin columns occur, else 0.
+    """
+
+    __slots__ = ()
 
     def outer(self) -> Shape:
         heights = tuple(h for h, _ in self.cols)

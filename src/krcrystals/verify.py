@@ -10,7 +10,6 @@ a whole grid can run unattended.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from operator import mul, sub
 
 from . import pm_diagrams as pm
@@ -38,14 +37,14 @@ from .kr_builders import (
 SUITES = ("regularity", "decomp", "sigma", "phi0", "similarity", "jlowest")
 
 
-@dataclass
 class CheckReport:
-    suite: str
-    spec: AffineSpec
-    passed: bool
-    detail: str = ""
-    witness: dict | None = None
-    seconds: float = 0.0  # kept off the serialized forms: reports stay byte-stable
+    def __init__(self, suite, spec, passed, detail="", witness=None, seconds=0.0):
+        self.suite = suite
+        self.spec = spec  # an AffineSpec
+        self.passed = passed
+        self.detail = detail
+        self.witness = witness  # a dict, or None
+        self.seconds = seconds  # kept off the serialized forms: reports stay byte-stable
 
     def line(self) -> str:
         spec = self.spec

@@ -19,30 +19,49 @@ from krcrystals.cartan import (
     weyl_dimension,
     zero_root_projection,
 )
+from krcrystals.pm_diagrams import PmDiagram, SignTriple
 from oracles import enumerate_tableaux, pairing
 
 
-def test_affine_spec_validation():
-    AffineSpec("C1", 3, 3, 1)
-    with pytest.raises(ValueError):
-        AffineSpec("E8", 3, 1, 1)
-    with pytest.raises(ValueError):
-        AffineSpec("A1", 3, 3, 1)  # r caps at n-1 in type A
-    with pytest.raises(ValueError):
-        AffineSpec("B1", 3, 0, 1)
-    with pytest.raises(ValueError):
-        AffineSpec("B1", 3, 1, 0)
-    with pytest.raises(ValueError):
-        AffineSpec("D2", 1, 1, 1)
+VALUE_TYPES = [
+    # (value, its fields, repr, a field to assign, rejected fields with their messages)
+    (AffineSpec("C1", 3, 3, 1), ("C1", 3, 3, 1), "AffineSpec(family='C1', n=3, r=3, s=1)", "s", [
+        (("E8", 3, 1, 1), "unknown family 'E8'"),
+        (("A1", 3, 3, 1), "r=3 out of range 1..2 for A1"),  # r caps at n-1 in type A
+        (("B1", 3, 0, 1), "r=0 out of range 1..3 for B1"),
+        (("B1", 3, 1, 0), "s must be positive"),
+        (("D2", 1, 1, 1), "rank n must be at least 2"),
+        (("D1", 3, 1, 1), "the D1 family needs rank at least 4"),
+    ]),
+    (Shape(), ((), 0, 0), "Shape(rows=(), spin=0, color=0)", "rows", [
+        (((1, 2),), "rows (1, 2) not a partition"),
+        (((2, 0),), "rows (2, 0) not a partition"),
+        (((), 2), "bad spin/color flag"),
+        (((), 0, 3), "bad spin/color flag"),
+    ]),
+    (SignTriple(2, 1, 0), (2, 1, 0, 0), "SignTriple(l1=2, l2=1, l3=0, gamma=0)", "gamma", [
+        ((-1, 0, 0), "bad sign triple SignTriple(l1=-1, l2=0, l3=0, gamma=0)"),
+        ((0, 0, 0, 2), "bad sign triple SignTriple(l1=0, l2=0, l3=0, gamma=2)"),
+    ]),
+    (PmDiagram("C", 2, ((2, "+"),)), ("C", 2, ((2, "+"),), "", 0),
+     "PmDiagram(ctype='C', n=2, cols=((2, '+'),), spin='', color=0)", "cols", []),
+]
 
 
-def test_shape_validation():
-    with pytest.raises(ValueError):
-        Shape((1, 2))
-    with pytest.raises(ValueError):
-        Shape((2, 0))
-    with pytest.raises(ValueError):
-        Shape((), spin=2)
+@pytest.mark.parametrize(
+    "value,fields,text,field,rejections", VALUE_TYPES, ids=[type(v[0]).__name__ for v in VALUE_TYPES]
+)
+def test_value_types_are_immutable_field_tuples(value, fields, text, field, rejections):
+    # reprs name test cases, and the field-tuple hash fixes every set and dict order
+    cls = type(value)
+    assert repr(value) == text
+    assert value == cls(*fields) and hash(value) == hash(fields)
+    with pytest.raises(AttributeError):
+        setattr(value, field, None)
+    for bad, message in rejections:
+        with pytest.raises(ValueError) as caught:
+            cls(*bad)
+        assert str(caught.value) == message
 
 
 def test_shape_columns():

@@ -10,7 +10,7 @@ import pytest
 from krcrystals.cartan import AffineSpec, kr_dimension
 from krcrystals.cli import dump_graph_document, graph_document, main, to_dot
 from krcrystals.kr_builders import build_kr
-from krcrystals.verify import CheckReport, default_grid
+from krcrystals.verify import SUITES, CheckReport, default_grid
 
 from oracles import load_graph_document
 
@@ -127,6 +127,31 @@ def test_check_grid_covers_every_family(capsys):
         assert family in out
 
 
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_check_text_streams_each_spec(tmp_path, capsys, monkeypatch, to_file):
+    # what the output held when the second spec's build began: the first
+    # spec's six lines, flushed
+    from krcrystals import verify
+
+    target = tmp_path / "check.txt"
+    builds, held = [], []
+
+    def build(spec):
+        builds.append(spec)
+        if len(builds) == 2:
+            held.append(target.read_text() if to_file else capsys.readouterr().out)
+        return build_kr(spec)
+
+    monkeypatch.setattr(verify, "build_kr", build)
+    args = ["check", "--n-max", "2", "--s-max", "1"] + ["--out", str(target)] * to_file
+    assert main(args) == 0
+    lines = held[0].splitlines()
+    assert [line.split()[0] for line in lines] == list(SUITES)
+    assert all(line.split()[1:5] == ["A1", "n=2", "r=1", "s=1"] for line in lines)
+    rest = target.read_text()[len(held[0]):] if to_file else capsys.readouterr().out
+    assert len(rest.splitlines()) == 84
+
+
 @pytest.mark.parametrize("flags", [["--s-max", "0"], ["--n-max", "1"]])
 def test_check_refuses_an_empty_grid(capsys, flags):
     assert main(["check", *flags]) == 2
@@ -140,13 +165,14 @@ def test_check_n_max_bounds_every_family(monkeypatch):
 
     asked = []
 
-    def recorded(specs, suites):
-        asked.append(specs)
+    def recorded(specs, suites):  # text output asks for one spec at a time
+        asked[-1].extend(specs)
         return []
 
     monkeypatch.setattr(cli, "run_suite", recorded)
-    assert cli.main(["check"]) == 0
-    assert cli.main(["check", "--n-max", "5", "--s-max", "1"]) == 0
+    for argv in (["check"], ["check", "--n-max", "5", "--s-max", "1"]):
+        asked.append([])
+        assert cli.main(argv) == 0
     default, wide = asked
     assert len(default) == 64
     assert {spec.n for spec in default if spec.family == "D1"} == {4}

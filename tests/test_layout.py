@@ -1,12 +1,16 @@
-"""Layout guards on src/: builds own their state, and src/ holds no test-only code.
+"""Layout guards on src/: builds own their state, src/ holds no test-only code,
+and start-up loads no costly standard module.
 
-The guards read the sources with `ast`, so they run without importing the
-package.  A module-level cache outlives the build that filled it, and a
+The first guards read the sources with `ast`, so they run without importing
+the package.  A module-level cache outlives the build that filled it, and a
 top-level definition or method that nothing in src/ or perfbench/ names is
 called only by tests; such code belongs in tests/oracles.py.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -114,3 +118,15 @@ def test_every_method_has_a_caller_outside_tests():
                         yield path, f"{cls.name}.{node.name}", node
 
     assert _orphans(methods, bare=False) == []
+
+
+def test_importing_the_cli_loads_no_costly_module():
+    # every `kr` run pays for its imports: dataclasses pulls in inspect, ast,
+    # dis and tokenize, and typing costs milliseconds more; -S keeps site
+    # hooks, which may import typing themselves, out of the probe
+    probe = "import krcrystals.cli, sys; print(*sorted(sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert {"dataclasses", "inspect", "typing"} & set(done.stdout.split()) == set()

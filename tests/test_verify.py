@@ -1,6 +1,5 @@
 """Checks for the verification suites, anchored on hand-derived zero strings."""
 
-import dataclasses
 import json
 
 import pytest
@@ -10,7 +9,7 @@ from krcrystals import pm_diagrams as pm
 from krcrystals.cartan import AffineSpec, affine_pairing, kr_decomposition
 from krcrystals.crystal_core import CrystalGraph
 from krcrystals.cli import main
-from krcrystals.kr_builders import AmbientLink, _branching, _locate_tops, build_kr
+from krcrystals.kr_builders import AmbientLink, KRBuild, _branching, _locate_tops, build_kr
 from krcrystals.verify import (
     SUITES,
     CheckReport,
@@ -203,6 +202,11 @@ def test_cyclic_zero_string_fails_the_build(monkeypatch, capsys, time_limit):
     assert reports == [("build", False, f"error: {message}")]
 
 
+def _replaced(build, **fields):
+    """A copy of the build with the given fields set."""
+    return KRBuild(**(vars(build) | fields))
+
+
 def _with_shifted_weight(build, x, shift):
     """The build with vertex x's weight moved by shift."""
     g = build.graph
@@ -210,7 +214,7 @@ def _with_shifted_weight(build, x, shift):
     weights[x] = tuple(a + b for a, b in zip(weights[x], shift))
     edges = {i: dict(g.f[i]) for i in g.colors}
     moved = CrystalGraph(g.elements, g.colors, edges, weights)
-    return dataclasses.replace(build, graph=moved)
+    return _replaced(build, graph=moved)
 
 
 def _regularity_outcome(build):
@@ -418,12 +422,12 @@ def _with_crossed_heads(build, i):
     a, f = heads[phi[x]], dict(g.f[i])
     f[a], f[x] = f[x], f[a]
     edges = {j: dict(g.f[j]) for j in g.colors} | {i: f}
-    return dataclasses.replace(build, graph=CrystalGraph(g.elements, g.colors, edges, g.weights))
+    return _replaced(build, graph=CrystalGraph(g.elements, g.colors, edges, g.weights))
 
 
 def test_decomp_flags_a_graph_of_the_wrong_size():
     build = build_kr(AffineSpec("B1", 2, 1, 1))
-    wider = dataclasses.replace(build, graph=build_kr(AffineSpec("B1", 2, 1, 2)).graph)
+    wider = _replaced(build, graph=build_kr(AffineSpec("B1", 2, 1, 2)).graph)
     report = check_decompositions(wider)
     assert (report.passed, report.detail) == (False, f"size {len(wider.graph)} != 5")
 
@@ -433,7 +437,7 @@ def test_sigma_flags_a_table_that_is_no_involution():
     # the arrow check only covers the vertices before the first that does not
     build = build_kr(AffineSpec("A2odd", 2, 1, 1))
     size = len(build.graph)
-    rotated = dataclasses.replace(build, sigma_table=[(v + 1) % size for v in range(size)])
+    rotated = _replaced(build, sigma_table=[(v + 1) % size for v in range(size)])
     report = check_sigma(rotated)
     assert (report.passed, report.detail) == (False, "sigma does not have order 2")
     assert report.witness == {"element": build.render(build.graph.elements[0], {})}
@@ -447,7 +451,7 @@ def test_phi0_flags_a_sign_column_count_off_the_zero_string(monkeypatch):
 
     def one_plus_more(P):
         t = real(P)
-        return dataclasses.replace(t, l1=t.l1 + 1)
+        return t._replace(l1=t.l1 + 1)
 
     monkeypatch.setattr(verify, "_triple_of", one_plus_more)
     report = check_phi0(build)
@@ -484,7 +488,7 @@ def _virtual_host_without_zero_arrow(build):
     g, host = build.graph, build.ambient.build
     x = next(x for x in range(len(g)) if g.phi(0, x))
     v = host.graph.index[g.elements[x]]
-    return dataclasses.replace(
+    return _replaced(
         build, ambient=AmbientLink(with_dropped_edge(host, 0, _arrow_out_of(host, 0, v)))
     )
 
