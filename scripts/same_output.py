@@ -6,14 +6,13 @@ The committed tree of --rev is unpacked with `git archive` into a temporary
 directory (tempfile's default).  One child interpreter per tree runs, for
 every spec below, `kr build` (JSON and DOT), `kr check --format json` and
 `kr dim` through `cli.main`, and `kr decompose` with both subsets on the
-grid specs (480 commands on 88 specs), and reports the exit code and the
+grid specs (500 commands on 93 specs), and reports the exit code and the
 sha256 of stdout and stderr of each.  Every command whose
 record differs is printed, then the non-blank `src/` line count of both
 trees; the exit status is 1 on any difference or child failure, else 0.
 
 The specs are the default `kr check` grid, the seven `wide_build` specs of
-perfbench/worker.py, and specs beyond both on the stepped, virtual, triples
-and spin routes.
+perfbench/worker.py, and specs beyond both on every route.
 """
 
 from __future__ import annotations
@@ -40,6 +39,7 @@ EXTRA_SPECS = (
     ("D2", 3, 3, 4), ("D1", 4, 4, 3), ("D1", 5, 4, 3), ("D1", 6, 6, 2),
     ("A2even", 4, 2, 2), ("A2even", 4, 3, 1), ("A2even", 2, 1, 4), ("D2", 4, 2, 2),
     ("D2", 2, 1, 4), ("B1", 4, 4, 3), ("B1", 3, 3, 4), ("D1", 6, 5, 3), ("D1", 5, 4, 4),
+    ("A1", 4, 2, 3), ("A1", 5, 2, 2), ("B1", 5, 3, 2), ("A2odd", 4, 3, 2), ("D1", 6, 3, 2),
 )
 
 # Runs in each tree: reads the argv lists on stdin, writes {command: record}.

@@ -256,6 +256,7 @@ def kr_dimension(spec: AffineSpec) -> int:
     D2 n -> D1 at n+1 when 2 < n and r < n (the vertical-domino shapes).
     Weight vectors always have n coordinates; in type A the staircase formula
     over n letters gives the gl_n dimension, which matches the crystal.
+    tests/test_cartan.py checks these answers against the Q-system, n <= 8.
     """
     if spec.family in ("A2even", "A2odd"):
         spec = AffineSpec("A1", 2 * spec.n + (spec.family == "A2even"), spec.r, spec.s)

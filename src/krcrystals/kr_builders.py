@@ -32,15 +32,13 @@ class AmbientLink:
 class KRBuild:
     """A finished crystal B^{r,s} plus the scaffolding that built it."""
 
-    def __init__(self, spec, graph, kind, render, ambient=None, stepped=None, sigma_table=None,
-                 partner=None):
+    def __init__(self, spec, graph, kind, render, ambient=None, stepped=None, partner=None):
         self.spec = spec  # an AffineSpec
         self.graph = graph  # a CrystalGraph
         self.kind = kind  # promotion | dba | virtual | stepped | triples | spin
         self.render = render
         self.ambient = ambient  # virtual: an AmbientLink to the closed A2odd host
         self.stepped = stepped  # stepped: the SteppedHost, element-local
-        self.sigma_table = sigma_table  # tau on vertex ids, where f_0 = tau^-1 f_1 tau
         self.partner = partner  # always None; the benchmark's build ledger reads it
 
 
@@ -170,7 +168,7 @@ def _build_promotion(spec):
     if len(back) != len(pr):
         raise RuntimeError("promotion is not a bijection on the rectangle")
     cls.add_color(0, _conjugated_f1(pr, cls.f[1], back))
-    return KRBuild(spec, cls, "promotion", tableaux.format_element, sigma_table=pr)
+    return KRBuild(spec, cls, "promotion", tableaux.format_element)
 
 
 # -- families with the 0-node attached at node 1: sigma conjugation -----------
@@ -191,8 +189,8 @@ def _sigma_on_tops(table, mirror):
 
 
 def _sigma_build(spec, cls, mirror, swap, kind, render):
-    """cls with f_0 = sigma f_1 sigma: sigma is read off the branching table at
-    the {2..n}-tops by mirror and transported along f_i -> f_{swap(i)}, i in 2..n.
+    """(build, sigma): cls with f_0 = sigma f_1 sigma, sigma read off the branching
+    table at the {2..n}-tops by mirror and transported along f_i -> f_{swap(i)}, i in 2..n.
 
     cls is the closed classical crystal, vertex k the top of kr_decomposition's
     k-th shape; swap maps a color to its image, identity where absent.
@@ -206,10 +204,12 @@ def _sigma_build(spec, cls, mirror, swap, kind, render):
     if bad:
         raise RuntimeError(f"sigma is not an involution at vertex {bad[0]}")
     cls.add_color(0, _conjugated_f1(sigma, cls.f[1], sigma))
-    return KRBuild(spec, cls, kind, render, sigma_table=sigma)
+    return KRBuild(spec, cls, kind, render), sigma
 
 
 def _build_dba(spec):
+    """(build, sigma), as _sigma_build returns them."""
+
     def involution_S(P):
         return pm.involution_S(P, spec.r, spec.s)
 
@@ -243,15 +243,15 @@ def _build_virtual(spec):
     n, r, s = spec.n, spec.r, spec.s
     host_spec = AffineSpec("A2odd", n + 1, r, s)
     _refuse_over_bound(host_spec)
-    host = _build_dba(host_spec)
+    host, sigma = _build_dba(host_spec)
     hg = host.graph
-    fixed = [x for x in range(len(hg.elements)) if host.sigma_table[x] == x]
+    fixed = [x for x in range(len(hg.elements)) if sigma[x] == x]
 
     def step(x, c, op):
         return (hg.f if op == "f" else hg.e)[c].get(x)
 
     def apply_fn(elem, i, op):
-        y = _virtual_arrow(step, hg.index[elem], i, op, lambda y: host.sigma_table[y] == y)
+        y = _virtual_arrow(step, hg.index[elem], i, op, lambda y: sigma[y] == y)
         return None if y is None else hg.elements[y]
 
     def neighbours(elem):
@@ -562,7 +562,7 @@ def _build_spin(spec):
     rule = tableaux.SpinTensorTable("D", n, colors)
     cls = generate_closure([(top,) * s], colors, rule.neighbours, _spin_tensor_weight)
     swap = {n - 1: n, n: n - 1}
-    return _sigma_build(spec, cls, sigma_spin_D, swap, "spin", tableaux.format_spin_tensor)
+    return _sigma_build(spec, cls, sigma_spin_D, swap, "spin", tableaux.format_spin_tensor)[0]
 
 
 # -- dispatch ------------------------------------------------------------------
@@ -587,7 +587,7 @@ def _dispatch(spec):
     if fam == "A1":
         return _build_promotion(spec)
     if fam == "A2odd" or (fam == "B1" and r < n) or (fam == "D1" and r <= n - 2):
-        return _build_dba(spec)
+        return _build_dba(spec)[0]
     if fam in ("B1", "A2even") or (fam == "D2" and r < n):
         return _build_stepped(spec)
     if fam == "C1" and r < n:

@@ -187,56 +187,51 @@ def check_decompositions(build: KRBuild) -> CheckReport:
 
 # -- automorphisms ----------------------------------------------------------------
 
-def _check_conjugation(build, tau, color_map, order, name, passed):
-    """tau has order `order` and carries each f_i arrow to an f_{color_map[i]} arrow.
+def sigma_map(spec: AffineSpec):
+    """(color map, order, label, pass detail) of the Dynkin automorphism `sigma`
+    searches the graph for; None for A2even.  0 <-> 1 is the sigma of B1, D1 and
+    A2odd, with n-1 <-> n at the D1 spin nodes; i -> n-i is its C1 and D2 analog."""
+    fam, n, colors = spec.family, spec.n, affine_colors(spec)
+    if fam == "A1":
+        rotate = {i: (i + 1) % n for i in colors}
+        return rotate, n, "i -> i+1 mod n", f"promotion of order {n} rotates all arrows"
+    if fam in ("C1", "D2"):
+        return {i: n - i for i in colors}, 2, "i -> n-i", "involution realizing i -> n-i"
+    if fam == "A2even":
+        return None
+    swap = {i: i for i in colors} | {0: 1, 1: 0}
+    if fam == "B1" and spec.r == n:
+        return swap, 2, "0 <-> 1", "involution realizing 0 <-> 1"
+    label = "0 <-> 1"
+    if fam == "D1" and spec.r >= n - 1:
+        swap, label = swap | {n - 1: n, n: n - 1}, "0 <-> 1, n-1 <-> n"
+    return swap, 2, label, "involution conjugating f_0 to f_1"
 
-    The witness is the least vertex whose walk does not return or whose arrow
-    is not carried, the walk checked first, then the colors in order.
-    """
-    g = build.graph
-    walk = range(len(g))
-    for _ in range(order):
-        walk = [tau[w] for w in walk]
-    x = next((x for x, w in enumerate(walk) if w != x), len(g))
-    images, color = [tau[v] for v in range(len(g))], None
-    for i, j in color_map.items():
-        arrows = zip(range(x), map(g.f[i].get, range(x)), map(g.f[j].get, images))
-        bad = ((v, i) for v, y, z in arrows if (None if y is None else images[y]) != z)
-        x, color = next(bad, (x, color))
-    if color is not None:
-        return False, f"{name} does not carry an f_{color} arrow", _w(build, x, color)
-    if x < len(g):
-        witness = {"element": build.render(g.elements[x], {})}
-        return False, f"{name} does not have order {order}", witness
-    return True, passed, None
+
+def search_sigma(graph, spec: AffineSpec):
+    """The first automorphism {vertex: image} of graph realizing sigma_map(spec)
+    whose order-th power is the identity; None if there is none."""
+    color_map, order, _, _ = sigma_map(spec)
+    for iso in graph.isomorphisms(graph, color_map=color_map, colors=affine_colors(spec)):
+        walk = list(iso)
+        for _ in range(order):
+            walk = [iso[w] for w in walk]
+        if walk == list(iso):
+            return iso
+    return None
 
 
 def check_sigma(build: KRBuild) -> CheckReport:
-    """The symmetry carrying the affine arrows exists and behaves."""
+    """The family's Dynkin automorphism is an automorphism of the graph, found by search."""
 
     def body():
-        g, spec, n = build.graph, build.spec, build.spec.n
-        colors = affine_colors(spec)
-        swap = {i: i for i in colors} | {0: 1, 1: 0}
-        if build.kind == "promotion":
-            rotate = {i: (i + 1) % n for i in colors}
-            passed = f"promotion of order {n} rotates all arrows"
-            return _check_conjugation(build, build.sigma_table, rotate, n, "promotion", passed)
-        if build.sigma_table is not None:
-            if build.kind == "spin":  # sigma composed with the n-1 <-> n flip
-                swap |= {n - 1: n, n: n - 1}
-            passed = "involution conjugating f_0 to f_1"
-            return _check_conjugation(build, build.sigma_table, swap, 2, "sigma", passed)
-        if spec.family in ("C1", "D2"):
-            color_map, label = {i: n - i for i in colors}, "i -> n-i"
-        elif spec.family == "B1":  # r = n arrives without a stored table
-            color_map, label = swap, "0 <-> 1"
-        else:
+        found = sigma_map(build.spec)
+        if found is None:
             return True, "no automorphism in scope for this family", None
-        for iso in g.isomorphisms(g, color_map=color_map, colors=colors):
-            if all(iso[iso[x]] == x for x in iso):
-                return True, f"involution realizing {label}", None
-        return False, f"no involution realizing {label}", None
+        _, order, label, passed = found
+        if search_sigma(build.graph, build.spec) is None:
+            return False, f"no automorphism of order {order} realizing {label}", None
+        return True, passed, None
 
     return _report("sigma", build, body)
 

@@ -23,7 +23,7 @@ from krcrystals.kr_builders import (
     _build_virtual,
     _locate_tops,
 )
-from krcrystals.verify import default_grid
+from krcrystals.verify import default_grid, search_sigma
 
 from oracles import (
     element_local_fold,
@@ -91,13 +91,14 @@ def test_promotion_rotates_content(k):
 def test_promotion_zero_edges_conjugate_one_edges():
     g = build_kr(AffineSpec("A1", 3, 1, 1)).graph
     assert g.e[0].get(g.index[(((1,),), None)]) == g.index[(((3,),), None)]
-    # f_0 = pr^{-1} f_1 pr, with pr^{-1} taken as pr^{n-1}
-    # pr is the stored tau of the build
+    # f_0 = pr^{-1} f_1 pr, with pr^{-1} taken as pr^{n-1}; the automorphism
+    # the sigma search finds is pr
     for n, r, s in [(3, 1, 1), (3, 2, 2), (4, 2, 1)]:
         b = build_kr(AffineSpec("A1", n, r, s))
         g = b.graph
+        tau = search_sigma(g, b.spec)
         for x, (cols, _) in enumerate(g.elements):
-            assert b.sigma_table[x] == g.index[(promotion(cols, n), None)]
+            assert tau[x] == g.index[(promotion(cols, n), None)]
             moved = tableaux.tableau_apply("A", n, (promotion(cols, n), None), 1, "f")
             if moved is None:
                 assert g.f[0].get(x) is None
@@ -111,8 +112,9 @@ def test_promotion_zero_edges_conjugate_one_edges():
 # -- tail-involution route (B1 r<n, A2odd, D1 r<=n-2) ---------------------------
 
 def test_sigma_is_involution_and_commutes():
-    b = build_kr(AffineSpec("A2odd", 3, 1, 2))
-    g, sigma = b.graph, b.sigma_table
+    # the sigma the dba route conjugates f_1 by
+    b, sigma = kr_builders._build_dba(AffineSpec("A2odd", 3, 1, 2))
+    g = b.graph
     assert b.partner is None
     for x in range(len(g)):
         assert sigma[sigma[x]] == x
@@ -128,19 +130,46 @@ def test_sigma_on_highest_is_diagram_involution():
     b = build_kr(spec)
     table = tableau_phi_table("C", 3, kr_decomposition(spec))
     g = b.graph
+    sigma = search_sigma(g, spec)
     for x in g.highest_vertices((2, 3)):
         P = pm.phi_inverse(table, g.elements[x])
         direct = tableau_phi(pm.involution_S(P, spec.r, spec.s))
-        assert g.elements[b.sigma_table[x]] == direct
+        assert g.elements[sigma[x]] == direct
 
 
 def test_dba_zero_edges_conjugate_one_edges():
     b = build_kr(AffineSpec("B1", 2, 1, 2))
-    g, sigma = b.graph, b.sigma_table
+    g = b.graph
+    sigma = search_sigma(g, b.spec)
     for x in range(len(g)):
         for arrows in (g.f, g.e):
             y = arrows[1].get(sigma[x])
             assert arrows[0].get(x) == (None if y is None else sigma[y])
+
+
+def test_route_sigma_is_the_searched_automorphism(monkeypatch):
+    # the sigma the dba and spin routes conjugate f_1 by, on every grid spec
+    # of those routes and four past the grid, is the automorphism the sigma
+    # search finds on the finished graph
+    made, real = [], kr_builders._sigma_build
+
+    def recorded(*args):
+        made.append(real(*args))
+        return made[-1]
+
+    monkeypatch.setattr(kr_builders, "_sigma_build", recorded)
+    past = [("B1", 5, 3, 2), ("D1", 6, 3, 2), ("A2odd", 4, 3, 2), ("D1", 5, 4, 4)]
+    kinds = []
+    for spec in [*default_grid(), *(AffineSpec(*args) for args in past)]:
+        made.clear()  # the virtual route's host also comes from _sigma_build
+        b = build_kr(spec)
+        if b.kind not in ("dba", "spin"):
+            continue
+        [(built, sigma)] = made
+        assert built is b
+        assert search_sigma(b.graph, spec) == sigma
+        kinds.append(b.kind)
+    assert (kinds.count("dba"), kinds.count("spin")) == (23, 5)
 
 
 def test_non_injective_zero_arrows_fail_the_build(monkeypatch, capsys):
@@ -236,6 +265,15 @@ def test_stepped_sizes(fam, n, r, s, size):
 STEPPED_MULTIPLIERS = {"B1": (2, 2, 1), "A2even": (1, 2, 2), "D2": (1, 2, 1)}
 
 
+def _tail_involution(graph):
+    """sigma on a closed A2odd crystal: the isomorphism onto itself that
+    exchanges colors 0 and 1, found by the oracle search."""
+    swap = {i: i for i in graph.colors} | {0: 1, 1: 0}
+    sigma = isomorphism(graph, graph, swap)
+    assert all(sigma[sigma[x]] == x for x in sigma)
+    return sigma
+
+
 @pytest.mark.parametrize(
     "fam,n,r,s,host_size",
     [
@@ -247,14 +285,14 @@ STEPPED_MULTIPLIERS = {"B1": (2, 2, 1), "A2even": (1, 2, 2), "D2": (1, 2, 1)}
     ],
 )
 def test_stepped_route_matches_materialized_host(fam, n, r, s, host_size):
-    # The host closed in full, with sigma tabled by transport along its
-    # arrows, against the element-local operators of the stepped route:
-    # B1 sits in A2odd B^{n,s}, A2even and D2 in the fixed locus of
-    # A2odd B^{r,2s} of rank n+1.  Phi in the host's C_n view is Phi
+    # The host closed in full against the element-local operators of the
+    # stepped route: B1 sits in A2odd B^{n,s}, A2even and D2 in the fixed
+    # locus of A2odd B^{r,2s} of rank n+1.  Phi in the host's C_n view is Phi
     # walked on the closed host's own arrows from its classical tops.  Every
     # sigma the stepped host tabled, at a top or by a raise and descent, is
-    # the closed A2odd crystal's transported sigma, and every host arrow it
-    # kept is the closed host's arrow of that color, a vanished one included.
+    # the involution realizing 0 <-> 1 on the closed A2odd crystal, and every
+    # host arrow it kept is the closed host's arrow of that color, a vanished
+    # one included.
     b = build_kr(AffineSpec(fam, n, r, s))
     m = STEPPED_MULTIPLIERS[fam]
     assert b.ambient is None and b.stepped.m == m
@@ -266,8 +304,9 @@ def test_stepped_route_matches_materialized_host(fam, n, r, s, host_size):
     assert len(hg) == host_size
     closed = host if fam == "B1" else host.ambient.build
     cg = closed.graph
+    sigma = _tail_involution(cg)
     for x, y in b.stepped._sigma.items():
-        assert cg.elements[closed.sigma_table[cg.index[x]]] == y
+        assert cg.elements[sigma[cg.index[x]]] == y
     for (x, i, op), y in b.stepped._arrows.items():
         w = (hg.f if op == "f" else hg.e)[i].get(hg.index[x])
         assert (None if w is None else hg.elements[w]) == y
@@ -368,12 +407,13 @@ def test_sigma_keeps_its_raise_path(monkeypatch, fam, n, r, s):
     # sigma on an element two or more e-string segments below its
     # {2..N}-top, in a fresh host that knows sigma at the tops alone: the
     # descent keeps every segment end of the raise, each at the closed
-    # A2odd host's transported sigma, and asking again takes no pass.  (B1
-    # at n = 2 raises by color 2 alone, one segment.)
+    # A2odd host's involution realizing 0 <-> 1, and asking again takes no
+    # pass.  (B1 at n = 2 raises by color 2 alone, one segment.)
     built = build_kr(AffineSpec(fam, n, r, s)).stepped
     host = kr_builders.SteppedHost(built.n, built.r, built.s, built.virtual, built.m)
     closed = _build_virtual(AffineSpec("C1", n, r, 2 * s)).ambient.build
     cg = closed.graph
+    sigma = _tail_involution(cg)
     jcolors = range(2, host.rank + 1)
     x, path = next((x, p) for x in range(len(cg)) if len((p := cg.raise_path(x, jcolors)[0])) > 1)
     ends = [x]
@@ -388,7 +428,7 @@ def test_sigma_keeps_its_raise_path(monkeypatch, fam, n, r, s):
     monkeypatch.setattr(tableaux.SignatureTable, "string", lambda *args: passes.append(args))
     for y in ends:
         assert cg.elements[y] in host._sigma
-        assert host.sigma(cg.elements[y]) == cg.elements[closed.sigma_table[y]]
+        assert host.sigma(cg.elements[y]) == cg.elements[sigma[y]]
     assert passes == []
 
 
@@ -656,10 +696,11 @@ def test_sigma_spin_diagram_rule_flips_signs_and_keeps_the_color():
 
 @pytest.mark.parametrize("n,r,s", [(4, 4, 1), (4, 3, 2), (5, 5, 2), (5, 4, 3), (6, 6, 2)])
 def test_spin_tau_is_an_involution_carrying_f_i_to_the_swapped_color(n, r, s):
-    # tau is sigma composed with the n-1 <-> n flip: it stays in the one
-    # crystal and exchanges colors 0, 1 and n-1, n
+    # tau, as the sigma search finds it, is sigma composed with the n-1 <-> n
+    # flip: it stays in the one crystal and exchanges colors 0, 1 and n-1, n
     b = build_kr(AffineSpec("D1", n, r, s))
-    g, tau = b.graph, b.sigma_table
+    g = b.graph
+    tau = search_sigma(g, b.spec)
     assert b.kind == "spin" and b.partner is None
     swap = {0: 1, 1: 0, n - 1: n, n: n - 1}
     for x in range(len(g)):
@@ -671,7 +712,8 @@ def test_spin_tau_is_an_involution_carrying_f_i_to_the_swapped_color(n, r, s):
 
 def test_spin_zero_edges_conjugate_one_edges():
     b = build_kr(AffineSpec("D1", 4, 4, 1))
-    g, tau = b.graph, b.sigma_table
+    g = b.graph
+    tau = search_sigma(g, b.spec)
     for x in range(len(g)):
         y = g.f[1].get(tau[x])
         assert g.f[0].get(x) == (None if y is None else tau[y])

@@ -13,6 +13,7 @@ from krcrystals.cartan import (
     Shape,
     kr_decomposition,
     affine_pairing,
+    affine_root,
     kr_dimension,
     shape_dimension,
     simple_root,
@@ -20,7 +21,7 @@ from krcrystals.cartan import (
     zero_root_projection,
 )
 from krcrystals.pm_diagrams import PmDiagram, SignTriple
-from oracles import enumerate_tableaux, pairing
+from oracles import enumerate_tableaux, pairing, q_system_remainder
 
 
 VALUE_TYPES = [
@@ -356,6 +357,73 @@ KR_DIM_ORACLE = [
 @pytest.mark.parametrize("family,n,r,s,total", KR_DIM_ORACLE)
 def test_kr_dimension_oracle(family, n, r, s, total):
     assert kr_dimension(AffineSpec(family, n, r, s)) == total
+
+
+def test_kr_dimension_solves_the_q_system():
+    # (Q_m^{(a)})^2 = Q_{m+1}^{(a)} Q_{m-1}^{(a)} + R on dimensions alone, for
+    # every family, n <= 8, every a and m <= 6; the twisted rows of R are a
+    # regression oracle (see q_system_remainder)
+    checked = 0
+    for family in FAMILIES:
+        for n in range(4 if family == "D1" else 2, 9):
+            top = n - 1 if family == "A1" else n
+
+            def Q(a, m):
+                if not m or not a or a > top:  # a > top: node n of A1, det^m
+                    return 1
+                return kr_dimension(AffineSpec(family, n, a, m))
+
+            for a in range(1, top + 1):
+                for m in range(1, 7):
+                    rest = q_system_remainder(family, n, a, m, Q)
+                    assert Q(a, m) ** 2 == Q(a, m + 1) * Q(a, m - 1) + rest, (family, n, a, m)
+                    checked += 1
+    assert checked == 1398
+
+
+def _left_kernel(rows):
+    """The vector x with x_0 = 1 and x . rows = 0, by exact elimination on
+    columns 1..; the block of rows and columns 1.. must be invertible."""
+    size = len(rows)
+    # unknowns x_1..: sum_i x_i rows[i][j] = -rows[0][j] for j >= 1
+    system = [[Fraction(rows[i][j]) for i in range(1, size)] + [Fraction(-rows[0][j])]
+              for j in range(1, size)]
+    for k in range(size - 1):
+        pivot = next(r for r in range(k, size - 1) if system[r][k])
+        system[k], system[pivot] = system[pivot], system[k]
+        for r in range(size - 1):
+            if r != k and system[r][k]:
+                factor = system[r][k] / system[k][k]
+                system[r] = [u - factor * v for u, v in zip(system[r], system[k])]
+    return [Fraction(1)] + [system[k][-1] / system[k][k] for k in range(size - 1)]
+
+
+# Kac, Infinite-dimensional Lie algebras, Tables Aff 1-2: the dual labels
+# a_0^vee, a_1^vee, ... of the affine diagrams, node 0 first
+DUAL_LABELS = {
+    "A1": lambda n: [1] * n,
+    "B1": lambda n: [1, 1] + [2] * (n - 2) + [1],
+    "C1": lambda n: [1] * (n + 1),
+    "D1": lambda n: [1, 1] + [2] * (n - 3) + [1, 1],
+    "A2even": lambda n: [1] + [2] * n,
+    "A2odd": lambda n: [1, 1] + [2] * (n - 1),
+    "D2": lambda n: [1] + [2] * (n - 1) + [1],
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_affine_cartan_matrix_has_the_dual_labels_as_left_kernel(family):
+    # a_ij = <alpha_j, alpha_i^vee>, with alpha_0 the classical projection
+    # cartan.py gives: the left kernel normalized at a_0^vee = 1 is Kac's
+    # table, so a wrong projection of alpha_0 shows here
+    for n in range(4 if family == "D1" else 2, 7):
+        nodes = range(n if family == "A1" else n + 1)
+        matrix = [[affine_pairing(family, n, affine_root(family, n, j), i) for j in nodes]
+                  for i in nodes]
+        assert all(matrix[i][i] == 2 for i in nodes)
+        labels = DUAL_LABELS[family](n)
+        assert _left_kernel(matrix) == labels, (family, n)
+        assert all(sum(labels[i] * matrix[i][j] for i in nodes) == 0 for j in nodes)
 
 
 def test_zero_root_projection():

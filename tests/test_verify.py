@@ -432,15 +432,42 @@ def test_decomp_flags_a_graph_of_the_wrong_size():
     assert (report.passed, report.detail) == (False, f"size {len(wider.graph)} != 5")
 
 
-def test_sigma_flags_a_table_that_is_no_involution():
-    # rotated vertex ids: vertex 0 does not come back after two steps, and
-    # the arrow check only covers the vertices before the first that does not
+@pytest.mark.parametrize(
+    "spec,detail",
+    [
+        (AffineSpec("A1", 3, 1, 1), "no automorphism of order 3 realizing i -> i+1 mod n"),
+        (AffineSpec("A2odd", 2, 1, 1), "no automorphism of order 2 realizing 0 <-> 1"),
+        (AffineSpec("D1", 4, 4, 1), "no automorphism of order 2 realizing 0 <-> 1, n-1 <-> n"),
+        (AffineSpec("B1", 2, 2, 1), "no automorphism of order 2 realizing 0 <-> 1"),
+        (AffineSpec("C1", 2, 2, 2), "no automorphism of order 2 realizing i -> n-i"),
+    ],
+)
+def test_sigma_flags_a_graph_without_the_automorphism(spec, detail):
+    # one color map per spec: rotation, 0 <-> 1 on the dba, spin and stepped
+    # routes, i -> n-i.  Each pairs color 0 with another color, whose arrows
+    # outnumber f_0's once one f_0 arrow is dropped
+    build = build_kr(spec)
+    assert check_sigma(build).passed
+    report = check_sigma(with_dropped_edge(build, 0))
+    assert (report.passed, report.detail, report.witness) == (False, detail, None)
+
+
+def test_sigma_skips_an_automorphism_of_the_wrong_order(monkeypatch):
+    # rotated vertex ids have order 4 on the four vertices: the search goes
+    # past them to the involution, and fails when nothing follows them
     build = build_kr(AffineSpec("A2odd", 2, 1, 1))
     size = len(build.graph)
-    rotated = _replaced(build, sigma_table=[(v + 1) % size for v in range(size)])
-    report = check_sigma(rotated)
-    assert (report.passed, report.detail) == (False, "sigma does not have order 2")
-    assert report.witness == {"element": build.render(build.graph.elements[0], {})}
+    assert size == 4
+    rotated = {v: (v + 1) % size for v in range(size)}
+    involution = verify.search_sigma(build.graph, build.spec)
+    for found, passed, detail in [
+        ([rotated, involution], True, "involution conjugating f_0 to f_1"),
+        ([rotated], False, "no automorphism of order 2 realizing 0 <-> 1"),
+    ]:
+        search = lambda *args, found=found, **kwargs: iter(found)  # noqa: E731
+        monkeypatch.setattr(build.graph, "isomorphisms", search)
+        report = check_sigma(build)
+        assert (report.passed, report.detail) == (passed, detail)
 
 
 def test_phi0_flags_a_sign_column_count_off_the_zero_string(monkeypatch):
