@@ -80,7 +80,7 @@ def classical_model(build):
     The anchors are the tops of the classical shapes; RuntimeError if their
     components miss a vertex.
     """
-    if build.kind in ("promotion", "dba", "triples"):
+    if build.kind in ("dba", "triples"):
         return dict(enumerate(build.graph.elements))
     ctype, n, colors = build.spec.classical_type, build.spec.n, build.spec.classical_colors
     tops = _locate_tops(build, kr_decomposition(build.spec))

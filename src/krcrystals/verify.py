@@ -27,6 +27,7 @@ from .cartan import (
 )
 from .kr_builders import (
     KRBuild,
+    SteppedHost,
     _branching,
     _locate_tops,
     _triple_of,
@@ -316,16 +317,15 @@ def check_phi0(build: KRBuild) -> CheckReport:
 
 # -- index-scaled embeddings ----------------------------------------------------
 
-def _check_stepped_similarity(build):
+def _check_stepped_similarity(build, host):
     """Each graph i-string is the host i-string of its head, every m_i-th element kept.
 
     Every vertex lies on one graph i-string, so one walk of each host string,
     from the head of its graph string, checks every vertex's lengths and edge.
+    The image holds exactly the host's doubled diagram tops, or every top if every m_i = 1.
     """
     g = build.graph
-    spec = build.spec
-    n = spec.n
-    host = build.stepped
+    ctype, n = build.spec.classical_type, build.spec.n
     m = host.m
     strings = [g.strings(i) for i in range(n + 1)]
     for x, v in enumerate(g.elements):
@@ -345,59 +345,34 @@ def _check_stepped_similarity(build):
                     if g.elements[z := g.f[i][y]] != w:
                         return False, "edge is not the powered host edge", _w(build, y, i)
                     y = z
+    unit = set(m) == {1}
     tops = {sh: host.host_top(sh) for sh in host.model_shapes}
     doubled = 0
     for v, P in pm.phi_table("C", n, tops, lambda x, i: host.host_apply(x, i, "f")).items():
         in_image = v in g.index
         # phantom zero-height columns double too, so their count stays even
-        is_double = pm.is_doubled(P, spec.classical_type) and (host.s - P.width()) % 2 == 0
+        is_double = unit or (pm.is_doubled(P, ctype) and (host.s - P.width()) % 2 == 0)
         if in_image != is_double:
             return False, "image tops are not the doubled diagrams", {
                 "element": build.render(v, {}),
                 "in_image": str(in_image),
             }
         doubled += in_image
-    return True, f"{doubled} doubled diagram tops", None
-
-
-def _check_virtual_similarity(build):
-    g = build.graph
-    n = build.spec.n
-    hg = build.ambient.build.graph
-    vmap = [hg.index[el] for el in g.elements]
-    for x, v in enumerate(vmap):
-        if hg.eps(0, v) != hg.eps(1, v) or hg.phi(0, v) != hg.phi(1, v):
-            return False, "tail strings disagree on a fixed point", _w(build, x, 0)
-        if g.eps(0, x) != hg.eps(0, v) or g.phi(0, x) != hg.phi(0, v):
-            return False, "zero string is not the host tail string", _w(build, x, 0)
-        y = g.f[0].get(x)
-        w = hg.f[0].get(v)
-        w = None if w is None else hg.f[1].get(w)
-        if (None if y is None else vmap[y]) != w:
-            return False, "zero edge is not the host tail pair", _w(build, x, 0)
-        for i in range(1, n + 1):
-            if g.eps(i, x) != hg.eps(i + 1, v) or g.phi(i, x) != hg.phi(i + 1, v):
-                return False, "classical string is not the shifted host string", _w(
-                    build, x, i
-                )
-            y = g.f[i].get(x)
-            w = hg.f[i + 1].get(v)
-            if (None if y is None else vmap[y]) != w:
-                return False, "classical edge is not the shifted host edge", _w(
-                    build, x, i
-                )
-    return True, f"{len(g)} fixed points", None
+    return True, f"{len(g)} fixed points" if unit else f"{doubled} doubled diagram tops", None
 
 
 def check_similarity(build: KRBuild) -> CheckReport:
     """The build sits inside its host exactly as the index scaling dictates."""
 
     def body():
-        if build.stepped is not None:
-            return _check_stepped_similarity(build)
-        if build.ambient is None:
+        host = build.stepped
+        # a fixed-point build is checked on a fresh host, not the closed one it was read off
+        if build.kind == "virtual":
+            n, r, s = build.spec.n, build.spec.r, build.spec.s
+            host = SteppedHost(n, r, s, virtual=True, m=(1,) * (n + 1))
+        if host is None:
             return True, "no ambient crystal for this construction", None
-        return _check_virtual_similarity(build)
+        return _check_stepped_similarity(build, host)
 
     return _report("similarity", build, body)
 
@@ -426,7 +401,7 @@ def check_jlowest(build: KRBuild) -> CheckReport:
     def body():
         spec = build.spec
         ctype, n = spec.classical_type, spec.n
-        if ctype not in "BC" or build.kind == "spin":
+        if ctype not in "BC":
             return True, "pattern not applicable to this classical type", None
         g = build.graph
         model = classical_model(build)

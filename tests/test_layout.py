@@ -1,5 +1,6 @@
 """Layout guards on src/: builds own their state, src/ holds no test-only code,
-and start-up loads no costly standard module.
+reads no field kept for the benchmark alone, and start-up loads no costly
+standard module.
 
 The first guards read the sources with `ast`, so they run without importing
 the package.  A module-level cache outlives the build that filled it, and a
@@ -118,6 +119,21 @@ def test_every_method_has_a_caller_outside_tests():
                         yield path, f"{cls.name}.{node.name}", node
 
     assert _orphans(methods, bare=False) == []
+
+
+def test_src_reads_no_field_kept_for_the_benchmark_ledger():
+    # KRBuild.ambient and KRBuild.partner stay for perfbench's build ledger
+    # alone; a suite that read ambient would check a fixed-point build
+    # against the closed host its arrows were read off
+    found = [
+        f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+        for path in SRC
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Attribute)
+        and node.attr in ("ambient", "partner")
+        and isinstance(node.ctx, ast.Load)
+    ]
+    assert found == []
 
 
 def test_importing_the_cli_loads_no_costly_module():

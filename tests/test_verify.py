@@ -509,31 +509,45 @@ def test_similarity_flags_image_tops_off_the_doubled_diagrams(monkeypatch):
     assert report.witness["in_image"] == "False"
 
 
-def _virtual_host_without_zero_arrow(build):
-    """The virtual build with its host's f_0 arrow out of the first image vertex
-    that has one deleted: the host tail strings 0 and 1 part there."""
+def _fixed_point_build_and_host_without_first_arrow(build):
+    """The fixed-point build with its first 1-arrow deleted, and the f_2 arrow under
+    it deleted from its closed host: the graph still sits on that host, shifted."""
     g, host = build.graph, build.ambient.build
-    x = next(x for x in range(len(g)) if g.phi(0, x))
-    v = host.graph.index[g.elements[x]]
+    v = host.graph.index[g.elements[min(g.f[1])]]
     return _replaced(
-        build, ambient=AmbientLink(with_dropped_edge(host, 0, _arrow_out_of(host, 0, v)))
+        with_dropped_edge(build, 1, 0),
+        ambient=AmbientLink(with_dropped_edge(host, 2, _arrow_out_of(host, 2, v))),
     )
+
+
+def _without_first_top(build):
+    """The build with the element of its first {2..n}-top missing from the graph's index."""
+    g = build.graph
+    graph = CrystalGraph(g.elements, g.colors, g.f, g.weights)
+    del graph.index[g.elements[min(g.highest_vertices(range(2, build.spec.n + 1)))]]
+    return _replaced(build, graph=graph)
 
 
 @pytest.mark.parametrize(
     "mutation,detail",
     [
-        (_virtual_host_without_zero_arrow, "tail strings disagree on a fixed point"),
-        (lambda build: _with_crossed_heads(build, 0), "zero edge is not the host tail pair"),
+        (_fixed_point_build_and_host_without_first_arrow,
+         "image string is not the scaled host string"),
+        (lambda build: _with_crossed_heads(build, 0), "edge is not the powered host edge"),
         (lambda build: with_dropped_edge(build, 1),
-         "classical string is not the shifted host string"),
-        (lambda build: _with_crossed_heads(build, 1),
-         "classical edge is not the shifted host edge"),
+         "image string is not the scaled host string"),
+        (lambda build: _with_crossed_heads(build, 1), "edge is not the powered host edge"),
+        (_without_first_top, "image tops are not the doubled diagrams"),
     ],
+    ids=["graph-and-host-arrow", "crossed-0-heads", "dropped-1-arrow", "crossed-1-heads",
+         "missing-top"],
 )
 def test_similarity_flags_a_fixed_point_build_off_its_host(mutation, detail):
+    # the host is a fresh element-local one with every m_i = 1, never the
+    # closed host the build read its arrows from
     build = build_kr(AffineSpec("C1", 2, 1, 2))
-    assert build.kind == "virtual" and check_similarity(build).passed
+    report = check_similarity(build)
+    assert build.kind == "virtual" and (report.passed, report.detail) == (True, "11 fixed points")
     report = check_similarity(mutation(build))
     assert (report.passed, report.detail) == (False, detail)
 
