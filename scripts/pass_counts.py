@@ -1,4 +1,4 @@
-"""Signature passes and host memo sizes of stepped builds, deterministically.
+"""Signature passes and sigma table sizes of stepped builds, deterministically.
 
     python3 scripts/pass_counts.py [FAMILY,n,r,s ...]
 
@@ -6,10 +6,9 @@ For each spec (by default the six below) this builds B^{r,s} with `build_kr`,
 then runs the six check suites on that build in `verify.SUITES` order, as
 `kr check` does.  Every signature pass is one `SignatureTable.string` call,
 so the script counts those calls in the build and in each suite.  It also
-prints the sizes of the stepped host's arrow memo (`_arrows`) and of its
-sigma table (`_sigma`) after the build, and after the suites (the `+`
-columns); they are blank for a build on another route.  The counts do not
-depend on the machine or the run.
+prints the size of the stepped host's sigma table (`_sigma`) after the
+build, and after the suites (the `+` column); both are blank for a build on
+another route.  The counts do not depend on the machine or the run.
 """
 
 from __future__ import annotations
@@ -30,8 +29,8 @@ SPECS = (
 
 
 def counts(spec: AffineSpec) -> list:
-    """[build passes, each suite's passes, their sum, then the _arrows and _sigma
-    sizes after the build and after the suites]."""
+    """[build passes, each suite's passes, their sum, then the _sigma size after
+    the build and after the suites]."""
     passes = [0]
     string = tableaux.SignatureTable.string
 
@@ -39,13 +38,13 @@ def counts(spec: AffineSpec) -> list:
         passes[0] += 1
         return string(*args)
 
-    def sizes(host):
-        return ["", ""] if host is None else [len(host._arrows), len(host._sigma)]
+    def size(host):
+        return "" if host is None else len(host._sigma)
 
     tableaux.SignatureTable.string = counted
     try:
         build = build_kr(spec)
-        row, built = [passes[0]], sizes(build.stepped)
+        row, built = [passes[0]], size(build.stepped)
         for name in SUITES:
             passes[0] = 0
             if not _CHECKS[name](build).passed:
@@ -53,7 +52,7 @@ def counts(spec: AffineSpec) -> list:
             row.append(passes[0])
     finally:
         tableaux.SignatureTable.string = string
-    return row + [sum(row[1:])] + built + sizes(build.stepped)
+    return row + [sum(row[1:]), built, size(build.stepped)]
 
 
 def main(argv=None) -> int:
@@ -61,7 +60,7 @@ def main(argv=None) -> int:
     specs = SPECS
     if args:
         specs = [(fam, *map(int, rest)) for fam, *rest in (arg.split(",") for arg in args)]
-    header = ["spec", "build", *SUITES, "suites", "_arrows", "_sigma", "_arrows+", "_sigma+"]
+    header = ["spec", "build", *SUITES, "suites", "_sigma", "_sigma+"]
     rows = [header]
     for fam, n, r, s in specs:
         rows.append([f"{fam} {n},{r},{s}", *map(str, counts(AffineSpec(fam, n, r, s)))])

@@ -67,10 +67,10 @@ class CrystalGraph:
 
     # -- structure ------------------------------------------------------------
 
-    def components(self, colors=None):
+    def components(self, colors):
         """Sorted vertex lists of the components under colors, by least vertex, breadth first."""
         adjacent = [[] for _ in self.elements]
-        for i in colors or self.colors:
+        for i in colors:
             for x, y in self.f[i].items():
                 adjacent[x].append(y)
                 adjacent[y].append(x)
@@ -89,8 +89,8 @@ class CrystalGraph:
             out.append(sorted(comp))
         return out
 
-    def highest_vertices(self, colors=None):
-        raised = set().union(*(self.e[i] for i in colors or self.colors))
+    def highest_vertices(self, colors):
+        raised = set().union(*(self.e[i] for i in colors))
         return [x for x in range(len(self.elements)) if x not in raised]
 
     def raise_path(self, x, colors):
@@ -104,7 +104,7 @@ class CrystalGraph:
 
         return greedy_raise(x, colors, up)
 
-    def decomposition(self, colors=None):
+    def decomposition(self, colors):
         """Sorted weights of the unique highest vertex of each component."""
         highest = set(self.highest_vertices(colors))
         tops = [highest.intersection(comp) for comp in self.components(colors)]

@@ -285,18 +285,19 @@ class SteppedHost:
     The host is the A2odd crystal B^{r,s} of rank N: itself for B1 at r = n
     (N = n), or, for A2even and D2 below the top node (N = n + 1), its
     sigma-fixed locus read as a C1 crystal of rank n whose colors 0 and i
-    are the host operators f_0 f_1 and f_{i+1}.  The stepped build takes the
-    m_i-th powers of the colors.  No host crystal is closed: sigma on the
-    {2..N}-tops is read off the diagram table and checked once to keep each
-    top's {2..N}-weight, so on each {2..N}-component it is the one isomorphism
-    onto the image component, an involution that commutes with f_2..f_N.
-    Any other element is raised by whole e-strings to a top (or an element of
-    known sigma), whose image descends the same path, one signature pass per
-    string segment each way (the m_i-th powers stay single host steps); every
-    segment end of the path keeps the image the descent passes through.
-    sigma, the host's arrows and the signature table, which takes every
-    pass, live on this object, as long as its build.  Broken invariants raise
-    RuntimeError; per element, only the virtual color 0 is checked.
+    are the host operators f_1 f_0 and f_{i+1}.  The stepped build takes the
+    m_i-th power of each color in one signature pass, sigma f_1^{m_0} sigma
+    at color 0 (the virtual color 0 has m_0 = 1), and keeps no host arrow.
+    No host crystal is closed: sigma on the {2..N}-tops is read off the
+    diagram table and checked once to keep each top's {2..N}-weight, so on
+    each {2..N}-component it is the one isomorphism onto the image
+    component, an involution that commutes with f_2..f_N.  Any other element
+    is raised by whole e-strings to a top (or an element of known sigma),
+    whose image descends the same path, one signature pass per string
+    segment each way; every segment end of the path keeps the image the
+    descent passes through.  sigma and the signature table, which takes
+    every pass, live on this object, as long as its build.  Broken invariants
+    raise RuntimeError; per element, only the virtual color 0 is checked.
     """
 
     def __init__(self, n, r, s, virtual, m):
@@ -318,7 +319,6 @@ class SteppedHost:
         weight = functools.partial(tableaux.tableau_weight, "C", self.rank)
         if any(weight(*x)[1:] != weight(*y)[1:] for x, y in self._sigma.items()):
             raise RuntimeError("sigma changes the {2..N}-weight of a top")
-        self._arrows = {}
         fixed = [top for top, image in self._sigma.items() if image == top]
         self._fixed_tops = {top: self.host_weight(top) for top in fixed}  # top -> its weight
 
@@ -355,25 +355,23 @@ class SteppedHost:
             memo[x], memo[y] = y, x
         return y
 
-    def _tail_apply(self, elem, i, op):
-        """e_i/f_i of the A2odd crystal, None if it vanishes: one signature pass,
-        or sigma f_1 sigma at color 0."""
+    def _tail_apply(self, elem, i, op, k):
+        """e_i^k/f_i^k of the A2odd crystal, None if it vanishes: one signature
+        pass, or sigma f_1^k sigma at color 0."""
         if not i:
-            y = self._tail_apply(self.sigma(elem), 1, op)
+            y = self._tail_apply(self.sigma(elem), 1, op, k)
             return None if y is None else self.sigma(y)
-        return self._table.apply(elem, i, op)
+        return self._table.string(elem, i, op, k)[0]
 
     # -- the host seen by the stepped build -----------------------------------
 
-    def host_apply(self, elem, i, op):
-        """e_i/f_i of the host crystal (colors 0..n), None if it vanishes, kept in
-        _arrows under its host color i."""
-        key = (elem, i, op)
-        if key not in self._arrows:
-            step, fixed = self._tail_apply, lambda y: self.sigma(y) == y
-            y = _virtual_arrow(step, elem, i, op, fixed) if self.virtual else step(elem, i, op)
-            self._arrows[key] = y
-        return self._arrows[key]
+    def host_apply(self, elem, i, op, k=1):
+        """e_i^k/f_i^k of the host crystal (colors 0..n), None if it vanishes.
+        The virtual color 0, f_1 f_0, is only ever taken once."""
+        step = functools.partial(self._tail_apply, k=k)
+        if not self.virtual:
+            return step(elem, i, op)
+        return _virtual_arrow(step, elem, i, op, lambda y: self.sigma(y) == y)
 
     def host_weight(self, elem):
         w = tableaux.tableau_weight("C", self.rank, elem[0], elem[1])
@@ -402,12 +400,8 @@ class SteppedHost:
     # -- the stepped build ----------------------------------------------------
 
     def apply(self, elem, i, op):
-        """The stepped operator: the m_i-th power of the host operator."""
-        for _ in range(self.m[i]):
-            elem = self.host_apply(elem, i, op)
-            if elem is None:
-                return None
-        return elem
+        """The stepped operator: the m_i-th power of the host operator, one pass."""
+        return self.host_apply(elem, i, op, self.m[i])
 
     def neighbours(self, elem):
         return [(i, self.apply(elem, i, "f"), self.apply(elem, i, "e")) for i in range(self.n + 1)]

@@ -9,6 +9,7 @@ a whole grid can run unattended.
 
 from __future__ import annotations
 
+import functools
 import time
 from operator import mul, sub
 
@@ -322,6 +323,7 @@ def _check_stepped_similarity(build, host):
 
     Every vertex lies on one graph i-string, so one walk of each host string,
     from the head of its graph string, checks every vertex's lengths and edge.
+    The walk takes fresh single host steps and stops one past the scaled length, a failure.
     The image holds exactly the host's doubled diagram tops, or every top if every m_i = 1.
     """
     g = build.graph
@@ -332,8 +334,8 @@ def _check_stepped_similarity(build, host):
         for i, (eps, phi) in enumerate(strings):
             if eps[x]:
                 continue
-            down, w = [], v
-            while (w := host.host_apply(w, i, "f")) is not None:
+            down, w, cap = [], v, m[i] * phi[x]
+            while len(down) <= cap and (w := host.host_apply(w, i, "f")) is not None:
                 down.append(w)
             if len(down) % m[i]:
                 return False, "host string not divisible by the multiplier", _w(build, x, i)
@@ -348,7 +350,8 @@ def _check_stepped_similarity(build, host):
     unit = set(m) == {1}
     tops = {sh: host.host_top(sh) for sh in host.model_shapes}
     doubled = 0
-    for v, P in pm.phi_table("C", n, tops, lambda x, i: host.host_apply(x, i, "f")).items():
+    walk = functools.cache(lambda x, i: host.host_apply(x, i, "f"))  # dropped with the check
+    for v, P in pm.phi_table("C", n, tops, walk).items():
         in_image = v in g.index
         # phantom zero-height columns double too, so their count stays even
         is_double = unit or (pm.is_doubled(P, ctype) and (host.s - P.width()) % 2 == 0)

@@ -108,7 +108,7 @@ def test_criterion_08_phi_zero_formulas(grid):
 
 def test_criterion_09_affine_connectivity(grid):
     for spec, build in grid:
-        assert len(build.graph.components()) == 1, spec
+        assert len(build.graph.components(build.graph.colors)) == 1, spec
 
 
 # -- criterion 10: independent differential oracles ---------------------------

@@ -23,7 +23,7 @@ from krcrystals.kr_builders import (
     _build_virtual,
     _locate_tops,
 )
-from krcrystals.verify import default_grid, search_sigma
+from krcrystals.verify import _CHECKS, SUITES, default_grid, search_sigma
 
 from oracles import (
     element_local_fold,
@@ -288,11 +288,11 @@ def test_stepped_route_matches_materialized_host(fam, n, r, s, host_size):
     # The host closed in full against the element-local operators of the
     # stepped route: B1 sits in A2odd B^{n,s}, A2even and D2 in the fixed
     # locus of A2odd B^{r,2s} of rank n+1.  Phi in the host's C_n view is Phi
-    # walked on the closed host's own arrows from its classical tops.  Every
-    # sigma the stepped host tabled, at a top or by a raise and descent, is
-    # the involution realizing 0 <-> 1 on the closed A2odd crystal, and every
-    # host arrow it kept is the closed host's arrow of that color, a vanished
-    # one included.
+    # walked on the closed host's own arrows from its classical tops.  A
+    # host step at every image element, color and op is the closed host's
+    # arrow, a vanished one included, and every sigma the stepped host
+    # tabled, at a top or by a raise and descent, is the involution
+    # realizing 0 <-> 1 on the closed A2odd crystal.
     b = build_kr(AffineSpec(fam, n, r, s))
     m = STEPPED_MULTIPLIERS[fam]
     assert b.ambient is None and b.stepped.m == m
@@ -305,11 +305,13 @@ def test_stepped_route_matches_materialized_host(fam, n, r, s, host_size):
     closed = host if fam == "B1" else host.ambient.build
     cg = closed.graph
     sigma = _tail_involution(cg)
+    for elem in b.graph.elements:
+        for i in hg.colors:
+            for op, arrows in (("f", hg.f), ("e", hg.e)):
+                w = arrows[i].get(hg.index[elem])
+                assert b.stepped.host_apply(elem, i, op) == (None if w is None else hg.elements[w])
     for x, y in b.stepped._sigma.items():
         assert cg.elements[sigma[cg.index[x]]] == y
-    for (x, i, op), y in b.stepped._arrows.items():
-        w = (hg.f if op == "f" else hg.e)[i].get(hg.index[x])
-        assert (None if w is None else hg.elements[w]) == y
     for x, elem in enumerate(b.graph.elements):
         v = hg.index[elem]
         assert all(w % 2 == 0 for w in hg.weights[v])
@@ -368,22 +370,21 @@ def test_rectangle_seeds_at_its_top_in_the_same_crystal(fam, n, r, s):
 
 
 @pytest.mark.parametrize(
-    "spec,size,budget,arrows",
-    [(("A2even", 3, 3, 2), 490, 8_997, 5_446), (("D2", 3, 2, 2), 329, 5_317, 3_300)],
+    "spec,size,budget,suites",
+    [(("A2even", 3, 3, 2), 490, 7_495, 4_766), (("D2", 3, 2, 2), 329, 4_665, 2_942)],
 )
-def test_stepped_build_pass_budget(monkeypatch, spec, size, budget, arrows):
+def test_stepped_build_pass_budget(monkeypatch, spec, size, budget, suites):
     # every signature pass of a stepped build, a single step or a
     # whole-string jump, is one SignatureTable.string call: the host's steps,
     # its diagram walks and sigma's raises and descents go through the
     # build's signature table, none through tableau_apply and the table it
-    # makes per call.  The count is deterministic.  The diagram walk takes
-    # each (element, color) step once across diagrams, sigma is reflected
-    # once per pair and kept at every segment end of its raise, and color 0
-    # takes one order, f_1 f_0.  Keeping sigma at the raised element alone
-    # costs 11,122 and 6,960 passes; checking it again at every host step,
-    # and both orders, 17,132 and 9,930.  The host keeps each host arrow
-    # once, under its host color, and no A2odd step besides: keeping the
-    # A2odd steps inside color 0 as well held 7,086 and 4,342 arrows
+    # makes per call.  The count is deterministic.  Each stepped power is one
+    # pass, sigma f_1^{m_0} sigma at color 0, and no host arrow is kept.  The
+    # diagram walk takes each (element, color) step once across diagrams,
+    # sigma is reflected once per pair and kept at every segment end of its
+    # raise, and color 0 takes one order, f_1 f_0.  The suites keep no host
+    # arrow either: similarity walks every host string in fresh single steps
+    # and its diagram walk takes each step once, so its count is pinned
     calls = []
 
     def counted(step):
@@ -399,7 +400,10 @@ def test_stepped_build_pass_budget(monkeypatch, spec, size, budget, arrows):
     assert len(build.graph) == size
     assert calls.count("tableau_apply") == 0
     assert len(calls) <= budget
-    assert len(build.stepped._arrows) <= arrows
+    del calls[:]
+    assert all(_CHECKS[name](build).passed for name in SUITES)
+    assert calls.count("tableau_apply") == 0
+    assert len(calls) == suites
 
 
 @pytest.mark.parametrize("fam,n,r,s", [("A2even", 2, 1, 1), ("A2even", 2, 2, 1), ("D2", 2, 1, 1)])
@@ -839,10 +843,10 @@ def _two_step_e1(tail_apply):
     # inverse of f_1.  The host color 0 is f_1 f_0, and its e applies e_0 =
     # sigma e_1 sigma, then e_1, both e_1 steps through this rule, so e_0 of
     # the build disagrees with f_0 and the closure's conflict check stops it
-    def mutated(host, elem, i, op):
-        y = tail_apply(host, elem, i, op)
+    def mutated(host, elem, i, op, k):
+        y = tail_apply(host, elem, i, op, k)
         if i == 1 and op == "e" and y is not None:
-            return tail_apply(host, y, 1, "e") or y
+            return tail_apply(host, y, 1, "e", 1) or y
         return y
 
     return mutated

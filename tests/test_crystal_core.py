@@ -82,13 +82,13 @@ def test_closure_bound_and_conflicts(monkeypatch):
 def test_components_and_decomposition():
     shapes = [Shape((2,)), Shape((1, 1))]
     g = tableau_graph("C", 2, (1, 2), shapes)
-    comps = g.components()
+    comps = g.components(g.colors)
     assert [c[0] for c in comps] == sorted(c[0] for c in comps)  # by least vertex
     assert sorted(len(c) for c in comps) == sorted(
         weyl_dimension("C", 2, sh.weight("C", 2)) for sh in shapes
     )
-    assert g.decomposition() == sorted(sh.weight("C", 2) for sh in shapes)
-    assert len(g.highest_vertices()) == 2
+    assert g.decomposition(g.colors) == sorted(sh.weight("C", 2) for sh in shapes)
+    assert len(g.highest_vertices(g.colors)) == 2
 
 
 def descend(g, path, top):
@@ -102,7 +102,7 @@ def descend(g, path, top):
 
 def test_raise_path_returns_to_highest():
     g = tableau_graph("B", 2, (1, 2), [Shape((1, 1))])
-    hi = g.highest_vertices()[0]
+    hi = g.highest_vertices(g.colors)[0]
     x, steps = hi, 0
     for i in (2, 2, 1, 1):
         y = g.f[i].get(x)
@@ -155,14 +155,14 @@ def test_decomposition_rejects_multiple_tops():
     # weights; a fake graph with two tops in one component must raise
     g = CrystalGraph(["a", "b", "c"], (1,), {1: {0: 2}}, [(0,), (0,), (0,)])
     # component {a, c} has one top (a); component {b} is fine
-    assert g.decomposition() == [(0,), (0,)]
+    assert g.decomposition(g.colors) == [(0,), (0,)]
     bad = CrystalGraph(["a", "b"], (1,), {1: {}}, [(0,), (0,)])
-    assert bad.decomposition() == [(0,), (0,)]  # two singleton components
+    assert bad.decomposition(bad.colors) == [(0,), (0,)]  # two singleton components
     joined = CrystalGraph(
         ["a", "b", "c"], (1, 2), {1: {0: 1}, 2: {2: 1}}, [(0,)] * 3
     )
     with pytest.raises(ValueError, match="component has 2 highest vertices, expected 1"):
-        joined.decomposition()
+        joined.decomposition(joined.colors)
 
 
 def test_cyclic_string_raises_instead_of_hanging(time_limit):

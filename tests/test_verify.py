@@ -250,7 +250,7 @@ def test_regularity_agrees_with_the_vertex_major_scan_on_faults(spec, time_limit
         outcome = _regularity_outcome(mutated)
         assert not outcome[0]
         assert outcome == regularity_vertex_major(mutated)
-        assert mutated.graph.components() == components_bfs(mutated.graph)
+        assert mutated.graph.components(mutated.graph.colors) == components_bfs(mutated.graph)
         for colors in ((0,), build.spec.classical_colors):
             assert mutated.graph.components(colors) == components_bfs(mutated.graph, colors)
 
@@ -386,6 +386,35 @@ def test_similarity_flags_a_host_edge_to_another_vertex(monkeypatch):
     report = _similarity_with_host_steps(monkeypatch, build, {(v, 0, "f"): ends[0]})
     assert not report.passed
     assert report.detail == "edge is not the powered host edge"
+
+
+def test_similarity_stops_on_a_host_string_that_cycles(monkeypatch):
+    # a host f_0 that returns its own input makes an endless host string:
+    # the walk stops one step past the scaled length and fails there
+    build = build_kr(AffineSpec("A2even", 2, 1, 1))
+    _, v = _first_vertex(build, 0, 1)
+    report = _similarity_with_host_steps(monkeypatch, build, {(v, 0, "f"): v})
+    assert (report.passed, report.detail) == (False, "image string is not the scaled host string")
+
+
+@pytest.mark.parametrize("spec", [("A2even", 2, 2, 1), ("D2", 3, 2, 1), ("B1", 3, 3, 2)])
+def test_similarity_recomputes_the_host(monkeypatch, spec):
+    # the build takes each f_1^2 in one signature pass, and similarity walks
+    # the host in single steps taken afresh, so a single f_1 step that
+    # vanishes after the build, at the last vertex with an f_1 arrow, fails
+    # the check: nothing the build computed answers for the host
+    build = build_kr(AffineSpec(*spec))
+    host, g = build.stepped, build.graph
+    assert host.m[1] == 2 and check_similarity(build).passed
+    v, color = g.elements[max(g.f[1])], 2 if host.virtual else 1  # host color 1 in A2odd
+    string = host._table.string
+
+    def cut(elem, i, op, k=None):
+        return (None, 0) if (elem, i, op, k) == (v, color, "f", 1) else string(elem, i, op, k)
+
+    monkeypatch.setattr(host._table, "string", cut)
+    report = check_similarity(build)
+    assert (report.passed, report.detail) == (False, "image string is not the scaled host string")
 
 
 def test_similarity_flags_two_diagrams_walking_to_one_top(monkeypatch):
