@@ -115,7 +115,7 @@ class CrystalGraph:
 
     # -- isomorphism search -----------------------------------------------------
 
-    def isomorphisms(self, other, color_map=None, colors=None):
+    def isomorphisms(self, other, color_map, colors):
         """Yield every color-respecting isomorphism self -> other.
 
         ``color_map`` sends self colors to other colors.  Works on graphs
@@ -123,8 +123,6 @@ class CrystalGraph:
         (eps, phi) vectors, and arrows force the rest of the map, so each
         viable anchor image yields one mapping.
         """
-        colors = list(colors or self.colors)
-        color_map = color_map or {i: i for i in colors}
         if len(self.elements) != len(other.elements):
             return
 

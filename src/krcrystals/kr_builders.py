@@ -282,12 +282,15 @@ def _seed_diagram(ctype, n, sh):
 class SteppedHost:
     """The host of a stepped build, evaluated one element at a time.
 
-    The host is the A2odd crystal B^{r,s} of rank N: itself for B1 at r = n
-    (N = n), or, for A2even and D2 below the top node (N = n + 1), its
-    sigma-fixed locus read as a C1 crystal of rank n whose colors 0 and i
-    are the host operators f_1 f_0 and f_{i+1}.  The stepped build takes the
-    m_i-th power of each color in one signature pass, sigma f_1^{m_0} sigma
-    at color 0 (the virtual color 0 has m_0 = 1), and keeps no host arrow.
+    The spec picks the host, an A2odd crystal of rank N: B^{n,s} itself for
+    B1 at r = n (N = n), or the sigma-fixed locus of B^{r,2s} for A2even and
+    D2 below the top node and of B^{r,s} for C1 below it (N = n + 1), read as
+    a C1 crystal of rank n whose colors 0 and i are the host operators
+    f_1 f_0 and f_{i+1}.  It also picks the multipliers m: (2,...,2,1) for
+    B1, (1,2,...,2) for A2even, (1,2,...,2,1) for D2 and all 1 for C1.  The
+    stepped build takes the m_i-th power of each color in one signature
+    pass, sigma f_1^{m_0} sigma at color 0 (the virtual color 0 has m_0 = 1),
+    and keeps no host arrow.
     No host crystal is closed: sigma on the {2..N}-tops is read off the
     diagram table and checked once to keep each top's {2..N}-weight, so on
     each {2..N}-component it is the one isomorphism onto the image
@@ -300,12 +303,16 @@ class SteppedHost:
     raise RuntimeError; per element, only the virtual color 0 is checked.
     """
 
-    def __init__(self, n, r, s, virtual, m):
-        self.n, self.r, self.s, self.virtual, self.m = n, r, s, virtual, m
-        self.rank = n + 1 if virtual else n
+    def __init__(self, spec):
+        fam, n, r, s = spec.family, spec.n, spec.r, spec.s
+        self.virtual = fam != "B1"
+        self.n, self.r, self.rank = n, r, n + 1 if self.virtual else n
+        self.s = s = 2 * s if fam in ("A2even", "D2") else s
+        twos = {"B1": range(n), "A2even": range(1, n + 1), "D2": range(1, n)}.get(fam, ())
+        self.m = tuple(2 if i in twos else 1 for i in range(n + 1))
         self.shapes = kr_decomposition(AffineSpec("A2odd", self.rank, r, s))
         # shapes of the host's classical (C_n) decomposition
-        self.model_shapes = horizontal_domino_shapes(r, s) if virtual else self.shapes
+        self.model_shapes = horizontal_domino_shapes(r, s) if self.virtual else self.shapes
         self._table = tableaux.SignatureTable("C", self.rank, range(1, self.rank + 1))
         tops = {sh: pm.highest_element("C", self.rank, sh) for sh in self.shapes}
         # the diagrams' walks share most steps; their memo is dropped with the walk
@@ -414,13 +421,7 @@ class SteppedHost:
 
 
 def _build_stepped(spec):
-    fam, n, r, s = spec.family, spec.n, spec.r, spec.s
-    if fam == "B1":  # r == n
-        host = SteppedHost(n, n, s, virtual=False, m=(2,) * n + (1,))
-    else:  # A2even any r, D2 r < n
-        m = (1,) + (2,) * (n - 1) + ((2,) if fam == "A2even" else (1,))
-        host = SteppedHost(n, r, 2 * s, virtual=True, m=m)
-    ctype = spec.classical_type
+    n, ctype, host = spec.n, spec.classical_type, SteppedHost(spec)
     seeds = [
         host.seed(pm.double_pm(_seed_diagram(ctype, n, sh))) for sh in kr_decomposition(spec)
     ]

@@ -335,7 +335,7 @@ def double_pm(P: PmDiagram) -> PmDiagram:
     return make_pm("C", P.n, cols)
 
 
-def is_doubled(P: PmDiagram, target: str = "C") -> bool:
+def is_doubled(P: PmDiagram, target: str) -> bool:
     """Whether the type C diagram P doubles a diagram of the target context, B or C."""
     counts = {}
     for col in P.cols:

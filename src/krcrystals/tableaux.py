@@ -85,7 +85,7 @@ def spin_eps(ctype: str, n: int, i: int, sv) -> int:
 
 # -- tableaux -----------------------------------------------------------------
 
-def tableau_weight(ctype: str, n: int, cols, spin=None) -> tuple[int, ...]:
+def tableau_weight(ctype: str, n: int, cols, spin) -> tuple[int, ...]:
     """Doubled weight: 2 at i per letter i, -2 per bar i, plus the spin signs."""
     w = list(spin) if spin is not None else [0] * n
     for col in cols:
@@ -177,15 +177,6 @@ class SignatureTable:
             rows.append(self._row(self._spins, self._spin_rules, spin))
         return rows
 
-    def _entries(self, elem, slot):
-        """Each tensor factor's entry for one color, in pass order."""
-        cols, spin = elem
-        memo, row, rules = self._columns, self._row, self._column_rules
-        entries = [(memo.get(col) or row(memo, rules, col))[slot] for col in reversed(cols)]
-        if spin is not None:
-            entries.append(row(self._spins, self._spin_rules, spin)[slot])
-        return entries
-
     @staticmethod
     def _put(elem, moves):
         """elem with each (k, image) of moves put in; factors run right to left, spin last."""
@@ -208,13 +199,14 @@ class SignatureTable:
         its share, and the element is rebuilt once.
         """
         slot, side = self._slot[i], 2 if op == "e" else 3
-        entries = self._entries(elem, slot)
+        rows = self._rows(elem)
         reads, keeps = (0, 1) if op == "e" else (1, 0)
-        order = range(len(entries)) if op == "e" else range(len(entries) - 1, -1, -1)
+        order = range(len(rows)) if op == "e" else range(len(rows) - 1, -1, -1)
         free, length, other = [], 0, 0  # (factor, its free signs), in pass order
         for j in order:
-            own = entries[j][reads] - other  # other: the carried signs that cancel these
-            other = entries[j][keeps] - own if own < 0 else entries[j][keeps]
+            entry = rows[j][slot]
+            own = entry[reads] - other  # other: the carried signs that cancel these
+            other = entry[keeps] - own if own < 0 else entry[keeps]
             if own > 0:
                 free.append((j, own))
                 length += own
@@ -225,7 +217,7 @@ class SignatureTable:
             j, share = free.pop()  # the signs op takes come last in the pass
             share = min(share, left)
             left -= share
-            image = entries[j][side]
+            image = rows[j][slot][side]
             if share > 1:  # a column: spin factors are minuscule, one free sign at most
                 for _ in range(share - 1):
                     image = self._row(self._columns, self._column_rules, image)[slot][side]
@@ -258,9 +250,6 @@ class SpinTensorTable(SignatureTable):
 
     def _rows(self, vecs):
         return [self._row(self._spins, self._spin_rules, sv) for sv in vecs]
-
-    def _entries(self, vecs, slot):
-        return [self._row(self._spins, self._spin_rules, sv)[slot] for sv in vecs]
 
     @staticmethod
     def _put(vecs, moves):

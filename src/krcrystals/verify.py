@@ -36,8 +36,6 @@ from .kr_builders import (
     classical_model,
 )
 
-SUITES = ("regularity", "decomp", "sigma", "phi0", "similarity", "jlowest")
-
 
 class CheckReport:
     def __init__(self, suite, spec, passed, detail="", witness=None, seconds=0.0):
@@ -371,8 +369,7 @@ def check_similarity(build: KRBuild) -> CheckReport:
         host = build.stepped
         # a fixed-point build is checked on a fresh host, not the closed one it was read off
         if build.kind == "virtual":
-            n, r, s = build.spec.n, build.spec.r, build.spec.s
-            host = SteppedHost(n, r, s, virtual=True, m=(1,) * (n + 1))
+            host = SteppedHost(build.spec)
         if host is None:
             return True, "no ambient crystal for this construction", None
         return _check_stepped_similarity(build, host)
@@ -448,6 +445,7 @@ _CHECKS = {
     "similarity": check_similarity,
     "jlowest": check_jlowest,
 }
+SUITES = tuple(_CHECKS)
 
 
 def run_suite(specs, suites=SUITES) -> list[CheckReport]:

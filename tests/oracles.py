@@ -470,8 +470,10 @@ def spin_tensor_apply(n, vecs, i, op):
 
 
 def isomorphism(graph: CrystalGraph, other: CrystalGraph, color_map=None, colors=None):
-    """A color-respecting isomorphism graph -> other, or None."""
-    return next(graph.isomorphisms(other, color_map, colors), None)
+    """A color-respecting isomorphism graph -> other, or None; by default over
+    every color of graph, each sent to itself."""
+    colors = graph.colors if colors is None else colors
+    return next(graph.isomorphisms(other, color_map or {i: i for i in colors}, colors), None)
 
 
 def components_bfs(graph: CrystalGraph, colors=None):
@@ -531,10 +533,9 @@ def element_local_fold(spec: AffineSpec) -> CrystalGraph:
     """C1 B^{r,s} below the top node as the sigma-fixed locus of its A2odd host, evaluated
     element by element: the stepped host with every m_i = 1, closed from its C_n top
     of each shape."""
-    n = spec.n
-    host = SteppedHost(n, spec.r, spec.s, virtual=True, m=(1,) * (n + 1))
+    host = SteppedHost(spec)
     seeds = [host.host_top(sh) for sh in kr_decomposition(spec)]
-    return generate_closure(seeds, tuple(range(n + 1)), host.neighbours, host.host_weight)
+    return generate_closure(seeds, tuple(range(spec.n + 1)), host.neighbours, host.host_weight)
 
 
 def first_color_raise(x, colors, up):

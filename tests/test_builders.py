@@ -265,6 +265,24 @@ def test_stepped_sizes(fam, n, r, s, size):
 STEPPED_MULTIPLIERS = {"B1": (2, 2, 1), "A2even": (1, 2, 2), "D2": (1, 2, 1)}
 
 
+@pytest.mark.parametrize(
+    "fam,r,s,rank,host_s,virtual",
+    [
+        ("B1", 2, 2, 2, 2, False),
+        ("A2even", 1, 2, 3, 4, True),
+        ("D2", 1, 2, 3, 4, True),
+        ("C1", 1, 2, 3, 2, True),
+    ],
+)
+def test_stepped_host_reads_its_host_off_the_spec(fam, r, s, rank, host_s, virtual):
+    # B1 at r = n is its own A2odd B^{n,s}; A2even and D2 sit in the fixed
+    # locus of A2odd B^{r,2s} and C1 in that of B^{r,s}, both of rank n+1,
+    # C1 with every multiplier 1
+    host = kr_builders.SteppedHost(AffineSpec(fam, 2, r, s))
+    assert (host.rank, host.s, host.virtual) == (rank, host_s, virtual)
+    assert host.m == STEPPED_MULTIPLIERS.get(fam, (1, 1, 1))
+
+
 def _tail_involution(graph):
     """sigma on a closed A2odd crystal: the isomorphism onto itself that
     exchanges colors 0 and 1, found by the oracle search."""
@@ -413,8 +431,7 @@ def test_sigma_keeps_its_raise_path(monkeypatch, fam, n, r, s):
     # descent keeps every segment end of the raise, each at the closed
     # A2odd host's involution realizing 0 <-> 1, and asking again takes no
     # pass.  (B1 at n = 2 raises by color 2 alone, one segment.)
-    built = build_kr(AffineSpec(fam, n, r, s)).stepped
-    host = kr_builders.SteppedHost(built.n, built.r, built.s, built.virtual, built.m)
+    host = kr_builders.SteppedHost(AffineSpec(fam, n, r, s))
     closed = _build_virtual(AffineSpec("C1", n, r, 2 * s)).ambient.build
     cg = closed.graph
     sigma = _tail_involution(cg)

@@ -221,7 +221,7 @@ def test_isomorphisms_yields_every_automorphism():
         {1: {0: 2, 1: 3}, 2: {0: 3, 1: 2}},
         [(0,)] * 4,
     )
-    maps = list(g.isomorphisms(g))
+    maps = list(g.isomorphisms(g, {1: 1, 2: 2}, g.colors))
     assert len(maps) == 2
     assert {tuple(sorted(m.items())) for m in maps} == {
         ((0, 0), (1, 1), (2, 2), (3, 3)),
@@ -238,8 +238,8 @@ def test_isomorphisms_twisted_color_map():
         {1: {0: 1, 2: 3}, 2: {0: 2, 1: 3}},
         [(0,)] * 4,
     )
-    assert list(g.isomorphisms(g)) == [{0: 0, 1: 1, 2: 2, 3: 3}]
-    twisted = list(g.isomorphisms(g, color_map={1: 2, 2: 1}))
+    assert list(g.isomorphisms(g, {1: 1, 2: 2}, g.colors)) == [{0: 0, 1: 1, 2: 2, 3: 3}]
+    twisted = list(g.isomorphisms(g, {1: 2, 2: 1}, g.colors))
     assert twisted == [{0: 0, 1: 2, 2: 1, 3: 3}]
 
 
@@ -267,4 +267,4 @@ def test_isomorphism_search_refuses_a_clashing_anchor_image(mine, theirs, found)
     # forced map clashes (an arrow on one side only, two vertices sent to one,
     # one vertex sent to two) or misses a vertex yields nothing
     g, h = _two_color_graph(*mine), _two_color_graph(*theirs)
-    assert list(g.isomorphisms(h)) == found
+    assert list(g.isomorphisms(h, {1: 1, 2: 2}, g.colors)) == found

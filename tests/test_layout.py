@@ -5,10 +5,13 @@ standard module.
 The first guards read the sources with `ast`, so they run without importing
 the package.  A module-level cache outlives the build that filled it, and a
 top-level definition or method that nothing in src/ or perfbench/ names is
-called only by tests; such code belongs in tests/oracles.py.
+called only by tests; such code belongs in tests/oracles.py.  Counting names
+misses a method whose name another class's method shares, so one guard also
+runs the `kr` commands and lists the definitions they never enter.
 """
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -146,3 +149,79 @@ def test_importing_the_cli_loads_no_costly_module():
         [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert {"dataclasses", "inspect", "typing"} & set(done.stdout.split()) == set()
+
+
+# the `kr` traffic of the guard below: the JSON check of the default grid,
+# every other command on one spec, and a build on the spin route, the one
+# route that renders its elements as spin tensors
+SPEC = ["--family", "B1", "--n", "2", "--r", "2", "--s", "1"]
+TRAFFIC = [
+    ["check", "--format", "json"],
+    ["check", *SPEC],
+    ["build", *SPEC],
+    ["build", *SPEC, "--format", "dot"],
+    ["decompose", *SPEC],
+    ["decompose", *SPEC, "--subset", "zero"],
+    ["dim", *SPEC],
+    ["build", "--family", "D1", "--n", "4", "--r", "4", "--s", "1"],
+]
+
+# a call-only tracer (it returns None, so no line events) records the first
+# line of every src/ code object entered while cli.main serves TRAFFIC
+TRACED = """
+import json, os, sys
+from krcrystals import cli
+prefix, entered = sys.argv[1], set()
+
+def called(frame, event, arg):
+    if frame.f_code.co_filename.startswith(prefix):
+        entered.add((os.path.basename(frame.f_code.co_filename), frame.f_code.co_firstlineno))
+
+sys.settrace(called)
+codes = [cli.main([*argv, "--out", os.devnull]) for argv in json.loads(sys.argv[2])]
+sys.settrace(None)
+print(json.dumps([codes, sorted(entered)]))
+"""
+
+
+def _definitions(path):
+    """(first line, dotted name) of every def in a module, nested ones included."""
+    out = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                out.append((first, prefix + child.name))
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, prefix + child.name + ".")
+            else:
+                visit(child, prefix)
+
+    visit(_tree(path), path.stem + ".")
+    return out
+
+
+def test_kr_traffic_enters_every_definition_but_the_known_few():
+    # tableau_apply, enumerate_tableaux and phi_inverse serve perfbench's
+    # per-layer timings; Shape.__str__ and verify._w only failing reports
+    # reach.  A subprocess keeps the tracer off any tracer of this run.
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    argv = [sys.executable, "-c", TRACED, str(ROOT / "src" / "krcrystals"), json.dumps(TRAFFIC)]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+    codes, entered = json.loads(done.stdout)
+    assert codes == [0] * len(TRAFFIC)
+    entered = {tuple(pair) for pair in entered}
+    never = [
+        name
+        for path in SRC
+        for first, name in _definitions(path)
+        if (path.name, first) not in entered
+    ]
+    assert sorted(never) == [
+        "cartan.Shape.__str__",
+        "pm_diagrams.phi_inverse",
+        "tableaux.enumerate_tableaux",
+        "tableaux.tableau_apply",
+        "verify._w",
+    ]
