@@ -118,20 +118,24 @@ class CrystalGraph:
     def isomorphisms(self, other, color_map, colors):
         """Yield every color-respecting isomorphism self -> other.
 
-        ``color_map`` sends self colors to other colors.  Works on graphs
-        connected under ``colors``; the anchor vertex is matched by its
-        (eps, phi) vectors, and arrows force the rest of the map, so each
-        viable anchor image yields one mapping.
+        ``color_map`` sends self colors to other colors, permuting colors if
+        other is self.  Works on graphs connected under ``colors``; the anchor
+        vertex is matched by its (eps, phi) vectors, read once for self, and
+        arrows force the rest of the map, so each viable anchor image yields one mapping.
         """
         if len(self.elements) != len(other.elements):
             return
 
         keys = self.string_vectors(colors)
-        other_keys = other.string_vectors([color_map[i] for i in colors])
         anchor = keys.index(min(keys))
+        want = keys[anchor]
+        if other is self:  # the anchor's vectors, color i's entries moved to color_map[i]'s place
+            place = [colors.index(color_map[i]) for i in colors]
+            want = tuple(tuple(v for _, v in sorted(zip(place, vec))) for vec in want)
+        other_keys = keys if other is self else other.string_vectors([color_map[i] for i in colors])
         sides = (self.f, other.f), (self.e, other.e)  # each color's lookups, f then e
         arrows = [(mine[i].get, theirs[color_map[i]].get) for i in colors for mine, theirs in sides]
-        for start in (start for start, key in enumerate(other_keys) if key == keys[anchor]):
+        for start in (start for start, key in enumerate(other_keys) if key == want):
             if (mapping := self._propagate(anchor, start, arrows)) is not None:
                 yield mapping
 

@@ -220,19 +220,19 @@ def _build_dba(spec):
 
 # -- type C below the top node: fixed points of sigma -------------------------
 
-def _virtual_arrow(step, x, i, op, fixed):
-    """e_i/f_i of the C1 crystal on the sigma-fixed locus of an A2odd host.
+def _virtual_arrow(step, x, i, op, k, fixed):
+    """e_i^k/f_i^k of the C1 crystal on the sigma-fixed locus of an A2odd host.
 
     Color i is the host's f_{i+1}, which keeps the locus because sigma
-    commutes with f_2..f_N.  Color 0 is the host's f_1 f_0, and at a fixed x
-    the other order f_0 f_1 x is sigma of it, so the two commute exactly when
-    the result satisfies fixed.  step(x, c, op) is e_c/f_c of the host, None
-    where it vanishes.
+    commutes with f_2..f_N.  Color 0 is the host's f_1 f_0, taken once
+    (k = 1); at a fixed x the other order f_0 f_1 x is sigma of it, so the two
+    commute exactly when the result satisfies fixed.  step(x, c, op, k) is
+    e_c^k/f_c^k of the host, None where it vanishes.
     """
     if i:
-        return step(x, i + 1, op)
-    y = step(x, 0, op)
-    y = None if y is None else step(y, 1, op)
+        return step(x, i + 1, op, k)
+    y = step(x, 0, op, k)
+    y = None if y is None else step(y, 1, op, k)
     if y is not None and not fixed(y):
         raise RuntimeError("host 0- and 1-operators failed to commute")
     return y
@@ -247,11 +247,11 @@ def _build_virtual(spec):
     hg = host.graph
     fixed = [x for x in range(len(hg.elements)) if sigma[x] == x]
 
-    def step(x, c, op):
+    def step(x, c, op, k):  # k is always 1 here
         return (hg.f if op == "f" else hg.e)[c].get(x)
 
     def apply_fn(elem, i, op):
-        y = _virtual_arrow(step, hg.index[elem], i, op, lambda y: sigma[y] == y)
+        y = _virtual_arrow(step, hg.index[elem], i, op, 1, lambda y: sigma[y] == y)
         return None if y is None else hg.elements[y]
 
     def neighbours(elem):
@@ -288,19 +288,19 @@ class SteppedHost:
     a C1 crystal of rank n whose colors 0 and i are the host operators
     f_1 f_0 and f_{i+1}.  It also picks the multipliers m: (2,...,2,1) for
     B1, (1,2,...,2) for A2even, (1,2,...,2,1) for D2 and all 1 for C1.  The
-    stepped build takes the m_i-th power of each color in one signature
-    pass, sigma f_1^{m_0} sigma at color 0 (the virtual color 0 has m_0 = 1),
-    and keeps no host arrow.
+    stepped build takes the m_i-th power of each color in one signature pass,
+    sigma f_1^{m_0} sigma at color 0 (the virtual color 0 has m_0 = 1), and
+    keeps no host arrow; each host step is one call, allocating no closure.
     No host crystal is closed: sigma on the {2..N}-tops is read off the
     diagram table and checked once to keep each top's {2..N}-weight, so on
-    each {2..N}-component it is the one isomorphism onto the image
-    component, an involution that commutes with f_2..f_N.  Any other element
-    is raised by whole e-strings to a top (or an element of known sigma),
-    whose image descends the same path, one signature pass per string
-    segment each way; every segment end of the path keeps the image the
-    descent passes through.  sigma and the signature table, which takes
-    every pass, live on this object, as long as its build.  Broken invariants
-    raise RuntimeError; per element, only the virtual color 0 is checked.
+    each {2..N}-component it is the one isomorphism onto the image component,
+    an involution that commutes with f_2..f_N.  Any other element is raised by
+    whole e-strings to a top (or an element of known sigma), whose image
+    descends the same path, one pass per string segment each way; each segment
+    end keeps the image the descent passes through.  sigma and the signature
+    table, which takes every pass and keeps the factor rows it read last, live
+    as long as the build.  Broken invariants raise RuntimeError; per element,
+    only virtual color 0 is checked.
     """
 
     def __init__(self, spec):
@@ -372,13 +372,15 @@ class SteppedHost:
 
     # -- the host seen by the stepped build -----------------------------------
 
+    def _fixed(self, elem):
+        return self.sigma(elem) == elem
+
     def host_apply(self, elem, i, op, k=1):
         """e_i^k/f_i^k of the host crystal (colors 0..n), None if it vanishes.
         The virtual color 0, f_1 f_0, is only ever taken once."""
-        step = functools.partial(self._tail_apply, k=k)
         if not self.virtual:
-            return step(elem, i, op)
-        return _virtual_arrow(step, elem, i, op, lambda y: self.sigma(y) == y)
+            return self._tail_apply(elem, i, op, k)
+        return _virtual_arrow(self._tail_apply, elem, i, op, k, self._fixed)
 
     def host_weight(self, elem):
         w = tableaux.tableau_weight("C", self.rank, elem[0], elem[1])
@@ -406,12 +408,12 @@ class SteppedHost:
 
     # -- the stepped build ----------------------------------------------------
 
-    def apply(self, elem, i, op):
-        """The stepped operator: the m_i-th power of the host operator, one pass."""
-        return self.host_apply(elem, i, op, self.m[i])
-
     def neighbours(self, elem):
-        return [(i, self.apply(elem, i, "f"), self.apply(elem, i, "e")) for i in range(self.n + 1)]
+        """(i, f_i^{m_i} elem, e_i^{m_i} elem) for colors 0..n, each power one pass.
+        Colors 1..n go first, on elem's rows the table keeps; color 0 reads sigma(elem)."""
+        step, m = self.host_apply, self.m
+        out = [(i, step(elem, i, "f", k), step(elem, i, "e", k)) for i, k in enumerate(m) if i]
+        return [(0, step(elem, 0, "f", m[0]), step(elem, 0, "e", m[0])), *out]
 
     def weight(self, elem):
         w = self.host_weight(elem)

@@ -152,7 +152,8 @@ class SignatureTable:
     rightmost free - (e), so a step is the rule over the factors' (eps, phi)
     and one factor swapped for its image.  A factor's entries, one per color,
     are computed when the table first meets it, a column's from each color's
-    letter entries, read once per table; each build owns its table.
+    letter entries, read once per table; each build owns its table.  It keeps
+    the rows of the last element fetched, by identity, for the next pass on it.
     """
 
     def __init__(self, ctype: str, n: int, colors):
@@ -162,6 +163,7 @@ class SignatureTable:
         letters = [letter_entries(ctype, n, i) for i in self.colors]  # read once per table
         self._column_rules = [partial(column_entry, table) for table in letters]
         self._spin_rules = [partial(spin_entry, ctype, n, i) for i in self.colors]
+        self._last = None, None  # the element _rows fetched last, and its rows
 
     def _row(self, memo, rules, factor):
         row = memo.get(factor)
@@ -170,12 +172,14 @@ class SignatureTable:
         return row
 
     def _rows(self, elem):
-        cols, spin = elem
-        memo, rules = self._columns, self._column_rules
-        rows = [memo.get(col) or self._row(memo, rules, col) for col in reversed(cols)]
-        if spin is not None:
-            rows.append(self._row(self._spins, self._spin_rules, spin))
-        return rows
+        if elem is not self._last[0]:
+            cols, spin = elem
+            memo, rules = self._columns, self._column_rules
+            rows = [memo.get(col) or self._row(memo, rules, col) for col in reversed(cols)]
+            if spin is not None:
+                rows.append(self._row(self._spins, self._spin_rules, spin))
+            self._last = elem, rows
+        return self._last[1]
 
     @staticmethod
     def _put(elem, moves):

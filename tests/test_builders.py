@@ -388,10 +388,10 @@ def test_rectangle_seeds_at_its_top_in_the_same_crystal(fam, n, r, s):
 
 
 @pytest.mark.parametrize(
-    "spec,size,budget,suites",
-    [(("A2even", 3, 3, 2), 490, 7_495, 4_766), (("D2", 3, 2, 2), 329, 4_665, 2_942)],
+    "spec,size,budget,fetched,suites",
+    [(("A2even", 3, 3, 2), 490, 7_495, 4_518, 4_766), (("D2", 3, 2, 2), 329, 4_665, 2_659, 2_942)],
 )
-def test_stepped_build_pass_budget(monkeypatch, spec, size, budget, suites):
+def test_stepped_build_pass_budget(monkeypatch, spec, size, budget, fetched, suites):
     # every signature pass of a stepped build, a single step or a
     # whole-string jump, is one SignatureTable.string call: the host's steps,
     # its diagram walks and sigma's raises and descents go through the
@@ -402,8 +402,19 @@ def test_stepped_build_pass_budget(monkeypatch, spec, size, budget, suites):
     # sigma is reflected once per pair and kept at every segment end of its
     # raise, and color 0 takes one order, f_1 f_0.  The suites keep no host
     # arrow either: similarity walks every host string in fresh single steps
-    # and its diagram walk takes each step once, so its count is pinned
-    calls = []
+    # and its diagram walk takes each step once, so its count is pinned.
+    # The build reads an element's factor rows afresh only when the table's
+    # last fetch was of another element: a vertex's classical powers share one
+    # fetch, and so do a raise's probes of one element
+    calls, fetches, kept = [], [], {}
+    rows = tableaux.SignatureTable._rows
+
+    def fetching(table, elem):
+        out = rows(table, elem)
+        if out is not kept.get(table):  # not the rows the table returned last
+            fetches.append(elem)
+            kept[table] = out
+        return out
 
     def counted(step):
         def wrapper(*args):
@@ -414,10 +425,12 @@ def test_stepped_build_pass_budget(monkeypatch, spec, size, budget, suites):
 
     monkeypatch.setattr(tableaux, "tableau_apply", counted(tableaux.tableau_apply))
     monkeypatch.setattr(tableaux.SignatureTable, "string", counted(tableaux.SignatureTable.string))
+    monkeypatch.setattr(tableaux.SignatureTable, "_rows", fetching)
     build = build_kr(AffineSpec(*spec))
     assert len(build.graph) == size
     assert calls.count("tableau_apply") == 0
     assert len(calls) <= budget
+    assert len(fetches) <= fetched
     del calls[:]
     assert all(_CHECKS[name](build).passed for name in SUITES)
     assert calls.count("tableau_apply") == 0
@@ -819,12 +832,15 @@ def test_spin_build_closes_one_crystal(monkeypatch, n, r, s):
 # -- builder invariants under fault injection -----------------------------------
 
 def _nothing_fixed(arrow):
-    return lambda step, x, i, op, fixed: arrow(step, x, i, op, lambda y: False)
+    return lambda step, x, i, op, k, fixed: arrow(step, x, i, op, k, lambda y: False)
 
 
 def _bare_host_f0(arrow):
     # color 0 is the host's f_0 alone, unchecked, which leaves the fixed locus
-    return lambda step, x, i, op, fixed: step(x, 0, op) if i == 0 else arrow(step, x, i, op, fixed)
+    def mutated(step, x, i, op, k, fixed):
+        return step(x, 0, op, k) if i == 0 else arrow(step, x, i, op, k, fixed)
+
+    return mutated
 
 
 def _least_moved_vertex_fixed(transport):

@@ -261,6 +261,22 @@ def test_spin_tensor_string_is_repeated_single_steps(n, s):
         assert_strings_match_steps(table, elements, colors, partial(spin_tensor_apply, n))
 
 
+@pytest.mark.parametrize("ctype,shape", [("C", Shape((2, 1))), ("B", Shape((2, 1), spin=1))])
+def test_kept_rows_answer_only_their_own_element(ctype, shape):
+    # a table keeps the factor rows of the element it fetched last; elements
+    # taken in turn through one table's string and neighbours get the
+    # answers of a table that has met none of them
+    fresh = partial(SignatureTable, ctype, 3, (1, 2, 3))
+    table = fresh()
+    elements = list(enumerate_tableaux(ctype, 3, shape))
+    for pair in zip(elements, elements[1:]):
+        for i, op in itertools.product((1, 2, 3), "ef"):
+            for elem in pair:
+                assert table.string(elem, i, op) == fresh().string(elem, i, op)
+        for elem in pair:
+            assert list(table.neighbours(elem)) == list(fresh().neighbours(elem))
+
+
 def test_tableau_weight_sums_letter_weights():
     shapes = [("B", 3, Shape((2, 1), spin=1)), ("C", 3, Shape((2, 2))), ("D", 4, Shape((1, 1)))]
     for ctype, n, shape in shapes:
