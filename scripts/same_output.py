@@ -6,13 +6,17 @@ The committed tree of --rev is unpacked with `git archive` into a temporary
 directory (tempfile's default).  One child interpreter per tree runs, for
 every spec below, `kr build` (JSON and DOT), `kr check --format json` and
 `kr dim` through `cli.main`, and `kr decompose` with both subsets on the
-grid specs (500 commands on 93 specs), and reports the exit code and the
-sha256 of stdout and stderr of each.  Every command whose
+grid specs (500 commands on 93 specs), then `kr dim` on five high-rank specs
+and `kr build` on four specs it refuses over the vertex bound (509 commands
+in all), and reports the exit code and the sha256 of stdout and stderr of
+each.  Every command whose
 record differs is printed, then the non-blank `src/` line count of both
 trees; the exit status is 1 on any difference or child failure, else 0.
 
 The specs are the default `kr check` grid, the seven `wide_build` specs of
-perfbench/worker.py, and specs beyond both on every route.
+perfbench/worker.py, and specs beyond both on every route.  The high-rank
+dimensions and the refusals' lower bounds are exact integers of up to 53
+digits, where a change to the Weyl product would show first.
 """
 
 from __future__ import annotations
@@ -41,6 +45,9 @@ EXTRA_SPECS = (
     ("D2", 2, 1, 4), ("B1", 4, 4, 3), ("B1", 3, 3, 4), ("D1", 6, 5, 3), ("D1", 5, 4, 4),
     ("A1", 4, 2, 3), ("A1", 5, 2, 2), ("B1", 5, 3, 2), ("A2odd", 4, 3, 2), ("D1", 6, 3, 2),
 )
+DIM_ONLY = (("A2even", 11, 11, 11), ("D2", 12, 11, 12), ("B1", 10, 8, 8), ("C1", 10, 9, 10),
+            ("D1", 10, 8, 8))
+REFUSED = (("A2odd", 7, 5, 2), ("A1", 12, 6, 3), ("A2even", 12, 12, 12), ("B1", 5, 4, 4))
 
 # Runs in each tree: reads the argv lists on stdin, writes {command: record}.
 CHILD = """
@@ -59,14 +66,18 @@ json.dump(out, sys.stdout)
 
 def commands() -> list[list[str]]:
     grid = [(s.family, s.n, s.r, s.s) for s in default_grid()]
+
+    def spec(family, n, r, s):
+        return ["--family", family, "--n", str(n), "--r", str(r), "--s", str(s)]
+
     out = []
-    for family, n, r, s in grid + list(EXTRA_SPECS):
-        spec = ["--family", family, "--n", str(n), "--r", str(r), "--s", str(s)]
-        out += [["build", *spec], ["build", *spec, "--format", "dot"]]
-        out += [["check", *spec, "--format", "json"], ["dim", *spec]]
-        if (family, n, r, s) in grid:
-            out += [["decompose", *spec, "--subset", subset] for subset in ("classical", "zero")]
-    return out
+    for key in grid + list(EXTRA_SPECS):
+        out += [["build", *spec(*key)], ["build", *spec(*key), "--format", "dot"]]
+        out += [["check", *spec(*key), "--format", "json"], ["dim", *spec(*key)]]
+        if key in grid:
+            out += [["decompose", *spec(*key), "--subset", subset] for subset in ("classical", "zero")]
+    out += [["dim", *spec(*key)] for key in DIM_ONLY]
+    return out + [["build", *spec(*key)] for key in REFUSED]
 
 
 def main(argv=None) -> int:

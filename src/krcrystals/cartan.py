@@ -7,8 +7,9 @@ as tuples of *doubled* integers so that spin weights stay exact.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import namedtuple
-from operator import mul
+from operator import mul, sub
 
 FAMILIES = ("A1", "B1", "C1", "D1", "A2even", "A2odd", "D2")
 
@@ -142,11 +143,15 @@ def affine_pairing(family: str, n: int, wt: Weight, i: int) -> int:
     return value
 
 
-def weyl_dimension(ctype: str, n: int, wt: Weight) -> int:
-    """Dimension of the classical irreducible with doubled highest weight wt.
+def weyl_dimensions(ctype: str, n: int, weights):
+    """Dimension of the classical irreducible with each doubled highest weight in turn.
 
     Both products use doubled coordinates (a = wt + 2 rho over 2 rho) and have
-    the same number of factors, so the doublings cancel in exact integers.
+    the same number of factors, so the doublings cancel in exact integers.  The
+    denominator, the product at a = 2 rho, is taken once per call.  Outside
+    type A each pair (a_i - a_j)(a_i + a_j) is one factor a_i^2 - a_j^2, and
+    B and C multiply in every a_i.  ValueError at the first weight that is not
+    dominant; the dimensions before it are yielded.
     """
     if ctype == "B":
         rho = [2 * (n - i) - 1 for i in range(n)]
@@ -154,21 +159,24 @@ def weyl_dimension(ctype: str, n: int, wt: Weight) -> int:
         rho = [2 * (n - i) for i in range(n)]
     else:  # A uses staircase, D uses n-1..0
         rho = [2 * (n - 1 - i) for i in range(n)]
-    a = [x + y for x, y in zip(wt, rho)]
-    num = den = 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            num *= a[i] - a[j]
-            den *= rho[i] - rho[j]
-            if ctype != "A":
-                num *= a[i] + a[j]
-                den *= rho[i] + rho[j]
-        if ctype in ("B", "C"):
-            num *= a[i]
-            den *= rho[i]
-    dim, rem = divmod(num, den)
-    if rem or dim <= 0:
-        raise ValueError(f"weight {wt} is not dominant for {ctype}_{n}")
+
+    def product(a):
+        if ctype == "A":
+            return math.prod(itertools.starmap(sub, itertools.combinations(a, 2)))
+        num = math.prod(itertools.starmap(sub, itertools.combinations([x * x for x in a], 2)))
+        return num * math.prod(a) if ctype in ("B", "C") else num
+
+    den = product(rho)
+    for wt in weights:
+        dim, rem = divmod(product([x + y for x, y in zip(wt, rho)]), den)
+        if rem or dim <= 0:
+            raise ValueError(f"weight {wt} is not dominant for {ctype}_{n}")
+        yield dim
+
+
+def weyl_dimension(ctype: str, n: int, wt: Weight) -> int:
+    """Dimension of the classical irreducible with doubled highest weight wt."""
+    [dim] = weyl_dimensions(ctype, n, (wt,))
     return dim
 
 
@@ -247,7 +255,7 @@ def kr_decomposition(spec: AffineSpec) -> tuple[Shape, ...]:
 
 
 def kr_dimension(spec: AffineSpec) -> int:
-    """Total vertex count of B^{r,s}, a sum of Weyl dimensions over classical shapes.
+    """Total vertex count of B^{r,s}, one batch of Weyl dimensions over classical shapes.
 
     A twisted family answers through its untwisted partner with the same
     (r, s), whose KR module has the same dimension because twisted KR
@@ -262,5 +270,5 @@ def kr_dimension(spec: AffineSpec) -> int:
         spec = AffineSpec("A1", 2 * spec.n + (spec.family == "A2even"), spec.r, spec.s)
     elif spec.family == "D2" and 2 < spec.n and spec.r < spec.n:
         spec = AffineSpec("D1", spec.n + 1, spec.r, spec.s)
-    ctype = spec.classical_type
-    return sum(shape_dimension(ctype, spec.n, sh) for sh in kr_shapes(spec))
+    ctype, n = spec.classical_type, spec.n
+    return sum(weyl_dimensions(ctype, n, (sh.weight(ctype, n) for sh in kr_shapes(spec))))

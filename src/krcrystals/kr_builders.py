@@ -12,11 +12,12 @@ or one of the two sigmas, each read off the branching table by one helper.
 """
 
 import functools
+import itertools
 
 from . import pm_diagrams as pm
 from . import tableaux
 from .cartan import AffineSpec, Shape, horizontal_domino_shapes, kr_decomposition, kr_dimension
-from .cartan import kr_shapes, shape_dimension
+from .cartan import kr_shapes, weyl_dimensions
 from .crystal_core import VERTEX_BOUND, CrystalGraph, generate_closure, greedy_raise
 from .pm_diagrams import SignTriple
 from .tableaux import classical_crystal
@@ -332,9 +333,13 @@ class SteppedHost:
     # -- the A2odd crystal ----------------------------------------------------
 
     def sigma(self, elem):
-        """The tail involution, memoized on both elements of each pair."""
+        """The tail involution, memoized on both elements of each pair.  A fixed
+        element comes back as itself, not as an equal copy, so the signature
+        table still holds its rows."""
         out = self._sigma.get(elem)
-        return self._reflect(elem) if out is None else out
+        if out is None:
+            out = self._reflect(elem)
+        return elem if out == elem else out
 
     def _reflect(self, elem):
         """sigma(elem), carried down from the first element of known image.
@@ -373,7 +378,7 @@ class SteppedHost:
     # -- the host seen by the stepped build -----------------------------------
 
     def _fixed(self, elem):
-        return self.sigma(elem) == elem
+        return self.sigma(elem) is elem
 
     def host_apply(self, elem, i, op, k=1):
         """e_i^k/f_i^k of the host crystal (colors 0..n), None if it vanishes.
@@ -571,10 +576,13 @@ def build_kr(spec: AffineSpec) -> KRBuild:
 
 
 def _refuse_over_bound(spec):
-    """Refuse once the summands' sizes, the largest first, sum past the bound."""
-    size = 0
-    for sh in kr_shapes(spec):
-        if (size := size + shape_dimension(spec.classical_type, spec.n, sh)) > VERTEX_BOUND:
+    """Refuse once the summands' sizes, the full box first, sum past the bound.
+
+    The sum stops there, so the count it names is a lower bound on |B|."""
+    ctype, n = spec.classical_type, spec.n
+    sizes = weyl_dimensions(ctype, n, (sh.weight(ctype, n) for sh in kr_shapes(spec)))
+    for size in itertools.accumulate(sizes):
+        if size > VERTEX_BOUND:
             head = f"{spec.family} n={spec.n} r={spec.r} s={spec.s} would have at least {size}"
             raise RuntimeError(f"{head} vertices, over the bound {VERTEX_BOUND}")
 

@@ -15,9 +15,11 @@ from krcrystals.cartan import (
     affine_pairing,
     affine_root,
     kr_dimension,
+    kr_shapes,
     shape_dimension,
     simple_root,
     weyl_dimension,
+    weyl_dimensions,
     zero_root_projection,
 )
 from krcrystals.pm_diagrams import PmDiagram, SignTriple
@@ -247,6 +249,39 @@ def test_weyl_dimension_agrees_with_fraction_formula_on_rejections():
             else:
                 with pytest.raises(ValueError):
                     weyl_dimension(ctype, n, wt)
+
+
+def test_weyl_batch_stops_at_the_first_nondominant_weight():
+    batch = weyl_dimensions("D", 4, [(2, 2, 2, 2), (1, 1, 0, 0), (2, 0, 0, 0)])
+    assert next(batch) == 35
+    with pytest.raises(ValueError, match=r"weight \(1, 1, 0, 0\) is not dominant for D_4"):
+        next(batch)
+
+
+@pytest.mark.parametrize(
+    "spec,summed",
+    [
+        # kr_dimension sums the untwisted partner's shapes for A2even and D2
+        (("A2even", 11, 11, 11), ("A1", 23, 11, 11)),
+        (("D2", 12, 11, 12), ("D1", 13, 11, 12)),
+        (("B1", 10, 8, 8), ("B1", 10, 8, 8)),
+        (("C1", 10, 9, 10), ("C1", 10, 9, 10)),
+        (("D1", 10, 8, 8), ("D1", 10, 8, 8)),
+    ],
+)
+def test_weyl_batch_matches_fraction_formula_at_high_rank(spec, summed):
+    # the squared coordinates against the pairwise rational product, where
+    # the dimensions run to 52 digits.  The oracle takes about 2 ms a weight
+    # here, so it checks the first 500 summands, the full box first: all of
+    # them for A2even, B1 and D1 10,8,8, 500 of 2,002 for C1 and of 6,188
+    # for D2.  Every summand's dimension enters the sum kr_dimension gives
+    summed = AffineSpec(*summed)
+    ctype, n = summed.classical_type, summed.n
+    weights = [sh.weight(ctype, n) for sh in kr_shapes(summed)]
+    dims = list(weyl_dimensions(ctype, n, weights))
+    assert sum(dims) == kr_dimension(AffineSpec(*spec))
+    for wt, dim in zip(weights[:500], dims):
+        assert dim == fraction_weyl_dimension(ctype, n, wt), (summed, wt)
 
 
 def shape_sum(spec):
