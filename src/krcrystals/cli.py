@@ -133,22 +133,21 @@ def _cmd_check(args) -> int:
             s_values=tuple(range(1, args.s_max + 1)),
         )
     suites = SUITES if args.suite == "all" else (args.suite,)
-    if args.format == "json":
-        reports = run_suite(specs, suites)
-        _write(json.dumps([r.to_dict() for r in reports], indent=2) + "\n", args.out)
-        return 0 if all(r.passed for r in reports) else 1
-    out = open(args.out, "w") if args.out else sys.stdout
-    passed = True
+    out = open(args.out, "w") if args.out else sys.stdout  # refused before any build
+    reports = []
     try:
-        for spec in specs:  # each spec's lines as soon as its suites finish
-            reports = run_suite((spec,), suites)
-            out.write("".join(r.line() + "\n" for r in reports))
-            out.flush()
-            passed &= all(r.passed for r in reports)
+        for spec in specs:  # text: each spec's lines as soon as its suites finish
+            done = run_suite((spec,), suites)
+            if args.format == "text":
+                out.write("".join(r.line() + "\n" for r in done))
+                out.flush()
+            reports += done
+        if args.format == "json":
+            out.write(json.dumps([r.to_dict() for r in reports], indent=2) + "\n")
     finally:
         if out is not sys.stdout:
             out.close()
-    return 0 if passed else 1
+    return 0 if all(r.passed for r in reports) else 1
 
 
 def _add_spec_flags(parser, required=True):

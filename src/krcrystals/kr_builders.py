@@ -175,10 +175,10 @@ def _build_promotion(spec):
 # -- families with the 0-node attached at node 1: sigma conjugation -----------
 
 def _sigma_on_tops(table, mirror):
-    """sigma on each {2..n}-top of a phi_table: the entry of its mirrored diagram.
+    """sigma on each {2..n}-top of a table {top: key}: the top of its mirrored key.
 
-    mirror(P) is sigma on diagrams.  RuntimeError if it leaves the table or
-    sigma is not an involution on it.
+    mirror(P) is sigma on the keys (diagrams or sign triples).  RuntimeError
+    if it leaves the table or sigma is not an involution on it.
     """
     top_of = {P: top for top, P in table.items()}
     sigma = {top: top_of.get(mirror(P)) for top, P in table.items()}
@@ -189,16 +189,14 @@ def _sigma_on_tops(table, mirror):
     return sigma
 
 
-def _sigma_build(spec, cls, mirror, swap, kind, render):
-    """(build, sigma): cls with f_0 = sigma f_1 sigma, sigma read off the branching
-    table at the {2..n}-tops by mirror and transported along f_i -> f_{swap(i)}, i in 2..n.
+def _sigma_build(spec, cls, table, mirror, swap, kind, render):
+    """(build, sigma): cls with f_0 = sigma f_1 sigma, sigma read off table, the
+    {2..n}-tops keyed for mirror, and transported along f_i -> f_{swap(i)}, i in 2..n.
 
-    cls is the closed classical crystal, vertex k the top of kr_decomposition's
-    k-th shape; swap maps a color to its image, identity where absent.
+    cls is the closed classical crystal; swap maps a color to its image,
+    identity where absent.
     """
-    ctype, n = spec.classical_type, spec.n
-    table = _branching(cls, ctype, n, {sh: k for k, sh in enumerate(kr_decomposition(spec))})
-    jcolors = range(2, n + 1)
+    jcolors = range(2, spec.n + 1)
     dst = {i: cls.f[swap.get(i, i)] for i in jcolors}
     sigma = _transport(cls, lambda i, y: dst[i].get(y), _sigma_on_tops(table, mirror), jcolors)
     bad = [x for x in sigma if sigma[sigma[x]] != x]
@@ -214,9 +212,10 @@ def _build_dba(spec):
     def involution_S(P):
         return pm.involution_S(P, spec.r, spec.s)
 
-    ctype, n = spec.classical_type, spec.n
-    cls = classical_crystal(ctype, n, kr_decomposition(spec), spec.classical_colors)
-    return _sigma_build(spec, cls, involution_S, {}, "dba", tableaux.format_element)
+    ctype, n, shapes = spec.classical_type, spec.n, kr_decomposition(spec)
+    cls = classical_crystal(ctype, n, shapes, spec.classical_colors)
+    table = _branching(cls, ctype, n, {sh: k for k, sh in enumerate(shapes)})
+    return _sigma_build(spec, cls, table, involution_S, {}, "dba", tableaux.format_element)
 
 
 # -- type C below the top node: fixed points of sigma -------------------------
@@ -449,7 +448,7 @@ def triple_rules(family, s, t, direction):
         if direction == "e":
             return SignTriple(l1 - 1, l2 + 1, l3) if l1 else None
         return SignTriple(l1 + 1, l2 - 1, l3) if l2 else None
-    if t.total() != s or t.gamma not in (0, 1):
+    if t.total() != s:
         raise ValueError(f"triple {t} malformed for s={s}")
     l1, l2, l3 = t.l1, t.l2, t.l3
     body = l1 + l2 + l3
@@ -493,20 +492,6 @@ def _triple_of(P):
     )
 
 
-def _triple_diagram(ctype, n, t):
-    if ctype == "C":
-        cols = [(n, "+")] * t.l1 + [(n, "-")] * t.l2 + [(n, "+-")] * t.l3
-        return pm.make_pm("C", n, cols)
-    spin = "+" if t.l1 % 2 else ("-" if t.l2 % 2 else "")
-    cols = (
-        [(n, "+")] * (t.l1 // 2)
-        + [(n, "-")] * (t.l2 // 2)
-        + [(n, "+-")] * (t.l3 // 2)
-        + [(n, "0")] * t.gamma
-    )
-    return pm.make_pm("B", n, cols, spin=spin)
-
-
 def _build_triples(spec):
     """The triple rules on each {2..n}-top, carried down its {2..n}-component."""
     family, n, s = spec.family, spec.n, spec.s
@@ -514,15 +499,17 @@ def _build_triples(spec):
     shapes = kr_decomposition(spec)
     cls = classical_crystal(ctype, n, shapes, spec.classical_colors)
     table = _branching(cls, ctype, n, {sh: k for k, sh in enumerate(shapes)})
-    vertex_of = {P: x for x, P in table.items()}
+    top_of = {_triple_of(P): top for top, P in table.items()}
+    if len(top_of) != len(table):
+        raise RuntimeError("two {2..n}-tops share a sign triple")
     arrows = {}
     for direction in ("e", "f"):
         anchors = {}
-        for top, P in table.items():
-            out = triple_rules(family, s, _triple_of(P), direction)
+        for t, top in top_of.items():
+            out = triple_rules(family, s, t, direction)
             if out is None:
                 continue
-            y = vertex_of.get(_triple_diagram(ctype, n, out))
+            y = top_of.get(out)
             if y is None:
                 raise RuntimeError(f"triple {out} is off the diagram table")
             anchors[top] = y
@@ -542,15 +529,10 @@ def _spin_tensor_weight(vecs):
     return tuple(map(sum, zip(*vecs)))
 
 
-def sigma_spin_D(P):
-    """sigma on a full-height type D diagram, followed by the n-1 <-> n flip:
-    signs flipped, color kept."""
-    if P.ctype != "D" or P.color not in (1, 2):
-        raise ValueError("needs a colored full-height type D diagram")
-    flip = {"+": "-", "-": "+", "+-": "+-"}
-    cols = tuple((h, flip[st]) for h, st in P.cols)
-    spin = {"": "", "+": "-", "-": "+"}[P.spin]
-    return pm.make_pm("D", P.n, cols, spin=spin, color=P.color)
+def sigma_spin_D(t):
+    """sigma on the sign triple of a full-height type D diagram, followed by the
+    n-1 <-> n flip: the + and - counts exchanged."""
+    return t._replace(l1=t.l2, l2=t.l1)
 
 
 def _build_spin(spec):
@@ -563,8 +545,11 @@ def _build_spin(spec):
     _, top = pm.highest_element("D", n, Shape(spin=1, color=1 if spec.r == n else 2))
     rule = tableaux.SpinTensorTable("D", n, colors)
     cls = generate_closure([(top,) * s], colors, rule.neighbours, _spin_tensor_weight)
+    [shape] = kr_decomposition(spec)  # one shape: its diagrams differ in their sign triples
+    table = {x: _triple_of(P) for x, P in _branching(cls, "D", n, {shape: 0}).items()}
     swap = {n - 1: n, n: n - 1}
-    return _sigma_build(spec, cls, sigma_spin_D, swap, "spin", tableaux.format_spin_tensor)[0]
+    render = tableaux.format_spin_tensor
+    return _sigma_build(spec, cls, table, sigma_spin_D, swap, "spin", render)[0]
 
 
 # -- dispatch ------------------------------------------------------------------

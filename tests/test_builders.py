@@ -695,6 +695,40 @@ def test_triple_off_the_diagram_table_exits_one(monkeypatch, capsys):
     )
 
 
+FULL_HEIGHT_SPECS = [
+    *((fam, n, n, s) for fam in ("C1", "D2") for n in (2, 3, 4) for s in (1, 2, 3, 4)),
+    *(("D1", n, r, s) for n in (4, 5) for r in (n - 1, n) for s in (1, 2, 3, 4)),
+]
+
+
+@pytest.mark.parametrize("fam,n,r,s", FULL_HEIGHT_SPECS)
+def test_sign_triple_keys_every_full_height_table(fam, n, r, s):
+    # the triples and spin routes key their {2..n}-tops by sign triple: on
+    # these tables every column is full height, and no two diagrams share one
+    b = build_kr(AffineSpec(fam, n, r, s))
+    shapes = kr_decomposition(b.spec)
+    table = kr_builders._branching(b.graph, b.spec.classical_type, n, _locate_tops(b, shapes))
+    assert all(h == n for P in table.values() for h, _ in P.cols)
+    assert len({kr_builders._triple_of(P) for P in table.values()}) == len(table) > 1
+
+
+@pytest.mark.parametrize(
+    "fam,n,r,s,message",
+    [
+        ("C1", 2, 2, 1, "two {2..n}-tops share a sign triple"),
+        ("D1", 4, 4, 2, "sigma is not an involution on the {2..n}-tops"),
+    ],
+)
+def test_one_sign_triple_for_every_top_exits_one(monkeypatch, capsys, fam, n, r, s, message):
+    # a key that tells no two tops apart: the triples route refuses the
+    # table, and on the spin route sigma sends every top to the last one
+    monkeypatch.setattr(kr_builders, "_triple_of", lambda P: SignTriple(0, 0, 0))
+    assert main(["build", "--family", fam, "--n", str(n), "--r", str(r), "--s", str(s)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"kr: {message}\n"
+
+
 def test_exceptional_cd_sizes():
     assert len(build_kr(AffineSpec("C1", 2, 2, 1)).graph.elements) == 5
     assert len(build_kr(AffineSpec("C1", 2, 2, 2)).graph.elements) == 14
@@ -718,15 +752,18 @@ def test_fixed_point_object_exceeds_kr_crystal_at_even_s():
 
 # -- spin route (D1 r in {n-1, n}) ------------------------------------------------
 
-def test_sigma_spin_diagram_rule_flips_signs_and_keeps_the_color():
+def test_sigma_spin_triple_rule_swaps_the_sign_counts():
+    # the rule reads a spin diagram's sign triple: flipping every sign swaps
+    # l1 and l2 and keeps l3 and gamma.  The color is not in the key, since a
+    # spin table holds the diagrams of one shape
+    triple_of = kr_builders._triple_of
     P = pm.make_pm("D", 4, ((4, "+-"), (4, "+-")), color=1)
-    Q = sigma_spin_D(P)
-    assert Q.color == 1 and Q.cols == P.cols
+    assert sigma_spin_D(triple_of(P)) == triple_of(P) == SignTriple(0, 0, 4)
     P = pm.make_pm("D", 4, ((4, "+"),), spin="+", color=2)
-    Q = sigma_spin_D(P)
-    assert Q.color == 2 and Q.cols == ((4, "-"),) and Q.spin == "-"
-    with pytest.raises(ValueError):
-        sigma_spin_D(pm.make_pm("B", 2, ((2, "+"),)))
+    Q = pm.make_pm("D", 4, ((4, "-"),), spin="-", color=2)
+    assert sigma_spin_D(triple_of(P)) == triple_of(Q) == SignTriple(0, 3, 0)
+    t = SignTriple(1, 2, 2, gamma=1)
+    assert sigma_spin_D(t) == SignTriple(2, 1, 2, gamma=1) and sigma_spin_D(sigma_spin_D(t)) == t
 
 
 @pytest.mark.parametrize("n,r,s", [(4, 4, 1), (4, 3, 2), (5, 5, 2), (5, 4, 3), (6, 6, 2)])
@@ -786,17 +823,16 @@ def test_spin_crystals_are_isomorphic_under_the_tail_flip(n, s):
 
 
 def _transport_without_swap(sigma_build):
-    def mutated(spec, cls, mirror, swap, kind, render):
-        return sigma_build(spec, cls, mirror, {}, kind, render)
+    def mutated(spec, cls, table, mirror, swap, kind, render):
+        return sigma_build(spec, cls, table, mirror, {}, kind, render)
 
     return mutated
 
 
-def _mirror_swapping_the_color(mirror):
-    # the rule of a sigma into the other spin crystal: signs and color flipped
-    def sigma_spin_D(P):
-        Q = mirror(P)
-        return pm.make_pm("D", Q.n, Q.cols, spin=Q.spin, color=3 - Q.color)
+def _mirror_one_column_wider(mirror):
+    # signs flipped, plus one -over-+ column that no diagram of the shape has
+    def sigma_spin_D(t):
+        return mirror(t)._replace(l3=t.l3 + 2)
 
     return sigma_spin_D
 
@@ -805,7 +841,7 @@ def _mirror_swapping_the_color(mirror):
     "name,mutation,message",
     [
         ("_sigma_build", _transport_without_swap, "transport died on an f_3 arrow"),
-        ("sigma_spin_D", _mirror_swapping_the_color,
+        ("sigma_spin_D", _mirror_one_column_wider,
          "sigma_spin_D sends a diagram off the diagram table"),
     ],
 )

@@ -166,7 +166,7 @@ def test_check_n_max_bounds_every_family(monkeypatch):
 
     asked = []
 
-    def recorded(specs, suites):  # text output asks for one spec at a time
+    def recorded(specs, suites):  # check asks for one spec at a time
         asked[-1].extend(specs)
         return []
 
@@ -317,6 +317,20 @@ def test_out_to_a_missing_directory_exits_one(tmp_path, capsys, command):
     assert captured.err.startswith("kr: ") and str(target) in captured.err
     assert captured.err.count("\n") == 1
     assert not target.parent.exists()
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_check_out_to_a_missing_directory_exits_before_any_build(tmp_path, capsys, monkeypatch, fmt):
+    # both formats open --out before the first build, so the grid never runs
+    from krcrystals import verify
+
+    builds = []
+    monkeypatch.setattr(verify, "build_kr", builds.append)
+    target = tmp_path / "missing" / "reports.json"
+    assert main(["check", "--format", fmt, "--out", str(target)]) == 1
+    captured = capsys.readouterr()
+    assert builds == [] and captured.out == ""
+    assert captured.err.startswith("kr: ") and str(target) in captured.err
 
 
 @pytest.mark.parametrize(
