@@ -13,6 +13,8 @@ from operator import mul, sub
 
 FAMILIES = ("A1", "B1", "C1", "D1", "A2even", "A2odd", "D2")
 
+SUMMAND_BOUND = 100_000  # kr_dimension refuses a decomposition with more summands
+
 # Classical subalgebra acting through colors 1..n.
 CLASSICAL_TYPE = {
     "A1": "A",
@@ -68,7 +70,7 @@ class Shape(namedtuple("Shape", "rows spin color")):
     __slots__ = ()
 
     def __new__(cls, rows=(), spin=0, color=0):
-        if any(a < b for a, b in zip(rows, rows[1:])) or any(a <= 0 for a in rows):
+        if list(rows) != sorted(rows, reverse=True) or (rows and rows[-1] <= 0):
             raise ValueError(f"rows {rows} not a partition")
         if spin not in (0, 1) or color not in (0, 1, 2):
             raise ValueError("bad spin/color flag")
@@ -192,13 +194,16 @@ def conjugate(cols) -> tuple[int, ...]:
     return tuple(sum(1 for h in heights if h > i) for i in range(heights[0]))
 
 
+def _horizontal_dominoes(r, s):
+    """Horizontal-domino removals from an r x s rectangle, lazily, the full box first:
+    rows congruent to s mod 2."""
+    for rows in itertools.combinations_with_replacement(range(s, -1, -2), r):
+        yield Shape(tuple(itertools.takewhile(bool, rows)))  # the rows descend, so 0s trail
+
+
 def horizontal_domino_shapes(r: int, s: int) -> tuple[Shape, ...]:
-    """Horizontal-domino removals from an r x s rectangle: rows congruent to s mod 2."""
-    shapes = [
-        Shape(tuple(v for v in rows if v > 0))
-        for rows in itertools.combinations_with_replacement(range(s, -1, -2), r)
-    ]
-    return tuple(sorted(shapes, key=lambda sh: (sh.size(), sh.rows)))
+    """The horizontal-domino removals from an r x s rectangle, sorted."""
+    return tuple(sorted(_horizontal_dominoes(r, s), key=lambda sh: (sh.size(), sh.rows)))
 
 
 def _box_rows(heights, s):
@@ -244,7 +249,7 @@ def kr_shapes(spec: AffineSpec):
         # so columns may vanish (height 0) only when r is even
         yield from map(Shape, _box_rows(tuple(range(r, -1, -2)), s))
     elif fam == "C1":
-        yield from reversed(horizontal_domino_shapes(r, s))
+        yield from _horizontal_dominoes(r, s)
     else:  # A2even any r, D2 r < n: every shape inside the r x s box
         yield from map(Shape, _box_rows(tuple(range(r, -1, -1)), s))
 
@@ -265,10 +270,17 @@ def kr_dimension(spec: AffineSpec) -> int:
     Weight vectors always have n coordinates; in type A the staircase formula
     over n letters gives the gl_n dimension, which matches the crystal.
     tests/test_cartan.py checks these answers against the Q-system, n <= 8.
+    RuntimeError, before any Weyl product, once the summands counted as they
+    are made pass SUMMAND_BOUND.
     """
+    asked = spec
     if spec.family in ("A2even", "A2odd"):
         spec = AffineSpec("A1", 2 * spec.n + (spec.family == "A2even"), spec.r, spec.s)
     elif spec.family == "D2" and 2 < spec.n and spec.r < spec.n:
         spec = AffineSpec("D1", spec.n + 1, spec.r, spec.s)
     ctype, n = spec.classical_type, spec.n
-    return sum(weyl_dimensions(ctype, n, (sh.weight(ctype, n) for sh in kr_shapes(spec))))
+    shapes = list(itertools.islice(kr_shapes(spec), SUMMAND_BOUND + 1))
+    if len(shapes) > SUMMAND_BOUND:
+        head = f"{asked.family} n={asked.n} r={asked.r} s={asked.s} has more than {SUMMAND_BOUND}"
+        raise RuntimeError(f"{head} classical summands, over the summand bound")
+    return sum(weyl_dimensions(ctype, n, (sh.weight(ctype, n) for sh in shapes)))

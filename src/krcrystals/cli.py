@@ -1,8 +1,11 @@
 """Command-line front end: build, export, decompose, dim, and check.
 
 Exit codes: 0 success, 1 a failed check or a refused or unfinished run (a
-predicted size over the vertex bound, refused before any work, a broken
-invariant, the closure bound, an unwritable --out), 2 invalid arguments.
+predicted size over the vertex bound, refused before any work, a dimension
+query over the summand bound, a broken invariant, the closure bound, an
+unwritable --out), 2 invalid arguments: a spec AffineSpec refuses, or check's
+flags.  A ValueError raised once the arguments are read is a broken
+invariant, and exits 1.
 All output is deterministic; documents carry no timestamps.
 """
 
@@ -85,8 +88,18 @@ def _fundamental_string(spec, subset, wt) -> str:
     return "+".join(terms) if terms else "0"
 
 
-def _spec_from(args) -> AffineSpec:
-    return AffineSpec(args.family, args.n, args.r, args.s)
+def _specs(args) -> tuple[AffineSpec, ...]:
+    """The one spec, or check's grid, read off the flags; ValueError on invalid arguments."""
+    single = [args.family, args.n, args.r, args.s]
+    if args.command != "check" or all(v is not None for v in single):
+        return (AffineSpec(*single),)
+    if any(v is not None for v in single):
+        raise ValueError("check needs either all of --family/--n/--r/--s or none")
+    if args.n_max < 2 or args.s_max < 1:
+        raise ValueError("check needs --n-max at least 2 and --s-max at least 1")
+    return default_grid(
+        n_values=tuple(range(2, args.n_max + 1)), s_values=tuple(range(1, args.s_max + 1))
+    )
 
 
 def _write(text: str, out: str | None) -> None:
@@ -97,15 +110,15 @@ def _write(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_build(args) -> int:
-    build = build_kr(_spec_from(args))
+def _cmd_build(args, specs) -> int:
+    build = build_kr(*specs)
     text = to_dot(build) if args.format == "dot" else dump_graph_document(graph_document(build))
     _write(text, args.out)
     return 0
 
 
-def _cmd_decompose(args) -> int:
-    spec = _spec_from(args)
+def _cmd_decompose(args, specs) -> int:
+    [spec] = specs
     build = build_kr(spec)
     subset = spec.classical_colors if args.subset == "classical" else second_subset(spec)
     tops = build.graph.decomposition(subset)
@@ -114,24 +127,12 @@ def _cmd_decompose(args) -> int:
     return 0
 
 
-def _cmd_dim(args) -> int:
-    _write(str(kr_dimension(_spec_from(args))) + "\n", args.out)
+def _cmd_dim(args, specs) -> int:
+    _write(str(kr_dimension(*specs)) + "\n", args.out)
     return 0
 
 
-def _cmd_check(args) -> int:
-    single = [args.family, args.n, args.r, args.s]
-    if any(v is not None for v in single):
-        if any(v is None for v in single):
-            raise ValueError("check needs either all of --family/--n/--r/--s or none")
-        specs = (AffineSpec(args.family, args.n, args.r, args.s),)
-    else:
-        if args.n_max < 2 or args.s_max < 1:
-            raise ValueError("check needs --n-max at least 2 and --s-max at least 1")
-        specs = default_grid(
-            n_values=tuple(range(2, args.n_max + 1)),
-            s_values=tuple(range(1, args.s_max + 1)),
-        )
+def _cmd_check(args, specs) -> int:
     suites = SUITES if args.suite == "all" else (args.suite,)
     out = open(args.out, "w") if args.out else sys.stdout  # refused before any build
     reports = []
@@ -193,11 +194,13 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except ValueError as exc:
+        specs = _specs(args)
+    except ValueError as exc:  # invalid arguments: the one way to exit 2
         print(f"kr: {exc}", file=sys.stderr)
         return 2
-    except (RuntimeError, OSError) as exc:
+    try:
+        return args.func(args, specs)
+    except (ValueError, RuntimeError, OSError) as exc:  # a ValueError here is a broken invariant
         print(f"kr: {exc}", file=sys.stderr)
         return 1
 

@@ -1,7 +1,7 @@
 """Builders assembling each affine crystal B^{r,s} as an explicit graph.
 
 Classical arrows always come from the signature rule on tableaux (or spin
-tensors).  The 0-arrows are produced by a route that depends on the family:
+tensors).  The 0-arrows come from one route per family and node, route(spec):
 promotion in type A, conjugation by the tail involution sigma for the three
 families whose 0-node hangs off node 1, fixed points of that involution for
 type C, sign-triple case rules at the exceptional C/D node, and, at the two
@@ -30,17 +30,32 @@ class AmbientLink:
         self.build = build  # a KRBuild
 
 
+def route(spec):
+    """The construction of B^{r,s}: promotion, dba, virtual, stepped, triples or spin."""
+    fam, n, r = spec.family, spec.n, spec.r
+    if fam == "A1":
+        return "promotion"
+    if fam == "A2odd" or (fam == "B1" and r < n) or (fam == "D1" and r <= n - 2):
+        return "dba"
+    if fam in ("B1", "A2even") or (fam == "D2" and r < n):
+        return "stepped"
+    if fam == "C1":
+        return "virtual" if r < n else "triples"
+    return "triples" if fam == "D2" else "spin"
+
+
 class KRBuild:
     """A finished crystal B^{r,s} plus the scaffolding that built it."""
 
-    def __init__(self, spec, graph, kind, render, ambient=None, stepped=None, partner=None):
+    partner = None  # the benchmark's build ledger reads it, as it reads kind and ambient
+
+    def __init__(self, spec, graph, ambient=None, stepped=None):
         self.spec = spec  # an AffineSpec
         self.graph = graph  # a CrystalGraph
-        self.kind = kind  # promotion | dba | virtual | stepped | triples | spin
-        self.render = render
+        self.kind = kind = route(spec)  # src/ asks route(spec) instead
+        self.render = tableaux.format_spin_tensor if kind == "spin" else tableaux.format_element
         self.ambient = ambient  # virtual: an AmbientLink to the closed A2odd host
         self.stepped = stepped  # stepped: the SteppedHost, element-local
-        self.partner = partner  # always None; the benchmark's build ledger reads it
 
 
 def _transport(src, dst_f, anchors, colors):
@@ -81,7 +96,7 @@ def classical_model(build):
     The anchors are the tops of the classical shapes; RuntimeError if their
     components miss a vertex.
     """
-    if build.kind in ("dba", "triples"):
+    if route(build.spec) in ("dba", "triples"):
         return dict(enumerate(build.graph.elements))
     ctype, n, colors = build.spec.classical_type, build.spec.n, build.spec.classical_colors
     tops = _locate_tops(build, kr_decomposition(build.spec))
@@ -169,7 +184,7 @@ def _build_promotion(spec):
     if len(back) != len(pr):
         raise RuntimeError("promotion is not a bijection on the rectangle")
     cls.add_color(0, _conjugated_f1(pr, cls.f[1], back))
-    return KRBuild(spec, cls, "promotion", tableaux.format_element)
+    return KRBuild(spec, cls)
 
 
 # -- families with the 0-node attached at node 1: sigma conjugation -----------
@@ -189,7 +204,7 @@ def _sigma_on_tops(table, mirror):
     return sigma
 
 
-def _sigma_build(spec, cls, table, mirror, swap, kind, render):
+def _sigma_build(spec, cls, table, mirror, swap):
     """(build, sigma): cls with f_0 = sigma f_1 sigma, sigma read off table, the
     {2..n}-tops keyed for mirror, and transported along f_i -> f_{swap(i)}, i in 2..n.
 
@@ -203,7 +218,7 @@ def _sigma_build(spec, cls, table, mirror, swap, kind, render):
     if bad:
         raise RuntimeError(f"sigma is not an involution at vertex {bad[0]}")
     cls.add_color(0, _conjugated_f1(sigma, cls.f[1], sigma))
-    return KRBuild(spec, cls, kind, render), sigma
+    return KRBuild(spec, cls), sigma
 
 
 def _build_dba(spec):
@@ -215,7 +230,7 @@ def _build_dba(spec):
     ctype, n, shapes = spec.classical_type, spec.n, kr_decomposition(spec)
     cls = classical_crystal(ctype, n, shapes, spec.classical_colors)
     table = _branching(cls, ctype, n, {sh: k for k, sh in enumerate(shapes)})
-    return _sigma_build(spec, cls, table, involution_S, {}, "dba", tableaux.format_element)
+    return _sigma_build(spec, cls, table, involution_S, {})
 
 
 # -- type C below the top node: fixed points of sigma -------------------------
@@ -264,7 +279,7 @@ def _build_virtual(spec):
     graph = generate_closure([hg.elements[x] for x in fixed], colors, neighbours, weight_fn)
     if len(graph.elements) != len(fixed):
         raise RuntimeError("virtual closure left the fixed-point set")
-    return KRBuild(spec, graph, "virtual", tableaux.format_element, ambient=AmbientLink(host))
+    return KRBuild(spec, graph, ambient=AmbientLink(host))
 
 
 # -- doubling embeddings ------------------------------------------------------
@@ -434,7 +449,7 @@ def _build_stepped(spec):
     graph = generate_closure(seeds, tuple(range(n + 1)), host.neighbours, host.weight)
     if len(graph.elements) != kr_dimension(spec):
         raise RuntimeError("stepped image closure has the wrong size")
-    return KRBuild(spec, graph, "stepped", tableaux.format_element, stepped=host)
+    return KRBuild(spec, graph, stepped=host)
 
 
 # -- exceptional node for C and twisted D: sign triples -----------------------
@@ -494,8 +509,7 @@ def _triple_of(P):
 
 def _build_triples(spec):
     """The triple rules on each {2..n}-top, carried down its {2..n}-component."""
-    family, n, s = spec.family, spec.n, spec.s
-    ctype = spec.classical_type
+    family, n, s, ctype = spec.family, spec.n, spec.s, spec.classical_type
     shapes = kr_decomposition(spec)
     cls = classical_crystal(ctype, n, shapes, spec.classical_colors)
     table = _branching(cls, ctype, n, {sh: k for k, sh in enumerate(shapes)})
@@ -520,7 +534,7 @@ def _build_triples(spec):
     if sorted(arrows["f"].items()) != inverse:
         raise RuntimeError("triple 0-arrows are not mutually inverse")
     cls.add_color(0, arrows["f"])
-    return KRBuild(spec, cls, "triples", tableaux.format_element)
+    return KRBuild(spec, cls)
 
 
 # -- type D tail nodes: sigma on one spin crystal -----------------------------
@@ -540,24 +554,28 @@ def _build_spin(spec):
 
     The composite maps the crystal to itself, carrying f_{n-1} to f_n.
     """
-    n, s = spec.n, spec.s
-    colors = spec.classical_colors
+    n, s, colors = spec.n, spec.s, spec.classical_colors
     _, top = pm.highest_element("D", n, Shape(spin=1, color=1 if spec.r == n else 2))
     rule = tableaux.SpinTensorTable("D", n, colors)
     cls = generate_closure([(top,) * s], colors, rule.neighbours, _spin_tensor_weight)
     [shape] = kr_decomposition(spec)  # one shape: its diagrams differ in their sign triples
     table = {x: _triple_of(P) for x, P in _branching(cls, "D", n, {shape: 0}).items()}
-    swap = {n - 1: n, n: n - 1}
-    render = tableaux.format_spin_tensor
-    return _sigma_build(spec, cls, table, sigma_spin_D, swap, "spin", render)[0]
+    return _sigma_build(spec, cls, table, sigma_spin_D, {n - 1: n, n: n - 1})[0]
 
 
 # -- dispatch ------------------------------------------------------------------
 
 def build_kr(spec: AffineSpec) -> KRBuild:
-    """Build B^{r,s} afresh; a spec predicted over VERTEX_BOUND is refused up front."""
+    """Build B^{r,s} afresh by its route; a spec predicted over VERTEX_BOUND is refused up front."""
     _refuse_over_bound(spec)
-    return _dispatch(spec)
+    return _BUILDERS[route(spec)](spec)
+
+
+_BUILDERS = {  # route -> builder
+    "promotion": _build_promotion, "dba": lambda spec: _build_dba(spec)[0],
+    "virtual": _build_virtual, "stepped": _build_stepped,
+    "triples": _build_triples, "spin": _build_spin,
+}
 
 
 def _refuse_over_bound(spec):
@@ -570,18 +588,3 @@ def _refuse_over_bound(spec):
         if size > VERTEX_BOUND:
             head = f"{spec.family} n={spec.n} r={spec.r} s={spec.s} would have at least {size}"
             raise RuntimeError(f"{head} vertices, over the bound {VERTEX_BOUND}")
-
-
-def _dispatch(spec):
-    fam, n, r = spec.family, spec.n, spec.r
-    if fam == "A1":
-        return _build_promotion(spec)
-    if fam == "A2odd" or (fam == "B1" and r < n) or (fam == "D1" and r <= n - 2):
-        return _build_dba(spec)[0]
-    if fam in ("B1", "A2even") or (fam == "D2" and r < n):
-        return _build_stepped(spec)
-    if fam == "C1" and r < n:
-        return _build_virtual(spec)
-    if fam in ("C1", "D2"):
-        return _build_triples(spec)
-    return _build_spin(spec)

@@ -34,6 +34,7 @@ from .kr_builders import (
     _triple_of,
     build_kr,
     classical_model,
+    route,
 )
 
 
@@ -286,7 +287,7 @@ def check_phi0(build: KRBuild) -> CheckReport:
         table = _branching(g, spec.classical_type, n, _locate_tops(build, kr_decomposition(spec)))
         checked = 0
         for x, P in sorted(table.items()):  # the {2..n}-tops in vertex order
-            if build.kind == "triples":
+            if route(spec) == "triples":
                 t = _triple_of(P)
                 if g.eps(0, x) != t.l1 + t.gamma:
                     return False, "eps_0 misses the sign-column count", _w(
@@ -366,10 +367,8 @@ def check_similarity(build: KRBuild) -> CheckReport:
     """The build sits inside its host exactly as the index scaling dictates."""
 
     def body():
-        host = build.stepped
         # a fixed-point build is checked on a fresh host, not the closed one it was read off
-        if build.kind == "virtual":
-            host = SteppedHost(build.spec)
+        host = SteppedHost(build.spec) if route(build.spec) == "virtual" else build.stepped
         if host is None:
             return True, "no ambient crystal for this construction", None
         return _check_stepped_similarity(build, host)

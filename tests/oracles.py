@@ -817,14 +817,7 @@ def with_dropped_edge(build: KRBuild, color: int, k: int = 0) -> KRBuild:
     src, _ = pairs[k % len(pairs)]
     del f_edges[color][src]
     mutated = CrystalGraph(g.elements, g.colors, f_edges, g.weights)
-    return KRBuild(
-        build.spec,
-        mutated,
-        build.kind,
-        build.render,
-        ambient=build.ambient,
-        stepped=build.stepped,
-    )
+    return KRBuild(build.spec, mutated, ambient=build.ambient, stepped=build.stepped)
 
 
 # -- the Q-system ------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Builder routes: desk-sized oracles for every family."""
 
+import ast
 import json
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +12,7 @@ from hypothesis import strategies as st
 from krcrystals import kr_builders
 from krcrystals import pm_diagrams as pm
 from krcrystals import tableaux
-from krcrystals.cartan import AffineSpec, Shape, kr_decomposition, kr_dimension
+from krcrystals.cartan import FAMILIES, AffineSpec, Shape, kr_decomposition, kr_dimension
 from krcrystals.cli import graph_document, main, to_dot
 from krcrystals.crystal_core import VERTEX_BOUND, generate_closure
 from krcrystals.kr_builders import (
@@ -17,6 +20,7 @@ from krcrystals.kr_builders import (
     build_kr,
     classical_model,
     promotion,
+    route,
     sigma_spin_D,
     triple_rules,
     _build_spin,
@@ -34,6 +38,8 @@ from oracles import (
     tableau_phi,
     tableau_phi_table,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 # -- promotion route (type A) --------------------------------------------------
@@ -823,8 +829,8 @@ def test_spin_crystals_are_isomorphic_under_the_tail_flip(n, s):
 
 
 def _transport_without_swap(sigma_build):
-    def mutated(spec, cls, table, mirror, swap, kind, render):
-        return sigma_build(spec, cls, table, mirror, {}, kind, render)
+    def mutated(spec, cls, table, mirror, swap):
+        return sigma_build(spec, cls, table, mirror, {})
 
     return mutated
 
@@ -966,18 +972,57 @@ def test_each_builder_check_fails_the_run(
         assert (captured.out, captured.err) == ("", f"kr: {message}\n")
 
 
-# -- dispatch -------------------------------------------------------------------
+# -- route ---------------------------------------------------------------------
 
-def test_dispatch_kinds():
-    assert build_kr(AffineSpec("A1", 3, 1, 1)).kind == "promotion"
-    assert build_kr(AffineSpec("B1", 2, 1, 1)).kind == "dba"
-    assert build_kr(AffineSpec("A2odd", 2, 2, 1)).kind == "dba"
-    assert build_kr(AffineSpec("D1", 4, 2, 1)).kind == "dba"
-    assert build_kr(AffineSpec("C1", 3, 1, 1)).kind == "virtual"
-    assert build_kr(AffineSpec("C1", 2, 2, 1)).kind == "triples"
-    assert build_kr(AffineSpec("D2", 2, 2, 1)).kind == "triples"
-    assert build_kr(AffineSpec("B1", 2, 2, 1)).kind == "stepped"
-    assert build_kr(AffineSpec("D1", 4, 4, 1)).kind == "spin"
+def _literal(path, name):
+    """A module-level literal of a file outside the package, read without running it."""
+    for node in ast.parse(path.read_text()).body:
+        targets = [getattr(t, "id", None) for t in getattr(node, "targets", ())]
+        if targets == [name]:
+            return ast.literal_eval(node.value)
+    raise LookupError(f"{name} is not assigned in {path}")
+
+
+def test_route_is_total_and_names_only_the_ledger_kinds():
+    # every family, n <= 6 and every valid r (s plays no part): each spec
+    # gets one of the six kinds perfbench's build ledger keys on, each kind
+    # as often as the choice per family and node gives
+    kinds = _literal(ROOT / "perfbench" / "worker.py", "ROUTE_KINDS")
+    counts = Counter()
+    for family in FAMILIES:
+        for n in range(4 if family == "D1" else 2, 7):
+            for r in range(1, n if family == "A1" else n + 1):
+                counts[route(AffineSpec(family, n, r, 1))] += 1
+    assert sorted(counts) == sorted(kinds)
+    assert counts == {
+        "promotion": 15, "dba": 44, "virtual": 15, "stepped": 40, "triples": 10, "spin": 6
+    }
+    spot = [
+        (("A1", 3, 1, 1), "promotion"), (("B1", 2, 1, 1), "dba"), (("A2odd", 2, 2, 1), "dba"),
+        (("D1", 4, 2, 1), "dba"), (("C1", 3, 1, 1), "virtual"), (("C1", 2, 2, 1), "triples"),
+        (("D2", 2, 2, 1), "triples"), (("B1", 2, 2, 1), "stepped"), (("D1", 4, 3, 1), "spin"),
+        (("D1", 4, 4, 1), "spin"), (("A2even", 3, 3, 1), "stepped"), (("D2", 3, 2, 1), "stepped"),
+    ]
+    assert [route(AffineSpec(*args)) for args, _ in spot] == [kind for _, kind in spot]
+
+
+def test_build_kind_is_the_route_on_the_grid_and_past_it():
+    # the grid, and per route the smallest spec past it that same_output.py
+    # compares; the virtual build carries its closed host, the stepped one
+    # its SteppedHost, and no other build either
+    grid = default_grid()
+    extra = _literal(ROOT / "scripts" / "same_output.py", "EXTRA_SPECS")
+    extra = [AffineSpec(*args) for args in extra]
+    past = sorted((spec for spec in extra if spec not in grid), key=kr_dimension, reverse=True)
+    smallest = {route(spec): spec for spec in past}
+    assert sorted(smallest) == sorted(_literal(ROOT / "perfbench" / "worker.py", "ROUTE_KINDS"))
+    for spec in [*grid, *smallest.values()]:
+        b = build_kr(spec)
+        kind = route(spec)
+        assert b.kind == kind, spec
+        hosts = (b.ambient is not None, b.stepped is not None)
+        assert hosts == (kind == "virtual", kind == "stepped"), spec
+        assert len(b.graph) == kr_dimension(spec)
 
 
 def test_stepped_build_closes_no_host(monkeypatch):

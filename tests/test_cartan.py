@@ -11,6 +11,7 @@ from krcrystals.cartan import (
     FAMILIES,
     AffineSpec,
     Shape,
+    horizontal_domino_shapes,
     kr_decomposition,
     affine_pairing,
     affine_root,
@@ -287,6 +288,35 @@ def test_weyl_batch_matches_fraction_formula_at_high_rank(spec, summed):
 def shape_sum(spec):
     """|B^{r,s}| as the sum of the Weyl dimensions of its classical decomposition."""
     return sum(shape_dimension(spec.classical_type, spec.n, sh) for sh in kr_decomposition(spec))
+
+
+def test_c1_shapes_come_lazily_with_the_full_box_first(time_limit):
+    # below the top node, the first C1 summand is the r x s box, and the
+    # shapes are the sorted horizontal-domino table's, in another order
+    for n, r, s in [(3, 2, 3), (4, 3, 4), (5, 2, 5)]:
+        shapes = list(kr_shapes(AffineSpec("C1", n, r, s)))
+        assert shapes[0] == Shape((s,) * r)
+        assert sorted(shapes) == sorted(horizontal_domino_shapes(r, s))
+    # 13,037,895 shapes for C1 22,16,22; the first comes without the rest
+    assert next(kr_shapes(AffineSpec("C1", 22, 16, 22))) == Shape((22,) * 16)
+
+
+def test_dimension_refuses_past_the_summand_bound(monkeypatch):
+    # D2 12,11,12 sums the 6,188 shapes of D1 13,11,12, the most any recorded
+    # query sums; one summand fewer allowed refuses it, naming the spec asked
+    from krcrystals import cartan
+
+    spec = AffineSpec("D2", 12, 11, 12)
+    assert sum(1 for _ in kr_shapes(AffineSpec("D1", 13, 11, 12))) == 6188
+    answer = kr_dimension(spec)
+    monkeypatch.setattr(cartan, "SUMMAND_BOUND", 6188)
+    assert kr_dimension(spec) == answer
+    monkeypatch.setattr(cartan, "SUMMAND_BOUND", 6187)
+    with pytest.raises(RuntimeError) as caught:
+        kr_dimension(spec)
+    assert str(caught.value) == (
+        "D2 n=12 r=11 s=12 has more than 6187 classical summands, over the summand bound"
+    )
 
 
 def test_large_box_dimension_is_fast(time_limit):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from krcrystals.cartan import AffineSpec, kr_dimension
+from krcrystals.cartan import AffineSpec, Shape, kr_dimension, shape_dimension
 from krcrystals.cli import dump_graph_document, graph_document, main, to_dot
 from krcrystals.kr_builders import build_kr
 from krcrystals.verify import SUITES, CheckReport, default_grid
@@ -209,7 +209,7 @@ def test_failed_build_becomes_a_report(capsys, monkeypatch):
     def broken(spec):
         raise RuntimeError("stepped image closure has the wrong size")
 
-    monkeypatch.setattr(kr_builders, "_build_stepped", broken)
+    monkeypatch.setitem(kr_builders._BUILDERS, "stepped", broken)
     args = ["check", "--family", "B1", "--n", "2", "--r", "2", "--s", "1"]
     assert main(args) == 1
     assert capsys.readouterr().out == (
@@ -289,6 +289,48 @@ def test_invalid_spec_exits_two(capsys):
 def test_partial_check_spec_exits_two(capsys):
     assert main(["check", "--family", "A1"]) == 2
     assert "all of" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["build", "decompose", "dim"])
+def test_invalid_spec_of_a_single_spec_command_exits_two(capsys, command):
+    assert main([command, "--family", "D1", "--n", "3", "--r", "1", "--s", "1"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "kr: the D1 family needs rank at least 4\n")
+
+
+@pytest.mark.parametrize("command,family", [("build", "B1"), ("decompose", "A2odd")])
+def test_value_error_inside_the_work_exits_one(capsys, monkeypatch, command, family):
+    # only the arguments exit 2; a ValueError once they are read is a broken invariant
+    from krcrystals import pm_diagrams as pm
+
+    def involution_S(P, r, s):
+        raise ValueError(f"blocks at sign height 0 for r={r}")
+
+    monkeypatch.setattr(pm, "involution_S", involution_S)
+    assert main([command, "--family", family, "--n", "2", "--r", "1", "--s", "1"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "kr: blocks at sign height 0 for r=1\n")
+
+
+@pytest.mark.parametrize(
+    "family,n,r,s", [("D1", 40, 30, 40), ("B1", 30, 20, 30), ("C1", 30, 20, 30)]
+)
+def test_dim_over_the_summand_bound_is_refused(capsys, time_limit, family, n, r, s):
+    # C(55, 15), about 8.5e8 and about 3.2e9 summands: counted as they are made
+    assert main(["dim", "--family", family, "--n", str(n), "--r", str(r), "--s", str(s)]) == 1
+    captured = capsys.readouterr()
+    message = f"{family} n={n} r={r} s={s} has more than 100000 classical summands"
+    assert (captured.out, captured.err) == ("", f"kr: {message}, over the summand bound\n")
+
+
+def test_large_c1_build_is_refused_at_its_box(capsys, time_limit):
+    # 13,037,895 horizontal-domino shapes, made lazily: the full box comes
+    # first and alone passes the bound
+    box = shape_dimension("C", 22, Shape((22,) * 16))
+    assert main(["build", "--family", "C1", "--n", "22", "--r", "16", "--s", "22"]) == 1
+    captured = capsys.readouterr()
+    message = f"C1 n=22 r=16 s=22 would have at least {box} vertices, over the bound 1000000"
+    assert (captured.out, captured.err) == ("", f"kr: {message}\n")
 
 
 def test_unknown_family_is_rejected_by_the_parser():

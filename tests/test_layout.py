@@ -125,15 +125,16 @@ def test_every_method_has_a_caller_outside_tests():
 
 
 def test_src_reads_no_field_kept_for_the_benchmark_ledger():
-    # KRBuild.ambient and KRBuild.partner stay for perfbench's build ledger
-    # alone; a suite that read ambient would check a fixed-point build
-    # against the closed host its arrows were read off
+    # KRBuild.kind, ambient and partner stay for perfbench's build ledger
+    # alone; src/ asks route(spec) for the route, and a suite that read
+    # ambient would check a fixed-point build against the closed host its
+    # arrows were read off
     found = [
         f"{path.name}:{node.lineno}: {ast.unparse(node)}"
         for path in SRC
         for node in ast.walk(_tree(path))
         if isinstance(node, ast.Attribute)
-        and node.attr in ("ambient", "partner")
+        and node.attr in ("kind", "ambient", "partner")
         and isinstance(node.ctx, ast.Load)
     ]
     assert found == []

@@ -203,8 +203,9 @@ def test_cyclic_zero_string_fails_the_build(monkeypatch, capsys, time_limit):
 
 
 def _replaced(build, **fields):
-    """A copy of the build with the given fields set."""
-    return KRBuild(**(vars(build) | fields))
+    """A copy of the build with the given constructor fields set."""
+    kept = {key: getattr(build, key) for key in ("spec", "graph", "ambient", "stepped")}
+    return KRBuild(**(kept | fields))
 
 
 def _with_shifted_weight(build, x, shift):
