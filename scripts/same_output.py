@@ -6,10 +6,10 @@ The committed tree of --rev is unpacked with `git archive` into a temporary
 directory (tempfile's default).  One child interpreter per tree runs, for
 every spec below, `kr build` (JSON and DOT), `kr check --format json` and
 `kr dim` through `cli.main`, and `kr decompose` with both subsets on the
-grid specs (516 commands on 97 specs), then `kr dim` on five high-rank specs
-and `kr build` on four specs it refuses over the vertex bound (525 commands
-in all), and reports the exit code and the sha256 of stdout and stderr of
-each.  Every command whose
+grid specs (516 commands on 97 specs), then `kr dim` on five high-rank specs,
+`kr build` on four specs it refuses over the vertex bound and `kr dim` on three
+specs it refuses over the summand bound (528 commands in all), and reports the
+exit code and the sha256 of stdout and stderr of each.  Every command whose
 record differs is printed, then the non-blank `src/` line count of both
 trees; the exit status is 1 on any difference or child failure, else 0.
 
@@ -49,6 +49,7 @@ EXTRA_SPECS = (
 DIM_ONLY = (("A2even", 11, 11, 11), ("D2", 12, 11, 12), ("B1", 10, 8, 8), ("C1", 10, 9, 10),
             ("D1", 10, 8, 8))
 REFUSED = (("A2odd", 7, 5, 2), ("A1", 12, 6, 3), ("A2even", 12, 12, 12), ("B1", 5, 4, 4))
+DIM_REFUSED = (("D1", 40, 30, 40), ("B1", 30, 20, 30), ("C1", 30, 20, 30))
 
 # Runs in each tree: reads the argv lists on stdin, writes {command: record}.
 CHILD = """
@@ -78,7 +79,8 @@ def commands() -> list[list[str]]:
         if key in grid:
             out += [["decompose", *spec(*key), "--subset", subset] for subset in ("classical", "zero")]
     out += [["dim", *spec(*key)] for key in DIM_ONLY]
-    return out + [["build", *spec(*key)] for key in REFUSED]
+    out += [["build", *spec(*key)] for key in REFUSED]
+    return out + [["dim", *spec(*key)] for key in DIM_REFUSED]
 
 
 def main(argv=None) -> int:

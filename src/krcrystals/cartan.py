@@ -6,10 +6,11 @@ as tuples of *doubled* integers so that spin weights stay exact.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import namedtuple
-from operator import mul, sub
+from operator import add, mul, sub
 
 FAMILIES = ("A1", "B1", "C1", "D1", "A2even", "A2odd", "D2")
 
@@ -85,20 +86,20 @@ class Shape(namedtuple("Shape", "rows spin color")):
 
     def weight(self, ctype: str, n: int) -> Weight:
         """Doubled epsilon-basis weight of the highest vector."""
-        w = [2 * row for row in self.rows] + [0] * (n - len(self.rows))
-        if self.color == 2:
-            w[n - 1] = -w[n - 1]
-        if self.spin:
-            half = [1] * n
-            if self.color == 2:
-                half[n - 1] = -1
-            w = [a + b for a, b in zip(w, half)]
-        return tuple(w)
+        return highest_weight(n, *self)
 
     def __str__(self):
         body = ",".join(str(row) for row in self.rows)
         tags = ("" if not self.spin else "+s") + ("" if not self.color else f"@{self.color}")
         return f"({body}){tags}"
+
+
+def highest_weight(n: int, rows, spin, color) -> Weight:
+    """Doubled epsilon-basis weight of the highest vector of a column shape (see Shape)."""
+    w = [2 * row + spin for row in rows] + [spin] * (n - len(rows))
+    if color == 2:
+        w[n - 1] = -w[n - 1]
+    return tuple(w)
 
 
 def simple_root(ctype: str, n: int, i: int) -> Weight:
@@ -170,7 +171,7 @@ def weyl_dimensions(ctype: str, n: int, weights):
 
     den = product(rho)
     for wt in weights:
-        dim, rem = divmod(product([x + y for x, y in zip(wt, rho)]), den)
+        dim, rem = divmod(product(list(map(add, wt, rho))), den)
         if rem or dim <= 0:
             raise ValueError(f"weight {wt} is not dominant for {ctype}_{n}")
         yield dim
@@ -195,15 +196,16 @@ def conjugate(cols) -> tuple[int, ...]:
 
 
 def _horizontal_dominoes(r, s):
-    """Horizontal-domino removals from an r x s rectangle, lazily, the full box first:
-    rows congruent to s mod 2."""
+    """Rows of the horizontal-domino removals from an r x s rectangle, lazily, the full
+    box first: rows congruent to s mod 2."""
     for rows in itertools.combinations_with_replacement(range(s, -1, -2), r):
-        yield Shape(tuple(itertools.takewhile(bool, rows)))  # the rows descend, so 0s trail
+        yield tuple(itertools.takewhile(bool, rows))  # the rows descend, so 0s trail
 
 
 def horizontal_domino_shapes(r: int, s: int) -> tuple[Shape, ...]:
     """The horizontal-domino removals from an r x s rectangle, sorted."""
-    return tuple(sorted(_horizontal_dominoes(r, s), key=lambda sh: (sh.size(), sh.rows)))
+    shapes = map(Shape, _horizontal_dominoes(r, s))
+    return tuple(sorted(shapes, key=lambda sh: (sh.size(), sh.rows)))
 
 
 def _box_rows(heights, s):
@@ -223,14 +225,17 @@ def _box_rows(heights, s):
     return fill(0, 0, ())
 
 
-def kr_shapes(spec: AffineSpec):
-    """The classical shapes of B^{r,s}, one per irreducible summand, the full box first."""
+def kr_summands(spec: AffineSpec):
+    """(rows, spin, color) of each classical summand of B^{r,s}, lazily, the full box first.
+
+    The fields are a Shape's, and already valid: nothing here checks them.
+    """
     fam, n, r, s = spec.family, spec.n, spec.r, spec.s
     if fam == "A1":
-        yield Shape((s,) * r)
+        yield (s,) * r, 0, 0
     elif fam == "D1" and r >= n - 1:
         k, sp = divmod(s, 2)
-        yield Shape((k,) * n if k else (), spin=sp, color=1 if r == n else 2)
+        yield (k,) * n if k else (), sp, 1 if r == n else 2
     elif fam == "B1" and r == n:
         # weights 2(k_iota + ... + k_{n-2}) + k_n = s; height-0 entries carry
         # the k_0 slack when n is even
@@ -238,20 +243,48 @@ def kr_shapes(spec: AffineSpec):
         for count in range(s // 2 + 1):
             full, sp = divmod(s - 2 * count, 2)
             for low in itertools.combinations_with_replacement(low_heights, count):
-                yield Shape(conjugate(low + (n,) * full), spin=sp)
+                yield conjugate(low + (n,) * full), sp, 0
     elif fam == "D2" and r == n:
         k, sp = divmod(s, 2)
-        yield Shape((k,) * n if k else (), spin=sp)
+        yield (k,) * n if k else (), sp, 0
     elif fam == "C1" and r == n:
-        yield Shape((s,) * n)
+        yield (s,) * n, 0, 0
     elif fam in ("B1", "D1", "A2odd"):
         # vertical-domino removals: s columns of heights congruent to r mod 2,
         # so columns may vanish (height 0) only when r is even
-        yield from map(Shape, _box_rows(tuple(range(r, -1, -2)), s))
+        for rows in _box_rows(tuple(range(r, -1, -2)), s):
+            yield rows, 0, 0
     elif fam == "C1":
-        yield from _horizontal_dominoes(r, s)
+        for rows in _horizontal_dominoes(r, s):
+            yield rows, 0, 0
     else:  # A2even any r, D2 r < n: every shape inside the r x s box
-        yield from map(Shape, _box_rows(tuple(range(r, -1, -1)), s))
+        for rows in _box_rows(tuple(range(r, -1, -1)), s):
+            yield rows, 0, 0
+
+
+def summand_count(spec: AffineSpec) -> int:
+    """How many summands kr_summands(spec) yields, in closed form: multisets of column
+    heights (or of row lengths for C1 below the top node) counted by math.comb."""
+    fam, n, r, s = spec.family, spec.n, spec.r, spec.s
+    if fam == "B1" and r == n:
+        return math.comb(len(range(n % 2, n - 1, 2)) + s // 2, s // 2)
+    if fam == "A1" or (fam == "D1" and r >= n - 1) or (fam in ("C1", "D2") and r == n):
+        return 1
+    if fam in ("B1", "D1", "A2odd"):
+        return math.comb(s + len(range(r, -1, -2)) - 1, s)
+    if fam == "C1":
+        return math.comb(r + s // 2, r)
+    return math.comb(s + r, r)
+
+
+def summand_weights(spec: AffineSpec):
+    """The doubled highest weight of each summand, lazily, the full box first; no Shape is made."""
+    return itertools.starmap(functools.partial(highest_weight, spec.n), kr_summands(spec))
+
+
+def kr_shapes(spec: AffineSpec):
+    """The classical shapes of B^{r,s}, one per irreducible summand, the full box first."""
+    return itertools.starmap(Shape, kr_summands(spec))
 
 
 def kr_decomposition(spec: AffineSpec) -> tuple[Shape, ...]:
@@ -260,7 +293,7 @@ def kr_decomposition(spec: AffineSpec) -> tuple[Shape, ...]:
 
 
 def kr_dimension(spec: AffineSpec) -> int:
-    """Total vertex count of B^{r,s}, one batch of Weyl dimensions over classical shapes.
+    """Total vertex count of B^{r,s}, one batch of Weyl dimensions over summand_weights.
 
     A twisted family answers through its untwisted partner with the same
     (r, s), whose KR module has the same dimension because twisted KR
@@ -270,17 +303,15 @@ def kr_dimension(spec: AffineSpec) -> int:
     Weight vectors always have n coordinates; in type A the staircase formula
     over n letters gives the gl_n dimension, which matches the crystal.
     tests/test_cartan.py checks these answers against the Q-system, n <= 8.
-    RuntimeError, before any Weyl product, once the summands counted as they
-    are made pass SUMMAND_BOUND.
+    RuntimeError, before any summand is made, when summand_count passes
+    SUMMAND_BOUND.
     """
     asked = spec
     if spec.family in ("A2even", "A2odd"):
         spec = AffineSpec("A1", 2 * spec.n + (spec.family == "A2even"), spec.r, spec.s)
     elif spec.family == "D2" and 2 < spec.n and spec.r < spec.n:
         spec = AffineSpec("D1", spec.n + 1, spec.r, spec.s)
-    ctype, n = spec.classical_type, spec.n
-    shapes = list(itertools.islice(kr_shapes(spec), SUMMAND_BOUND + 1))
-    if len(shapes) > SUMMAND_BOUND:
+    if summand_count(spec) > SUMMAND_BOUND:
         head = f"{asked.family} n={asked.n} r={asked.r} s={asked.s} has more than {SUMMAND_BOUND}"
         raise RuntimeError(f"{head} classical summands, over the summand bound")
-    return sum(weyl_dimensions(ctype, n, (sh.weight(ctype, n) for sh in shapes)))
+    return sum(weyl_dimensions(spec.classical_type, spec.n, summand_weights(spec)))

@@ -17,7 +17,7 @@ import itertools
 from . import pm_diagrams as pm
 from . import tableaux
 from .cartan import AffineSpec, Shape, horizontal_domino_shapes, kr_decomposition, kr_dimension
-from .cartan import kr_shapes, weyl_dimensions
+from .cartan import summand_weights, weyl_dimensions
 from .crystal_core import VERTEX_BOUND, CrystalGraph, generate_closure, greedy_raise
 from .pm_diagrams import SignTriple
 from .tableaux import classical_crystal
@@ -582,8 +582,7 @@ def _refuse_over_bound(spec):
     """Refuse once the summands' sizes, the full box first, sum past the bound.
 
     The sum stops there, so the count it names is a lower bound on |B|."""
-    ctype, n = spec.classical_type, spec.n
-    sizes = weyl_dimensions(ctype, n, (sh.weight(ctype, n) for sh in kr_shapes(spec)))
+    sizes = weyl_dimensions(spec.classical_type, spec.n, summand_weights(spec))
     for size in itertools.accumulate(sizes):
         if size > VERTEX_BOUND:
             head = f"{spec.family} n={spec.n} r={spec.r} s={spec.s} would have at least {size}"

@@ -5,16 +5,25 @@ import signal
 import pytest
 
 
+class TimeLimitExceeded(BaseException):
+    """A test ran past its time limit.
+
+    A BaseException, so neither `except Exception` (run_suite's failing
+    reports) nor `except (ValueError, RuntimeError, OSError)` (cli.main's
+    exit 1) can turn a hang into an ordinary failure or a pass.
+    """
+
+
 @pytest.fixture
 def time_limit():
-    """Fail the test with TimeoutError once it runs longer than 10 s.
+    """Fail the test with TimeLimitExceeded once it runs longer than 10 s.
 
     The limit is an in-process interval timer, so a walk that never ends
     fails where it spins instead of stalling the whole run.
     """
 
     def expire(signum, frame):
-        raise TimeoutError("still running after 10 s")
+        raise TimeLimitExceeded("still running after 10 s")
 
     previous = signal.signal(signal.SIGALRM, expire)
     signal.setitimer(signal.ITIMER_REAL, 10)

@@ -19,6 +19,8 @@ from krcrystals.cartan import (
     kr_shapes,
     shape_dimension,
     simple_root,
+    summand_count,
+    summand_weights,
     weyl_dimension,
     weyl_dimensions,
     zero_root_projection,
@@ -299,6 +301,97 @@ def test_c1_shapes_come_lazily_with_the_full_box_first(time_limit):
         assert sorted(shapes) == sorted(horizontal_domino_shapes(r, s))
     # 13,037,895 shapes for C1 22,16,22; the first comes without the rest
     assert next(kr_shapes(AffineSpec("C1", 22, 16, 22))) == Shape((22,) * 16)
+
+
+# every family, n <= 8, every valid r, s <= 6: 1,398 specs
+SMALL_SPECS = [
+    AffineSpec(family, n, r, s)
+    for family in FAMILIES
+    for n in range(4 if family == "D1" else 2, 9)
+    for r in range(1, (n - 1 if family == "A1" else n) + 1)
+    for s in range(1, 7)
+]
+
+
+def padded_weight(n, shape):
+    """The doubled highest weight the long way: 2 x rows padded to n, plus
+    1/2 in every coordinate for a spin column, the last sign flipped for color 2."""
+    w = [2 * row for row in shape.rows] + [0] * (n - len(shape.rows))
+    half = [shape.spin] * n
+    if shape.color == 2:
+        w[-1], half[-1] = -w[-1], -half[-1]
+    return tuple(a + b for a, b in zip(w, half))
+
+
+def test_summand_weights_are_the_shapes_weights_in_order():
+    # the shape-free stream the dimension pre-flights read against the
+    # Shapes kr_shapes makes (which check every partition) and the long rule
+    assert len(SMALL_SPECS) == 1398
+    for spec in SMALL_SPECS:
+        ctype, n = spec.classical_type, spec.n
+        shapes = list(kr_shapes(spec))
+        weights = [sh.weight(ctype, n) for sh in shapes]
+        assert list(summand_weights(spec)) == weights, spec
+        assert weights == [padded_weight(n, sh) for sh in shapes], spec
+
+
+def test_summand_weights_come_lazily_with_the_full_box_first(time_limit):
+    box = AffineSpec("C1", 22, 16, 22)
+    assert next(summand_weights(box)) == Shape((22,) * 16).weight("C", 22)
+
+
+def test_summand_count_is_the_enumerated_count():
+    for spec in SMALL_SPECS:
+        assert summand_count(spec) == sum(1 for _ in kr_shapes(spec)), spec
+    # the three specs kr dim refuses past the summand bound
+    assert summand_count(AffineSpec("D1", 40, 30, 40)) == math.comb(55, 15)
+    assert summand_count(AffineSpec("B1", 30, 20, 30)) == math.comb(40, 10) == 847660528
+    assert summand_count(AffineSpec("C1", 30, 20, 30)) == math.comb(35, 15) == 3247943160
+
+
+def counted_summands(monkeypatch):
+    """Wrap cartan.kr_summands so that each summand it yields is also listed."""
+    from krcrystals import cartan
+
+    made, stream = [], cartan.kr_summands
+
+    def counted(spec):
+        for summand in stream(spec):
+            made.append(summand)
+            yield summand
+
+    monkeypatch.setattr(cartan, "kr_summands", counted)
+    return made
+
+
+@pytest.mark.parametrize(
+    "family,n,r,s", [("D1", 40, 30, 40), ("B1", 30, 20, 30), ("C1", 30, 20, 30)]
+)
+def test_summand_bound_refusal_makes_no_summand(monkeypatch, family, n, r, s):
+    answered = AffineSpec("B1", 4, 2, 3)
+    total = shape_sum(answered)
+    made = counted_summands(monkeypatch)
+    assert kr_dimension(answered) == total and len(made) == 4  # the wrapper sees the stream
+    made.clear()
+    with pytest.raises(RuntimeError, match="classical summands, over the summand bound"):
+        kr_dimension(AffineSpec(family, n, r, s))
+    assert made == []
+
+
+def test_dimension_preflights_make_no_shape(monkeypatch):
+    # kr_dimension and build_kr's refusal read the summands' rows directly
+    from krcrystals import cartan, kr_builders
+
+    expected = [kr_dimension(spec) for spec in SMALL_SPECS[::7]]
+
+    def no_shape(*args, **kwargs):
+        raise AssertionError("a Shape was made")
+
+    monkeypatch.setattr(cartan, "Shape", no_shape)
+    assert [kr_dimension(spec) for spec in SMALL_SPECS[::7]] == expected
+    kr_builders._refuse_over_bound(AffineSpec("D2", 4, 3, 2))
+    with pytest.raises(RuntimeError, match="over the bound 1000000"):
+        kr_builders._refuse_over_bound(AffineSpec("C1", 22, 16, 22))
 
 
 def test_dimension_refuses_past_the_summand_bound(monkeypatch):

@@ -12,6 +12,7 @@ from krcrystals.cli import dump_graph_document, graph_document, main, to_dot
 from krcrystals.kr_builders import build_kr
 from krcrystals.verify import SUITES, CheckReport, default_grid
 
+from conftest import TimeLimitExceeded
 from oracles import load_graph_document
 
 ROUND_TRIP_SPECS = [
@@ -316,11 +317,29 @@ def test_value_error_inside_the_work_exits_one(capsys, monkeypatch, command, fam
     "family,n,r,s", [("D1", 40, 30, 40), ("B1", 30, 20, 30), ("C1", 30, 20, 30)]
 )
 def test_dim_over_the_summand_bound_is_refused(capsys, time_limit, family, n, r, s):
-    # C(55, 15), about 8.5e8 and about 3.2e9 summands: counted as they are made
+    # C(55, 15), about 8.5e8 and about 3.2e9 summands: counted in closed form, none made
     assert main(["dim", "--family", family, "--n", str(n), "--r", str(r), "--s", str(s)]) == 1
     captured = capsys.readouterr()
     message = f"{family} n={n} r={r} s={s} has more than 100000 classical summands"
     assert (captured.out, captured.err) == ("", f"kr: {message}, over the summand bound\n")
+
+
+def test_a_time_limit_passes_through_kr_and_run_suite(monkeypatch):
+    # time_limit's exception must fail the test where it fires: cli.main's
+    # exit-1 handler and run_suite's failing report would hide a hang
+    from krcrystals import cartan, verify
+
+    def expire(*args):
+        raise TimeLimitExceeded("still running after 10 s")
+
+    monkeypatch.setattr(cartan, "summand_weights", expire)
+    monkeypatch.setattr(verify, "build_kr", expire)
+    spec = ["--family", "B1", "--n", "2", "--r", "2", "--s", "1"]
+    for argv in (["dim", *spec], ["check", *spec]):
+        with pytest.raises(TimeLimitExceeded):
+            main(argv)
+    with pytest.raises(TimeLimitExceeded):
+        verify.run_suite([AffineSpec("B1", 2, 2, 1)])
 
 
 def test_large_c1_build_is_refused_at_its_box(capsys, time_limit):
