@@ -6,9 +6,9 @@ The committed tree of --rev is unpacked with `git archive` into a temporary
 directory (tempfile's default).  One child interpreter per tree runs, for
 every spec below, `kr build` (JSON and DOT), `kr check --format json` and
 `kr dim` through `cli.main`, and `kr decompose` with both subsets on the
-grid specs (516 commands on 97 specs), then `kr dim` on five high-rank specs,
+grid specs (516 commands on 97 specs), then `kr dim` on seven high-rank specs,
 `kr build` on four specs it refuses over the vertex bound and `kr dim` on three
-specs it refuses over the summand bound (528 commands in all), and reports the
+specs it refuses over the summand bound (530 commands in all), and reports the
 exit code and the sha256 of stdout and stderr of each.  Every command whose
 record differs is printed, then the non-blank `src/` line count of both
 trees; the exit status is 1 on any difference or child failure, else 0.
@@ -16,7 +16,9 @@ trees; the exit status is 1 on any difference or child failure, else 0.
 The specs are the default `kr check` grid, the seven `wide_build` specs of
 perfbench/worker.py, and specs beyond both on every route.  The high-rank
 dimensions and the refusals' lower bounds are exact integers of up to 53
-digits, where a change to the Weyl product would show first.
+digits, where a change to the Weyl product would show first.  `B1` 10,10,9 and
+11,11,10 sum the 126 and 252 summands of `B1` at r = n, whose order a sum
+does not see.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ EXTRA_SPECS = (
     ("C1", 3, 3, 4), ("D2", 4, 4, 3), ("D1", 5, 5, 4), ("D1", 6, 5, 2),
 )
 DIM_ONLY = (("A2even", 11, 11, 11), ("D2", 12, 11, 12), ("B1", 10, 8, 8), ("C1", 10, 9, 10),
-            ("D1", 10, 8, 8))
+            ("D1", 10, 8, 8), ("B1", 10, 10, 9), ("B1", 11, 11, 10))
 REFUSED = (("A2odd", 7, 5, 2), ("A1", 12, 6, 3), ("A2even", 12, 12, 12), ("B1", 5, 4, 4))
 DIM_REFUSED = (("D1", 40, 30, 40), ("B1", 30, 20, 30), ("C1", 30, 20, 30))
 

@@ -84,7 +84,7 @@ class Shape(namedtuple("Shape", "rows spin color")):
     def size(self) -> int:
         return sum(self.rows)
 
-    def weight(self, ctype: str, n: int) -> Weight:
+    def weight(self, n: int) -> Weight:
         """Doubled epsilon-basis weight of the highest vector."""
         return highest_weight(n, *self)
 
@@ -184,7 +184,7 @@ def weyl_dimension(ctype: str, n: int, wt: Weight) -> int:
 
 
 def shape_dimension(ctype: str, n: int, shape: Shape) -> int:
-    return weyl_dimension(ctype, n, shape.weight(ctype, n))
+    return weyl_dimension(ctype, n, shape.weight(n))
 
 
 def conjugate(cols) -> tuple[int, ...]:
@@ -195,86 +195,69 @@ def conjugate(cols) -> tuple[int, ...]:
     return tuple(sum(1 for h in heights if h > i) for i in range(heights[0]))
 
 
-def _horizontal_dominoes(r, s):
-    """Rows of the horizontal-domino removals from an r x s rectangle, lazily, the full
-    box first: rows congruent to s mod 2."""
-    for rows in itertools.combinations_with_replacement(range(s, -1, -2), r):
-        yield tuple(itertools.takewhile(bool, rows))  # the rows descend, so 0s trail
+def _box_rows(heights, s, i, used, below):
+    """Rows of each shape of s columns, heights from heights[i:], the full box first, under
+    the rows below; used columns are taller than heights[i].  With t columns at least h
+    tall, the rows from the next smaller height up to h have length t."""
+    h = heights[i]
+    for t in range(s, used - 1, -1) if i + 1 < len(heights) else (s,):
+        if t == s:
+            yield (s,) * h + below
+        else:
+            lower = (t,) * (h - heights[i + 1]) + below if t else below
+            yield from _box_rows(heights, s, i + 1, t, lower)
+
+
+def _multiset_rows(pool, k, by_rows):
+    """Rows of the shape of each k-multiset of a descending pool, lazily, the full box first:
+    the multiset read as row lengths when by_rows, else as column heights (a 0 is none)."""
+    if by_rows:  # the rows descend, so 0s trail
+        rows = itertools.combinations_with_replacement(pool, k)
+        return (tuple(itertools.takewhile(bool, each)) for each in rows)
+    return _box_rows(tuple(pool), k, 0, 0, ()) if k else iter([()])  # tuples index faster
 
 
 def horizontal_domino_shapes(r: int, s: int) -> tuple[Shape, ...]:
     """The horizontal-domino removals from an r x s rectangle, sorted."""
-    shapes = map(Shape, _horizontal_dominoes(r, s))
+    shapes = map(Shape, _multiset_rows(range(s, -1, -2), r, True))
     return tuple(sorted(shapes, key=lambda sh: (sh.size(), sh.rows)))
 
 
-def _box_rows(heights, s):
-    """Rows of each shape of s columns, heights from a decreasing tuple; the full box first.
+def _summand_pool(spec: AffineSpec):
+    """(pool, k, by_rows, spin, color): each classical summand of B^{r,s} is a k-multiset of
+    the pool, read by _multiset_rows, with this spin and color.
 
-    With t columns at least h tall, the rows from the next smaller height up to h have length t.
+    The removal rules of Fourier-Okado-Schilling: from s columns of height r, vertical
+    dominoes (B1, D1, A2odd) or any boxes (A2even, D2); from r rows of length s, horizontal
+    dominoes (C1); none in A1 and C1 at r = n.  At the spin nodes of D1 and at r = n of B1
+    and D2: s // 2 full columns (less vertical dominoes in B1), and a spin column if s is odd.
     """
-
-    def fill(k, used, below):  # used columns are taller than heights[k]; below: the lower rows
-        h = heights[k]
-        for t in range(s, used - 1, -1) if k + 1 < len(heights) else (s,):
-            if t == s:
-                yield (s,) * h + below
-            else:
-                yield from fill(k + 1, t, (t,) * (h - heights[k + 1]) + below if t else below)
-
-    return fill(0, 0, ())
+    fam, n, r, s = spec
+    half, spin = divmod(s, 2)
+    if fam == "A1" or (fam == "C1" and r == n):
+        return (r,), s, False, 0, 0
+    if (fam == "D1" and r >= n - 1) or (fam == "D2" and r == n):
+        return (n,), half, False, spin, 0 if fam == "D2" else 1 if r == n else 2
+    if fam == "B1" and r == n:
+        return range(n, -1, -2), half, False, spin, 0
+    if fam in ("B1", "D1", "A2odd"):  # heights of r's parity: 0 only when r is even
+        return range(r, -1, -2), s, False, 0, 0
+    if fam == "C1":
+        return range(s, -1, -2), r, True, 0, 0
+    return range(r, -1, -1), s, False, 0, 0
 
 
 def kr_summands(spec: AffineSpec):
-    """(rows, spin, color) of each classical summand of B^{r,s}, lazily, the full box first.
-
-    The fields are a Shape's, and already valid: nothing here checks them.
-    """
-    fam, n, r, s = spec.family, spec.n, spec.r, spec.s
-    if fam == "A1":
-        yield (s,) * r, 0, 0
-    elif fam == "D1" and r >= n - 1:
-        k, sp = divmod(s, 2)
-        yield (k,) * n if k else (), sp, 1 if r == n else 2
-    elif fam == "B1" and r == n:
-        # weights 2(k_iota + ... + k_{n-2}) + k_n = s; height-0 entries carry
-        # the k_0 slack when n is even
-        low_heights = range(n % 2, n - 1, 2)
-        for count in range(s // 2 + 1):
-            full, sp = divmod(s - 2 * count, 2)
-            for low in itertools.combinations_with_replacement(low_heights, count):
-                yield conjugate(low + (n,) * full), sp, 0
-    elif fam == "D2" and r == n:
-        k, sp = divmod(s, 2)
-        yield (k,) * n if k else (), sp, 0
-    elif fam == "C1" and r == n:
-        yield (s,) * n, 0, 0
-    elif fam in ("B1", "D1", "A2odd"):
-        # vertical-domino removals: s columns of heights congruent to r mod 2,
-        # so columns may vanish (height 0) only when r is even
-        for rows in _box_rows(tuple(range(r, -1, -2)), s):
-            yield rows, 0, 0
-    elif fam == "C1":
-        for rows in _horizontal_dominoes(r, s):
-            yield rows, 0, 0
-    else:  # A2even any r, D2 r < n: every shape inside the r x s box
-        for rows in _box_rows(tuple(range(r, -1, -1)), s):
-            yield rows, 0, 0
+    """(rows, spin, color) of each classical summand of B^{r,s}, lazily, the full box first:
+    a Shape's fields, already valid, so nothing here checks them."""
+    pool, k, by_rows, spin, color = _summand_pool(spec)
+    return ((rows, spin, color) for rows in _multiset_rows(pool, k, by_rows))
 
 
 def summand_count(spec: AffineSpec) -> int:
-    """How many summands kr_summands(spec) yields, in closed form: multisets of column
-    heights (or of row lengths for C1 below the top node) counted by math.comb."""
-    fam, n, r, s = spec.family, spec.n, spec.r, spec.s
-    if fam == "B1" and r == n:
-        return math.comb(len(range(n % 2, n - 1, 2)) + s // 2, s // 2)
-    if fam == "A1" or (fam == "D1" and r >= n - 1) or (fam in ("C1", "D2") and r == n):
-        return 1
-    if fam in ("B1", "D1", "A2odd"):
-        return math.comb(s + len(range(r, -1, -2)) - 1, s)
-    if fam == "C1":
-        return math.comb(r + s // 2, r)
-    return math.comb(s + r, r)
+    """How many summands kr_summands(spec) yields: the k-multisets of the pool."""
+    pool, k = _summand_pool(spec)[:2]
+    return math.comb(len(pool) + k - 1, k)
 
 
 def summand_weights(spec: AffineSpec):

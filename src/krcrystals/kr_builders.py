@@ -130,10 +130,10 @@ def _top_of_weight(tops, weight_of, wt):
 
 def _locate_tops(build, shapes):
     """{shape: the vertex of the build carrying its classical highest tableau}."""
-    ctype, n, g = build.spec.classical_type, build.spec.n, build.graph
+    n, g = build.spec.n, build.graph
     tops = g.highest_vertices(build.spec.classical_colors)
     return {
-        sh: _top_of_weight(tops, lambda v: tuple(g.weights[v]), sh.weight(ctype, n))
+        sh: _top_of_weight(tops, lambda v: tuple(g.weights[v]), sh.weight(n))
         for sh in shapes
     }
 
@@ -409,7 +409,7 @@ class SteppedHost:
         """The host's C_n top of a shape: the sigma-fixed {2..N}-top of its weight,
         or its highest tableau when the host is its own C_n crystal (B1 at r = n)."""
         if self.virtual:
-            return _top_of_weight(self._fixed_tops, self._fixed_tops.get, outer.weight("C", self.n))
+            return _top_of_weight(self._fixed_tops, self._fixed_tops.get, outer.weight(self.n))
         return pm.highest_element("C", self.n, outer)
 
     def host_phi(self, P):

@@ -159,7 +159,7 @@ def check_decompositions(build: KRBuild) -> CheckReport:
         if len(g) != kr_dimension(spec):
             return False, f"size {len(g)} != {kr_dimension(spec)}", None
         got = g.decomposition(spec.classical_colors)
-        want = sorted(sh.weight(ctype, n) for sh in shapes)
+        want = sorted(sh.weight(n) for sh in shapes)
         if got != want:
             return False, "classical highest weights off the table", {
                 "got": str(got), "want": str(want),
@@ -425,7 +425,7 @@ def check_jlowest(build: KRBuild) -> CheckReport:
                 return False, "inner heights are not a partition", _w(build, x, 1)
             inner = Shape(conjugate([h for h in heights if h]))
             _, top = g.raise_path(x, jprime)
-            if tuple(g.weights[top][1:]) != inner.weight(ctype, n - 1):
+            if tuple(g.weights[top][1:]) != inner.weight(n - 1):
                 return False, "branch top misses the inner shape", _w(
                     build, x, 2, inner=str(inner)
                 )

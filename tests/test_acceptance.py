@@ -77,7 +77,7 @@ def test_criterion_03_classical_decomposition_and_dimension(grid):
     for spec, build in grid:
         shapes = kr_decomposition(spec)
         assert len(build.graph) == kr_dimension(spec), spec
-        want = sorted(sh.weight(spec.classical_type, spec.n) for sh in shapes)
+        want = sorted(sh.weight(spec.n) for sh in shapes)
         assert build.graph.decomposition(spec.classical_colors) == want, spec
 
 

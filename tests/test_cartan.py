@@ -77,11 +77,11 @@ def test_shape_columns():
 
 
 def test_shape_weights():
-    assert Shape((2, 1)).weight("C", 3) == (4, 2, 0)
-    assert Shape((1, 1), spin=1).weight("B", 2) == (3, 3)
-    assert Shape((1, 1, 1, 1), color=2).weight("D", 4) == (2, 2, 2, -2)
-    assert Shape((), spin=1, color=2).weight("D", 4) == (1, 1, 1, -1)
-    assert Shape((), spin=1, color=1).weight("D", 4) == (1, 1, 1, 1)
+    assert Shape((2, 1)).weight(3) == (4, 2, 0)
+    assert Shape((1, 1), spin=1).weight(2) == (3, 3)
+    assert Shape((1, 1, 1, 1), color=2).weight(4) == (2, 2, 2, -2)
+    assert Shape((), spin=1, color=2).weight(4) == (1, 1, 1, -1)
+    assert Shape((), spin=1, color=1).weight(4) == (1, 1, 1, 1)
 
 
 # Hand-checked dimensions (Weyl formula worked on paper).
@@ -164,7 +164,7 @@ def test_weyl_dimension_matches_hook_content_formula():
             for rows in partitions(cells):
                 if len(rows) > n:
                     continue
-                wt = Shape(rows).weight("A", n)
+                wt = Shape(rows).weight(n)
                 assert weyl_dimension("A", n, wt) == hook_content_dimension(n, rows)
                 checked += 1
     assert checked == 243
@@ -234,7 +234,7 @@ def test_weyl_dimension_matches_fraction_formula():
         except ValueError:
             continue
         for sh in kr_decomposition(spec):
-            wt = sh.weight(spec.classical_type, n)
+            wt = sh.weight(n)
             exact = fraction_weyl_dimension(spec.classical_type, n, wt)
             assert weyl_dimension(spec.classical_type, n, wt) == exact, (spec, sh)
             checked += 1
@@ -280,7 +280,7 @@ def test_weyl_batch_matches_fraction_formula_at_high_rank(spec, summed):
     # for D2.  Every summand's dimension enters the sum kr_dimension gives
     summed = AffineSpec(*summed)
     ctype, n = summed.classical_type, summed.n
-    weights = [sh.weight(ctype, n) for sh in kr_shapes(summed)]
+    weights = [sh.weight(n) for sh in kr_shapes(summed)]
     dims = list(weyl_dimensions(ctype, n, weights))
     assert sum(dims) == kr_dimension(AffineSpec(*spec))
     for wt, dim in zip(weights[:500], dims):
@@ -328,16 +328,16 @@ def test_summand_weights_are_the_shapes_weights_in_order():
     # Shapes kr_shapes makes (which check every partition) and the long rule
     assert len(SMALL_SPECS) == 1398
     for spec in SMALL_SPECS:
-        ctype, n = spec.classical_type, spec.n
+        n = spec.n
         shapes = list(kr_shapes(spec))
-        weights = [sh.weight(ctype, n) for sh in shapes]
+        weights = [sh.weight(n) for sh in shapes]
         assert list(summand_weights(spec)) == weights, spec
         assert weights == [padded_weight(n, sh) for sh in shapes], spec
 
 
 def test_summand_weights_come_lazily_with_the_full_box_first(time_limit):
     box = AffineSpec("C1", 22, 16, 22)
-    assert next(summand_weights(box)) == Shape((22,) * 16).weight("C", 22)
+    assert next(summand_weights(box)) == Shape((22,) * 16).weight(22)
 
 
 def test_summand_count_is_the_enumerated_count():
@@ -488,6 +488,65 @@ def test_decomposition_b_top_row():
         Shape((1, 1)),
         Shape((1, 1, 1, 1)),
     }
+
+
+def box_partitions(height, width):
+    """Every partition with at most `height` rows, each at most `width` long."""
+    yield ()
+    if height:
+        for first in range(1, width + 1):
+            for rest in box_partitions(height - 1, first):
+                yield (first,) + rest
+
+
+def removal_rule_decomposition(spec):
+    """B^{r,s}'s classical summands by the published removal rules (Fourier-Okado-Schilling,
+    arXiv 0810.5067): every partition inside the box, kept by the family's rule.
+
+    The box is r x s, or n x s // 2 with a spin column when s is odd at the spin nodes of
+    D1 (color 1 at r = n, 2 at r = n - 1) and at r = n of B1 and D2.  Kept: only the full
+    box (A1, the spin nodes, r = n of C1 and D2); the shapes whose columns, padded with 0s
+    to the box's width, all have the box height's parity (vertical dominoes: B1, D1, A2odd);
+    those whose rows, padded to the box's height, all have the width's parity (horizontal
+    dominoes: C1); or every one (any boxes: A2even, D2).
+    """
+    family, n, r, s = spec
+    height, width, spin, color = r, s, 0, 0
+    spin_node = family == "D1" and r >= n - 1
+    if spin_node or (family in ("B1", "D2") and r == n):
+        height, (width, spin) = n, divmod(s, 2)
+        color = (1 if r == n else 2) if spin_node else 0
+    if family == "A1" or spin_node or (family in ("C1", "D2") and r == n):
+        rule = "full"
+    elif family in ("B1", "D1", "A2odd"):
+        rule = "vertical"
+    else:
+        rule = "horizontal" if family == "C1" else "any"
+    kept = []
+    for rows in box_partitions(height, width):
+        padded_rows = rows + (0,) * (height - len(rows))
+        columns = [sum(1 for row in rows if row > j) for j in range(width)]
+        if (
+            (rule == "full" and sum(rows) == height * width)
+            or (rule == "vertical" and all((h - height) % 2 == 0 for h in columns))
+            or (rule == "horizontal" and all((row - width) % 2 == 0 for row in padded_rows))
+            or rule == "any"
+        ):
+            kept.append(Shape(rows, spin, color))
+    return kept
+
+
+def test_decomposition_follows_the_published_removal_rules():
+    checked = 0
+    for family in FAMILIES:
+        for n in range(4 if family == "D1" else 2, 7):
+            for r in range(1, (n - 1 if family == "A1" else n) + 1):
+                for s in range(1, 5):
+                    spec = AffineSpec(family, n, r, s)
+                    want = removal_rule_decomposition(spec)
+                    assert sorted(kr_decomposition(spec)) == sorted(want), spec
+                    checked += 1
+    assert checked == 520
 
 
 # Totals recomputed by hand from the decomposition tables.
@@ -642,7 +701,7 @@ def test_decomposition_shapes_fit_and_weights_dominant(params):
     for sh in shapes:
         assert len(sh.rows) <= n
         assert all(row <= s * 2 for row in sh.rows)
-        wt = sh.weight(spec.classical_type, n)
+        wt = sh.weight(n)
         # dominance: every classical pairing nonnegative
         for i in spec.classical_colors:
             assert pairing(spec.classical_type, n, wt, i) >= 0

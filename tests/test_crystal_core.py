@@ -85,9 +85,9 @@ def test_components_and_decomposition():
     comps = g.components(g.colors)
     assert [c[0] for c in comps] == sorted(c[0] for c in comps)  # by least vertex
     assert sorted(len(c) for c in comps) == sorted(
-        weyl_dimension("C", 2, sh.weight("C", 2)) for sh in shapes
+        weyl_dimension("C", 2, sh.weight(2)) for sh in shapes
     )
-    assert g.decomposition(g.colors) == sorted(sh.weight("C", 2) for sh in shapes)
+    assert g.decomposition(g.colors) == sorted(sh.weight(2) for sh in shapes)
     assert len(g.highest_vertices(g.colors)) == 2
 
 

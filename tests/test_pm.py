@@ -150,10 +150,10 @@ def test_rejection_names_its_rule(call, message):
 
 def branch_dim_ok(ctype, n, shape):
     total = sum(
-        weyl_dimension(ctype, n - 1, inner_shape(P).weight(ctype, n - 1))
+        weyl_dimension(ctype, n - 1, inner_shape(P).weight(n - 1))
         for P in enumerate_pm(ctype, n, shape)
     )
-    return total == weyl_dimension(ctype, n, shape.weight(ctype, n))
+    return total == weyl_dimension(ctype, n, shape.weight(n))
 
 
 @pytest.mark.parametrize(

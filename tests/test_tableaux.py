@@ -401,7 +401,7 @@ def test_classical_crystal_three_way(ctype, n, shape):
     reached = closure(ctype, n, hi, colors)
     filtered = set(enumerate_tableaux(ctype, n, shape))
     assert reached == filtered
-    assert len(reached) == weyl_dimension(ctype, n, shape.weight(ctype, n))
+    assert len(reached) == weyl_dimension(ctype, n, shape.weight(n))
 
 
 @pytest.mark.parametrize(
@@ -501,5 +501,5 @@ def test_signature_table_reads_each_colors_letters_once(monkeypatch):
     monkeypatch.setattr(tableaux, "letter_entries", lambda *key: calls.append(key) or letters(*key))
     shape = Shape((2, 2, 1))
     graph = tableaux.classical_crystal("C", 3, (shape,), (1, 2, 3))
-    assert len(graph) == weyl_dimension("C", 3, shape.weight("C", 3))
+    assert len(graph) == weyl_dimension("C", 3, shape.weight(3))
     assert calls == [("C", 3, 1), ("C", 3, 2), ("C", 3, 3)]
