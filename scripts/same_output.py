@@ -6,9 +6,9 @@ The committed tree of --rev is unpacked with `git archive` into a temporary
 directory (tempfile's default).  One child interpreter per tree runs, for
 every spec below, `kr build` (JSON and DOT), `kr check --format json` and
 `kr dim` through `cli.main`, and `kr decompose` with both subsets on the
-grid specs (516 commands on 97 specs), then `kr dim` on seven high-rank specs,
+grid specs (528 commands on 100 specs), then `kr dim` on seven high-rank specs,
 `kr build` on four specs it refuses over the vertex bound and `kr dim` on three
-specs it refuses over the summand bound (530 commands in all), and reports the
+specs it refuses over the summand bound (542 commands in all), and reports the
 exit code and the sha256 of stdout and stderr of each.  Every command whose
 record differs is printed, then the non-blank `src/` line count of both
 trees; the exit status is 1 on any difference or child failure, else 0.
@@ -47,6 +47,8 @@ EXTRA_SPECS = (
     ("D2", 2, 1, 4), ("B1", 4, 4, 3), ("B1", 3, 3, 4), ("D1", 6, 5, 3), ("D1", 5, 4, 4),
     ("A1", 4, 2, 3), ("A1", 5, 2, 2), ("B1", 5, 3, 2), ("A2odd", 4, 3, 2), ("D1", 6, 3, 2),
     ("C1", 3, 3, 4), ("D2", 4, 4, 3), ("D1", 5, 5, 4), ("D1", 6, 5, 2),
+    # promotion with no color to carry it along, one color, and three
+    ("A1", 2, 1, 5), ("A1", 3, 2, 4), ("A1", 7, 3, 3),
 )
 DIM_ONLY = (("A2even", 11, 11, 11), ("D2", 12, 11, 12), ("B1", 10, 8, 8), ("C1", 10, 9, 10),
             ("D1", 10, 8, 8), ("B1", 10, 10, 9), ("B1", 11, 11, 10))

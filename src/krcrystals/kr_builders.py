@@ -8,7 +8,9 @@ type C, sign-triple case rules at the exceptional C/D node, and, at the two
 tail nodes of type D, sigma composed with the n-1 <-> n flip, which maps the
 spin crystal to itself.  The promotion, sigma and spin routes share one rule
 on the closed classical crystal: f_0 = tau^{-1} f_1 tau, with tau promotion
-or one of the two sigmas, each read off the branching table by one helper.
+or one of the two sigmas.  Each tau is read off the tops of a branching,
+promotion's by weight and the sigmas' off the diagram table, and carried
+down their components by _transport.
 """
 
 import functools
@@ -18,7 +20,7 @@ from . import pm_diagrams as pm
 from . import tableaux
 from .cartan import AffineSpec, Shape, horizontal_domino_shapes, kr_decomposition, kr_dimension
 from .cartan import summand_weights, weyl_dimensions
-from .crystal_core import VERTEX_BOUND, CrystalGraph, generate_closure, greedy_raise
+from .crystal_core import VERTEX_BOUND, generate_closure, greedy_raise
 from .pm_diagrams import SignTriple
 from .tableaux import classical_crystal
 
@@ -140,48 +142,20 @@ def _locate_tops(build, shapes):
 
 # -- type A: promotion --------------------------------------------------------
 
-def promotion(cols, n):
-    """Schutzenberger promotion on a rectangular tableau over 1..n."""
-    rows = len(cols[0])
-    if any(len(col) != rows for col in cols):
-        raise ValueError("promotion needs a rectangular tableau")
-    grid = {}
-    holes = []
-    for j, col in enumerate(cols):
-        for i, x in enumerate(col):
-            if x == n:
-                holes.append((i, j))
-            else:
-                grid[i, j] = x + 1
-    for i, j in holes:
-        while True:
-            up = grid.get((i - 1, j))
-            left = grid.get((i, j - 1))
-            if up is None and left is None:
-                break
-            if left is None or (up is not None and up >= left):
-                grid[i, j] = up
-                del grid[i - 1, j]
-                i -= 1
-            else:
-                grid[i, j] = left
-                del grid[i, j - 1]
-                j -= 1
-        grid[i, j] = 1
-    out = tuple(tuple(grid[i, j] for i in range(rows)) for j in range(len(cols)))
-    # semistandard: rows weakly increasing, columns strictly
-    rows_ok = all(a <= b for u, v in zip(out, out[1:]) for a, b in zip(u, v))
-    if not rows_ok or any(a >= b for col in out for a, b in zip(col, col[1:])):
-        raise RuntimeError(f"promotion broke semistandardness on {cols}")
-    return out
-
-
 def _build_promotion(spec):
+    """f_0 = pr^{-1} f_1 pr.  pr sends f_i to f_{i+1} (i in 1..n-2) and rotates
+    the weight one letter up: each {1..n-2}-top goes to the {2..n-1}-top of its
+    rotated weight, and pr is transported down from there."""
     n = spec.n
     cls = classical_crystal("A", n, (Shape((spec.s,) * spec.r),), spec.classical_colors)
-    pr = [cls.index[(promotion(cols, n), None)] for cols, _ in cls.elements]
-    back = {y: x for x, y in enumerate(pr)}
-    if len(back) != len(pr):
+    wt, images = cls.weights, cls.highest_vertices(range(2, n))
+    anchors = {
+        top: _top_of_weight(images, wt.__getitem__, wt[top][-1:] + wt[top][:-1])
+        for top in cls.highest_vertices(range(1, n - 1))
+    }
+    pr = _transport(cls, lambda i, y: cls.f[i + 1].get(y), anchors, range(1, n - 1))
+    back = {y: x for x, y in pr.items()}
+    if len(back) != len(cls):
         raise RuntimeError("promotion is not a bijection on the rectangle")
     cls.add_color(0, _conjugated_f1(pr, cls.f[1], back))
     return KRBuild(spec, cls)

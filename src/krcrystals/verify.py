@@ -84,7 +84,7 @@ def affine_colors(spec: AffineSpec) -> tuple[int, ...]:
 
 
 def second_subset(spec: AffineSpec) -> tuple[int, ...]:
-    """The color subset complementary to the classical one, node 1 removed."""
+    """The affine colors with node n removed for C1, D2 and A2even, else node 1."""
     if spec.family in ("C1", "D2", "A2even"):
         return tuple(range(spec.n))
     top = spec.n if spec.family != "A1" else spec.n - 1

@@ -37,6 +37,11 @@ scan `verify.check_regularity` must agree with.
 `element_local_fold` closes the `C1` crystal below the top node element by
 element on the stepped host with unit multipliers; the virtual route, which
 closes its whole host, must give the same labelled graph.
+`promotion` is Schutzenberger promotion by jeu de taquin, which checks its
+own output is semistandard; the `A1` build, which reads pr off its tops by
+weight, must give f_0 = pr^{-1} f_1 pr with it.  `perfect_level` is the
+level at which a build is perfect (Fourier-Okado-Schilling, arXiv
+0811.1604), or None, with `DUAL_LABELS` as the central element.
 `q_system_remainder` is the term R of the Q-system relation
 (Q_m^{(a)})^2 = Q_{m+1}^{(a)} Q_{m-1}^{(a)} + R that `cartan.kr_dimension`
 is checked against.
@@ -818,6 +823,88 @@ def with_dropped_edge(build: KRBuild, color: int, k: int = 0) -> KRBuild:
     del f_edges[color][src]
     mutated = CrystalGraph(g.elements, g.colors, f_edges, g.weights)
     return KRBuild(build.spec, mutated, ambient=build.ambient, stepped=build.stepped)
+
+
+# -- type A promotion ---------------------------------------------------------
+
+def promotion(cols, n):
+    """Schutzenberger promotion on a rectangular tableau over 1..n."""
+    rows = len(cols[0])
+    if any(len(col) != rows for col in cols):
+        raise ValueError("promotion needs a rectangular tableau")
+    grid = {}
+    holes = []
+    for j, col in enumerate(cols):
+        for i, x in enumerate(col):
+            if x == n:
+                holes.append((i, j))
+            else:
+                grid[i, j] = x + 1
+    for i, j in holes:
+        while True:
+            up = grid.get((i - 1, j))
+            left = grid.get((i, j - 1))
+            if up is None and left is None:
+                break
+            if left is None or (up is not None and up >= left):
+                grid[i, j] = up
+                del grid[i - 1, j]
+                i -= 1
+            else:
+                grid[i, j] = left
+                del grid[i, j - 1]
+                j -= 1
+        grid[i, j] = 1
+    out = tuple(tuple(grid[i, j] for i in range(rows)) for j in range(len(cols)))
+    # semistandard: rows weakly increasing, columns strictly
+    rows_ok = all(a <= b for u, v in zip(out, out[1:]) for a, b in zip(u, v))
+    if not rows_ok or any(a >= b for col in out for a, b in zip(col, col[1:])):
+        raise RuntimeError(f"promotion broke semistandardness on {cols}")
+    return out
+
+
+# -- perfectness ---------------------------------------------------------------
+
+# Kac, Infinite-dimensional Lie algebras, Tables Aff 1-2: the dual labels
+# a_0^vee, a_1^vee, ... of the affine diagrams, node 0 first
+DUAL_LABELS = {
+    "A1": lambda n: [1] * n,
+    "B1": lambda n: [1, 1] + [2] * (n - 2) + [1],
+    "C1": lambda n: [1] * (n + 1),
+    "D1": lambda n: [1, 1] + [2] * (n - 3) + [1, 1],
+    "A2even": lambda n: [1] + [2] * n,
+    "A2odd": lambda n: [1, 1] + [2] * (n - 1),
+    "D2": lambda n: [1] + [2] * (n - 1) + [1],
+}
+
+
+def perfect_level(build: KRBuild):
+    """The level at which the build is perfect, or None where it is not.
+
+    The level of b is <c, eps(b)> = sum_i a_i^vee eps_i(b), and l is the least
+    one.  Perfect of level l asks that the eps vectors of the minimal
+    elements (those of level l) be pairwise distinct and be exactly the
+    dominant weights of level l, and the same of their phi vectors.  The
+    connectedness of B (x) B is not checked.
+    """
+    g, spec = build.graph, build.spec
+    labels = DUAL_LABELS[spec.family](spec.n)
+
+    def level(vec):
+        return sum(a * k for a, k in zip(labels, vec))
+
+    colors = affine_colors(spec)
+    eps = [tuple(g.eps(i, x) for i in colors) for x in range(len(g))]
+    phi = [tuple(g.phi(i, x) for i in colors) for x in range(len(g))]
+    least = min(map(level, eps))
+    minimal = [x for x in range(len(g)) if level(eps[x]) == least]
+    boxes = itertools.product(*(range(least // a + 1) for a in labels))
+    dominant = {vec for vec in boxes if level(vec) == least}
+    for vecs in (eps, phi):
+        image = [vecs[x] for x in minimal]
+        if len(set(image)) != len(image) or set(image) != dominant:
+            return None
+    return least
 
 
 # -- the Q-system ------------------------------------------------------------

@@ -19,7 +19,6 @@ from krcrystals.kr_builders import (
     SignTriple,
     build_kr,
     classical_model,
-    promotion,
     route,
     sigma_spin_D,
     triple_rules,
@@ -33,7 +32,9 @@ from oracles import (
     element_local_fold,
     enumerate_tableaux,
     isomorphism,
+    perfect_level,
     phi_direct,
+    promotion,
     tableau_ok,
     tableau_phi,
     tableau_phi_table,
@@ -94,25 +95,36 @@ def test_promotion_rotates_content(k):
     assert after == (before[-1],) + before[:-1]
 
 
+# every A1 spec with n <= 6 and s <= 3, and two past them: at n = 2 no color
+# carries pr along, and A1 7,3,3 (4,116 vertices) carries it along five
+ZERO_EDGE_SPECS = [
+    *((n, r, s) for n in range(2, 7) for r in range(1, n) for s in range(1, 4)),
+    (2, 1, 5), (7, 3, 3),
+]
+
+
 def test_promotion_zero_edges_conjugate_one_edges():
     g = build_kr(AffineSpec("A1", 3, 1, 1)).graph
     assert g.e[0].get(g.index[(((1,),), None)]) == g.index[(((3,),), None)]
-    # f_0 = pr^{-1} f_1 pr, with pr^{-1} taken as pr^{n-1}; the automorphism
-    # the sigma search finds is pr
+    # f_0 = pr^{-1} f_1 pr, with pr the jeu de taquin, which the build never runs
+    for n, r, s in ZERO_EDGE_SPECS:
+        g = build_kr(AffineSpec("A1", n, r, s)).graph
+        pr = {cols: promotion(cols, n) for cols, _ in g.elements}
+        back = {y: x for x, y in pr.items()}
+        assert set(back) == set(pr), (n, r, s)
+        f0 = {}
+        for x, (cols, _) in enumerate(g.elements):
+            moved = tableaux.tableau_apply("A", n, (pr[cols], None), 1, "f")
+            if moved is not None:
+                f0[x] = g.index[(back[moved[0]], None)]
+        assert g.f[0] == f0, (n, r, s)
+    # the automorphism the sigma search finds is pr
     for n, r, s in [(3, 1, 1), (3, 2, 2), (4, 2, 1)]:
         b = build_kr(AffineSpec("A1", n, r, s))
         g = b.graph
         tau = search_sigma(g, b.spec)
-        for x, (cols, _) in enumerate(g.elements):
-            assert tau[x] == g.index[(promotion(cols, n), None)]
-            moved = tableaux.tableau_apply("A", n, (promotion(cols, n), None), 1, "f")
-            if moved is None:
-                assert g.f[0].get(x) is None
-                continue
-            back = moved[0]
-            for _ in range(n - 1):
-                back = promotion(back, n)
-            assert g.f[0].get(x) == g.index[(back, None)]
+        images = (g.index[(promotion(cols, n), None)] for cols, _ in g.elements)
+        assert tau == dict(enumerate(images))
 
 
 # -- tail-involution route (B1 r<n, A2odd, D1 r<=n-2) ---------------------------
@@ -897,9 +909,9 @@ def _least_moved_vertex_fixed(transport):
     return mutated
 
 
-def _promotion_to_the_top(promotion):
-    # every tableau goes to the highest tableau of the rectangle
-    return lambda cols, n: tuple(tuple(range(1, len(col) + 1)) for col in cols)
+def _every_top_to_one(top_of_weight):
+    # promotion sends every {1..n-2}-top to the first {2..n-1}-top, whatever its weight
+    return lambda tops, weight_of, wt: tops[0]
 
 
 def _odd_host_weights(host_weight):
@@ -943,8 +955,10 @@ def _two_step_e1(tail_apply):
          "sigma is not an involution at vertex 3"),
         (kr_builders, "_transport", _least_moved_vertex_fixed, "build", ("D1", 4, 4, 1),
          "sigma is not an involution at vertex 3"),
-        (kr_builders, "promotion", _promotion_to_the_top, "build", ("A1", 3, 1, 1),
+        (kr_builders, "_top_of_weight", _every_top_to_one, "build", ("A1", 2, 1, 2),
          "promotion is not a bijection on the rectangle"),
+        (kr_builders, "_top_of_weight", _every_top_to_one, "build", ("A1", 3, 1, 1),
+         "transport died on an f_1 arrow"),
         (kr_builders.SteppedHost, "host_weight", _odd_host_weights, "build", ("B1", 2, 2, 1),
          "host weight of an image vertex is not even"),
         (kr_builders.SteppedHost, "host_weight", _zero_host_weights, "build", ("A2even", 2, 1, 1),
@@ -1063,3 +1077,24 @@ def test_build_kr_builds_afresh():
 def test_sizes_match_dimension_formula(fam, n, r, s):
     spec = AffineSpec(fam, n, r, s)
     assert len(build_kr(spec).graph.elements) == kr_dimension(spec)
+
+
+# -- perfectness ----------------------------------------------------------------
+
+def test_perfect_exactly_when_c_r_divides_s():
+    # Fourier-Okado-Schilling (arXiv 0811.1604): B^{r,s} is perfect exactly
+    # when c_r divides s, of level s / c_r, where c_r = 2 for B1 at r = n and
+    # C1 below the top node and 1 otherwise; the grid and ten specs past it,
+    # two of them not perfect
+    past = [
+        ("A1", 3, 1, 3), ("A1", 4, 2, 2), ("B1", 3, 3, 3), ("B1", 3, 3, 4), ("C1", 3, 1, 3),
+        ("C1", 3, 2, 4), ("D1", 5, 2, 2), ("A2even", 2, 2, 3), ("A2odd", 3, 2, 3), ("D2", 3, 3, 3),
+    ]
+    levels = Counter()
+    for spec in [*default_grid(), *(AffineSpec(*args) for args in past)]:
+        fam, n, r, s = spec
+        c = 2 if (fam == "B1" and r == n) or (fam == "C1" and r < n) else 1
+        level = perfect_level(build_kr(spec))
+        assert level == (s // c if s % c == 0 else None), spec
+        levels[level] += 1
+    assert levels == {1: 32, 2: 31, 3: 4, None: 7}

@@ -26,7 +26,7 @@ from krcrystals.cartan import (
     zero_root_projection,
 )
 from krcrystals.pm_diagrams import PmDiagram, SignTriple
-from oracles import enumerate_tableaux, pairing, q_system_remainder
+from oracles import DUAL_LABELS, enumerate_tableaux, pairing, q_system_remainder
 
 
 VALUE_TYPES = [
@@ -613,19 +613,6 @@ def _left_kernel(rows):
                 factor = system[r][k] / system[k][k]
                 system[r] = [u - factor * v for u, v in zip(system[r], system[k])]
     return [Fraction(1)] + [system[k][-1] / system[k][k] for k in range(size - 1)]
-
-
-# Kac, Infinite-dimensional Lie algebras, Tables Aff 1-2: the dual labels
-# a_0^vee, a_1^vee, ... of the affine diagrams, node 0 first
-DUAL_LABELS = {
-    "A1": lambda n: [1] * n,
-    "B1": lambda n: [1, 1] + [2] * (n - 2) + [1],
-    "C1": lambda n: [1] * (n + 1),
-    "D1": lambda n: [1, 1] + [2] * (n - 3) + [1, 1],
-    "A2even": lambda n: [1] + [2] * n,
-    "A2odd": lambda n: [1, 1] + [2] * (n - 1),
-    "D2": lambda n: [1] + [2] * (n - 1) + [1],
-}
 
 
 @pytest.mark.parametrize("family", FAMILIES)

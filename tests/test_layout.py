@@ -1,6 +1,6 @@
 """Layout guards on src/: builds own their state, src/ holds no test-only code,
-reads no field kept for the benchmark alone, and start-up loads no costly
-standard module.
+imports no name it leaves unused, reads no field kept for the benchmark
+alone, and start-up loads no costly standard module.
 
 The first guards read the sources with `ast`, so they run without importing
 the package.  A module-level cache outlives the build that filled it, and a
@@ -122,6 +122,28 @@ def test_every_method_has_a_caller_outside_tests():
                         yield path, f"{cls.name}.{node.name}", node
 
     assert _orphans(methods, bare=False) == []
+
+
+def test_every_imported_name_is_used():
+    # every name a module imports is read in it; the package's __all__ reads
+    # the names it re-exports, and a __future__ import binds no name
+    found = []
+    for path in SRC:
+        tree = _tree(path)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            targets = [getattr(t, "id", None) for t in getattr(node, "targets", ())]
+            if targets == ["__all__"]:
+                used.update(ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        found.append(f"{path.name}:{node.lineno}: {name}")
+    assert found == []
 
 
 def test_src_reads_no_field_kept_for_the_benchmark_ledger():
