@@ -6,7 +6,6 @@ as tuples of *doubled* integers so that spin weights stay exact.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from collections import namedtuple
@@ -14,7 +13,9 @@ from operator import add, mul, sub
 
 FAMILIES = ("A1", "B1", "C1", "D1", "A2even", "A2odd", "D2")
 
-SUMMAND_BOUND = 100_000  # kr_dimension refuses a decomposition with more summands
+# kr_dimension refuses a Q-system table of more work; with it every answer has under
+# 2^13,600 (4,100 digits), so CPython's 4,300-digit limit on printing an int holds
+WORK_BOUND = 10**12
 
 # Classical subalgebra acting through colors 1..n.
 CLASSICAL_TYPE = {
@@ -254,17 +255,6 @@ def kr_summands(spec: AffineSpec):
     return ((rows, spin, color) for rows in _multiset_rows(pool, k, by_rows))
 
 
-def summand_count(spec: AffineSpec) -> int:
-    """How many summands kr_summands(spec) yields: the k-multisets of the pool."""
-    pool, k = _summand_pool(spec)[:2]
-    return math.comb(len(pool) + k - 1, k)
-
-
-def summand_weights(spec: AffineSpec):
-    """The doubled highest weight of each summand, lazily, the full box first; no Shape is made."""
-    return itertools.starmap(functools.partial(highest_weight, spec.n), kr_summands(spec))
-
-
 def kr_shapes(spec: AffineSpec):
     """The classical shapes of B^{r,s}, one per irreducible summand, the full box first."""
     return itertools.starmap(Shape, kr_summands(spec))
@@ -275,26 +265,113 @@ def kr_decomposition(spec: AffineSpec) -> tuple[Shape, ...]:
     return tuple(sorted(kr_shapes(spec), key=lambda sh: (sh.size(), sh.rows, sh.spin)))
 
 
-def kr_dimension(spec: AffineSpec) -> int:
-    """Total vertex count of B^{r,s}, one batch of Weyl dimensions over summand_weights.
+def _untwisted_partner(spec: AffineSpec):
+    """(family, n, r, s) of the untwisted spec whose KR module has spec's dimension: A2even n
+    -> A1 at 2n+1, A2odd n -> A1 at 2n, D2 n -> D1 at n+1 (node n -> its spin node n+1), and
+    D2 at n = 2 -> A1 at 4 with r -> 3 - r: D_3 is A_3, its node 1 being A_3's node 2 and its
+    spin nodes A_3's nodes 1 and 3."""
+    family, n, r, s = spec
+    if family in ("A2even", "A2odd"):
+        return "A1", 2 * n + (family == "A2even"), r, s
+    if family == "D2":
+        return ("A1", 4, 3 - r, s) if n == 2 else ("D1", n + 1, r + (r == n), s)
+    return spec
 
-    A twisted family answers through its untwisted partner with the same
-    (r, s), whose KR module has the same dimension because twisted KR
-    characters solve the folded Q-system (Hernandez, IMRN 2010):
-    A2even n -> A1 at 2n+1 and A2odd n -> A1 at 2n (one rectangle each), and
-    D2 n -> D1 at n+1 when 2 < n and r < n (the vertical-domino shapes).
-    Weight vectors always have n coordinates; in type A the staircase formula
-    over n letters gives the gl_n dimension, which matches the crystal.
-    tests/test_cartan.py checks these answers against the Q-system, n <= 8.
-    RuntimeError, before any summand is made, when summand_count passes
-    SUMMAND_BOUND.
+
+def _fundamental_dimensions(family: str, n: int, size: int) -> list[int]:
+    """Q_1^{(a)} = |B^{a,1}| for a = 1..rank of an untwisted family, from the binomials of
+    the vector representation's size: C(n, a) in A1, C(2n, a) - C(2n, a - 2) in C1, and in
+    B1 and D1 the sum of C(size, k) over k <= a of a's parity, but 2^n at the spin node of
+    B1 and 2^(n-1) at the two of D1."""
+    binom = [1]  # C(size, k) for k = 0..n
+    for k in range(1, n + 1):
+        binom.append(binom[-1] * (size + 1 - k) // k)
+    if family == "A1":
+        return binom[1:n]
+    if family == "C1":
+        return [binom[a] - (a > 1 and binom[a - 2]) for a in range(1, n + 1)]
+    parity = binom[:2]
+    for a in range(2, n + 1):
+        parity.append(binom[a] + parity[a - 2])
+    top = n - 1 if family == "B1" else n - 2  # the last node below the spin nodes
+    return parity[1 : top + 1] + [2 ** (n - (family == "D1"))] * (n - top)
+
+
+def _remainder(family: str, n: int, a: int, m: int, Q) -> int:
+    """R in (Q_m^{(a)})^2 = Q_{m+1}^{(a)} Q_{m-1}^{(a)} + R for an untwisted family, read off
+    the table Q[b][l] (whose rows 0 and, in A1, n hold 1s)."""
+    if family == "D1" and a >= n - 2:
+        return Q[n - 3][m] * Q[n - 1][m] * Q[n][m] if a == n - 2 else Q[n - 2][m]
+    if family == "B1" and a >= n - 1:
+        return Q[n - 2][m] * Q[n][2 * m] if a < n else Q[n - 1][m // 2] * Q[n - 1][(m + 1) // 2]
+    if family == "C1" and a >= n - 1:
+        return Q[n - 2][m] * Q[n][m // 2] * Q[n][(m + 1) // 2] if a < n else Q[n - 1][2 * m]
+    return Q[a - 1][m] * Q[a + 1][m]
+
+
+def _reach(family: str, n: int, rank: int, r: int, s: int) -> list[int]:
+    """The top level of each node 0..rank that Q_s^{(r)} reads (more at a few nodes), from
+    how R reads its neighbours: s less the distance from r along the path, D1's two spin
+    nodes counted as one node; B1's short node n at twice (its neighbour's top less 1), C1's
+    long node n at half its neighbour's top, rounded down.  At r = n of B1 and C1 the path
+    counts down from the neighbour n - 1, whose top is s // 2 in B1 and 2s - 2 in C1."""
+    if r == n and family in ("B1", "C1"):
+        below = s // 2 + 1 if family == "B1" else 2 * s - 1
+        return [below - n + a for a in range(n)] + [s]
+    path = rank - (family == "D1")  # D1's node n reads as node n - 1 does
+    top = min(r, path)
+    reach = [s - abs(a - top) for a in range(path + 1)]
+    reach += reach[-1:] * (rank - path)
+    if family == "B1":
+        reach[n] = 2 * reach[n]
+    elif family == "C1":
+        reach[n] = (reach[n] + 1) // 2
+    return reach
+
+
+def kr_dimension(spec: AffineSpec) -> int:
+    """Total vertex count of B^{r,s}: the dimension Q_s^{(r)} of its KR module, from the Q-system.
+
+    The KR modules of an untwisted family solve the Kirillov-Reshetikhin
+    Q-system (Q_m^{(a)})^2 = Q_{m+1}^{(a)} Q_{m-1}^{(a)} + R (Hatayama-Kuniba-
+    Okado-Takagi-Yamada, arXiv math/9812022; proved by Nakajima, and by
+    Hernandez, IMRN 2010), so a table of integers runs up from Q_0 = 1 and the
+    closed forms of Q_1, one step at a time, with no recursion: each entry
+    divides (Q_m^{(a)})^2 - R by Q_{m-1}^{(a)}.  The short nodes (node n of B1,
+    nodes 1..n-1 of C1) take two levels a step to the long nodes' one, as R
+    reads them at twice the level; the long nodes go first.  Each node stops
+    at the top level Q_s^{(r)} reads (_reach).  A twisted family answers
+    through its untwisted partner with the same s (_untwisted_partner): its
+    KR modules solve the folded Q-system, whose dimensions are the partner's
+    (Hernandez, IMRN 2010).  The table lives inside this one call.
+
+    Work bound.  The table holds at most L entries a node past Q_0, L the
+    highest top level, and each is below 2^(L N), N the size of the vector
+    representation (n in A1, 2n+1 in B1, 2n in C1 and D1): Q_l^{(a)} <=
+    (Q_1^{(a)})^l, as the KR module is a subquotient of l fundamental ones, and
+    every Q_1 is below 2^N.  RuntimeError, before any entry is made, when the
+    work rank x L x (L N)^2 passes WORK_BOUND.
     """
-    asked = spec
-    if spec.family in ("A2even", "A2odd"):
-        spec = AffineSpec("A1", 2 * spec.n + (spec.family == "A2even"), spec.r, spec.s)
-    elif spec.family == "D2" and 2 < spec.n and spec.r < spec.n:
-        spec = AffineSpec("D1", spec.n + 1, spec.r, spec.s)
-    if summand_count(spec) > SUMMAND_BOUND:
-        head = f"{asked.family} n={asked.n} r={asked.r} s={asked.s} has more than {SUMMAND_BOUND}"
-        raise RuntimeError(f"{head} classical summands, over the summand bound")
-    return sum(weyl_dimensions(spec.classical_type, spec.n, summand_weights(spec)))
+    family, n, r, s = _untwisted_partner(spec)
+    rank = n - 1 if family == "A1" else n
+    reach = _reach(family, n, rank, r, s)
+    size = {"A1": n, "B1": 2 * n + 1}.get(family, 2 * n)
+    top = max(reach)
+    work = rank * top * (top * size) ** 2
+    if work > WORK_BOUND:
+        head = f"{spec.family} n={spec.n} r={spec.r} s={spec.s} needs {work} units of Q-system"
+        raise RuntimeError(f"{head} work, over the work bound {WORK_BOUND}")
+    short = (n,) if family == "B1" else range(1, n) if family == "C1" else ()
+    period = 2 if short else 1  # steps a long node takes for one level, a short one for two
+    grown = sorted((a for a in range(1, rank + 1) if reach[a] > 1), key=short.__contains__)
+    fast = [a for a in grown if a in short]
+    steps = s if r in short else s * period
+    ones = [1] * (steps + 1)
+    Q = [ones] + [[1, q] for q in _fundamental_dimensions(family, n, size)] + [ones]
+    for h in range(2, steps + 1):
+        for a in grown if h % period == 0 else fast:  # the long nodes first
+            level = h if a in short else h // period
+            if 1 < level <= reach[a]:
+                m = level - 1
+                Q[a].append((Q[a][m] ** 2 - _remainder(family, n, a, m, Q)) // Q[a][m - 1])
+    return Q[r][s]

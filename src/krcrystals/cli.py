@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 a failed check or a refused or unfinished run (a
 predicted size over the vertex bound, refused before any work, a dimension
-query over the summand bound, a broken invariant, the closure bound, an
+query over the Q-system's work bound, a broken invariant, the closure bound, an
 unwritable --out), 2 invalid arguments: a spec AffineSpec refuses, or check's
 flags.  A ValueError raised once the arguments are read is a broken
 invariant, and exits 1.
@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
 from .cartan import FAMILIES, AffineSpec, affine_pairing, kr_dimension
 from .kr_builders import build_kr
@@ -138,7 +139,13 @@ def _cmd_check(args, specs) -> int:
     reports = []
     try:
         for spec in specs:  # text: each spec's lines as soon as its suites finish
+            start = time.perf_counter()
             done = run_suite((spec,), suites)
+            if args.timings:  # the build's seconds, the spec's less its suites', then each suite's
+                build = time.perf_counter() - start - sum(r.seconds for r in done)
+                timed = [("build", build)] + [(r.suite, r.seconds) for r in done if r.suite in suites]
+                head = f"{spec.family:<6} n={spec.n} r={spec.r} s={spec.s}"
+                sys.stderr.write("".join(f"{name:<10} {head}  {t:.6f} s\n" for name, t in timed))
             if args.format == "text":
                 out.write("".join(r.line() + "\n" for r in done))
                 out.flush()
@@ -186,6 +193,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--s-max", type=int, default=2)
     p_check.add_argument("--format", choices=("text", "json"), default="text")
     p_check.add_argument("--out")
+    p_check.add_argument(
+        "--timings", action="store_true", help="write each spec's build and suite seconds to stderr"
+    )
     p_check.set_defaults(func=_cmd_check)
     return parser
 

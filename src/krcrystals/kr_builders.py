@@ -14,12 +14,10 @@ down their components by _transport.
 """
 
 import functools
-import itertools
 
 from . import pm_diagrams as pm
 from . import tableaux
 from .cartan import AffineSpec, Shape, horizontal_domino_shapes, kr_decomposition, kr_dimension
-from .cartan import summand_weights, weyl_dimensions
 from .crystal_core import VERTEX_BOUND, generate_closure, greedy_raise
 from .pm_diagrams import SignTriple
 from .tableaux import classical_crystal
@@ -553,11 +551,8 @@ _BUILDERS = {  # route -> builder
 
 
 def _refuse_over_bound(spec):
-    """Refuse once the summands' sizes, the full box first, sum past the bound.
-
-    The sum stops there, so the count it names is a lower bound on |B|."""
-    sizes = weyl_dimensions(spec.classical_type, spec.n, summand_weights(spec))
-    for size in itertools.accumulate(sizes):
-        if size > VERTEX_BOUND:
-            head = f"{spec.family} n={spec.n} r={spec.r} s={spec.s} would have at least {size}"
-            raise RuntimeError(f"{head} vertices, over the bound {VERTEX_BOUND}")
+    """Refuse a spec whose |B|, exact from kr_dimension, passes VERTEX_BOUND."""
+    size = kr_dimension(spec)
+    if size > VERTEX_BOUND:
+        head = f"{spec.family} n={spec.n} r={spec.r} s={spec.s} would have {size}"
+        raise RuntimeError(f"{head} vertices, over the bound {VERTEX_BOUND}")

@@ -44,7 +44,11 @@ level at which a build is perfect (Fourier-Okado-Schilling, arXiv
 0811.1604), or None, with `DUAL_LABELS` as the central element.
 `q_system_remainder` is the term R of the Q-system relation
 (Q_m^{(a)})^2 = Q_{m+1}^{(a)} Q_{m-1}^{(a)} + R that `cartan.kr_dimension`
-is checked against.
+is checked against, and `weyl_sum` is |B^{r,s}| as the Weyl dimensions of the
+spec's own classical summands, summed, which `cartan.kr_dimension` (a
+Q-system table, through an untwisted partner for a twisted family) must
+equal.  `PINNED_DIMENSIONS` records three `kr_dimension` answers past the
+Weyl sum's reach.
 `first_color_raise` is the raise that restarts from the first color after
 every step, against which `crystal_core.greedy_raise` is checked.  The parsers
 invert the element formatters, `load_graph_document` inverts
@@ -62,7 +66,9 @@ from krcrystals.cartan import (
     affine_pairing,
     conjugate,
     kr_decomposition,
+    kr_shapes,
     simple_root,
+    weyl_dimensions,
     zero_root_projection,
 )
 from krcrystals.crystal_core import CrystalGraph, generate_closure
@@ -947,3 +953,20 @@ def q_system_remainder(family: str, n: int, a: int, m: int, Q) -> int:
         if a == n:
             return Q(n - 1, m)
     return Q(a - 1, m) * Q(a + 1, m)
+
+
+def weyl_sum(spec: AffineSpec) -> int:
+    """|B^{r,s}| as the sum of the Weyl dimensions of the spec's own classical summands
+    (`kr_shapes`, in its own classical type): no Q-system and no untwisted partner."""
+    weights = (shape.weight(spec.n) for shape in kr_shapes(spec))
+    return sum(weyl_dimensions(spec.classical_type, spec.n, weights))
+
+
+# kr_dimension's answers for three specs of 8.5e8 to 1.2e13 classical summands,
+# past the Weyl sum's reach: (digits, sha256 of the decimal text).  A
+# regression record, not an independent value
+PINNED_DIMENSIONS = {
+    ("D1", 40, 30, 40): (514, "85969bd96c3b56a6c3e98f61ffb367c5016f21825a1468e255ef7d9ab4c0a67d"),
+    ("B1", 30, 20, 30): (280, "d798429d9126447a5cfcb8747c73c51a01e21be506b8ef1f475eb053a1550db1"),
+    ("C1", 30, 20, 30): (278, "071c1b8b6555e15fa2253beddeec949dc36ea8933bd2cd644d9541164d34362c"),
+}

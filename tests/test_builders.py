@@ -38,6 +38,7 @@ from oracles import (
     tableau_ok,
     tableau_phi,
     tableau_phi_table,
+    weyl_sum,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -226,7 +227,8 @@ def test_virtual_c_rejects_top_node():
 def test_virtual_host_over_bound_is_refused_before_work(time_limit):
     # the spec itself (143,143 vertices) is under the bound; its host is not
     assert kr_dimension(AffineSpec("C1", 6, 5, 2)) < VERTEX_BOUND
-    message = "A2odd n=7 r=5 s=2 would have at least 1001896 vertices, over the bound 1000000"
+    assert weyl_sum(AffineSpec("A2odd", 7, 5, 2)) == 1002001
+    message = "A2odd n=7 r=5 s=2 would have 1002001 vertices, over the bound 1000000"
     with pytest.raises(RuntimeError) as caught:
         build_kr(AffineSpec("C1", 6, 5, 2))
     assert str(caught.value) == message

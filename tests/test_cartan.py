@@ -1,7 +1,9 @@
 """Root data: decompositions, weights, Weyl dimensions."""
 
+import hashlib
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given, strategies as st
 
 from krcrystals.cartan import (
     FAMILIES,
+    WORK_BOUND,
     AffineSpec,
     Shape,
     horizontal_domino_shapes,
@@ -19,14 +22,19 @@ from krcrystals.cartan import (
     kr_shapes,
     shape_dimension,
     simple_root,
-    summand_count,
-    summand_weights,
     weyl_dimension,
     weyl_dimensions,
     zero_root_projection,
 )
 from krcrystals.pm_diagrams import PmDiagram, SignTriple
-from oracles import DUAL_LABELS, enumerate_tableaux, pairing, q_system_remainder
+from oracles import (
+    DUAL_LABELS,
+    PINNED_DIMENSIONS,
+    enumerate_tableaux,
+    pairing,
+    q_system_remainder,
+    weyl_sum,
+)
 
 
 VALUE_TYPES = [
@@ -264,7 +272,7 @@ def test_weyl_batch_stops_at_the_first_nondominant_weight():
 @pytest.mark.parametrize(
     "spec,summed",
     [
-        # kr_dimension sums the untwisted partner's shapes for A2even and D2
+        # a twisted spec's untwisted partner, whose own shapes the oracle sums
         (("A2even", 11, 11, 11), ("A1", 23, 11, 11)),
         (("D2", 12, 11, 12), ("D1", 13, 11, 12)),
         (("B1", 10, 8, 8), ("B1", 10, 8, 8)),
@@ -277,19 +285,15 @@ def test_weyl_batch_matches_fraction_formula_at_high_rank(spec, summed):
     # the dimensions run to 52 digits.  The oracle takes about 2 ms a weight
     # here, so it checks the first 500 summands, the full box first: all of
     # them for A2even, B1 and D1 10,8,8, 500 of 2,002 for C1 and of 6,188
-    # for D2.  Every summand's dimension enters the sum kr_dimension gives
+    # for D2.  The batch's sum, the Weyl oracle over the summed spec's own
+    # shapes, is the Q-system's answer, which the twisted spec shares
     summed = AffineSpec(*summed)
     ctype, n = summed.classical_type, summed.n
     weights = [sh.weight(n) for sh in kr_shapes(summed)]
     dims = list(weyl_dimensions(ctype, n, weights))
-    assert sum(dims) == kr_dimension(AffineSpec(*spec))
+    assert sum(dims) == weyl_sum(summed) == kr_dimension(summed) == kr_dimension(AffineSpec(*spec))
     for wt, dim in zip(weights[:500], dims):
         assert dim == fraction_weyl_dimension(ctype, n, wt), (summed, wt)
-
-
-def shape_sum(spec):
-    """|B^{r,s}| as the sum of the Weyl dimensions of its classical decomposition."""
-    return sum(shape_dimension(spec.classical_type, spec.n, sh) for sh in kr_decomposition(spec))
 
 
 def test_c1_shapes_come_lazily_with_the_full_box_first(time_limit):
@@ -323,113 +327,77 @@ def padded_weight(n, shape):
     return tuple(a + b for a, b in zip(w, half))
 
 
-def test_summand_weights_are_the_shapes_weights_in_order():
-    # the shape-free stream the dimension pre-flights read against the
-    # Shapes kr_shapes makes (which check every partition) and the long rule
+def test_shape_weights_are_the_padded_weights():
+    # Shape.weight against the long rule, on every summand kr_shapes makes
     assert len(SMALL_SPECS) == 1398
     for spec in SMALL_SPECS:
         n = spec.n
-        shapes = list(kr_shapes(spec))
-        weights = [sh.weight(n) for sh in shapes]
-        assert list(summand_weights(spec)) == weights, spec
-        assert weights == [padded_weight(n, sh) for sh in shapes], spec
+        for shape in kr_shapes(spec):
+            assert shape.weight(n) == padded_weight(n, shape), (spec, shape)
 
 
-def test_summand_weights_come_lazily_with_the_full_box_first(time_limit):
-    box = AffineSpec("C1", 22, 16, 22)
-    assert next(summand_weights(box)) == Shape((22,) * 16).weight(22)
-
-
-def test_summand_count_is_the_enumerated_count():
+def test_kr_dimension_is_the_weyl_sum_over_the_own_shapes():
+    # the Q-system, through the untwisted partner, against the Weyl sum over
+    # each spec's own classical summands, every family, n <= 8 and s <= 6
     for spec in SMALL_SPECS:
-        assert summand_count(spec) == sum(1 for _ in kr_shapes(spec)), spec
-    # the three specs kr dim refuses past the summand bound
-    assert summand_count(AffineSpec("D1", 40, 30, 40)) == math.comb(55, 15)
-    assert summand_count(AffineSpec("B1", 30, 20, 30)) == math.comb(40, 10) == 847660528
-    assert summand_count(AffineSpec("C1", 30, 20, 30)) == math.comb(35, 15) == 3247943160
+        assert kr_dimension(spec) == weyl_sum(spec), spec
 
 
-def counted_summands(monkeypatch):
-    """Wrap cartan.kr_summands so that each summand it yields is also listed."""
+@pytest.mark.parametrize("family,n,r,s", sorted(PINNED_DIMENSIONS), ids=str)
+def test_dimension_answers_past_the_weyl_sums_reach(family, n, r, s, time_limit):
+    # 1.2e13, 8.5e8 and 3.2e9 classical summands: the table answers at once
+    digits, digest = PINNED_DIMENSIONS[family, n, r, s]
+    start = time.perf_counter()
+    text = str(kr_dimension(AffineSpec(family, n, r, s)))
+    assert time.perf_counter() - start < 1
+    assert (len(text), hashlib.sha256(text.encode()).hexdigest()) == (digits, digest)
+
+
+def test_dimension_refuses_past_the_work_bound(monkeypatch, time_limit):
+    # rank x L x (L N)^2 with L = s and N = 2n: D1 80,40,78 is the last s in
+    # the bound at that rank and node, and answers; one more s is refused, the
+    # work named, before any entry is made
     from krcrystals import cartan
 
-    made, stream = [], cartan.kr_summands
+    assert 80 * 78 * (78 * 160) ** 2 <= WORK_BOUND < 80 * 79 * (79 * 160) ** 2
+    start = time.perf_counter()
+    assert len(str(kr_dimension(AffineSpec("D1", 80, 40, 78)))) == 1659
+    assert time.perf_counter() - start < 1
 
-    def counted(spec):
-        for summand in stream(spec):
-            made.append(summand)
-            yield summand
+    def no_entry(*args):
+        raise AssertionError("a table entry was made")
 
-    monkeypatch.setattr(cartan, "kr_summands", counted)
-    return made
-
-
-@pytest.mark.parametrize(
-    "family,n,r,s", [("D1", 40, 30, 40), ("B1", 30, 20, 30), ("C1", 30, 20, 30)]
-)
-def test_summand_bound_refusal_makes_no_summand(monkeypatch, family, n, r, s):
-    answered = AffineSpec("B1", 4, 2, 3)
-    total = shape_sum(answered)
-    made = counted_summands(monkeypatch)
-    assert kr_dimension(answered) == total and len(made) == 4  # the wrapper sees the stream
-    made.clear()
-    with pytest.raises(RuntimeError, match="classical summands, over the summand bound"):
-        kr_dimension(AffineSpec(family, n, r, s))
-    assert made == []
+    monkeypatch.setattr(cartan, "_fundamental_dimensions", no_entry)
+    with pytest.raises(RuntimeError) as caught:
+        kr_dimension(AffineSpec("D1", 80, 40, 79))
+    assert str(caught.value) == (
+        "D1 n=80 r=40 s=79 needs 1009743872000 units of Q-system work, "
+        "over the work bound 1000000000000"
+    )
 
 
 def test_dimension_preflights_make_no_shape(monkeypatch):
-    # kr_dimension and build_kr's refusal read the summands' rows directly
+    # kr_dimension and build_kr's refusal read no summand: the Q-system table
     from krcrystals import cartan, kr_builders
 
     expected = [kr_dimension(spec) for spec in SMALL_SPECS[::7]]
 
-    def no_shape(*args, **kwargs):
-        raise AssertionError("a Shape was made")
+    def made(*args, **kwargs):
+        raise AssertionError("a Shape or a summand was made")
 
-    monkeypatch.setattr(cartan, "Shape", no_shape)
+    monkeypatch.setattr(cartan, "Shape", made)
+    monkeypatch.setattr(cartan, "kr_summands", made)
     assert [kr_dimension(spec) for spec in SMALL_SPECS[::7]] == expected
     kr_builders._refuse_over_bound(AffineSpec("D2", 4, 3, 2))
     with pytest.raises(RuntimeError, match="over the bound 1000000"):
         kr_builders._refuse_over_bound(AffineSpec("C1", 22, 16, 22))
 
 
-def test_dimension_refuses_past_the_summand_bound(monkeypatch):
-    # D2 12,11,12 sums the 6,188 shapes of D1 13,11,12, the most any recorded
-    # query sums; one summand fewer allowed refuses it, naming the spec asked
-    from krcrystals import cartan
-
-    spec = AffineSpec("D2", 12, 11, 12)
-    assert sum(1 for _ in kr_shapes(AffineSpec("D1", 13, 11, 12))) == 6188
-    answer = kr_dimension(spec)
-    monkeypatch.setattr(cartan, "SUMMAND_BOUND", 6188)
-    assert kr_dimension(spec) == answer
-    monkeypatch.setattr(cartan, "SUMMAND_BOUND", 6187)
-    with pytest.raises(RuntimeError) as caught:
-        kr_dimension(spec)
-    assert str(caught.value) == (
-        "D2 n=12 r=11 s=12 has more than 6187 classical summands, over the summand bound"
-    )
-
-
 def test_large_box_dimension_is_fast(time_limit):
     # one gl_17 rectangle through the A1 partner; the shape sum over the
     # 12,870 type C_8 summands must give the same value within the limit too
     spec = AffineSpec("A2even", 8, 8, 8)
-    assert kr_dimension(spec) == 288882990167192721013376 == shape_sum(spec)
-
-
-@pytest.mark.parametrize("family", ["A2even", "A2odd", "D2"])
-def test_twisted_dimension_is_the_classical_shape_sum(family):
-    # the untwisted partner against the decomposition it stops summing; D2 at
-    # n = 2 and at r = n keeps the shape sum, and is included
-    checked = 0
-    for n in range(2, 7):
-        for r, s in itertools.product(range(1, n + 1), range(1, 6)):
-            spec = AffineSpec(family, n, r, s)
-            assert kr_dimension(spec) == shape_sum(spec), spec
-            checked += 1
-    assert checked == 5 * (2 + 3 + 4 + 5 + 6)
+    assert kr_dimension(spec) == 288882990167192721013376 == weyl_sum(spec)
 
 
 def test_decomposition_single_component_families():

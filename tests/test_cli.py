@@ -13,7 +13,7 @@ from krcrystals.kr_builders import build_kr
 from krcrystals.verify import SUITES, CheckReport, default_grid
 
 from conftest import TimeLimitExceeded
-from oracles import load_graph_document
+from oracles import PINNED_DIMENSIONS, load_graph_document, weyl_sum
 
 ROUND_TRIP_SPECS = [
     ("A1", 2, 1, 2),
@@ -154,6 +154,33 @@ def test_check_text_streams_each_spec(tmp_path, capsys, monkeypatch, to_file):
     assert len(rest.splitlines()) == 84
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("spec", [AffineSpec("A1", 2, 1, 2), AffineSpec("D2", 2, 2, 1)], ids=str)
+def test_check_timings_go_to_stderr_only(capsys, fmt, spec):
+    # stdout is byte-identical with and without --timings; stderr gets the
+    # build's seconds, then each suite's, one line each
+    flags = ["--family", spec.family, "--n", str(spec.n), "--r", str(spec.r), "--s", str(spec.s)]
+    assert main(["check", *flags, "--format", fmt]) == 0
+    plain = capsys.readouterr()
+    assert main(["check", *flags, "--format", fmt, "--timings"]) == 0
+    timed = capsys.readouterr()
+    assert (timed.out, plain.err) == (plain.out, "")
+    head = [spec.family, f"n={spec.n}", f"r={spec.r}", f"s={spec.s}"]
+    lines = [line.split() for line in timed.err.splitlines()]
+    assert [fields[0] for fields in lines] == ["build", *SUITES]
+    assert all(fields[1:5] == head and fields[6] == "s" and float(fields[5]) >= 0 for fields in lines)
+
+
+def test_check_timings_of_a_refused_build(capsys, time_limit):
+    # the refused build's own line, once; its failing report goes to stdout
+    args = ["check", "--family", "A1", "--n", "12", "--r", "6", "--s", "3", "--timings"]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("build      A1     n=12 r=6 s=3  FAIL")
+    [line] = captured.err.splitlines()
+    assert line.startswith("build      A1     n=12 r=6 s=3  ") and line.endswith(" s")
+
+
 @pytest.mark.parametrize("flags", [["--s-max", "0"], ["--n-max", "1"]])
 def test_check_refuses_an_empty_grid(capsys, flags):
     assert main(["check", *flags]) == 2
@@ -242,7 +269,8 @@ def test_build_that_raises_exits_one(capsys, monkeypatch, command):
 
 
 def test_over_bound_build_is_refused_before_work(capsys, time_limit):
-    message = "A1 n=12 r=6 s=3 would have at least 24293412 vertices, over the bound 1000000"
+    assert weyl_sum(AffineSpec("A1", 12, 6, 3)) == 24293412  # one rectangle
+    message = "A1 n=12 r=6 s=3 would have 24293412 vertices, over the bound 1000000"
     with pytest.raises(RuntimeError) as caught:
         build_kr(AffineSpec("A1", 12, 6, 3))
     assert str(caught.value) == message
@@ -258,20 +286,19 @@ def test_over_bound_build_is_refused_before_work(capsys, time_limit):
 
 
 def test_a_huge_box_is_refused_at_once(capsys, time_limit):
-    # the box holds C(24, 12) shapes; the refusal stops at the first, the box itself
-    head = "A2even n=12 r=12 s=12 would have at least "
-    tail = " vertices, over the bound 1000000"
+    # the Q-system's exact count; the Weyl sum over the box's C(24, 12) shapes
+    # would take minutes
+    size = 4205446372314569673006362329181090368935937500000000
+    message = f"A2even n=12 r=12 s=12 would have {size} vertices, over the bound 1000000"
     start = time.perf_counter()
     with pytest.raises(RuntimeError) as caught:
         build_kr(AffineSpec("A2even", 12, 12, 12))
     assert time.perf_counter() - start < 1
-    text = str(caught.value)
-    assert text.startswith(head) and text.endswith(tail)
-    assert int(text[len(head) : -len(tail)]) > 10**6
+    assert str(caught.value) == message
     start = time.perf_counter()
     assert main(["build", "--family", "A2even", "--n", "12", "--r", "12", "--s", "12"]) == 1
     assert time.perf_counter() - start < 1
-    assert capsys.readouterr().err == f"kr: {text}\n"
+    assert capsys.readouterr().err == f"kr: {message}\n"
 
 
 def test_stepped_build_seeds_fix_the_node_order(capsys):
@@ -313,15 +340,30 @@ def test_value_error_inside_the_work_exits_one(capsys, monkeypatch, command, fam
     assert (captured.out, captured.err) == ("", "kr: blocks at sign height 0 for r=1\n")
 
 
-@pytest.mark.parametrize(
-    "family,n,r,s", [("D1", 40, 30, 40), ("B1", 30, 20, 30), ("C1", 30, 20, 30)]
-)
-def test_dim_over_the_summand_bound_is_refused(capsys, time_limit, family, n, r, s):
-    # C(55, 15), about 8.5e8 and about 3.2e9 summands: counted in closed form, none made
-    assert main(["dim", "--family", family, "--n", str(n), "--r", str(r), "--s", str(s)]) == 1
+@pytest.mark.parametrize("family,n,r,s", sorted(PINNED_DIMENSIONS), ids=str)
+def test_dim_answers_past_the_weyl_sums_reach(capsys, time_limit, family, n, r, s):
+    # 1.2e13, 8.5e8 and 3.2e9 classical summands: one integer line
+    assert main(["dim", "--family", family, "--n", str(n), "--r", str(r), "--s", str(s)]) == 0
     captured = capsys.readouterr()
-    message = f"{family} n={n} r={r} s={s} has more than 100000 classical summands"
-    assert (captured.out, captured.err) == ("", f"kr: {message}, over the summand bound\n")
+    digits, digest = PINNED_DIMENSIONS[family, n, r, s]
+    assert captured.err == "" and captured.out.endswith("\n") and captured.out[:-1].isdigit()
+    assert len(captured.out) - 1 == digits
+    assert hashlib.sha256(captured.out[:-1].encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("s,code", [(78, 0), (79, 1)])
+def test_dim_at_the_work_bound(capsys, time_limit, s, code):
+    # D1 80,40,78 is the last s the work bound lets through at that rank and
+    # node; either way kr dim finishes within a second
+    start = time.perf_counter()
+    assert main(["dim", "--family", "D1", "--n", "80", "--r", "40", "--s", str(s)]) == code
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    if code:
+        head = "kr: D1 n=80 r=40 s=79 needs 1009743872000 units of Q-system work"
+        assert (captured.out, captured.err) == ("", f"{head}, over the work bound 1000000000000\n")
+    else:
+        assert captured.err == "" and len(captured.out) == 1660 and captured.out[:-1].isdigit()
 
 
 def test_a_time_limit_passes_through_kr_and_run_suite(monkeypatch):
@@ -332,7 +374,7 @@ def test_a_time_limit_passes_through_kr_and_run_suite(monkeypatch):
     def expire(*args):
         raise TimeLimitExceeded("still running after 10 s")
 
-    monkeypatch.setattr(cartan, "summand_weights", expire)
+    monkeypatch.setattr(cartan, "_fundamental_dimensions", expire)
     monkeypatch.setattr(verify, "build_kr", expire)
     spec = ["--family", "B1", "--n", "2", "--r", "2", "--s", "1"]
     for argv in (["dim", *spec], ["check", *spec]):
@@ -342,13 +384,15 @@ def test_a_time_limit_passes_through_kr_and_run_suite(monkeypatch):
         verify.run_suite([AffineSpec("B1", 2, 2, 1)])
 
 
-def test_large_c1_build_is_refused_at_its_box(capsys, time_limit):
-    # 13,037,895 horizontal-domino shapes, made lazily: the full box comes
-    # first and alone passes the bound
-    box = shape_dimension("C", 22, Shape((22,) * 16))
+def test_large_c1_build_is_refused_with_its_size(capsys, time_limit):
+    # 13,037,895 horizontal-domino shapes, none made: the exact count, past
+    # the dimension of one of them, the r x s box
+    spec = AffineSpec("C1", 22, 16, 22)
+    size = kr_dimension(spec)
+    assert len(str(size)) == 155 and size > shape_dimension("C", 22, Shape((22,) * 16))
     assert main(["build", "--family", "C1", "--n", "22", "--r", "16", "--s", "22"]) == 1
     captured = capsys.readouterr()
-    message = f"C1 n=22 r=16 s=22 would have at least {box} vertices, over the bound 1000000"
+    message = f"C1 n=22 r=16 s=22 would have {size} vertices, over the bound 1000000"
     assert (captured.out, captured.err) == ("", f"kr: {message}\n")
 
 
