@@ -147,15 +147,14 @@ def affine_pairing(family: str, n: int, wt: Weight, i: int) -> int:
     return value
 
 
-def weyl_dimensions(ctype: str, n: int, weights):
-    """Dimension of the classical irreducible with each doubled highest weight in turn.
+def weyl_dimension(ctype: str, n: int, wt: Weight) -> int:
+    """Dimension of the classical irreducible with doubled highest weight wt.
 
     Both products use doubled coordinates (a = wt + 2 rho over 2 rho) and have
-    the same number of factors, so the doublings cancel in exact integers.  The
-    denominator, the product at a = 2 rho, is taken once per call.  Outside
-    type A each pair (a_i - a_j)(a_i + a_j) is one factor a_i^2 - a_j^2, and
-    B and C multiply in every a_i.  ValueError at the first weight that is not
-    dominant; the dimensions before it are yielded.
+    the same number of factors, so the doublings cancel in exact integers.
+    Outside type A each pair (a_i - a_j)(a_i + a_j) is one factor
+    a_i^2 - a_j^2, and B and C multiply in every a_i.  ValueError unless wt is
+    dominant.
     """
     if ctype == "B":
         rho = [2 * (n - i) - 1 for i in range(n)]
@@ -170,17 +169,9 @@ def weyl_dimensions(ctype: str, n: int, weights):
         num = math.prod(itertools.starmap(sub, itertools.combinations([x * x for x in a], 2)))
         return num * math.prod(a) if ctype in ("B", "C") else num
 
-    den = product(rho)
-    for wt in weights:
-        dim, rem = divmod(product(list(map(add, wt, rho))), den)
-        if rem or dim <= 0:
-            raise ValueError(f"weight {wt} is not dominant for {ctype}_{n}")
-        yield dim
-
-
-def weyl_dimension(ctype: str, n: int, wt: Weight) -> int:
-    """Dimension of the classical irreducible with doubled highest weight wt."""
-    [dim] = weyl_dimensions(ctype, n, (wt,))
+    dim, rem = divmod(product(list(map(add, wt, rho))), product(rho))
+    if rem or dim <= 0:
+        raise ValueError(f"weight {wt} is not dominant for {ctype}_{n}")
     return dim
 
 
@@ -248,21 +239,11 @@ def _summand_pool(spec: AffineSpec):
     return range(r, -1, -1), s, False, 0, 0
 
 
-def kr_summands(spec: AffineSpec):
-    """(rows, spin, color) of each classical summand of B^{r,s}, lazily, the full box first:
-    a Shape's fields, already valid, so nothing here checks them."""
-    pool, k, by_rows, spin, color = _summand_pool(spec)
-    return ((rows, spin, color) for rows in _multiset_rows(pool, k, by_rows))
-
-
-def kr_shapes(spec: AffineSpec):
-    """The classical shapes of B^{r,s}, one per irreducible summand, the full box first."""
-    return itertools.starmap(Shape, kr_summands(spec))
-
-
 def kr_decomposition(spec: AffineSpec) -> tuple[Shape, ...]:
-    """Classical decomposition of B^{r,s}, one Shape per irreducible summand."""
-    return tuple(sorted(kr_shapes(spec), key=lambda sh: (sh.size(), sh.rows, sh.spin)))
+    """Classical decomposition of B^{r,s}, one Shape per irreducible summand, sorted."""
+    pool, k, by_rows, spin, color = _summand_pool(spec)
+    shapes = (Shape(rows, spin, color) for rows in _multiset_rows(pool, k, by_rows))
+    return tuple(sorted(shapes, key=lambda sh: (sh.size(), sh.rows, sh.spin)))
 
 
 def _untwisted_partner(spec: AffineSpec):

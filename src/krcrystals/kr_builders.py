@@ -6,11 +6,11 @@ promotion in type A, conjugation by the tail involution sigma for the three
 families whose 0-node hangs off node 1, fixed points of that involution for
 type C, sign-triple case rules at the exceptional C/D node, and, at the two
 tail nodes of type D, sigma composed with the n-1 <-> n flip, which maps the
-spin crystal to itself.  The promotion, sigma and spin routes share one rule
-on the closed classical crystal: f_0 = tau^{-1} f_1 tau, with tau promotion
-or one of the two sigmas.  Each tau is read off the tops of a branching,
-promotion's by weight and the sigmas' off the diagram table, and carried
-down their components by _transport.
+spin crystal to itself.  The promotion, dba, triples and spin routes close
+their classical crystal and attach f_0 in _attach_from_tops: a map tau fixed
+on the tops of a branching (promotion's by weight, the others' off the
+diagram table) is carried down their components with its inverse, checked
+against it, and gives f_0 = tau^{-1} f_1 tau, or f_0 = tau for the triples.
 """
 
 import functools
@@ -80,14 +80,31 @@ def _transport(src, dst_f, anchors, colors):
     return out
 
 
-def _conjugated_f1(tau, f1, back):
-    """f_0 = back . f_1 . tau on vertex ids; f1 is the arrow dict tau lands in."""
-    f0 = {}
-    for x in range(len(tau)):
-        y = f1.get(tau[x])
-        if y is not None:
-            f0[x] = back[y]
-    return f0
+def _attach_from_tops(cls, forward, backward, shift, conjugate):
+    """Attach f_0 to the closed classical crystal cls from a rule on its tops; return tau.
+
+    tau is forward carried along f_i -> f_{shift[i]}, its inverse backward carried back (an
+    involution, passed as both, is carried once).  RuntimeError at the least vertex where the
+    two are not mutually inverse or, if conjugate, tau is missing.  f_0 = tau^{-1} f_1 tau if
+    conjugate, else tau.
+    """
+    ahead = {i: cls.f[j] for i, j in shift.items()}
+    tau = _transport(cls, lambda i, y: ahead[i].get(y), forward, ahead)
+    if backward is forward:
+        back = tau
+    else:
+        behind = {j: cls.f[i] for i, j in shift.items()}
+        back = _transport(cls, lambda j, y: behind[j].get(y), backward, behind)
+    for x in range(len(cls)):
+        y, z = tau.get(x), back.get(x)
+        if (conjugate if y is None else back.get(y) != x) or (z is not None and tau.get(z) != x):
+            raise RuntimeError(f"tau is not invertible at vertex {x}")
+    f0 = tau
+    if conjugate:  # tau^{-1} f_1 tau
+        f1 = cls.f[1]
+        f0 = {x: back[y] for x in range(len(cls)) if (y := f1.get(tau[x])) is not None}
+    cls.add_color(0, f0)
+    return tau
 
 
 def classical_model(build):
@@ -120,6 +137,13 @@ def _branching(graph, ctype, n, tops):
     return table
 
 
+def _branched_classical(spec):
+    """(cls, table): the closed classical crystal of spec and its branching table."""
+    ctype, n, shapes = spec.classical_type, spec.n, kr_decomposition(spec)
+    cls = classical_crystal(ctype, n, shapes, spec.classical_colors)
+    return cls, _branching(cls, ctype, n, {sh: k for k, sh in enumerate(shapes)})
+
+
 def _top_of_weight(tops, weight_of, wt):
     """The one top whose weight_of is wt; RuntimeError unless there is exactly one."""
     hits = [top for top in tops if weight_of(top) == wt]
@@ -143,7 +167,7 @@ def _locate_tops(build, shapes):
 def _build_promotion(spec):
     """f_0 = pr^{-1} f_1 pr.  pr sends f_i to f_{i+1} (i in 1..n-2) and rotates
     the weight one letter up: each {1..n-2}-top goes to the {2..n-1}-top of its
-    rotated weight, and pr is transported down from there."""
+    rotated weight, and pr is carried down from there."""
     n = spec.n
     cls = classical_crystal("A", n, (Shape((spec.s,) * spec.r),), spec.classical_colors)
     wt, images = cls.weights, cls.highest_vertices(range(2, n))
@@ -151,11 +175,8 @@ def _build_promotion(spec):
         top: _top_of_weight(images, wt.__getitem__, wt[top][-1:] + wt[top][:-1])
         for top in cls.highest_vertices(range(1, n - 1))
     }
-    pr = _transport(cls, lambda i, y: cls.f[i + 1].get(y), anchors, range(1, n - 1))
-    back = {y: x for x, y in pr.items()}
-    if len(back) != len(cls):
-        raise RuntimeError("promotion is not a bijection on the rectangle")
-    cls.add_color(0, _conjugated_f1(pr, cls.f[1], back))
+    backward = {y: x for x, y in anchors.items()}
+    _attach_from_tops(cls, anchors, backward, {i: i + 1 for i in range(1, n - 1)}, True)
     return KRBuild(spec, cls)
 
 
@@ -176,33 +197,16 @@ def _sigma_on_tops(table, mirror):
     return sigma
 
 
-def _sigma_build(spec, cls, table, mirror, swap):
-    """(build, sigma): cls with f_0 = sigma f_1 sigma, sigma read off table, the
-    {2..n}-tops keyed for mirror, and transported along f_i -> f_{swap(i)}, i in 2..n.
-
-    cls is the closed classical crystal; swap maps a color to its image,
-    identity where absent.
-    """
-    jcolors = range(2, spec.n + 1)
-    dst = {i: cls.f[swap.get(i, i)] for i in jcolors}
-    sigma = _transport(cls, lambda i, y: dst[i].get(y), _sigma_on_tops(table, mirror), jcolors)
-    bad = [x for x in sigma if sigma[sigma[x]] != x]
-    if bad:
-        raise RuntimeError(f"sigma is not an involution at vertex {bad[0]}")
-    cls.add_color(0, _conjugated_f1(sigma, cls.f[1], sigma))
-    return KRBuild(spec, cls), sigma
-
-
 def _build_dba(spec):
-    """(build, sigma), as _sigma_build returns them."""
+    """(build, sigma): f_0 = sigma f_1 sigma, sigma the diagram involution on the {2..n}-tops."""
 
     def involution_S(P):
         return pm.involution_S(P, spec.r, spec.s)
 
-    ctype, n, shapes = spec.classical_type, spec.n, kr_decomposition(spec)
-    cls = classical_crystal(ctype, n, shapes, spec.classical_colors)
-    table = _branching(cls, ctype, n, {sh: k for k, sh in enumerate(shapes)})
-    return _sigma_build(spec, cls, table, involution_S, {})
+    cls, table = _branched_classical(spec)
+    sigma = _sigma_on_tops(table, involution_S)
+    jcolors = {i: i for i in range(2, spec.n + 1)}
+    return KRBuild(spec, cls), _attach_from_tops(cls, sigma, sigma, jcolors, True)
 
 
 # -- type C below the top node: fixed points of sigma -------------------------
@@ -481,31 +485,17 @@ def _triple_of(P):
 
 def _build_triples(spec):
     """The triple rules on each {2..n}-top, carried down its {2..n}-component."""
-    family, n, s, ctype = spec.family, spec.n, spec.s, spec.classical_type
-    shapes = kr_decomposition(spec)
-    cls = classical_crystal(ctype, n, shapes, spec.classical_colors)
-    table = _branching(cls, ctype, n, {sh: k for k, sh in enumerate(shapes)})
+    family, s = spec.family, spec.s
+    cls, table = _branched_classical(spec)
     top_of = {_triple_of(P): top for top, P in table.items()}
     if len(top_of) != len(table):
         raise RuntimeError("two {2..n}-tops share a sign triple")
-    arrows = {}
-    for direction in ("e", "f"):
-        anchors = {}
-        for t, top in top_of.items():
-            out = triple_rules(family, s, t, direction)
-            if out is None:
-                continue
-            y = top_of.get(out)
-            if y is None:
-                raise RuntimeError(f"triple {out} is off the diagram table")
-            anchors[top] = y
-        arrows[direction] = _transport(
-            cls, lambda i, y: cls.f[i].get(y), anchors, range(2, n + 1)
-        )
-    inverse = sorted((b, a) for a, b in arrows["e"].items())
-    if sorted(arrows["f"].items()) != inverse:
-        raise RuntimeError("triple 0-arrows are not mutually inverse")
-    cls.add_color(0, arrows["f"])
+    rules = {d: {top: triple_rules(family, s, t, d) for t, top in top_of.items()} for d in "ef"}
+    for t in (t for rule in rules.values() for t in rule.values() if t is not None):
+        if t not in top_of:
+            raise RuntimeError(f"triple {t} is off the diagram table")
+    e, f = ({top: top_of[t] for top, t in rules[d].items() if t is not None} for d in "ef")
+    _attach_from_tops(cls, f, e, {i: i for i in range(2, spec.n + 1)}, False)
     return KRBuild(spec, cls)
 
 
@@ -532,7 +522,9 @@ def _build_spin(spec):
     cls = generate_closure([(top,) * s], colors, rule.neighbours, _spin_tensor_weight)
     [shape] = kr_decomposition(spec)  # one shape: its diagrams differ in their sign triples
     table = {x: _triple_of(P) for x, P in _branching(cls, "D", n, {shape: 0}).items()}
-    return _sigma_build(spec, cls, table, sigma_spin_D, {n - 1: n, n: n - 1})[0]
+    sigma, swap = _sigma_on_tops(table, sigma_spin_D), {n - 1: n, n: n - 1}
+    _attach_from_tops(cls, sigma, sigma, {i: swap.get(i, i) for i in range(2, n + 1)}, True)
+    return KRBuild(spec, cls)
 
 
 # -- dispatch ------------------------------------------------------------------

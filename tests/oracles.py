@@ -44,7 +44,8 @@ level at which a build is perfect (Fourier-Okado-Schilling, arXiv
 0811.1604), or None, with `DUAL_LABELS` as the central element.
 `q_system_remainder` is the term R of the Q-system relation
 (Q_m^{(a)})^2 = Q_{m+1}^{(a)} Q_{m-1}^{(a)} + R that `cartan.kr_dimension`
-is checked against, and `weyl_sum` is |B^{r,s}| as the Weyl dimensions of the
+is checked against, `weyl_dimensions` maps `cartan.weyl_dimension` over a batch
+of weights, and `weyl_sum` is |B^{r,s}| as the Weyl dimensions of the
 spec's own classical summands, summed, which `cartan.kr_dimension` (a
 Q-system table, through an untwisted partner for a twisted family) must
 equal.  `PINNED_DIMENSIONS` records three `kr_dimension` answers past the
@@ -66,9 +67,8 @@ from krcrystals.cartan import (
     affine_pairing,
     conjugate,
     kr_decomposition,
-    kr_shapes,
     simple_root,
-    weyl_dimensions,
+    weyl_dimension,
     zero_root_projection,
 )
 from krcrystals.crystal_core import CrystalGraph, generate_closure
@@ -955,10 +955,18 @@ def q_system_remainder(family: str, n: int, a: int, m: int, Q) -> int:
     return Q(a - 1, m) * Q(a + 1, m)
 
 
+def weyl_dimensions(ctype: str, n: int, weights):
+    """`cartan.weyl_dimension` of each doubled highest weight in turn, lazily.  Its
+    ValueError stops the batch at the first weight that is not dominant; the
+    dimensions before it are yielded."""
+    for wt in weights:
+        yield weyl_dimension(ctype, n, wt)
+
+
 def weyl_sum(spec: AffineSpec) -> int:
     """|B^{r,s}| as the sum of the Weyl dimensions of the spec's own classical summands
-    (`kr_shapes`, in its own classical type): no Q-system and no untwisted partner."""
-    weights = (shape.weight(spec.n) for shape in kr_shapes(spec))
+    (`kr_decomposition`, in its own classical type): no Q-system and no untwisted partner."""
+    weights = (shape.weight(spec.n) for shape in kr_decomposition(spec))
     return sum(weyl_dimensions(spec.classical_type, spec.n, weights))
 
 

@@ -14,7 +14,7 @@ from krcrystals import pm_diagrams as pm
 from krcrystals import tableaux
 from krcrystals.cartan import FAMILIES, AffineSpec, Shape, kr_decomposition, kr_dimension
 from krcrystals.cli import graph_document, main, to_dot
-from krcrystals.crystal_core import VERTEX_BOUND, generate_closure
+from krcrystals.crystal_core import VERTEX_BOUND, CrystalGraph, generate_closure
 from krcrystals.kr_builders import (
     SignTriple,
     build_kr,
@@ -170,22 +170,22 @@ def test_route_sigma_is_the_searched_automorphism(monkeypatch):
     # the sigma the dba and spin routes conjugate f_1 by, on every grid spec
     # of those routes and four past the grid, is the automorphism the sigma
     # search finds on the finished graph
-    made, real = [], kr_builders._sigma_build
+    made, real = [], kr_builders._attach_from_tops
 
-    def recorded(*args):
-        made.append(real(*args))
-        return made[-1]
+    def recorded(cls, *args):
+        made.append((cls, real(cls, *args)))
+        return made[-1][1]
 
-    monkeypatch.setattr(kr_builders, "_sigma_build", recorded)
+    monkeypatch.setattr(kr_builders, "_attach_from_tops", recorded)
     past = [("B1", 5, 3, 2), ("D1", 6, 3, 2), ("A2odd", 4, 3, 2), ("D1", 5, 4, 4)]
     kinds = []
     for spec in [*default_grid(), *(AffineSpec(*args) for args in past)]:
-        made.clear()  # the virtual route's host also comes from _sigma_build
+        made.clear()  # the virtual route's host also attaches its f_0 there
         b = build_kr(spec)
         if b.kind not in ("dba", "spin"):
             continue
         [(built, sigma)] = made
-        assert built is b
+        assert built is b.graph
         assert search_sigma(b.graph, spec) == sigma
         kinds.append(b.kind)
     assert (kinds.count("dba"), kinds.count("spin")) == (23, 5)
@@ -195,14 +195,13 @@ def test_non_injective_zero_arrows_fail_the_build(monkeypatch, capsys):
     # a route whose f_0 sends the two least sources to one target is refused
     # where its graph is made: kr build exits 1 and writes no document (a
     # cyclic f_0 is test_verify's test_cyclic_zero_string_fails_the_build)
-    conjugated = kr_builders._conjugated_f1
+    add_color = CrystalGraph.add_color
 
-    def merged(*args):
-        f0 = conjugated(*args)
+    def merged(graph, i, f0):
         a, b = sorted(f0)[:2]
-        return {**f0, b: f0[a]}
+        return add_color(graph, i, {**f0, b: f0[a]})
 
-    monkeypatch.setattr(kr_builders, "_conjugated_f1", merged)
+    monkeypatch.setattr(CrystalGraph, "add_color", merged)
     assert main(["build", "--family", "A2odd", "--n", "2", "--r", "1", "--s", "1"]) == 1
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", "kr: f_0 arrows are not injective\n")
@@ -679,7 +678,7 @@ def test_triple_rules_d():
 
 @pytest.mark.parametrize(
     "n,message",
-    [(2, "triple 0-arrows are not mutually inverse"), (3, "transport died on an f_2 arrow")],
+    [(2, "tau is not invertible at vertex 0"), (3, "transport died on an f_2 arrow")],
 )
 def test_broken_triple_rule_fails_the_transport(monkeypatch, capsys, n, message):
     # f_0 sends every {2..n}-top to the all-+ top: at n = 2 the transport
@@ -842,9 +841,9 @@ def test_spin_crystals_are_isomorphic_under_the_tail_flip(n, s):
     assert isomorphism(top.graph, other.graph, colors=colors) is None
 
 
-def _transport_without_swap(sigma_build):
-    def mutated(spec, cls, table, mirror, swap):
-        return sigma_build(spec, cls, table, mirror, {})
+def _transport_without_swap(attach_from_tops):
+    def mutated(cls, forward, backward, shift, conjugate):
+        return attach_from_tops(cls, forward, backward, {i: i for i in shift}, conjugate)
 
     return mutated
 
@@ -860,7 +859,7 @@ def _mirror_one_column_wider(mirror):
 @pytest.mark.parametrize(
     "name,mutation,message",
     [
-        ("_sigma_build", _transport_without_swap, "transport died on an f_3 arrow"),
+        ("_attach_from_tops", _transport_without_swap, "transport died on an f_3 arrow"),
         ("sigma_spin_D", _mirror_one_column_wider,
          "sigma_spin_D sends a diagram off the diagram table"),
     ],
@@ -954,11 +953,11 @@ def _two_step_e1(tail_apply):
         (kr_builders, "_virtual_arrow", _bare_host_f0, "build", ("A2even", 2, 1, 1),
          "stepped image closure has the wrong size"),
         (kr_builders, "_transport", _least_moved_vertex_fixed, "build", ("A2odd", 2, 1, 1),
-         "sigma is not an involution at vertex 3"),
+         "tau is not invertible at vertex 3"),
         (kr_builders, "_transport", _least_moved_vertex_fixed, "build", ("D1", 4, 4, 1),
-         "sigma is not an involution at vertex 3"),
+         "tau is not invertible at vertex 3"),
         (kr_builders, "_top_of_weight", _every_top_to_one, "build", ("A1", 2, 1, 2),
-         "promotion is not a bijection on the rectangle"),
+         "tau is not invertible at vertex 0"),
         (kr_builders, "_top_of_weight", _every_top_to_one, "build", ("A1", 3, 1, 1),
          "transport died on an f_1 arrow"),
         (kr_builders.SteppedHost, "host_weight", _odd_host_weights, "build", ("B1", 2, 2, 1),

@@ -19,11 +19,9 @@ from krcrystals.cartan import (
     affine_pairing,
     affine_root,
     kr_dimension,
-    kr_shapes,
     shape_dimension,
     simple_root,
     weyl_dimension,
-    weyl_dimensions,
     zero_root_projection,
 )
 from krcrystals.pm_diagrams import PmDiagram, SignTriple
@@ -33,6 +31,7 @@ from oracles import (
     enumerate_tableaux,
     pairing,
     q_system_remainder,
+    weyl_dimensions,
     weyl_sum,
 )
 
@@ -283,28 +282,26 @@ def test_weyl_batch_stops_at_the_first_nondominant_weight():
 def test_weyl_batch_matches_fraction_formula_at_high_rank(spec, summed):
     # the squared coordinates against the pairwise rational product, where
     # the dimensions run to 52 digits.  The oracle takes about 2 ms a weight
-    # here, so it checks the first 500 summands, the full box first: all of
+    # here, so it checks 500 summands, the largest first (the full box): all of
     # them for A2even, B1 and D1 10,8,8, 500 of 2,002 for C1 and of 6,188
     # for D2.  The batch's sum, the Weyl oracle over the summed spec's own
     # shapes, is the Q-system's answer, which the twisted spec shares
     summed = AffineSpec(*summed)
     ctype, n = summed.classical_type, summed.n
-    weights = [sh.weight(n) for sh in kr_shapes(summed)]
+    weights = [sh.weight(n) for sh in reversed(kr_decomposition(summed))]
     dims = list(weyl_dimensions(ctype, n, weights))
     assert sum(dims) == weyl_sum(summed) == kr_dimension(summed) == kr_dimension(AffineSpec(*spec))
     for wt, dim in zip(weights[:500], dims):
         assert dim == fraction_weyl_dimension(ctype, n, wt), (summed, wt)
 
 
-def test_c1_shapes_come_lazily_with_the_full_box_first(time_limit):
-    # below the top node, the first C1 summand is the r x s box, and the
-    # shapes are the sorted horizontal-domino table's, in another order
+def test_c1_shapes_are_the_horizontal_domino_table_with_the_full_box_last():
+    # below the top node, the largest C1 summand is the r x s box, and the
+    # shapes are the sorted horizontal-domino table's
     for n, r, s in [(3, 2, 3), (4, 3, 4), (5, 2, 5)]:
-        shapes = list(kr_shapes(AffineSpec("C1", n, r, s)))
-        assert shapes[0] == Shape((s,) * r)
+        shapes = kr_decomposition(AffineSpec("C1", n, r, s))
+        assert shapes[-1] == Shape((s,) * r)
         assert sorted(shapes) == sorted(horizontal_domino_shapes(r, s))
-    # 13,037,895 shapes for C1 22,16,22; the first comes without the rest
-    assert next(kr_shapes(AffineSpec("C1", 22, 16, 22))) == Shape((22,) * 16)
 
 
 # every family, n <= 8, every valid r, s <= 6: 1,398 specs
@@ -328,11 +325,11 @@ def padded_weight(n, shape):
 
 
 def test_shape_weights_are_the_padded_weights():
-    # Shape.weight against the long rule, on every summand kr_shapes makes
+    # Shape.weight against the long rule, on every summand kr_decomposition makes
     assert len(SMALL_SPECS) == 1398
     for spec in SMALL_SPECS:
         n = spec.n
-        for shape in kr_shapes(spec):
+        for shape in kr_decomposition(spec):
             assert shape.weight(n) == padded_weight(n, shape), (spec, shape)
 
 
@@ -386,7 +383,7 @@ def test_dimension_preflights_make_no_shape(monkeypatch):
         raise AssertionError("a Shape or a summand was made")
 
     monkeypatch.setattr(cartan, "Shape", made)
-    monkeypatch.setattr(cartan, "kr_summands", made)
+    monkeypatch.setattr(cartan, "_summand_pool", made)
     assert [kr_dimension(spec) for spec in SMALL_SPECS[::7]] == expected
     kr_builders._refuse_over_bound(AffineSpec("D2", 4, 3, 2))
     with pytest.raises(RuntimeError, match="over the bound 1000000"):

@@ -1,6 +1,7 @@
 """Layout guards on src/: builds own their state, src/ holds no test-only code,
 imports no name it leaves unused, reads no field kept for the benchmark
-alone, and start-up loads no costly standard module.
+alone, attaches f_0 to a closed crystal in one function, and start-up loads
+no costly standard module.
 
 The first guards read the sources with `ast`, so they run without importing
 the package.  A module-level cache outlives the build that filled it, and a
@@ -160,6 +161,24 @@ def test_src_reads_no_field_kept_for_the_benchmark_ledger():
         and isinstance(node.ctx, ast.Load)
     ]
     assert found == []
+
+
+
+def test_one_function_attaches_f0_to_a_closed_crystal():
+    # every closed route hands its rule on the tops to _attach_from_tops,
+    # which carries it, checks it against its inverse and attaches f_0; no
+    # route grows an f_0 ending of its own
+    found = [
+        f"{path.name}: {func.name}"
+        for path in SRC
+        for func in ast.walk(_tree(path))
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "add_color"
+    ]
+    assert found == ["kr_builders.py: _attach_from_tops"]
 
 
 def test_importing_the_cli_loads_no_costly_module():

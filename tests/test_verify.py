@@ -185,14 +185,14 @@ def test_cyclic_zero_string_fails_the_build(monkeypatch, capsys, time_limit):
     f0, least = _with_closed_string(g.f[0])
     with pytest.raises(RuntimeError, match=f"^f_0 string does not end at vertex {least}$"):
         CrystalGraph(g.elements, g.colors, {**g.f, 0: f0}, g.weights)
-    conjugated, cycles = kr_builders._conjugated_f1, []
+    add_color, cycles = CrystalGraph.add_color, []
 
-    def closing(*args):
-        f0, least = _with_closed_string(conjugated(*args))
+    def closing(graph, i, f0):
+        f0, least = _with_closed_string(f0)
         cycles.append(least)
-        return f0
+        return add_color(graph, i, f0)
 
-    monkeypatch.setattr(kr_builders, "_conjugated_f1", closing)
+    monkeypatch.setattr(CrystalGraph, "add_color", closing)
     spec = ["--family", "A2odd", "--n", "2", "--r", "1", "--s", "2"]
     assert main(["build", *spec]) == 1
     message = f"f_0 string does not end at vertex {cycles[-1]}"
