@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from collections import namedtuple
 from operator import add, mul, sub
 
@@ -87,20 +88,15 @@ class Shape(namedtuple("Shape", "rows spin color")):
 
     def weight(self, n: int) -> Weight:
         """Doubled epsilon-basis weight of the highest vector."""
-        return highest_weight(n, *self)
+        w = [2 * row + self.spin for row in self.rows] + [self.spin] * (n - len(self.rows))
+        if self.color == 2:
+            w[n - 1] = -w[n - 1]
+        return tuple(w)
 
     def __str__(self):
         body = ",".join(str(row) for row in self.rows)
         tags = ("" if not self.spin else "+s") + ("" if not self.color else f"@{self.color}")
         return f"({body}){tags}"
-
-
-def highest_weight(n: int, rows, spin, color) -> Weight:
-    """Doubled epsilon-basis weight of the highest vector of a column shape (see Shape)."""
-    w = [2 * row + spin for row in rows] + [spin] * (n - len(rows))
-    if color == 2:
-        w[n - 1] = -w[n - 1]
-    return tuple(w)
 
 
 def simple_root(ctype: str, n: int, i: int) -> Weight:
@@ -175,49 +171,29 @@ def weyl_dimension(ctype: str, n: int, wt: Weight) -> int:
     return dim
 
 
-def shape_dimension(ctype: str, n: int, shape: Shape) -> int:
-    return weyl_dimension(ctype, n, shape.weight(n))
-
-
 def conjugate(cols) -> tuple[int, ...]:
-    """The conjugate partition: row lengths from column heights in any order, or back."""
-    heights = sorted((h for h in cols if h > 0), reverse=True)
-    if not heights:
-        return ()
-    return tuple(sum(1 for h in heights if h > i) for i in range(heights[0]))
+    """The conjugate partition: row i is the number of column heights (any order) over i."""
+    heights = sorted(cols)
+    return tuple(len(heights) - bisect_right(heights, i) for i in range(max(heights, default=0)))
 
 
-def _box_rows(heights, s, i, used, below):
-    """Rows of each shape of s columns, heights from heights[i:], the full box first, under
-    the rows below; used columns are taller than heights[i].  With t columns at least h
-    tall, the rows from the next smaller height up to h have length t."""
-    h = heights[i]
-    for t in range(s, used - 1, -1) if i + 1 < len(heights) else (s,):
-        if t == s:
-            yield (s,) * h + below
-        else:
-            lower = (t,) * (h - heights[i + 1]) + below if t else below
-            yield from _box_rows(heights, s, i + 1, t, lower)
-
-
-def _multiset_rows(pool, k, by_rows):
-    """Rows of the shape of each k-multiset of a descending pool, lazily, the full box first:
-    the multiset read as row lengths when by_rows, else as column heights (a 0 is none)."""
-    if by_rows:  # the rows descend, so 0s trail
-        rows = itertools.combinations_with_replacement(pool, k)
-        return (tuple(itertools.takewhile(bool, each)) for each in rows)
-    return _box_rows(tuple(pool), k, 0, 0, ()) if k else iter([()])  # tuples index faster
+def _shapes(pool, k, by_rows, spin=0, color=0) -> tuple[Shape, ...]:
+    """The sorted shapes, with this spin and color, of the k-multisets of a descending pool
+    read as row lengths (0s trail and are dropped) when by_rows, else as column heights."""
+    multisets = itertools.combinations_with_replacement(pool, k)
+    rows = (tuple(filter(None, m)) if by_rows else conjugate(m) for m in multisets)
+    shapes = [Shape(each, spin, color) for each in rows]
+    return tuple(sorted(shapes, key=lambda sh: (sh.size(), sh.rows)))
 
 
 def horizontal_domino_shapes(r: int, s: int) -> tuple[Shape, ...]:
     """The horizontal-domino removals from an r x s rectangle, sorted."""
-    shapes = map(Shape, _multiset_rows(range(s, -1, -2), r, True))
-    return tuple(sorted(shapes, key=lambda sh: (sh.size(), sh.rows)))
+    return _shapes(range(s, -1, -2), r, True)
 
 
 def _summand_pool(spec: AffineSpec):
     """(pool, k, by_rows, spin, color): each classical summand of B^{r,s} is a k-multiset of
-    the pool, read by _multiset_rows, with this spin and color.
+    the pool, read by _shapes, with this spin and color.
 
     The removal rules of Fourier-Okado-Schilling: from s columns of height r, vertical
     dominoes (B1, D1, A2odd) or any boxes (A2even, D2); from r rows of length s, horizontal
@@ -241,9 +217,7 @@ def _summand_pool(spec: AffineSpec):
 
 def kr_decomposition(spec: AffineSpec) -> tuple[Shape, ...]:
     """Classical decomposition of B^{r,s}, one Shape per irreducible summand, sorted."""
-    pool, k, by_rows, spin, color = _summand_pool(spec)
-    shapes = (Shape(rows, spin, color) for rows in _multiset_rows(pool, k, by_rows))
-    return tuple(sorted(shapes, key=lambda sh: (sh.size(), sh.rows, sh.spin)))
+    return _shapes(*_summand_pool(spec))
 
 
 def _untwisted_partner(spec: AffineSpec):

@@ -117,7 +117,7 @@ def classical_model(build):
         return dict(enumerate(build.graph.elements))
     ctype, n, colors = build.spec.classical_type, build.spec.n, build.spec.classical_colors
     tops = _locate_tops(build, kr_decomposition(build.spec))
-    anchors = {v: pm.highest_element(ctype, n, sh) for sh, v in tops.items()}
+    anchors = {v: pm.highest_element(n, sh) for sh, v in tops.items()}
     step = tableaux.SignatureTable(ctype, n, colors).apply
     model = _transport(build.graph, lambda i, tab: step(tab, i, "f"), anchors, colors)
     if len(model) != len(build.graph):
@@ -305,7 +305,7 @@ class SteppedHost:
         # shapes of the host's classical (C_n) decomposition
         self.model_shapes = horizontal_domino_shapes(r, s) if self.virtual else self.shapes
         self._table = tableaux.SignatureTable("C", self.rank, range(1, self.rank + 1))
-        tops = {sh: pm.highest_element("C", self.rank, sh) for sh in self.shapes}
+        tops = {sh: pm.highest_element(self.rank, sh) for sh in self.shapes}
         # the diagrams' walks share most steps; their memo is dropped with the walk
         walk = functools.cache(lambda x, i: self._table.apply(x, i, "f"))
         table = pm.phi_table("C", self.rank, tops, walk)
@@ -314,7 +314,7 @@ class SteppedHost:
             return pm.involution_S(P, r, s)
 
         self._sigma = _sigma_on_tops(table, involution_S)
-        weight = functools.partial(tableaux.tableau_weight, "C", self.rank)
+        weight = functools.partial(tableaux.tableau_weight, self.rank)
         if any(weight(*x)[1:] != weight(*y)[1:] for x, y in self._sigma.items()):
             raise RuntimeError("sigma changes the {2..N}-weight of a top")
         fixed = [top for top, image in self._sigma.items() if image == top]
@@ -378,7 +378,7 @@ class SteppedHost:
         return _virtual_arrow(self._tail_apply, elem, i, op, k, self._fixed)
 
     def host_weight(self, elem):
-        w = tableaux.tableau_weight("C", self.rank, elem[0], elem[1])
+        w = tableaux.tableau_weight(self.rank, elem[0], elem[1])
         return w[1:] if self.virtual else w
 
     def host_top(self, outer):
@@ -386,7 +386,7 @@ class SteppedHost:
         or its highest tableau when the host is its own C_n crystal (B1 at r = n)."""
         if self.virtual:
             return _top_of_weight(self._fixed_tops, self._fixed_tops.get, outer.weight(self.n))
-        return pm.highest_element("C", self.n, outer)
+        return pm.highest_element(self.n, outer)
 
     def host_phi(self, P):
         """Phi(P) of a C_n diagram walked in the host's own C_n view (colors 1..n)."""
@@ -517,7 +517,7 @@ def _build_spin(spec):
     The composite maps the crystal to itself, carrying f_{n-1} to f_n.
     """
     n, s, colors = spec.n, spec.s, spec.classical_colors
-    _, top = pm.highest_element("D", n, Shape(spin=1, color=1 if spec.r == n else 2))
+    _, top = pm.highest_element(n, Shape(spin=1, color=1 if spec.r == n else 2))
     rule = tableaux.SpinTensorTable("D", n, colors)
     cls = generate_closure([(top,) * s], colors, rule.neighbours, _spin_tensor_weight)
     [shape] = kr_decomposition(spec)  # one shape: its diagrams differ in their sign triples

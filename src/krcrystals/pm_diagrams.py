@@ -222,7 +222,7 @@ def _d_top_string(n: int, color: int) -> tuple[int, ...]:
     return tuple(range(1, n))
 
 
-def highest_element(ctype: str, n: int, shape: Shape):
+def highest_element(n: int, shape: Shape):
     cols = tuple(tuple(range(1, h + 1)) for h in shape.columns())
     spin = None
     if shape.spin:

@@ -85,7 +85,7 @@ def spin_eps(ctype: str, n: int, i: int, sv) -> int:
 
 # -- tableaux -----------------------------------------------------------------
 
-def tableau_weight(ctype: str, n: int, cols, spin) -> tuple[int, ...]:
+def tableau_weight(n: int, cols, spin) -> tuple[int, ...]:
     """Doubled weight: 2 at i per letter i, -2 per bar i, plus the spin signs."""
     w = list(spin) if spin is not None else [0] * n
     for col in cols:
@@ -267,10 +267,10 @@ class SpinTensorTable(SignatureTable):
 
 def classical_crystal(ctype, n, shapes, colors):
     """The tableau crystals B(shape) closed under colors; vertex k is the top of shapes[k]."""
-    seeds = [highest_element(ctype, n, sh) for sh in shapes]
+    seeds = [highest_element(n, sh) for sh in shapes]
     table = SignatureTable(ctype, n, colors)
     return generate_closure(
-        seeds, colors, table.neighbours, lambda elem: tableau_weight(ctype, n, *elem)
+        seeds, colors, table.neighbours, lambda elem: tableau_weight(n, *elem)
     )
 
 

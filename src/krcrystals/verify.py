@@ -24,7 +24,7 @@ from .cartan import (
     horizontal_domino_shapes,
     kr_decomposition,
     kr_dimension,
-    shape_dimension,
+    weyl_dimension,
 )
 from .kr_builders import (
     KRBuild,
@@ -164,14 +164,14 @@ def check_decompositions(build: KRBuild) -> CheckReport:
             return False, "classical highest weights off the table", {
                 "got": str(got), "want": str(want),
             }
-        classical_sizes = sorted(shape_dimension(ctype, n, sh) for sh in shapes)
+        classical_sizes = sorted(weyl_dimension(ctype, n, sh.weight(n)) for sh in shapes)
         subset = second_subset(spec)
         if spec.family == "A1":
             want_sizes = [len(g)]
         elif spec.family == "A2even":
             # the zero side branches over horizontal-domino shapes
             want_sizes = sorted(
-                shape_dimension("B", n, sh)
+                weyl_dimension("B", n, sh.weight(n))
                 for sh in horizontal_domino_shapes(spec.r, spec.s)
             )
         else:

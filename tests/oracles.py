@@ -567,13 +567,13 @@ def first_color_raise(x, colors, up):
 
 def tableau_phi(P: PmDiagram):
     """phi(P) in the tableau model, walked by the single step."""
-    top = highest_element(P.ctype, P.n, P.outer())
+    top = highest_element(P.n, P.outer())
     return phi(P, lambda x, i: tableaux.tableau_apply(P.ctype, P.n, x, i, "f"), top)
 
 
 def tableau_phi_table(ctype: str, n: int, shapes) -> dict:
     """phi_table over the shapes in the tableau model, walked the same way."""
-    tops = {sh: highest_element(ctype, n, sh) for sh in shapes}
+    tops = {sh: highest_element(n, sh) for sh in shapes}
     return phi_table(ctype, n, tops, lambda x, i: tableaux.tableau_apply(ctype, n, x, i, "f"))
 
 

@@ -1,6 +1,7 @@
 """Builder routes: desk-sized oracles for every family."""
 
 import ast
+import itertools
 import json
 from collections import Counter
 from pathlib import Path
@@ -91,8 +92,8 @@ def test_promotion_cycles_with_order_n():
 def test_promotion_rotates_content(k):
     elems = list(enumerate_tableaux("A", 3, Shape((2, 2))))
     cols, _ = elems[k % len(elems)]
-    before = tableaux.tableau_weight("A", 3, cols, None)
-    after = tableaux.tableau_weight("A", 3, promotion(cols, 3), None)
+    before = tableaux.tableau_weight(3, cols, None)
+    after = tableaux.tableau_weight(3, promotion(cols, 3), None)
     assert after == (before[-1],) + before[:-1]
 
 
@@ -542,7 +543,7 @@ def _crossed_pairs(on_tops, k, keep_weight):
         out = on_tops(table, mirror)
 
         def wt(x):  # doubled weight, in the rank of the tops' diagrams
-            return tableaux.tableau_weight("C", table[x].n, *x)
+            return tableaux.tableau_weight(table[x].n, *x)
 
         moved = [(x, y) for x, y in out.items() if x != y]
         crossed = [
@@ -645,9 +646,7 @@ def test_classical_model_of_stepped_build():
     assert len(model) == 6
     for x, tab in model.items():
         assert tableau_ok("B", 2, tab[0], tab[1])
-        assert tuple(b.graph.weights[x]) == tableaux.tableau_weight(
-            "B", 2, tab[0], tab[1]
-        )
+        assert tuple(b.graph.weights[x]) == tableaux.tableau_weight(2, tab[0], tab[1])
 
 
 # -- sign-triple route (C1 r=n, D2 r=n) ------------------------------------------
@@ -1099,3 +1098,54 @@ def test_perfect_exactly_when_c_r_divides_s():
         assert level == (s // c if s % c == 0 else None), spec
         levels[level] += 1
     assert levels == {1: 32, 2: 31, 3: 4, None: 7}
+
+
+def _weight_keeping_swaps(spec, on_tops):
+    # each swap of two moved sigma-pairs {a, a'}, {b, b'} of the dba route's
+    # {2..n}-tops with wt a = wt b and wt a' = wt b': sigma(a) = b' and
+    # sigma(b) = a', as entries to lay over sigma
+    cls, table = kr_builders._branched_classical(spec)
+    sigma = on_tops(table, lambda P: pm.involution_S(P, spec.r, spec.s))
+    pairs = sorted({tuple(sorted(pair)) for pair in sigma.items() if pair[0] != pair[1]})
+    wt = cls.weights
+    return [
+        {a: b2, b2: a, b: a2, a2: b}
+        for (a, a2), pair in itertools.combinations(pairs, 2)
+        for b, b2 in (pair, pair[::-1])
+        if wt[a] == wt[b] and wt[a2] == wt[b2]
+    ]
+
+
+def test_dba_sigma_swaps_that_the_suites_and_perfectness_miss(monkeypatch):
+    # the blind spot written down: every weight-keeping swap of two sigma-pairs
+    # on the 20 dba grid specs and four past the grid builds and moves f_0.
+    # One fails a suite; of the other 13, perfect_level rejects 10, and two
+    # A2odd 3,3,2 swaps and one D1 4,2,3 swap pass both
+    past = [("B1", 3, 1, 3), ("A2odd", 3, 1, 3), ("D1", 5, 2, 2), ("D1", 4, 2, 3)]
+    specs = [sp for sp in default_grid() if route(sp) == "dba"]
+    assert len(specs) == 20
+    on_tops = kr_builders._sigma_on_tops
+    swap = {}
+    monkeypatch.setattr(kr_builders, "_sigma_on_tops", lambda *args: on_tops(*args) | swap)
+    failed, rejected, survived = {}, [], []
+    for spec in [*specs, *(AffineSpec(*args) for args in past)]:
+        f0 = build_kr(spec).graph.f[0]
+        for k, entries in enumerate(_weight_keeping_swaps(spec, on_tops)):
+            swap.update(entries)
+            build = build_kr(spec)
+            swap.clear()
+            assert build.graph.f[0] != f0, (spec, k)
+            key = (*spec, k)
+            reports = [_CHECKS[name](build) for name in SUITES]
+            if not all(rep.passed for rep in reports):
+                failed[key] = [(rep.suite, rep.detail) for rep in reports if not rep.passed]
+            else:
+                (rejected if perfect_level(build) is None else survived).append(key)
+    assert failed == {
+        ("A2odd", 2, 2, 2, 0): [("sigma", "no automorphism of order 2 realizing 0 <-> 1")],
+    }
+    assert rejected == [
+        ("B1", 3, 2, 2, 0), ("D1", 4, 2, 2, 0), ("A2odd", 3, 2, 2, 0), ("D1", 5, 2, 2, 0),
+        *(("D1", 4, 2, 3, k) for k in (0, 1, 2, 3, 5, 6)),
+    ]
+    assert survived == [("A2odd", 3, 3, 2, 0), ("A2odd", 3, 3, 2, 1), ("D1", 4, 2, 3, 4)]

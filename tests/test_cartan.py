@@ -19,7 +19,6 @@ from krcrystals.cartan import (
     affine_pairing,
     affine_root,
     kr_dimension,
-    shape_dimension,
     simple_root,
     weyl_dimension,
     zero_root_projection,
@@ -206,7 +205,7 @@ def test_weyl_dimension_counts_enumerated_tableaux():
     assert len(cases) == 103
     for ctype, n, sh in cases:
         count = len(list(enumerate_tableaux(ctype, n, sh)))
-        assert shape_dimension(ctype, n, sh) == count, (ctype, n, sh)
+        assert weyl_dimension(ctype, n, sh.weight(n)) == count, (ctype, n, sh)
 
 
 def fraction_weyl_dimension(ctype, n, wt):
@@ -657,4 +656,4 @@ def test_decomposition_shapes_fit_and_weights_dominant(params):
         # dominance: every classical pairing nonnegative
         for i in spec.classical_colors:
             assert pairing(spec.classical_type, n, wt, i) >= 0
-        assert shape_dimension(spec.classical_type, n, sh) >= 1
+        assert weyl_dimension(spec.classical_type, n, wt) >= 1

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from krcrystals.cartan import AffineSpec, Shape, kr_dimension, shape_dimension
+from krcrystals.cartan import AffineSpec, Shape, kr_dimension, weyl_dimension
 from krcrystals.cli import dump_graph_document, graph_document, main, to_dot
 from krcrystals.kr_builders import build_kr
 from krcrystals.verify import SUITES, CheckReport, default_grid
@@ -389,7 +389,7 @@ def test_large_c1_build_is_refused_with_its_size(capsys, time_limit):
     # the dimension of one of them, the r x s box
     spec = AffineSpec("C1", 22, 16, 22)
     size = kr_dimension(spec)
-    assert len(str(size)) == 155 and size > shape_dimension("C", 22, Shape((22,) * 16))
+    assert len(str(size)) == 155 and size > weyl_dimension("C", 22, Shape((22,) * 16).weight(22))
     assert main(["build", "--family", "C1", "--n", "22", "--r", "16", "--s", "22"]) == 1
     captured = capsys.readouterr()
     message = f"C1 n=22 r=16 s=22 would have {size} vertices, over the bound 1000000"

@@ -31,7 +31,7 @@ def tableau_graph(ctype, n, colors, shapes):
         seeds,
         colors,
         SignatureTable(ctype, n, colors).neighbours,
-        lambda el: tableau_weight(ctype, n, *el),
+        lambda el: tableau_weight(n, *el),
     )
 
 

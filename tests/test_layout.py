@@ -1,7 +1,7 @@
 """Layout guards on src/: builds own their state, src/ holds no test-only code,
 imports no name it leaves unused, reads no field kept for the benchmark
-alone, attaches f_0 to a closed crystal in one function, and start-up loads
-no costly standard module.
+alone, attaches f_0 to a closed crystal in one function, reads every
+parameter it takes, and start-up loads no costly standard module.
 
 The first guards read the sources with `ast`, so they run without importing
 the package.  A module-level cache outlives the build that filled it, and a
@@ -179,6 +179,34 @@ def test_one_function_attaches_f0_to_a_closed_crystal():
         and node.func.attr == "add_color"
     ]
     assert found == ["kr_builders.py: _attach_from_tops"]
+
+
+def test_every_parameter_is_read():
+    # a parameter no body reads is a dead argument every caller still passes;
+    # _build_virtual's step keeps _virtual_arrow's host-step signature
+    # step(x, c, op, k), and its k is always 1 there
+    found = []
+    for path in SRC:
+        for node in ast.walk(_tree(path)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs
+            params += [p for p in (args.vararg, args.kwarg) if p is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {
+                here.id
+                for stmt in body
+                for here in ast.walk(stmt)
+                if isinstance(here, ast.Name) and isinstance(here.ctx, ast.Load)
+            }
+            name = getattr(node, "name", "lambda")
+            found += [
+                f"{path.name}: {name}({p.arg})"
+                for p in params
+                if p.arg not in read and p.arg not in ("self", "cls")
+            ]
+    assert found == ["kr_builders.py: step(k)"]
 
 
 def test_importing_the_cli_loads_no_costly_module():

@@ -242,7 +242,7 @@ def test_phi_is_highest_and_injective(ctype, n, shape):
         assert b not in seen, f"phi collision {P.cols} vs {seen[b].cols}"
         seen[b] = P
         # doubled weight on the lower letters 2..n reads off the inner shape
-        w = tableau_weight(ctype, n, b[0], b[1])
+        w = tableau_weight(n, b[0], b[1])
         rows = inner_shape(P).rows
         expect = [2 * (rows[i] if i < len(rows) else 0) for i in range(n - 1)]
         if P.spin:
@@ -256,7 +256,7 @@ def test_phi_empty_string_diagram_is_highest_tableau():
         cols = [(h, "+") for h in shape.columns()]
         P = make_pm(ctype, n, cols)
         assert f_string(P) == ()
-        assert tableau_phi(P) == highest_element(ctype, n, shape)
+        assert tableau_phi(P) == highest_element(n, shape)
 
 
 def test_phi_single_minus_reaches_lowest_letter():

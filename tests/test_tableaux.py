@@ -284,7 +284,7 @@ def test_tableau_weight_sums_letter_weights():
             want = [sum(w) for w in zip(*(letter_weight(x, n) for x in reading_word(cols)))]
             if spin is not None:
                 want = [a + b for a, b in zip(want, spin)]
-            assert tableau_weight(ctype, n, cols, spin) == tuple(want)
+            assert tableau_weight(n, cols, spin) == tuple(want)
 
 
 def test_column_conditions():
@@ -354,8 +354,8 @@ def test_weights():
     assert letter_weight(2, 3) == (0, 2, 0)
     assert letter_weight(-1, 3) == (-2, 0, 0)
     assert letter_weight(0, 3) == (0, 0, 0)
-    assert tableau_weight("B", 2, ((1, 2), (1, 2)), None) == (4, 4)
-    assert tableau_weight("B", 2, ((1,),), (1, 1)) == (3, 1)
+    assert tableau_weight(2, ((1, 2), (1, 2)), None) == (4, 4)
+    assert tableau_weight(2, ((1,),), (1, 1)) == (3, 1)
 
 
 # Differential oracle: closure under the tensor rule from the highest filling
@@ -428,7 +428,7 @@ def test_crystal_axioms_on_shape(ctype, n, shape):
     colors = list(range(1, (n - 1 if ctype == "A" else n) + 1))
     elems = list(enumerate_tableaux(ctype, n, shape))
     for elem in elems:
-        wt = tableau_weight(ctype, n, *elem)
+        wt = tableau_weight(n, *elem)
         for i in colors:
             eps, phi = tableau_eps_phi(ctype, n, elem, i)
             down = tableau_apply(ctype, n, elem, i, "f")
