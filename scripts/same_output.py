@@ -7,7 +7,7 @@ directory (tempfile's default).  One child interpreter per tree runs, for
 every spec below, `kr build` (JSON and DOT), `kr check --format json` and
 `kr dim` through `cli.main`, and `kr decompose` with both subsets on the
 grid specs (528 commands on 100 specs), then `kr dim` on ten high-rank specs
-and `kr build` on four specs it refuses over the vertex bound (542 commands
+and `kr build` on five specs it refuses over the vertex bound (543 commands
 in all), and reports the exit code and the sha256 of stdout and stderr of
 each.  Every command whose record differs is printed, then the non-blank
 `src/` line count of both trees; the exit status is 1 on any difference or
@@ -17,7 +17,8 @@ The specs are the default `kr check` grid, the seven `wide_build` specs of
 perfbench/worker.py, and specs beyond both on every route.  The high-rank
 dimensions and the refusals' exact sizes are integers of up to 514 digits,
 where a change to the Q-system table would show first.  `B1` 10,10,9 and
-11,11,10 run `B1` at r = n, where the short node leads the table.
+11,11,10 run `B1` at r = n, where the short node leads the table.  `C1`
+6,5,2 (143,143 vertices) is refused for its `A2odd` 7,5,2 host alone.
 """
 
 from __future__ import annotations
@@ -52,7 +53,8 @@ EXTRA_SPECS = (
 DIM_ONLY = (("A2even", 11, 11, 11), ("D2", 12, 11, 12), ("B1", 10, 8, 8), ("C1", 10, 9, 10),
             ("D1", 10, 8, 8), ("B1", 10, 10, 9), ("B1", 11, 11, 10),
             ("D1", 40, 30, 40), ("B1", 30, 20, 30), ("C1", 30, 20, 30))
-REFUSED = (("A2odd", 7, 5, 2), ("A1", 12, 6, 3), ("A2even", 12, 12, 12), ("B1", 5, 4, 4))
+REFUSED = (("A2odd", 7, 5, 2), ("A1", 12, 6, 3), ("A2even", 12, 12, 12), ("B1", 5, 4, 4),
+           ("C1", 6, 5, 2))
 
 # Runs in each tree: reads the argv lists on stdin, writes {command: record}.
 CHILD = """

@@ -6,11 +6,11 @@ promotion in type A, conjugation by the tail involution sigma for the three
 families whose 0-node hangs off node 1, fixed points of that involution for
 type C, sign-triple case rules at the exceptional C/D node, and, at the two
 tail nodes of type D, sigma composed with the n-1 <-> n flip, which maps the
-spin crystal to itself.  The promotion, dba, triples and spin routes close
-their classical crystal and attach f_0 in _attach_from_tops: a map tau fixed
-on the tops of a branching (promotion's by weight, the others' off the
-diagram table) is carried down their components with its inverse, checked
-against it, and gives f_0 = tau^{-1} f_1 tau, or f_0 = tau for the triples.
+spin crystal to itself.  The promotion, dba, triples and spin routes are rows
+of _TOP_RULES, all built by _build_from_tops: a closed classical crystal, and
+its rule's map tau on the tops of a branching (by weight for promotion, else
+off the diagram table), carried down with its inverse and checked against it,
+gives f_0 = tau^{-1} f_1 tau, or f_0 = tau for the triples.
 """
 
 import functools
@@ -137,11 +137,10 @@ def _branching(graph, ctype, n, tops):
     return table
 
 
-def _branched_classical(spec):
-    """(cls, table): the closed classical crystal of spec and its branching table."""
-    ctype, n, shapes = spec.classical_type, spec.n, kr_decomposition(spec)
-    cls = classical_crystal(ctype, n, shapes, spec.classical_colors)
-    return cls, _branching(cls, ctype, n, {sh: k for k, sh in enumerate(shapes)})
+def _summand_table(spec, cls):
+    """The branching table of spec's closed crystal cls, its vertex k the k-th summand's top."""
+    tops = {sh: k for k, sh in enumerate(kr_decomposition(spec))}
+    return _branching(cls, spec.classical_type, spec.n, tops)
 
 
 def _top_of_weight(tops, weight_of, wt):
@@ -164,20 +163,16 @@ def _locate_tops(build, shapes):
 
 # -- type A: promotion --------------------------------------------------------
 
-def _build_promotion(spec):
+def _promotion_rule(spec, cls):
     """f_0 = pr^{-1} f_1 pr.  pr sends f_i to f_{i+1} (i in 1..n-2) and rotates
     the weight one letter up: each {1..n-2}-top goes to the {2..n-1}-top of its
     rotated weight, and pr is carried down from there."""
-    n = spec.n
-    cls = classical_crystal("A", n, (Shape((spec.s,) * spec.r),), spec.classical_colors)
-    wt, images = cls.weights, cls.highest_vertices(range(2, n))
+    n, wt, images = spec.n, cls.weights, cls.highest_vertices(range(2, spec.n))
     anchors = {
         top: _top_of_weight(images, wt.__getitem__, wt[top][-1:] + wt[top][:-1])
         for top in cls.highest_vertices(range(1, n - 1))
     }
-    backward = {y: x for x, y in anchors.items()}
-    _attach_from_tops(cls, anchors, backward, {i: i + 1 for i in range(1, n - 1)}, True)
-    return KRBuild(spec, cls)
+    return anchors, {y: x for x, y in anchors.items()}, {i: i + 1 for i in range(1, n - 1)}, True
 
 
 # -- families with the 0-node attached at node 1: sigma conjugation -----------
@@ -197,16 +192,14 @@ def _sigma_on_tops(table, mirror):
     return sigma
 
 
-def _build_dba(spec):
-    """(build, sigma): f_0 = sigma f_1 sigma, sigma the diagram involution on the {2..n}-tops."""
+def _dba_rule(spec, cls):
+    """f_0 = sigma f_1 sigma, sigma the diagram involution on the {2..n}-tops."""
 
     def involution_S(P):
         return pm.involution_S(P, spec.r, spec.s)
 
-    cls, table = _branched_classical(spec)
-    sigma = _sigma_on_tops(table, involution_S)
-    jcolors = {i: i for i in range(2, spec.n + 1)}
-    return KRBuild(spec, cls), _attach_from_tops(cls, sigma, sigma, jcolors, True)
+    sigma = _sigma_on_tops(_summand_table(spec, cls), involution_S)
+    return sigma, sigma, {i: i for i in range(2, spec.n + 1)}, True
 
 
 # -- type C below the top node: fixed points of sigma -------------------------
@@ -234,7 +227,7 @@ def _build_virtual(spec):
     n, r, s = spec.n, spec.r, spec.s
     host_spec = AffineSpec("A2odd", n + 1, r, s)
     _refuse_over_bound(host_spec)
-    host, sigma = _build_dba(host_spec)
+    host, sigma = _build_from_tops(host_spec)
     hg = host.graph
     fixed = [x for x in range(len(hg.elements)) if sigma[x] == x]
 
@@ -483,10 +476,9 @@ def _triple_of(P):
     )
 
 
-def _build_triples(spec):
-    """The triple rules on each {2..n}-top, carried down its {2..n}-component."""
-    family, s = spec.family, spec.s
-    cls, table = _branched_classical(spec)
+def _triples_rule(spec, cls):
+    """f_0 = tau, the triple rules on each {2..n}-top, carried down its {2..n}-component."""
+    family, s, table = spec.family, spec.s, _summand_table(spec, cls)
     top_of = {_triple_of(P): top for top, P in table.items()}
     if len(top_of) != len(table):
         raise RuntimeError("two {2..n}-tops share a sign triple")
@@ -495,8 +487,7 @@ def _build_triples(spec):
         if t not in top_of:
             raise RuntimeError(f"triple {t} is off the diagram table")
     e, f = ({top: top_of[t] for top, t in rules[d].items() if t is not None} for d in "ef")
-    _attach_from_tops(cls, f, e, {i: i for i in range(2, spec.n + 1)}, False)
-    return KRBuild(spec, cls)
+    return f, e, {i: i for i in range(2, spec.n + 1)}, False
 
 
 # -- type D tail nodes: sigma on one spin crystal -----------------------------
@@ -511,35 +502,41 @@ def sigma_spin_D(t):
     return t._replace(l1=t.l2, l2=t.l1)
 
 
-def _build_spin(spec):
-    """The spin-column crystal, with sigma composed with the n-1 <-> n flip.
-
-    The composite maps the crystal to itself, carrying f_{n-1} to f_n.
-    """
-    n, s, colors = spec.n, spec.s, spec.classical_colors
-    _, top = pm.highest_element(n, Shape(spin=1, color=1 if spec.r == n else 2))
-    rule = tableaux.SpinTensorTable("D", n, colors)
-    cls = generate_closure([(top,) * s], colors, rule.neighbours, _spin_tensor_weight)
-    [shape] = kr_decomposition(spec)  # one shape: its diagrams differ in their sign triples
-    table = {x: _triple_of(P) for x, P in _branching(cls, "D", n, {shape: 0}).items()}
+def _spin_rule(spec, cls):
+    """f_0 = tau f_1 tau, tau the n-1 <-> n flip after sigma on the sign triples of the {2..n}-tops
+    of the one spin crystal: it maps the crystal to itself, carrying f_{n-1} to f_n."""
+    n = spec.n
+    table = {x: _triple_of(P) for x, P in _summand_table(spec, cls).items()}
     sigma, swap = _sigma_on_tops(table, sigma_spin_D), {n - 1: n, n: n - 1}
-    _attach_from_tops(cls, sigma, sigma, {i: swap.get(i, i) for i in range(2, n + 1)}, True)
-    return KRBuild(spec, cls)
+    return sigma, sigma, {i: swap.get(i, i) for i in range(2, n + 1)}, True
 
 
 # -- dispatch ------------------------------------------------------------------
 
+_TOP_RULES = {  # route -> rule(spec, cls): (forward, backward, shift, conjugate) on the tops
+    "promotion": _promotion_rule, "dba": _dba_rule, "triples": _triples_rule, "spin": _spin_rule,
+}
+_BUILDERS = {"virtual": _build_virtual, "stepped": _build_stepped}  # the host routes
+
+
+def _build_from_tops(spec):
+    """(build, tau) of a _TOP_RULES route: its classical crystal closed (the one spin-tensor
+    crystal at the D1 spin nodes), with f_0 attached from its rule's tau on the tops."""
+    n, colors, kind = spec.n, spec.classical_colors, route(spec)
+    if kind == "spin":
+        _, top = pm.highest_element(n, Shape(spin=1, color=1 if spec.r == n else 2))
+        table = tableaux.SpinTensorTable("D", n, colors)
+        cls = generate_closure([(top,) * spec.s], colors, table.neighbours, _spin_tensor_weight)
+    else:
+        cls = classical_crystal(spec.classical_type, n, kr_decomposition(spec), colors)
+    return KRBuild(spec, cls), _attach_from_tops(cls, *_TOP_RULES[kind](spec, cls))
+
+
 def build_kr(spec: AffineSpec) -> KRBuild:
     """Build B^{r,s} afresh by its route; a spec predicted over VERTEX_BOUND is refused up front."""
     _refuse_over_bound(spec)
-    return _BUILDERS[route(spec)](spec)
-
-
-_BUILDERS = {  # route -> builder
-    "promotion": _build_promotion, "dba": lambda spec: _build_dba(spec)[0],
-    "virtual": _build_virtual, "stepped": _build_stepped,
-    "triples": _build_triples, "spin": _build_spin,
-}
+    builder = _BUILDERS.get(route(spec))
+    return builder(spec) if builder else _build_from_tops(spec)[0]
 
 
 def _refuse_over_bound(spec):

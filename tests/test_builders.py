@@ -23,7 +23,6 @@ from krcrystals.kr_builders import (
     route,
     sigma_spin_D,
     triple_rules,
-    _build_spin,
     _build_virtual,
     _locate_tops,
 )
@@ -133,7 +132,7 @@ def test_promotion_zero_edges_conjugate_one_edges():
 
 def test_sigma_is_involution_and_commutes():
     # the sigma the dba route conjugates f_1 by
-    b, sigma = kr_builders._build_dba(AffineSpec("A2odd", 3, 1, 2))
+    b, sigma = kr_builders._build_from_tops(AffineSpec("A2odd", 3, 1, 2))
     g = b.graph
     assert b.partner is None
     for x in range(len(g)):
@@ -815,7 +814,7 @@ def test_spin_zero_edges_conjugate_one_edges():
 
 def test_spin_sizes_and_decompositions():
     for r, top in ((4, (1, 1, 1, 1)), (3, (1, 1, 1, -1))):
-        b = _build_spin(AffineSpec("D1", 4, r, 1))
+        b = build_kr(AffineSpec("D1", 4, r, 1))
         assert len(b.graph) == 8 and b.spec.r == r and b.partner is None
         assert b.graph.decomposition((1, 2, 3, 4)) == [top]
     b = build_kr(AffineSpec("D1", 4, 3, 2))
@@ -1104,7 +1103,10 @@ def _weight_keeping_swaps(spec, on_tops):
     # each swap of two moved sigma-pairs {a, a'}, {b, b'} of the dba route's
     # {2..n}-tops with wt a = wt b and wt a' = wt b': sigma(a) = b' and
     # sigma(b) = a', as entries to lay over sigma
-    cls, table = kr_builders._branched_classical(spec)
+    cls = tableaux.classical_crystal(
+        spec.classical_type, spec.n, kr_decomposition(spec), spec.classical_colors
+    )
+    table = kr_builders._summand_table(spec, cls)
     sigma = on_tops(table, lambda P: pm.involution_S(P, spec.r, spec.s))
     pairs = sorted({tuple(sorted(pair)) for pair in sigma.items() if pair[0] != pair[1]})
     wt = cls.weights

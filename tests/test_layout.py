@@ -1,7 +1,8 @@
 """Layout guards on src/: builds own their state, src/ holds no test-only code,
 imports no name it leaves unused, reads no field kept for the benchmark
-alone, attaches f_0 to a closed crystal in one function, reads every
-parameter it takes, and start-up loads no costly standard module.
+alone, attaches f_0 to a closed crystal in one function, called by the one
+builder of the closed routes, reads every parameter it takes, and start-up
+loads no costly standard module.
 
 The first guards read the sources with `ast`, so they run without importing
 the package.  A module-level cache outlives the build that filled it, and a
@@ -179,6 +180,29 @@ def test_one_function_attaches_f0_to_a_closed_crystal():
         and node.func.attr == "add_color"
     ]
     assert found == ["kr_builders.py: _attach_from_tops"]
+
+
+def test_one_builder_for_the_closed_routes():
+    # _build_from_tops is the one caller of _attach_from_tops, and each route
+    # is a row of exactly one of the two tables: a rule on the tops
+    # (_TOP_RULES) or a host builder (_BUILDERS), so no closed route grows a
+    # builder of its own
+    from krcrystals import kr_builders
+    from krcrystals.verify import default_grid
+
+    callers = [
+        f"{path.name}: {func.name}"
+        for path in SRC
+        for func in ast.walk(_tree(path))
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_attach_from_tops"
+    ]
+    assert callers == ["kr_builders.py: _build_from_tops"]
+    routes = {kr_builders.route(spec) for spec in default_grid(range(2, 6), range(1, 4))}
+    rules, builders = set(kr_builders._TOP_RULES), set(kr_builders._BUILDERS)
+    assert len(routes) == 6
+    assert rules | builders == routes and not rules & builders
 
 
 def test_every_parameter_is_read():
