@@ -10,7 +10,9 @@ spin crystal to itself.  The promotion, dba, triples and spin routes are rows
 of _TOP_RULES, all built by _build_from_tops: a closed classical crystal, and
 its rule's map tau on the tops of a branching (by weight for promotion, else
 off the diagram table), carried down with its inverse and checked against it,
-gives f_0 = tau^{-1} f_1 tau, or f_0 = tau for the triples.
+gives f_0 = tau^{-1} f_1 tau, or f_0 = tau for the triples.  The virtual route
+closes its A2odd host that way once and reads the sigma-fixed vertices' arrows
+off it: f_{i+1} as color i, and f_1 f_0 as color 0.
 """
 
 import functools
@@ -18,7 +20,7 @@ import functools
 from . import pm_diagrams as pm
 from . import tableaux
 from .cartan import AffineSpec, Shape, horizontal_domino_shapes, kr_decomposition, kr_dimension
-from .crystal_core import VERTEX_BOUND, generate_closure, greedy_raise
+from .crystal_core import VERTEX_BOUND, CrystalGraph, generate_closure, greedy_raise
 from .pm_diagrams import SignTriple
 from .tableaux import classical_crystal
 
@@ -204,50 +206,33 @@ def _dba_rule(spec, cls):
 
 # -- type C below the top node: fixed points of sigma -------------------------
 
-def _virtual_arrow(step, x, i, op, k, fixed):
-    """e_i^k/f_i^k of the C1 crystal on the sigma-fixed locus of an A2odd host.
-
-    Color i is the host's f_{i+1}, which keeps the locus because sigma
-    commutes with f_2..f_N.  Color 0 is the host's f_1 f_0, taken once
-    (k = 1); at a fixed x the other order f_0 f_1 x is sigma of it, so the two
-    commute exactly when the result satisfies fixed.  step(x, c, op, k) is
-    e_c^k/f_c^k of the host, None where it vanishes.
-    """
-    if i:
-        return step(x, i + 1, op, k)
-    y = step(x, 0, op, k)
-    y = None if y is None else step(y, 1, op, k)
-    if y is not None and not fixed(y):
-        raise RuntimeError("host 0- and 1-operators failed to commute")
-    return y
-
-
 def _build_virtual(spec):
-    """Fixed points of the tail involution in the rank-(n+1) host."""
-    n, r, s = spec.n, spec.r, spec.s
-    host_spec = AffineSpec("A2odd", n + 1, r, s)
+    """The sigma-fixed locus of the closed rank-(n+1) host, numbered in host order.
+
+    Color i, f_{i+1}, keeps the locus as sigma commutes with f_2..f_N.  At a
+    fixed x, f_0 f_1 x is sigma of f_1 f_0 x, so color 0 commutes exactly where
+    it stays fixed.  The e side (e_{i+1}, and e_1 e_0 at 0) must stay fixed too.
+    """
+    host_spec = AffineSpec("A2odd", spec.n + 1, spec.r, spec.s)
     _refuse_over_bound(host_spec)
     host, sigma = _build_from_tops(host_spec)
     hg = host.graph
-    fixed = [x for x in range(len(hg.elements)) if sigma[x] == x]
-
-    def step(x, c, op, k):  # k is always 1 here
-        return (hg.f if op == "f" else hg.e)[c].get(x)
-
-    def apply_fn(elem, i, op):
-        y = _virtual_arrow(step, hg.index[elem], i, op, 1, lambda y: sigma[y] == y)
-        return None if y is None else hg.elements[y]
-
-    def neighbours(elem):
-        return [(i, apply_fn(elem, i, "f"), apply_fn(elem, i, "e")) for i in colors]
-
-    def weight_fn(elem):
-        return tuple(hg.weights[hg.index[elem]][1:])
-
-    colors = tuple(range(n + 1))
-    graph = generate_closure([hg.elements[x] for x in fixed], colors, neighbours, weight_fn)
-    if len(graph.elements) != len(fixed):
-        raise RuntimeError("virtual closure left the fixed-point set")
+    fixed = [x for x in range(len(hg)) if sigma[x] == x]
+    number = {x: k for k, x in enumerate(fixed)}
+    colors = range(spec.n + 1)
+    f_edges = {i: {} for i in colors}
+    for x, k in number.items():
+        for i in colors:
+            down, up = (
+                ops[i + 1].get(x) if i else ops[1].get(ops[0].get(x)) for ops in (hg.f, hg.e)
+            )
+            if any(y not in number for y in (down, up) if y is not None):
+                left = "virtual closure left the fixed-point set"
+                raise RuntimeError(left if i else "host 0- and 1-operators failed to commute")
+            if down is not None:
+                f_edges[i][k] = number[down]
+    weights = [tuple(hg.weights[x][1:]) for x in fixed]
+    graph = CrystalGraph([hg.elements[x] for x in fixed], colors, f_edges, weights)
     return KRBuild(spec, graph, ambient=AmbientLink(host))
 
 
@@ -360,15 +345,18 @@ class SteppedHost:
 
     # -- the host seen by the stepped build -----------------------------------
 
-    def _fixed(self, elem):
-        return self.sigma(elem) is elem
-
     def host_apply(self, elem, i, op, k=1):
         """e_i^k/f_i^k of the host crystal (colors 0..n), None if it vanishes.
-        The virtual color 0, f_1 f_0, is only ever taken once."""
+        The virtual color 0, f_1 f_0, is only ever taken once and must end fixed."""
         if not self.virtual:
             return self._tail_apply(elem, i, op, k)
-        return _virtual_arrow(self._tail_apply, elem, i, op, k, self._fixed)
+        if i:
+            return self._tail_apply(elem, i + 1, op, k)
+        y = self._tail_apply(elem, 0, op, k)
+        y = None if y is None else self._tail_apply(y, 1, op, k)
+        if y is not None and self.sigma(y) is not y:
+            raise RuntimeError("host 0- and 1-operators failed to commute")
+        return y
 
     def host_weight(self, elem):
         w = tableaux.tableau_weight(self.rank, elem[0], elem[1])

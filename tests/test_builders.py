@@ -236,7 +236,8 @@ def test_virtual_host_over_bound_is_refused_before_work(time_limit):
 @pytest.mark.parametrize(
     "spec",
     [spec for spec in default_grid() if spec.family == "C1" and spec.r < spec.n]
-    + [AffineSpec("C1", 4, 3, 2), AffineSpec("C1", 4, 2, 3)],
+    + [AffineSpec("C1", n, r, s) for n, r, s in
+       [(4, 3, 2), (4, 2, 3), (4, 1, 3), (5, 2, 2), (3, 1, 4), (5, 4, 1), (3, 2, 3)]],
     ids=str,
 )
 def test_element_local_fold_matches_the_virtual_route(spec):
@@ -868,8 +869,8 @@ def test_broken_spin_tau_exits_one(monkeypatch, capsys, name, mutation, message)
     assert capsys.readouterr().err == f"kr: {message}\n"
 
 
-@pytest.mark.parametrize("n,r,s", [(4, 4, 2), (4, 3, 2), (5, 4, 3)])
-def test_spin_build_closes_one_crystal(monkeypatch, n, r, s):
+def _closure_sizes(monkeypatch):
+    """The list the size of each crystal the builders close from now on is appended to."""
     closed = []
 
     def counting_closure(*args, **kwargs):
@@ -877,22 +878,58 @@ def test_spin_build_closes_one_crystal(monkeypatch, n, r, s):
         closed.append(len(graph))
         return graph
 
-    monkeypatch.setattr(kr_builders, "generate_closure", counting_closure)
+    for module in (kr_builders, tableaux):
+        monkeypatch.setattr(module, "generate_closure", counting_closure)
+    return closed
+
+
+@pytest.mark.parametrize("n,r,s", [(4, 4, 2), (4, 3, 2), (5, 4, 3)])
+def test_spin_build_closes_one_crystal(monkeypatch, n, r, s):
+    closed = _closure_sizes(monkeypatch)
     spec = AffineSpec("D1", n, r, s)
     build_kr(spec)
     assert closed == [kr_dimension(spec)]
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [spec for spec in default_grid() if spec.family == "C1" and spec.r < spec.n]
+    + [AffineSpec("C1", 4, 3, 2)],
+    ids=str,
+)
+def test_virtual_build_closes_one_crystal(monkeypatch, spec):
+    # the A2odd host is closed once, as a classical crystal, and the fixed
+    # points' arrows are read off it
+    closed = _closure_sizes(monkeypatch)
+    build_kr(spec)
+    assert closed == [kr_dimension(AffineSpec("A2odd", spec.n + 1, spec.r, spec.s))]
+
+
 # -- builder invariants under fault injection -----------------------------------
 
-def _nothing_fixed(arrow):
-    return lambda step, x, i, op, k, fixed: arrow(step, x, i, op, k, lambda y: False)
+def _fixed_point_moved(pick):
+    # the host's sigma moves pick(the vertices it fixes): the least one
+    # (C1 3,1,1: the 2 that e_2 reaches from the fixed 3) or the greatest
+    # (C1 3,1,1: the -2 that e_1 e_0 reaches from the fixed 2)
+    def mutation(build_from_tops):
+        def mutated(spec):
+            build, sigma = build_from_tops(spec)
+            return build, {**sigma, pick(x for x, y in sigma.items() if x == y): None}
+
+        return mutated
+
+    return mutation
 
 
-def _bare_host_f0(arrow):
+def _copy_for_fixed(sigma):
+    # sigma returns an equal copy, so no element passes the identity test of being fixed
+    return lambda host, elem: tuple(list(sigma(host, elem)))
+
+
+def _bare_host_f0(host_apply):
     # color 0 is the host's f_0 alone, unchecked, which leaves the fixed locus
-    def mutated(step, x, i, op, k, fixed):
-        return step(x, 0, op, k) if i == 0 else arrow(step, x, i, op, k, fixed)
+    def mutated(host, elem, i, op, k=1):
+        return host._tail_apply(elem, 0, op, k) if i == 0 else host_apply(host, elem, i, op, k)
 
     return mutated
 
@@ -942,13 +979,13 @@ def _two_step_e1(tail_apply):
 @pytest.mark.parametrize(
     "target,name,mutation,command,spec,message",
     [
-        (kr_builders, "_virtual_arrow", _nothing_fixed, "build", ("C1", 3, 1, 1),
+        (kr_builders, "_build_from_tops", _fixed_point_moved(max), "build", ("C1", 3, 1, 1),
          "host 0- and 1-operators failed to commute"),
-        (kr_builders, "_virtual_arrow", _nothing_fixed, "build", ("A2even", 2, 1, 1),
+        (kr_builders.SteppedHost, "sigma", _copy_for_fixed, "build", ("A2even", 2, 1, 1),
          "host 0- and 1-operators failed to commute"),
-        (kr_builders, "_virtual_arrow", _bare_host_f0, "build", ("C1", 3, 1, 1),
+        (kr_builders, "_build_from_tops", _fixed_point_moved(min), "build", ("C1", 3, 1, 1),
          "virtual closure left the fixed-point set"),
-        (kr_builders, "_virtual_arrow", _bare_host_f0, "build", ("A2even", 2, 1, 1),
+        (kr_builders.SteppedHost, "host_apply", _bare_host_f0, "build", ("A2even", 2, 1, 1),
          "stepped image closure has the wrong size"),
         (kr_builders, "_transport", _least_moved_vertex_fixed, "build", ("A2odd", 2, 1, 1),
          "tau is not invertible at vertex 3"),

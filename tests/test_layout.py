@@ -206,9 +206,7 @@ def test_one_builder_for_the_closed_routes():
 
 
 def test_every_parameter_is_read():
-    # a parameter no body reads is a dead argument every caller still passes;
-    # _build_virtual's step keeps _virtual_arrow's host-step signature
-    # step(x, c, op, k), and its k is always 1 there
+    # a parameter no body reads is a dead argument every caller still passes
     found = []
     for path in SRC:
         for node in ast.walk(_tree(path)):
@@ -230,7 +228,7 @@ def test_every_parameter_is_read():
                 for p in params
                 if p.arg not in read and p.arg not in ("self", "cls")
             ]
-    assert found == ["kr_builders.py: step(k)"]
+    assert found == []
 
 
 def test_importing_the_cli_loads_no_costly_module():
