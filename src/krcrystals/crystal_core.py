@@ -191,12 +191,13 @@ def greedy_raise(x, colors, up):
 
 
 def generate_closure(seeds, colors, neighbours, weight_fn):
-    """Close seed elements under e_i/f_i for all given colors.
+    """Close seed elements under e_i/f_i for all given colors, breadth first.
 
-    ``neighbours(elem)`` gives (i, f_i elem, e_i elem) for each color in
-    order, None where an operator vanishes.  Raises if the closure exceeds
-    VERTEX_BOUND vertices or arrows conflict: the f_i arrow out of y that
-    e_i at x claims must be the one f_i at y gives.
+    ``neighbours(elem)`` gives (i, f_i elem, e_i elem) for each color in order, None where an
+    operator vanishes.  Raises if the closure exceeds VERTEX_BOUND vertices or arrows conflict:
+    the f_i arrow out of y that e_i at x claims must be the one f_i at y gives.  Seeded at the
+    highest elements, e slots may be None: a vertex of weight wt under a top of weight lam is
+    reached at depth ht(lam - wt), after its e-neighbours, so order and arrows are the same.
     """
     elements = []
     index = {}

@@ -404,8 +404,6 @@ def _build_stepped(spec):
         host.seed(pm.double_pm(_seed_diagram(ctype, n, sh))) for sh in kr_decomposition(spec)
     ]
     graph = generate_closure(seeds, tuple(range(n + 1)), host.neighbours, host.weight)
-    if len(graph.elements) != kr_dimension(spec):
-        raise RuntimeError("stepped image closure has the wrong size")
     return KRBuild(spec, graph, stepped=host)
 
 
@@ -521,15 +519,17 @@ def _build_from_tops(spec):
 
 
 def build_kr(spec: AffineSpec) -> KRBuild:
-    """Build B^{r,s} afresh by its route; a spec predicted over VERTEX_BOUND is refused up front."""
-    _refuse_over_bound(spec)
-    builder = _BUILDERS.get(route(spec))
-    return builder(spec) if builder else _build_from_tops(spec)[0]
+    """Build B^{r,s} afresh by its route, refused up front over VERTEX_BOUND, checked at |B|."""
+    size, builder = _refuse_over_bound(spec), _BUILDERS.get(route(spec))
+    build = builder(spec) if builder else _build_from_tops(spec)[0]
+    if len(build.graph) != size:
+        raise RuntimeError(f"build has {len(build.graph)} vertices, kr_dimension gives {size}")
+    return build
 
 
 def _refuse_over_bound(spec):
-    """Refuse a spec whose |B|, exact from kr_dimension, passes VERTEX_BOUND."""
-    size = kr_dimension(spec)
-    if size > VERTEX_BOUND:
+    """|B|, exact from kr_dimension; RuntimeError if it passes VERTEX_BOUND."""
+    if (size := kr_dimension(spec)) > VERTEX_BOUND:
         head = f"{spec.family} n={spec.n} r={spec.r} s={spec.s} would have {size}"
         raise RuntimeError(f"{head} vertices, over the bound {VERTEX_BOUND}")
+    return size

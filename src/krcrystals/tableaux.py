@@ -233,12 +233,11 @@ class SignatureTable:
         return self.string(elem, i, op, 1)[0]
 
     def neighbours(self, elem):
-        """(i, f_i elem, e_i elem) for every color, from one pass over the factors."""
+        """(i, f_i elem, None) per color, one pass each: closures seeded at tops need no e side."""
         put = self._put
         for i, entries in zip(self.colors, zip(*self._rows(elem))):
-            _, _, e_at, f_at = signature(entries)
-            down = None if f_at is None else put(elem, ((f_at, entries[f_at][3]),))
-            yield i, down, None if e_at is None else put(elem, ((e_at, entries[e_at][2]),))
+            f_at = signature(entries)[3]
+            yield i, None if f_at is None else put(elem, ((f_at, entries[f_at][3]),)), None
 
 
 def tableau_apply(ctype: str, n: int, elem, i: int, op: str):

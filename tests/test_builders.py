@@ -905,6 +905,62 @@ def test_virtual_build_closes_one_crystal(monkeypatch, spec):
     assert closed == [kr_dimension(AffineSpec("A2odd", spec.n + 1, spec.r, spec.s))]
 
 
+# -- classical closures: f alone from the highest elements ------------------------
+
+def test_grid_closures_are_unchanged_by_the_e_side(monkeypatch):
+    # every default-grid spec off the stepped route, 44 closures: 6 promotion,
+    # 20 dba, 8 triples, 4 D1 spin tensors, and the A2odd hosts of 6 virtual
+    # specs.  Each is closed again with e_i in the e slot, so the closure's
+    # conflict check tests "e_i undoes f_i" at every vertex, and must give the
+    # same elements in the same order and the same f arrows
+    closures = []
+
+    def recording_closure(seeds, colors, neighbours, weight_fn):
+        graph = generate_closure(seeds, colors, neighbours, weight_fn)
+        closures.append((seeds, colors, neighbours.__self__, weight_fn, graph))
+        return graph
+
+    for module in (kr_builders, tableaux):
+        monkeypatch.setattr(module, "generate_closure", recording_closure)
+    kinds = Counter()
+    for spec in default_grid():
+        if (kind := route(spec)) != "stepped":
+            build_kr(spec)
+            kinds[kind] += 1
+    assert kinds == {"promotion": 6, "dba": 20, "triples": 8, "spin": 4, "virtual": 6}
+    assert len(closures) == 44
+    for seeds, colors, table, weight_fn, lean in closures:
+
+        def both(elem):
+            return [(i, down, table.apply(elem, i, "e")) for i, down, _ in table.neighbours(elem)]
+
+        full = generate_closure(seeds, colors, both, weight_fn)
+        assert full.elements == lean.elements
+        assert all(full.f[i] == lean.f[i] for i in colors)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [AffineSpec("A1", 3, 1, 2), AffineSpec("A2odd", 3, 2, 2), AffineSpec("C1", 2, 2, 2),
+     AffineSpec("D1", 4, 4, 2), AffineSpec("C1", 3, 1, 2)],
+    ids=str,
+)
+def test_closed_build_puts_one_element_per_classical_f_arrow(monkeypatch, spec):
+    # an element is made only for an f arrow: an e side would put another per e arrow
+    puts = []
+    for cls in (tableaux.SignatureTable, tableaux.SpinTensorTable):
+
+        def counted(elem, moves, put=cls._put):
+            puts.append(elem)
+            return put(elem, moves)
+
+        monkeypatch.setattr(cls, "_put", staticmethod(counted))
+    build = build_kr(spec)
+    closed = build.ambient.build if build.ambient else build  # the virtual route's A2odd host
+    arrows = sum(len(closed.graph.f[i]) for i in closed.spec.classical_colors)
+    assert len(puts) == arrows
+
+
 # -- builder invariants under fault injection -----------------------------------
 
 def _fixed_point_moved(pick):
@@ -962,6 +1018,11 @@ def _last_shape_unlocated(locate_tops):
     return lambda build, shapes: dict(list(locate_tops(build, shapes).items())[:-1])
 
 
+def _last_shape_dropped(kr_decomposition):
+    # the closed routes close, and key their tops by, every shape but the last
+    return lambda spec: kr_decomposition(spec)[:-1]
+
+
 def _two_step_e1(tail_apply):
     # A2odd e_1 takes two steps where its string allows, so it is not the
     # inverse of f_1.  The host color 0 is f_1 f_0, and its e applies e_0 =
@@ -986,7 +1047,9 @@ def _two_step_e1(tail_apply):
         (kr_builders, "_build_from_tops", _fixed_point_moved(min), "build", ("C1", 3, 1, 1),
          "virtual closure left the fixed-point set"),
         (kr_builders.SteppedHost, "host_apply", _bare_host_f0, "build", ("A2even", 2, 1, 1),
-         "stepped image closure has the wrong size"),
+         "build has 11 vertices, kr_dimension gives 5"),
+        (kr_builders, "kr_decomposition", _last_shape_dropped, "build", ("A1", 2, 1, 2),
+         "build has 0 vertices, kr_dimension gives 3"),
         (kr_builders, "_transport", _least_moved_vertex_fixed, "build", ("A2odd", 2, 1, 1),
          "tau is not invertible at vertex 3"),
         (kr_builders, "_transport", _least_moved_vertex_fixed, "build", ("D1", 4, 4, 1),

@@ -234,15 +234,15 @@ def test_failed_check_exits_one(capsys, monkeypatch):
 def test_failed_build_becomes_a_report(capsys, monkeypatch):
     from krcrystals import kr_builders, verify
 
-    def broken(spec):
-        raise RuntimeError("stepped image closure has the wrong size")
+    def broken(spec):  # every stepped spec gets the 2-vertex B^{1,1} of A1 n=2
+        return kr_builders.build_kr(AffineSpec("A1", 2, 1, 1))
 
     monkeypatch.setitem(kr_builders._BUILDERS, "stepped", broken)
     args = ["check", "--family", "B1", "--n", "2", "--r", "2", "--s", "1"]
     assert main(args) == 1
     assert capsys.readouterr().out == (
         "build      B1     n=2 r=2 s=1  FAIL"
-        "  [error: stepped image closure has the wrong size]\n"
+        "  [error: build has 2 vertices, kr_dimension gives 4]\n"
     )
     specs = [AffineSpec("A2even", 2, 1, 1), AffineSpec("A1", 2, 1, 1)]
     reports = verify.run_suite(specs)
