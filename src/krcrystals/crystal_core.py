@@ -1,9 +1,10 @@
 """Finite crystal graphs: closure generation, strings, components, isomorphism.
 
 A graph holds hashable elements, arrow dictionaries f[i]/e[i] on vertex
-indices, and one weight tuple per vertex.  It is regular by construction:
-each color's arrows are a partial injection and each of its strings ends,
-which the graph checks where it is made, reading every string once.
+indices, and one weight tuple per vertex; it owns the lists and f dicts it
+is given, uncopied, and keeps no element index.  It is regular by
+construction: each color's arrows are a partial injection and each of its
+strings ends, which the graph checks where it is made, reading every string once.
 """
 
 from __future__ import annotations
@@ -15,21 +16,20 @@ VERTEX_BOUND = 10**6
 
 class CrystalGraph:
     def __init__(self, elements, colors, f_edges, weights):
-        self.elements = list(elements)
+        self.elements = elements
         self.colors = tuple(colors)
-        self.index = {el: k for k, el in enumerate(self.elements)}
-        self.weights = list(weights)
+        self.weights = weights
         self.f, self.e = {}, {}
         self._strings = {}  # color -> its eps and phi lists
         for i in self.colors:
-            self._attach(i, dict(f_edges[i]))
+            self._attach(i, f_edges[i])
 
     def __len__(self):
         return len(self.elements)
 
     def add_color(self, i, f_edges):
         """Attach color i, placed first, walking only its strings; refused as in __init__."""
-        self._attach(i, dict(f_edges))
+        self._attach(i, f_edges)
         self.colors = (i,) + self.colors
 
     def _attach(self, i, f):

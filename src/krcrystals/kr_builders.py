@@ -157,10 +157,7 @@ def _locate_tops(build, shapes):
     """{shape: the vertex of the build carrying its classical highest tableau}."""
     n, g = build.spec.n, build.graph
     tops = g.highest_vertices(build.spec.classical_colors)
-    return {
-        sh: _top_of_weight(tops, lambda v: tuple(g.weights[v]), sh.weight(n))
-        for sh in shapes
-    }
+    return {sh: _top_of_weight(tops, g.weights.__getitem__, sh.weight(n)) for sh in shapes}
 
 
 # -- type A: promotion --------------------------------------------------------
@@ -231,7 +228,7 @@ def _build_virtual(spec):
                 raise RuntimeError(left if i else "host 0- and 1-operators failed to commute")
             if down is not None:
                 f_edges[i][k] = number[down]
-    weights = [tuple(hg.weights[x][1:]) for x in fixed]
+    weights = [hg.weights[x][1:] for x in fixed]
     graph = CrystalGraph([hg.elements[x] for x in fixed], colors, f_edges, weights)
     return KRBuild(spec, graph, ambient=AmbientLink(host))
 
@@ -284,9 +281,7 @@ class SteppedHost:
         self.model_shapes = horizontal_domino_shapes(r, s) if self.virtual else self.shapes
         self._table = tableaux.SignatureTable("C", self.rank, range(1, self.rank + 1))
         tops = {sh: pm.highest_element(self.rank, sh) for sh in self.shapes}
-        # the diagrams' walks share most steps; their memo is dropped with the walk
-        walk = functools.cache(lambda x, i: self._table.apply(x, i, "f"))
-        table = pm.phi_table("C", self.rank, tops, walk)
+        table = pm.phi_table("C", self.rank, tops, lambda x, i: self._table.apply(x, i, "f"))
 
         def involution_S(P):
             return pm.involution_S(P, r, s)

@@ -16,6 +16,7 @@ sign and are tracked separately from the full columns.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import namedtuple
 
@@ -250,8 +251,9 @@ def phi(P: PmDiagram, step, top):
 def phi_table(ctype: str, n: int, tops, step) -> dict:
     """{phi(P): P} over every diagram P of each shape of tops (shape -> its top).
 
-    Phi must be injective.
+    Phi must be injective.  The walks share most steps: step is memoized for this call only.
     """
+    step = functools.cache(step)
     table = {}
     for shape, top in tops.items():
         for P in enumerate_pm(ctype, n, shape):

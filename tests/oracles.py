@@ -31,6 +31,7 @@ directly and is checked against that walk.  `inner_shape` is the shape a diagram
 form; `halve_pm` inverts `double_pm`; `e1_on_pair` raises color 1 on a
 stacked pair of diagrams, whose signed columns `signs` lists.
 `isomorphism` is the first of `CrystalGraph.isomorphisms`, or None;
+`vertex_index` maps each element of a graph, which keeps no such index, to its vertex;
 `components_bfs` is the per-vertex deque walk `CrystalGraph.components`
 is checked against, and `regularity_vertex_major` the vertex by vertex
 scan `verify.check_regularity` must agree with.
@@ -485,6 +486,10 @@ def isomorphism(graph: CrystalGraph, other: CrystalGraph, color_map=None, colors
     every color of graph, each sent to itself."""
     colors = graph.colors if colors is None else colors
     return next(graph.isomorphisms(other, color_map or {i: i for i in colors}, colors), None)
+
+
+def vertex_index(graph: CrystalGraph) -> dict:
+    return {elem: x for x, elem in enumerate(graph.elements)}
 
 
 def components_bfs(graph: CrystalGraph, colors=None):

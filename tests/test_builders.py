@@ -38,6 +38,7 @@ from oracles import (
     tableau_ok,
     tableau_phi,
     tableau_phi_table,
+    vertex_index,
     weyl_sum,
 )
 
@@ -106,10 +107,12 @@ ZERO_EDGE_SPECS = [
 
 def test_promotion_zero_edges_conjugate_one_edges():
     g = build_kr(AffineSpec("A1", 3, 1, 1)).graph
-    assert g.e[0].get(g.index[(((1,),), None)]) == g.index[(((3,),), None)]
+    at = vertex_index(g)
+    assert g.e[0].get(at[(((1,),), None)]) == at[(((3,),), None)]
     # f_0 = pr^{-1} f_1 pr, with pr the jeu de taquin, which the build never runs
     for n, r, s in ZERO_EDGE_SPECS:
         g = build_kr(AffineSpec("A1", n, r, s)).graph
+        at = vertex_index(g)
         pr = {cols: promotion(cols, n) for cols, _ in g.elements}
         back = {y: x for x, y in pr.items()}
         assert set(back) == set(pr), (n, r, s)
@@ -117,14 +120,15 @@ def test_promotion_zero_edges_conjugate_one_edges():
         for x, (cols, _) in enumerate(g.elements):
             moved = tableaux.tableau_apply("A", n, (pr[cols], None), 1, "f")
             if moved is not None:
-                f0[x] = g.index[(back[moved[0]], None)]
+                f0[x] = at[(back[moved[0]], None)]
         assert g.f[0] == f0, (n, r, s)
     # the automorphism the sigma search finds is pr
     for n, r, s in [(3, 1, 1), (3, 2, 2), (4, 2, 1)]:
         b = build_kr(AffineSpec("A1", n, r, s))
         g = b.graph
         tau = search_sigma(g, b.spec)
-        images = (g.index[(promotion(cols, n), None)] for cols, _ in g.elements)
+        at = vertex_index(g)
+        images = (at[(promotion(cols, n), None)] for cols, _ in g.elements)
         assert tau == dict(enumerate(images))
 
 
@@ -343,15 +347,16 @@ def test_stepped_route_matches_materialized_host(fam, n, r, s, host_size):
     closed = host if fam == "B1" else host.ambient.build
     cg = closed.graph
     sigma = _tail_involution(cg)
+    at, closed_at = vertex_index(hg), vertex_index(cg)
     for elem in b.graph.elements:
         for i in hg.colors:
             for op, arrows in (("f", hg.f), ("e", hg.e)):
-                w = arrows[i].get(hg.index[elem])
+                w = arrows[i].get(at[elem])
                 assert b.stepped.host_apply(elem, i, op) == (None if w is None else hg.elements[w])
     for x, y in b.stepped._sigma.items():
-        assert cg.elements[sigma[cg.index[x]]] == y
+        assert cg.elements[sigma[closed_at[x]]] == y
     for x, elem in enumerate(b.graph.elements):
-        v = hg.index[elem]
+        v = at[elem]
         assert all(w % 2 == 0 for w in hg.weights[v])
         assert b.graph.weights[x] == tuple(w // 2 for w in hg.weights[v])
         for i in b.graph.colors:
@@ -359,7 +364,7 @@ def test_stepped_route_matches_materialized_host(fam, n, r, s, host_size):
             for _ in range(m[i]):
                 y = None if y is None else hg.f[i].get(y)
             edge = b.graph.f[i].get(x)
-            assert (None if edge is None else hg.index[b.graph.elements[edge]]) == y
+            assert (None if edge is None else at[b.graph.elements[edge]]) == y
     tops = _locate_tops(host, b.stepped.model_shapes)
     walked = 0
     for sh in b.stepped.model_shapes:
@@ -400,7 +405,8 @@ def test_rectangle_seeds_at_its_top_in_the_same_crystal(fam, n, r, s):
     P = pm.make_pm("C", n, [(r, ".")] * (2 * s))
     seed, walked = b.stepped.seed(P), b.stepped.host_phi(P)
     assert seed != walked
-    assert seed in b.graph.index and walked in b.graph.index
+    at = vertex_index(b.graph)
+    assert seed in at and walked in at
     if (fam, n, r, s) == ("A2even", 2, 1, 1):
         texts = {}
         got = tableaux.format_element(seed, texts), tableaux.format_element(walked, texts)
@@ -633,8 +639,9 @@ def test_branching_tables_match_the_direct_filling(monkeypatch):
             continue
         (table,) = tables
         assert len(table) == len(b.graph.highest_vertices(range(2, spec.n + 1)))
+        at = vertex_index(b.graph)
         for x, P in table.items():
-            assert b.graph.index[phi_direct(P)] == x, (spec, P)
+            assert at[phi_direct(P)] == x, (spec, P)
         checked.add(b.kind)
     assert checked == {"dba", "triples"}
 
@@ -808,9 +815,10 @@ def test_spin_zero_edges_conjugate_one_edges():
         y = g.f[1].get(tau[x])
         assert g.f[0].get(x) == (None if y is None else tau[y])
     # at s = 1, f_0 adds e_1 + e_2: it turns the first two signs from - to +
+    at = vertex_index(g)
     for x, (vec,) in enumerate(g.elements):
         flipped = (1, 1) + vec[2:] if vec[:2] == (-1, -1) else None
-        assert g.f[0].get(x) == (None if flipped is None else g.index[(flipped,)])
+        assert g.f[0].get(x) == (None if flipped is None else at[(flipped,)])
 
 
 def test_spin_sizes_and_decompositions():

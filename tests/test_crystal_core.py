@@ -7,7 +7,14 @@ from krcrystals.cartan import Shape, weyl_dimension
 from krcrystals.crystal_core import CrystalGraph, generate_closure, greedy_raise
 from krcrystals.tableaux import SignatureTable, tableau_weight
 
-from oracles import first_color_raise, isomorphism, letter_e, letter_f, letter_weight
+from oracles import (
+    first_color_raise,
+    isomorphism,
+    letter_e,
+    letter_f,
+    letter_weight,
+    vertex_index,
+)
 
 
 def letter_neighbours(ctype, n, colors):
@@ -38,10 +45,11 @@ def tableau_graph(ctype, n, colors, shapes):
 def test_closure_of_letter_chain():
     g = letter_graph("C", 2, (1, 2))
     assert len(g) == 4
-    one = g.index[1]
+    at = vertex_index(g)
+    one = at[1]
     assert g.phi(1, one) == 1 and g.eps(1, one) == 0
     assert g.weights[one] == (2, 0)
-    barone = g.index[-1]
+    barone = at[-1]
     assert g.eps(1, barone) == 1 and g.phi(1, barone) == 0
     # string walk: 1 ->1 2 ->2 bar2 ->1 bar1
     x = one
@@ -130,11 +138,11 @@ def test_sweep_raise_agrees_with_first_color_rule(ctype, n, rank, shapes):
     # first color after each single step; every segment is a whole string,
     # and f^k undoes the path
     g = tableau_graph(ctype, n, tuple(range(1, rank + 1)), shapes)
-    string = SignatureTable(ctype, n, g.colors).string
+    string, at = SignatureTable(ctype, n, g.colors).string, vertex_index(g)
 
     def jump(i, x):
         top, k = string(g.elements[x], i, "e")
-        return (g.index[top], k) if k else None
+        return (at[top], k) if k else None
 
     for colors in (tuple(range(1, rank + 1)), tuple(range(2, rank + 1))):
         for x in range(len(g)):
@@ -148,6 +156,16 @@ def test_sweep_raise_agrees_with_first_color_rule(ctype, n, rank, shapes):
                 assert g.eps(i, y) == 0 and g.phi(i, y) >= k
                 y = descend(g, [(i, k)], y)
             assert y == x
+
+
+def test_graph_keeps_the_objects_it_is_given():
+    # no copy and no element index: the graph owns its builder's lists and dicts
+    elements, weights, f1, f0 = ["a", "b", "c"], [(2,), (0,), (-2,)], {0: 1, 1: 2}, {2: 0}
+    g = CrystalGraph(elements, (1,), {1: f1}, weights)
+    assert g.elements is elements and g.weights is weights and g.f[1] is f1
+    g.add_color(0, f0)
+    assert g.f[0] is f0 and g.colors == (0, 1)
+    assert not hasattr(g, "index")
 
 
 def test_decomposition_rejects_multiple_tops():
@@ -207,9 +225,10 @@ def test_isomorphism_nontrivial_relabel():
     mapping = isomorphism(g, g, color_map=swap)
     assert mapping is not None
     # the swap exchanges the two middle letters 3 and bar 3
-    three, barthree = g.index[3], g.index[-3]
+    at = vertex_index(g)
+    three, barthree = at[3], at[-3]
     assert mapping[three] == barthree and mapping[barthree] == three
-    assert mapping[g.index[1]] == g.index[1]
+    assert mapping[at[1]] == at[1]
 
 
 def test_isomorphisms_yields_every_automorphism():

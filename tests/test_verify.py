@@ -6,10 +6,18 @@ import pytest
 
 from krcrystals import kr_builders, verify
 from krcrystals import pm_diagrams as pm
-from krcrystals.cartan import AffineSpec, affine_pairing, kr_decomposition
+from krcrystals.cartan import AffineSpec, Shape, affine_pairing, kr_decomposition
 from krcrystals.crystal_core import CrystalGraph
 from krcrystals.cli import main
-from krcrystals.kr_builders import AmbientLink, KRBuild, _branching, _locate_tops, build_kr
+from krcrystals.kr_builders import (
+    AmbientLink,
+    KRBuild,
+    SteppedHost,
+    _branching,
+    _locate_tops,
+    _triple_of,
+    build_kr,
+)
 from krcrystals.verify import (
     SUITES,
     CheckReport,
@@ -28,6 +36,7 @@ from krcrystals.verify import (
 from oracles import (
     components_bfs,
     regularity_vertex_major,
+    vertex_index,
     with_dropped_edge,
 )
 
@@ -504,16 +513,31 @@ def test_phi0_flags_a_sign_column_count_off_the_zero_string(monkeypatch):
     # the triples route reads eps_0 off the sign columns: one + more in the
     # count misses it at the first {2..n}-top
     build = build_kr(AffineSpec("C1", 2, 2, 1))
-    real = verify._triple_of
+    real = verify._sign_column_count
 
-    def one_plus_more(P):
-        t = real(P)
-        return t._replace(l1=t.l1 + 1)
+    def one_plus_more(family, P):
+        return real(family, P) + 1
 
-    monkeypatch.setattr(verify, "_triple_of", one_plus_more)
+    monkeypatch.setattr(verify, "_sign_column_count", one_plus_more)
     report = check_phi0(build)
     assert (report.passed, report.detail) == (False, "eps_0 misses the sign-column count")
     assert report.witness["color"] == 0
+
+
+def test_sign_column_count_is_the_triple_reading_of_the_builder():
+    # phi0 counts eps_0 off the columns itself; the triples route keys f_0 by
+    # the sign triple, whose l1 + gamma is the same count at every {2..n}-top
+    checked = 0
+    for spec in default_grid((2, 3, 4), (1, 2, 3)):
+        if kr_builders.route(spec) != "triples":
+            continue
+        build = build_kr(spec)
+        tops = _locate_tops(build, kr_decomposition(spec))
+        for P in _branching(build.graph, spec.classical_type, spec.n, tops).values():
+            t = _triple_of(P)
+            assert verify._sign_column_count(spec.family, P) == t.l1 + t.gamma, (spec, P)
+            checked += 1
+    assert checked == 93
 
 
 def test_phi0_flags_a_vanished_zero_string_on_a_mixed_diagram():
@@ -539,23 +563,30 @@ def test_similarity_flags_image_tops_off_the_doubled_diagrams(monkeypatch):
     assert report.witness["in_image"] == "False"
 
 
-def _fixed_point_build_and_host_without_first_arrow(build):
+def _fixed_point_build_and_host_without_first_arrow(build, _monkeypatch):
     """The fixed-point build with its first 1-arrow deleted, and the f_2 arrow under
     it deleted from its closed host: the graph still sits on that host, shifted."""
     g, host = build.graph, build.ambient.build
-    v = host.graph.index[g.elements[min(g.f[1])]]
+    v = vertex_index(host.graph)[g.elements[min(g.f[1])]]
     return _replaced(
         with_dropped_edge(build, 1, 0),
         ambient=AmbientLink(with_dropped_edge(host, 2, _arrow_out_of(host, 2, v))),
     )
 
 
-def _without_first_top(build):
-    """The build with the element of its first {2..n}-top missing from the graph's index."""
-    g = build.graph
-    graph = CrystalGraph(g.elements, g.colors, g.f, g.weights)
-    del graph.index[g.elements[min(g.highest_vertices(range(2, build.spec.n + 1)))]]
-    return _replaced(build, graph=graph)
+def _with_a_host_top_off_the_graph(build, monkeypatch):
+    """The build, checked on hosts whose top of the empty shape is the first {2..N}-top of
+    the closed host that the graph lacks: their table holds one top off the image."""
+    image, hg = set(build.graph.elements), build.ambient.build.graph
+    tops = (hg.elements[x] for x in hg.highest_vertices(range(2, len(hg.colors))))
+    lacking = next(top for top in tops if top not in image)
+    real = SteppedHost.host_top
+
+    def host_top(host, outer):
+        return lacking if outer == Shape() else real(host, outer)
+
+    monkeypatch.setattr(SteppedHost, "host_top", host_top)
+    return build
 
 
 @pytest.mark.parametrize(
@@ -563,23 +594,25 @@ def _without_first_top(build):
     [
         (_fixed_point_build_and_host_without_first_arrow,
          "image string is not the scaled host string"),
-        (lambda build: _with_crossed_heads(build, 0), "edge is not the powered host edge"),
-        (lambda build: with_dropped_edge(build, 1),
+        (lambda build, _: _with_crossed_heads(build, 0), "edge is not the powered host edge"),
+        (lambda build, _: with_dropped_edge(build, 1),
          "image string is not the scaled host string"),
-        (lambda build: _with_crossed_heads(build, 1), "edge is not the powered host edge"),
-        (_without_first_top, "image tops are not the doubled diagrams"),
+        (lambda build, _: _with_crossed_heads(build, 1), "edge is not the powered host edge"),
+        (_with_a_host_top_off_the_graph, "image tops are not the doubled diagrams"),
     ],
     ids=["graph-and-host-arrow", "crossed-0-heads", "dropped-1-arrow", "crossed-1-heads",
          "missing-top"],
 )
-def test_similarity_flags_a_fixed_point_build_off_its_host(mutation, detail):
+def test_similarity_flags_a_fixed_point_build_off_its_host(mutation, detail, monkeypatch):
     # the host is a fresh element-local one with every m_i = 1, never the
     # closed host the build read its arrows from
     build = build_kr(AffineSpec("C1", 2, 1, 2))
     report = check_similarity(build)
     assert build.kind == "virtual" and (report.passed, report.detail) == (True, "11 fixed points")
-    report = check_similarity(mutation(build))
+    report = check_similarity(mutation(build, monkeypatch))
     assert (report.passed, report.detail) == (False, detail)
+    if "image tops" in detail:  # the lacking top is the witness
+        assert report.witness["in_image"] == "False"
 
 
 JLOWEST_FAULTS = [
