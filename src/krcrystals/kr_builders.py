@@ -109,40 +109,10 @@ def _attach_from_tops(cls, forward, backward, shift, conjugate):
     return tau
 
 
-def classical_model(build):
-    """Vertex -> classical tableau through the classical isomorphism.
-
-    The anchors are the tops of the classical shapes; RuntimeError if their
-    components miss a vertex.
-    """
-    if route(build.spec) in ("dba", "triples"):
-        return dict(enumerate(build.graph.elements))
-    ctype, n, colors = build.spec.classical_type, build.spec.n, build.spec.classical_colors
-    tops = _locate_tops(build, kr_decomposition(build.spec))
-    anchors = {v: pm.highest_element(n, sh) for sh, v in tops.items()}
-    step = tableaux.SignatureTable(ctype, n, colors).apply
-    model = _transport(build.graph, lambda i, tab: step(tab, i, "f"), anchors, colors)
-    if len(model) != len(build.graph):
-        raise RuntimeError("transport did not reach every vertex")
-    return model
-
-
-def _branching(graph, ctype, n, tops):
-    """{2..n}-top vertex -> diagram: Phi walked on the graph's own f-arrows.
-
-    tops maps each classical shape to the vertex of its highest element.
-    RuntimeError unless the table's keys are exactly the {2..n}-tops.
-    """
-    table = pm.phi_table(ctype, n, tops, lambda x, i: graph.f[i].get(x))
-    if set(table) != set(graph.highest_vertices(range(2, n + 1))):
-        raise RuntimeError("branching table does not match the {2..n}-tops")
-    return table
-
-
 def _summand_table(spec, cls):
     """The branching table of spec's closed crystal cls, its vertex k the k-th summand's top."""
     tops = {sh: k for k, sh in enumerate(kr_decomposition(spec))}
-    return _branching(cls, spec.classical_type, spec.n, tops)
+    return pm.branching_table(cls, spec.classical_type, spec.n, tops)
 
 
 def _top_of_weight(tops, weight_of, wt):
@@ -151,13 +121,6 @@ def _top_of_weight(tops, weight_of, wt):
     if len(hits) != 1:
         raise RuntimeError(f"classical top of weight {wt} is not unique")
     return hits[0]
-
-
-def _locate_tops(build, shapes):
-    """{shape: the vertex of the build carrying its classical highest tableau}."""
-    n, g = build.spec.n, build.graph
-    tops = g.highest_vertices(build.spec.classical_colors)
-    return {sh: _top_of_weight(tops, g.weights.__getitem__, sh.weight(n)) for sh in shapes}
 
 
 # -- type A: promotion --------------------------------------------------------

@@ -264,6 +264,15 @@ def phi_table(ctype: str, n: int, tops, step) -> dict:
     return table
 
 
+def branching_table(graph, ctype: str, n: int, tops) -> dict:
+    """{2..n}-top vertex -> diagram: Phi walked on the graph's own f-arrows from tops, which
+    maps each classical shape to its top vertex; RuntimeError unless the keys are those tops."""
+    table = phi_table(ctype, n, tops, lambda x, i: graph.f[i].get(x))
+    if set(table) != set(graph.highest_vertices(range(2, n + 1))):
+        raise RuntimeError("branching table does not match the {2..n}-tops")
+    return table
+
+
 def phi_inverse(table: dict, elem) -> PmDiagram:
     """The diagram of a phi_table whose walk lands on elem."""
     try:

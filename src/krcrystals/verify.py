@@ -25,15 +25,8 @@ from .cartan import (
     kr_dimension,
     weyl_dimension,
 )
-from .kr_builders import (
-    KRBuild,
-    SteppedHost,
-    _branching,
-    _locate_tops,
-    build_kr,
-    classical_model,
-    route,
-)
+from .kr_builders import SteppedHost, build_kr, route
+from .tableaux import SignatureTable
 
 
 class CheckReport:
@@ -91,7 +84,7 @@ def second_subset(spec: AffineSpec) -> tuple[int, ...]:
 
 # -- regularity ----------------------------------------------------------------
 
-def check_regularity(build: KRBuild) -> CheckReport:
+def check_regularity(build) -> CheckReport:
     """Arrows step by roots, and pair with the strings.
 
     The graph holds e_i = f_i^-1 and ending strings by construction.  Color by color, the
@@ -146,7 +139,7 @@ def _component_sizes(graph, colors):
     return sorted(len(c) for c in graph.components(colors))
 
 
-def check_decompositions(build: KRBuild) -> CheckReport:
+def check_decompositions(build) -> CheckReport:
     """Classical components match the tables; so does the zero-side restriction."""
 
     def body():
@@ -220,7 +213,7 @@ def search_sigma(graph, spec: AffineSpec):
     return None
 
 
-def check_sigma(build: KRBuild) -> CheckReport:
+def check_sigma(build) -> CheckReport:
     """The family's Dynkin automorphism is an automorphism of the graph, found by search."""
 
     def body():
@@ -236,6 +229,19 @@ def check_sigma(build: KRBuild) -> CheckReport:
 
 
 # -- the zero-string rule on sign diagrams -----------------------------------------
+
+def _classical_tops(spec, graph):
+    """{shape: vertex} of the graph's classical tops, each top's shape read off its weight.
+    RuntimeError if a top's weight is off kr_decomposition(spec), or two tops share one."""
+    shapes = {sh.weight(spec.n): sh for sh in kr_decomposition(spec)}
+    tops = {}
+    for x in graph.highest_vertices(spec.classical_colors):
+        if (sh := shapes.get(wt := graph.weights[x])) is None:
+            raise RuntimeError(f"classical top of weight {wt} is off the decomposition")
+        if tops.setdefault(sh, x) != x:
+            raise RuntimeError(f"classical top of weight {wt} is not unique")
+    return tops
+
 
 def _phi0_rule(P: pm.PmDiagram, r: int, s: int, m0: int):
     """Pair-deletion count for single-sign diagrams; None when inapplicable."""
@@ -278,7 +284,7 @@ def _sign_column_count(family, P):
     return plus if family == "C1" else 2 * plus + (P.spin == "+") + zeros
 
 
-def check_phi0(build: KRBuild) -> CheckReport:
+def check_phi0(build) -> CheckReport:
     """Zero-string lengths on branching tops match the sign-diagram rules."""
 
     def body():
@@ -288,7 +294,7 @@ def check_phi0(build: KRBuild) -> CheckReport:
             return True, "rule not applicable to this construction", None
         g = build.graph
         m0 = 2 if fam == "C1" else 1
-        table = _branching(g, spec.classical_type, n, _locate_tops(build, kr_decomposition(spec)))
+        table = pm.branching_table(g, spec.classical_type, n, _classical_tops(spec, g))
         checked = 0
         for x, P in sorted(table.items()):  # the {2..n}-tops in vertex order
             if route(spec) == "triples":
@@ -367,7 +373,7 @@ def _check_stepped_similarity(build, host):
     return True, f"{len(g)} fixed points" if unit else f"{doubled} doubled diagram tops", None
 
 
-def check_similarity(build: KRBuild) -> CheckReport:
+def check_similarity(build) -> CheckReport:
     """The build sits inside its host exactly as the index scaling dictates."""
 
     def body():
@@ -398,7 +404,27 @@ def _jlowest_column_problem(col, n, ctype):
     return None
 
 
-def check_jlowest(build: KRBuild) -> CheckReport:
+def _lowest_tableaux(spec, graph):
+    """(x, its classical tableau) of each {1..n-1}-lowest vertex x, in vertex order.  On the dba
+    and triples routes x is one; elsewhere x is raised along the graph's arrows to its classical
+    top, whose shape's highest tableau goes down the reversed path, one signature pass a segment."""
+    n, colors = spec.n, spec.classical_colors
+    lowest = sorted(set(range(len(graph))).difference(*(graph.f[i] for i in range(1, n))))
+    if route(spec) in ("dba", "triples"):
+        yield from ((x, graph.elements[x]) for x in lowest)
+        return
+    shape_of = {x: sh for sh, x in _classical_tops(spec, graph).items()}
+    string = SignatureTable(spec.classical_type, n, colors).string
+    for x in lowest:
+        path, top = graph.raise_path(x, colors)
+        tab = pm.highest_element(n, shape_of[top])
+        for i, k in reversed(path):
+            if (tab := string(tab, i, "f", k)[0]) is None:
+                raise RuntimeError(f"descent died on an f_{i} string")
+        yield x, tab
+
+
+def check_jlowest(build) -> CheckReport:
     """Lowest elements below the top color have the forced column pattern."""
 
     def body():
@@ -407,14 +433,9 @@ def check_jlowest(build: KRBuild) -> CheckReport:
         if ctype not in "BC":
             return True, "pattern not applicable to this classical type", None
         g = build.graph
-        model = classical_model(build)
-        jcolors = tuple(range(1, n))
         jprime = tuple(range(2, n + 1))
         checked = 0
-        for x in range(len(g)):
-            if any(g.f[i].get(x) is not None for i in jcolors):
-                continue
-            cols, spin = model[x]
+        for x, (cols, spin) in _lowest_tableaux(spec, g):
             if spin is not None:
                 continue
             checked += 1

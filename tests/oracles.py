@@ -35,6 +35,10 @@ stacked pair of diagrams, whose signed columns `signs` lists.
 `components_bfs` is the per-vertex deque walk `CrystalGraph.components`
 is checked against, and `regularity_vertex_major` the vertex by vertex
 scan `verify.check_regularity` must agree with.
+`locate_tops` finds each classical shape's top in a graph by weight, and
+`classical_model` carries each top's highest tableau along every f-arrow of
+its component with `reference_apply`: the transport the `jlowest` suite's
+descent, one raise and one signature pass per string segment, must agree with.
 `element_local_fold` closes the `C1` crystal below the top node element by
 element on the stepped host with unit multipliers; the virtual route, which
 closes its whole host, must give the same labelled graph.
@@ -543,6 +547,36 @@ def regularity_vertex_major(build: KRBuild):
     except Exception as exc:
         return False, f"error: {exc}", None
     return True, f"{len(g)} vertices", None
+
+
+def locate_tops(graph: CrystalGraph, n: int, shapes) -> dict:
+    """{shape: the one {1..n}-top of the graph of its weight}; ValueError unless exactly one."""
+    tops = graph.highest_vertices(range(1, n + 1))
+    found = {}
+    for sh in shapes:
+        (found[sh],) = [x for x in tops if graph.weights[x] == sh.weight(n)]
+    return found
+
+
+def classical_model(build: KRBuild) -> dict:
+    """Vertex -> classical tableau, carried from the highest tableau at each classical top
+    along every f-arrow of its component by `reference_apply`; AssertionError unless the
+    carried map covers the graph, or where an arrow has no tableau step."""
+    spec, g = build.spec, build.graph
+    ctype, n = spec.classical_type, spec.n
+    tops = locate_tops(g, n, kr_decomposition(spec))
+    model = {x: highest_element(n, sh) for sh, x in tops.items()}
+    stack = list(model)
+    while stack:
+        x = stack.pop()
+        for i in spec.classical_colors:
+            y = g.f[i].get(x)
+            if y is not None and y not in model:
+                model[y] = reference_apply(ctype, n, model[x], i, "f")
+                assert model[y] is not None, (spec, x, i)
+                stack.append(y)
+    assert len(model) == len(g), spec
+    return model
 
 
 def element_local_fold(spec: AffineSpec) -> CrystalGraph:

@@ -1,8 +1,9 @@
 """Layout guards on src/: builds own their state, src/ holds no test-only code,
 imports no name it leaves unused, reads no field kept for the benchmark
 alone, attaches f_0 to a closed crystal in one function, called by the one
-builder of the closed routes, reads every parameter it takes, and start-up
-loads no costly standard module.
+builder of the closed routes, reads every parameter it takes, takes nothing
+into `verify` from `kr_builders` but `SteppedHost`, `build_kr` and `route`,
+and start-up loads no costly standard module.
 
 The first guards read the sources with `ast`, so they run without importing
 the package.  A module-level cache outlives the build that filled it, and a
@@ -163,6 +164,20 @@ def test_src_reads_no_field_kept_for_the_benchmark_ledger():
     ]
     assert found == []
 
+
+
+def test_verify_takes_only_the_build_entry_points_from_the_builders():
+    # the suites derive what they check from the spec and the graph: verify
+    # builds with build_kr, asks route(spec), and walks a fresh or the stepped
+    # build's SteppedHost in similarity; no builder internal is a suite's input
+    taken = [
+        alias.name if node.module else f"module {alias.name}"
+        for node in ast.walk(_tree(ROOT / "src" / "krcrystals" / "verify.py"))
+        if isinstance(node, ast.ImportFrom) and node.module in ("kr_builders", None)
+        for alias in node.names
+        if node.module or alias.name == "kr_builders"
+    ]
+    assert sorted(taken) == ["SteppedHost", "build_kr", "route"]
 
 
 def test_one_function_attaches_f0_to_a_closed_crystal():

@@ -13,8 +13,6 @@ from krcrystals.kr_builders import (
     AmbientLink,
     KRBuild,
     SteppedHost,
-    _branching,
-    _locate_tops,
     _triple_of,
     build_kr,
 )
@@ -34,7 +32,9 @@ from krcrystals.verify import (
 )
 
 from oracles import (
+    classical_model,
     components_bfs,
+    locate_tops,
     regularity_vertex_major,
     vertex_index,
     with_dropped_edge,
@@ -217,14 +217,17 @@ def _replaced(build, **fields):
     return KRBuild(**(kept | fields))
 
 
+def _with_weights(build, moved):
+    """The build with each vertex of moved given its weight there."""
+    g = build.graph
+    weights = [moved.get(x, wt) for x, wt in enumerate(g.weights)]
+    edges = {i: dict(g.f[i]) for i in g.colors}
+    return _replaced(build, graph=CrystalGraph(g.elements, g.colors, edges, weights))
+
+
 def _with_shifted_weight(build, x, shift):
     """The build with vertex x's weight moved by shift."""
-    g = build.graph
-    weights = list(g.weights)
-    weights[x] = tuple(a + b for a, b in zip(weights[x], shift))
-    edges = {i: dict(g.f[i]) for i in g.colors}
-    moved = CrystalGraph(g.elements, g.colors, edges, weights)
-    return _replaced(build, graph=moved)
+    return _with_weights(build, {x: tuple(a + b for a, b in zip(build.graph.weights[x], shift))})
 
 
 def _regularity_outcome(build):
@@ -532,8 +535,8 @@ def test_sign_column_count_is_the_triple_reading_of_the_builder():
         if kr_builders.route(spec) != "triples":
             continue
         build = build_kr(spec)
-        tops = _locate_tops(build, kr_decomposition(spec))
-        for P in _branching(build.graph, spec.classical_type, spec.n, tops).values():
+        tops = locate_tops(build.graph, spec.n, kr_decomposition(spec))
+        for P in pm.branching_table(build.graph, spec.classical_type, spec.n, tops).values():
             t = _triple_of(P)
             assert verify._sign_column_count(spec.family, P) == t.l1 + t.gamma, (spec, P)
             checked += 1
@@ -545,7 +548,7 @@ def test_phi0_flags_a_vanished_zero_string_on_a_mixed_diagram():
     # column has no plus, so f_0 must act there: without that 0-arrow it does not
     build = build_kr(AffineSpec("D2", 3, 2, 2))
     g = build.graph
-    table = _branching(g, "B", 3, _locate_tops(build, kr_decomposition(build.spec)))
+    table = pm.branching_table(g, "B", 3, locate_tops(g, 3, kr_decomposition(build.spec)))
     x = next(x for x, P in table.items() if P.cols == ((2, "+"), (1, "-")))
     assert check_phi0(build).passed and g.phi(0, x) == 1
     report = check_phi0(with_dropped_edge(build, 0, _arrow_out_of(build, 0, x)))
@@ -627,23 +630,77 @@ JLOWEST_FAULTS = [
 ]
 
 
-def _classical_model_with_columns(cols):
-    """classical_model with every tableau replaced by cols, spin columns kept."""
-    real = verify.classical_model
-    return lambda build: {x: (cols, spin) for x, (_, spin) in real(build).items()}
+def _lowest_tableaux_with_columns(cols):
+    """_lowest_tableaux with the columns of every tableau replaced by cols, spin columns kept."""
+    real = verify._lowest_tableaux
+    return lambda spec, graph: ((x, (cols, spin)) for x, (_, spin) in real(spec, graph))
 
 
 @pytest.mark.parametrize("cols,detail", JLOWEST_FAULTS, ids=[d for _, d in JLOWEST_FAULTS])
 def test_jlowest_flags_each_column_pattern_fault(monkeypatch, cols, detail):
     build = build_kr(AffineSpec("A2odd", 3, 1, 1))
     assert check_jlowest(build).passed
-    monkeypatch.setattr(verify, "classical_model", _classical_model_with_columns(cols))
+    monkeypatch.setattr(verify, "_lowest_tableaux", _lowest_tableaux_with_columns(cols))
     report = check_jlowest(build)
     assert (report.passed, report.detail) == (False, detail)
 
 
+def test_jlowest_flags_a_descent_step_that_vanishes():
+    # the two classical tops of C1 2,1,2 trade weights: the B(2 omega_1) top
+    # is read as B(0), whose highest tableau has no f_1 step to descend
+    build = build_kr(AffineSpec("C1", 2, 1, 2))
+    g = build.graph
+    assert g.highest_vertices((1, 2)) == [0, 6] and (g.weights[0], g.weights[6]) == ((4, 0), (0, 0))
+    report = check_jlowest(_with_weights(build, {0: (0, 0), 6: (4, 0)}))
+    assert (report.passed, report.detail) == (False, "error: descent died on an f_1 string")
+
+
+def test_jlowest_flags_a_classical_top_off_the_decomposition():
+    # the B(0) top of A2even 2,1,1 moved to a weight no summand has
+    build = build_kr(AffineSpec("A2even", 2, 1, 1))
+    assert build.graph.weights[0] == (0, 0) and check_jlowest(build).passed
+    report = check_jlowest(_with_shifted_weight(build, 0, (4, 4)))
+    assert (report.passed, report.detail) == (
+        False, "error: classical top of weight (4, 4) is off the decomposition"
+    )
+
+
+def test_phi0_flags_two_classical_tops_of_one_weight():
+    # the B(0) top of A2even 2,1,1 moved onto the weight of the B(omega_1)
+    # top: phi0 cannot tell which top heads which summand, so it fails
+    # rather than pick one
+    build = build_kr(AffineSpec("A2even", 2, 1, 1))
+    assert build.graph.weights[:2] == [(0, 0), (2, 0)] and check_phi0(build).passed
+    report = check_phi0(_with_shifted_weight(build, 0, (2, 0)))
+    assert (report.passed, report.detail) == (
+        False, "error: classical top of weight (2, 0) is not unique"
+    )
+
+
+def test_jlowest_descent_matches_the_transported_model():
+    # the descent raises each {1..n-1}-lowest vertex to its classical top and
+    # walks that top's highest tableau back down, one pass per string segment;
+    # the reference carries every top's tableau along every f-arrow of its
+    # component with a signature rule of its own
+    specs = [spec for spec in default_grid() if kr_builders.route(spec) in ("stepped", "virtual")]
+    specs += [AffineSpec("A2even", 3, 3, 3), AffineSpec("C1", 4, 3, 2)]
+    routes, checked = set(), 0
+    for spec in specs:
+        build = build_kr(spec)
+        g, n = build.graph, spec.n
+        lowest = list(verify._lowest_tableaux(spec, g))
+        want = [x for x in range(len(g)) if all(x not in g.f[i] for i in range(1, n))]
+        assert [x for x, _ in lowest] == want, spec
+        model = classical_model(build)
+        for x, tab in lowest:
+            assert tab == model[x], (spec, x)
+        routes.add(kr_builders.route(spec))
+        checked += len(lowest)
+    assert routes == {"stepped", "virtual"} and checked == 613
+
+
 def test_failing_json_report_carries_its_witness_in_key_order(monkeypatch, capsys):
-    monkeypatch.setattr(verify, "classical_model", _classical_model_with_columns(((-1, 1),)))
+    monkeypatch.setattr(verify, "_lowest_tableaux", _lowest_tableaux_with_columns(((-1, 1),)))
     spec = ["--family", "A2odd", "--n", "3", "--r", "1", "--s", "1"]
     assert main(["check", *spec, "--suite", "jlowest", "--format", "json"]) == 1
     out = capsys.readouterr().out
